@@ -19,7 +19,7 @@ from scipy.integrate import quad
 
 from .errors import ToleranceError
 
-__all__ = ["complex_quad", "gauss_panels", "panel_reduce"]
+__all__ = ["complex_quad", "gauss_panels"]
 
 
 def complex_quad(func, a, b, tol: float = 1e-10, limit: int = 400):
@@ -63,7 +63,3 @@ def gauss_panels(a: float, b: float, n_panels: int, nodes: int = 16):
     weights = (half[:, None] * wg[None, :]).ravel()
     return points, weights
 
-
-def panel_reduce(values, weights) -> complex:
-    """Weighted reduction of integrand values on a panel grid."""
-    return complex(np.dot(np.asarray(weights), np.asarray(values)))

@@ -214,7 +214,8 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help="cap worker threads in native kernels (fallback: KFREE_THREADS)",
+        help="cap native BLAS threads via threadpoolctl; without it the cap is "
+        "reported on stderr as not applied (fallback: KFREE_THREADS)",
     )
 
 
@@ -420,15 +421,15 @@ _THREAD_LIMITER = None
 
 
 def _apply_thread_cap(threads: Optional[int]) -> None:
-    """Cap native thread pools; the Python layer is single-threaded anyway."""
+    """Cap native thread pools via threadpoolctl: numpy has already read *_NUM_THREADS."""
     global _THREAD_LIMITER
     if threads is None:
         return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
     try:
         import threadpoolctl
     except ImportError:
+        msg = "threadpoolctl is not installed and numpy has already sized its BLAS pool"
+        print(f"kfree: --threads {threads} not applied: {msg}", file=sys.stderr)
         return
     _THREAD_LIMITER = threadpoolctl.threadpool_limits(limits=threads)
 

@@ -528,6 +528,14 @@ def cancellation_check(k: int, alpha: complex, l: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _cis(theta: np.ndarray) -> np.ndarray:
+    """e^{i*theta} from one cos and one sin pass written into a complex array."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def _cis_minus_one(theta: np.ndarray) -> np.ndarray:
     """e^{i*theta} - 1 without cancellation: -2 sin^2(theta/2) + i sin(theta)."""
     half = np.sin(0.5 * theta)
@@ -609,7 +617,10 @@ class FastCharfn:
     log(1+w) through order 4 in w; the primes are then grouped into buckets
     of nearly equal v, and within each bucket e^{i lambda d v} is expanded to
     third order around the bucket mean.  Evaluating the grid then costs
-    O(buckets * degree) per frequency instead of O(pi(N)).
+    O(buckets * degree) per frequency instead of O(pi(N)): per block of L
+    frequencies, one (L, buckets) cos/sin pass, degree - 1 in-place products
+    and ``degree`` skinny (L, buckets) @ (buckets, 4) GEMMs; the head factors
+    are multiplied directly.
 
     ``truncation_bound(lam_max)`` returns a rigorous estimate combining the
     fourth-order phase remainder |e^{i t} - sum_{j<=3}| <= t^4/24 against the
@@ -630,13 +641,11 @@ class FastCharfn:
         self.cfg = cfg
         self.table = sieve_primes(cfg.N)
         self.log_n = math.log(cfg.N)
-        d_star = threshold_prime(cfg)
-        self.head_limit = max(int(head_limit), d_star)
+        self.head_limit = max(int(head_limit), threshold_prime(cfg))
         self.split = int(np.searchsorted(self.table.primes, self.head_limit, side="right"))
         head = self.table.primes[: self.split].astype(float)
         self._head_v = np.log(head) / self.log_n
         self._head_rows = _marginal_rows(cfg.k, cfg.alpha, head)
-        self._d_star_split = int(np.searchsorted(self.table.primes, d_star, side="right"))
 
         p = self.table.primes[self.split :].astype(float)
         if p.size == 0:
@@ -693,37 +702,28 @@ class FastCharfn:
     def grid(self, lams, block: int = 256) -> np.ndarray:
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         out = np.empty(lams.shape, dtype=complex)
-        k = self.cfg.k
         for start in range(0, lams.size, block):
             lam = lams[start : start + block]
-            # e^{i lam d vbar} built once for d = 1 and powered up by
-            # cumulative multiplication: one transcendental pass per block.
-            base = np.exp(1j * np.outer(lam, self._vbar))  # (L, B)
-            phase = np.ones_like(base)
-            acc = np.zeros(lam.shape, dtype=complex)
-            for d in range(self._degree + 1):
-                if d:
-                    phase = phase * base
+            # tail: per degree d, one (L, B) @ (B, 4) product against the bucket
+            # moments; the Taylor weights (i lam d)^j / j! combine its columns.
+            base = _cis(np.outer(lam, self._vbar))  # (L, B)
+            phase = base.copy()
+            acc = np.full(lam.shape, complex(self._moments[0, 0].sum()))
+            for d in range(1, self._degree + 1):
+                if d > 1:
+                    phase *= base
+                m = phase @ self._moments[d].T  # (L, 4)
                 il = 1j * lam * d
-                poly = (
-                    self._moments[d, 0][None, :]
-                    + il[:, None] * self._moments[d, 1][None, :]
-                    + (il**2 / 2.0)[:, None] * self._moments[d, 2][None, :]
-                    + (il**3 / 6.0)[:, None] * self._moments[d, 3][None, :]
-                )
-                acc += np.sum(phase * poly, axis=1)
-            # head factors, vectorized over the frequency block
-            hphase = np.exp(1j * np.outer(lam, self._head_v))  # (L, H)
-            z = np.repeat(self._head_rows[0][None, :], lam.size, axis=0)
-            tp = hphase
-            for t in range(1, k):
-                if t > 1:
-                    tp = tp * hphase
-                z = z + self._head_rows[t][None, :] * tp
-            # direct product below d*, principal logs between d* and the head cutoff
-            direct = np.prod(z[:, : self._d_star_split], axis=1)
-            logs = np.sum(_clog1p(z[:, self._d_star_split :] - 1.0), axis=1)
-            out[start : start + lam.size] = direct * np.exp(logs) * np.exp(acc)
+                acc += m[:, 0] + il * (m[:, 1] + il / 2.0 * (m[:, 2] + il / 3.0 * m[:, 3]))
+            # head: z_p = sum_t F_t(p) X^t by Horner in X = e^{i lam v_p}, multiplied
+            # directly (equal to exponentiating the sum of principal logs)
+            hphase = _cis(np.outer(lam, self._head_v))  # (L, H)
+            z = np.zeros_like(hphase)
+            for row in self._head_rows[:0:-1]:
+                z += row
+                z *= hphase
+            z += self._head_rows[0]
+            out[start : start + lam.size] = np.prod(z, axis=1) * np.exp(acc)
         out[lams == 0.0] = 1.0
         return out
 

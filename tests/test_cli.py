@@ -8,6 +8,8 @@ comparison of re-emitted artifacts for the reproducibility guarantee.
 
 import json
 import math
+import sys
+import types
 
 import pytest
 
@@ -349,6 +351,37 @@ class TestThreads:
         code, doc = invoke_json(["partition", "--k", "2", "--N", "10", "--threads", "1"], tmp_path)
         assert code == 0
         assert doc["run_config"]["threads"] == 1
+
+    @staticmethod
+    def _fake_threadpoolctl(monkeypatch):
+        calls = []
+        fake = types.ModuleType("threadpoolctl")
+        fake.threadpool_limits = lambda limits: calls.append(limits)
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        monkeypatch.setattr(kfree.cli, "_THREAD_LIMITER", None)
+        return calls
+
+    def test_unapplied_cap_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
+        # Without threadpoolctl the BLAS pool cannot be resized after numpy
+        # has loaded: say so once, and write the same artifact as when it can.
+        argv = ["partition", "--k", "2", "--N", "10", "--threads", "2"]
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        code, text = invoke(argv, tmp_path)
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("kfree: --threads 2 not applied: ")
+        assert json.loads(text)["run_config"]["threads"] == 2
+        self._fake_threadpoolctl(monkeypatch)
+        assert invoke(argv, tmp_path) == (0, text)
+
+    def test_applied_cap_is_silent(self, tmp_path, capsys, monkeypatch):
+        calls = self._fake_threadpoolctl(monkeypatch)
+        code, doc = invoke_json(["partition", "--k", "2", "--N", "10", "--threads", "2"], tmp_path)
+        assert code == 0
+        assert calls == [2]
+        assert capsys.readouterr().err == ""
+        assert doc["run_config"]["threads"] == 2
 
 
 class TestHelp:

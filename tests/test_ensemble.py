@@ -476,6 +476,23 @@ class TestFastCharfn:
         with pytest.raises(DomainError):
             FastCharfn(EnsembleConfig(k=5, alpha=1.0, N=10**6))
 
+    @pytest.mark.parametrize("k,alpha", [(2, -1.0), (3, 1 + 0.5j)])
+    def test_dense_grid_across_blocks(self, table_1e6, k, alpha):
+        # Over 600 sorted nodes on [-300, 300]: the frequency blocks must not
+        # change the values, lambda = 0 stays exactly 1, and the spot
+        # frequencies match the exact per-prime product.
+        spots = np.array([0.5, 3.0, 20.0, 100.0, 300.0])
+        lams = np.unique(np.concatenate([np.linspace(-300.0, 300.0, 601), spots]))
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=10**6)
+        fast = FastCharfn(cfg)
+        ref = fast.grid(lams, block=256)
+        for block in (1, 7):
+            got = fast.grid(lams, block=block)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+        assert ref[lams == 0.0][0] == 1.0
+        exact = CharfnEvaluator(cfg).grid(spots)
+        assert np.max(np.abs(ref[np.searchsorted(lams, spots)] - exact)) <= 1e-10
+
 
 # ---------------------------------------------------------------------------
 # error kernel
