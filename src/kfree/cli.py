@@ -49,9 +49,8 @@ from . import __version__
 from .certify import reproduce_example
 from .dickman import charfn_limit, rho_at, solve_rho, w_density, w_integral
 from .ensemble import (
-    CharfnEvaluator,
     EnsembleConfig,
-    FastCharfn,
+    charfn_for,
     enumerate_ensemble,
     partition_constant,
     partition_function,
@@ -74,10 +73,6 @@ from .smoothsum import (
 )
 
 __all__ = ["RunConfig", "argv_of", "build_parser", "main", "run"]
-
-#: Characteristic-function evaluations switch to the bucketed fast path
-#: above this N, matching the scan helpers elsewhere in the package.
-_EXACT_CHARFN_LIMIT = 10**4
 
 _EPILOG = """\
 CSV column layouts (stable across versions; JSON is canonical):
@@ -705,10 +700,7 @@ def _charfn_rows(values, lams) -> tuple[dict, tuple]:
 def _cmd_charfn(config: RunConfig) -> _Artifact:
     cfg = _ensemble_config(config)
     lams = _require_lambdas(config)
-    if cfg.N <= _EXACT_CHARFN_LIMIT:
-        values = CharfnEvaluator(cfg).grid(lams)
-    else:
-        values = FastCharfn(cfg).grid(lams)
+    values = charfn_for(cfg).grid(lams)
     result, csv = _charfn_rows(values, lams)
     return _Artifact(result=result, csv=csv)
 
@@ -883,7 +875,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         artifact = _HANDLERS[config.command](config)
         text = _render(config, artifact)
         _emit(text, config.output)
-    except (DomainError, DegenerateConfigError, PoleError, KeyError, OSError) as exc:
+    except (DomainError, DegenerateConfigError, PoleError, OSError) as exc:
         print(f"kfree: error: {exc}", file=sys.stderr)
         return 2
     except ToleranceError as exc:

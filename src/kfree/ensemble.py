@@ -12,15 +12,16 @@ This module provides:
 * exact enumeration with big-integer values (desk scale, size-capped);
 * the complex measure of subsets via exact integer arithmetic grouped by
   Omega (one correctly rounded float division per Omega class);
-* the partition function, with direct multiplication below a computed
-  threshold prime and principal-branch log accumulation beyond it;
+* one Euler-product kernel: every factor 1 + w enters through its
+  principal log, summed over all primes and exponentiated once, which
+  equals the direct product (a vanishing factor gives exactly 0);
 * Richardson-style extrapolation of Z_N/(log N)^alpha toward its constant;
 * per-prime exponent marginals F_t(p), their Laurent coefficients at
   u = infinity, the exact cancellation identity behind the error kernel,
   and the error kernel itself with its envelope bound;
 * the finite-N characteristic function of xi(x) = log x / log N, both as an
   exact prime product and as a bucketed fast evaluator for dense frequency
-  grids at large N.
+  grids at large N, with one rule (:func:`charfn_for`) choosing between them.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
     "trivial_charfn_bound",
     "CharfnEvaluator",
     "FastCharfn",
+    "charfn_for",
     "error_kernel",
 ]
 
@@ -285,47 +287,51 @@ def threshold_prime(cfg: EnsembleConfig) -> int:
 
 
 def _clog1p(w: np.ndarray) -> np.ndarray:
-    """Principal log(1 + w) for complex arrays, accurate for small |w|."""
+    """Principal log(1 + w) over a 1-d complex array, accurate for small |w|.
+
+    For |w| >= 1/2 the real part is log|1 + w|, accurate as 1 + w nears 0.
+    """
     w = np.asarray(w, dtype=complex)
-    re = 0.5 * np.log1p(2.0 * w.real + w.real**2 + w.imag**2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        re = 0.5 * np.log1p(2.0 * w.real + w.real**2 + w.imag**2)
+    far = np.flatnonzero(np.abs(w) >= 0.5)
+    re[far] = np.log(np.abs(1.0 + w[far]))
     im = np.arctan2(w.imag, 1.0 + w.real)
     return re + 1j * im
+
+
+def _factor_offset(k: int, x: np.ndarray) -> np.ndarray:
+    """w = x + x^2 + ... + x^{k-1}, so that the Euler factor is 1 + w."""
+    w = np.zeros_like(x)
+    xt = np.ones_like(x)
+    for _ in range(k - 1):
+        xt = xt * x
+        w = w + xt
+    return w
+
+
+def _log_euler(w: np.ndarray) -> complex:
+    """sum of Log(1 + w), whose exp is the product of the factors 1 + w.
+
+    A vanishing factor adds -inf, so the product is exactly 0.
+    """
+    with np.errstate(divide="ignore"):
+        return complex(np.sum(_clog1p(w)))
 
 
 def partition_function(cfg: EnsembleConfig) -> complex:
     """Finite Euler product prod_{p<=N} (1 + alpha/p + ... + (alpha/p)^{k-1}).
 
-    Factors at primes up to the threshold d* multiply directly; beyond it the
-    factors stay within |z - 1| < 1/2 and their principal logs accumulate,
-    which keeps the branch consistent for complex alpha.
+    One vector pass over all primes sums the principal logs of the factors
+    and exponentiates once; a vanishing factor makes Z exactly 0.  It never
+    needs the exponent marginals (which pole on the forbidden rays where Z
+    itself is simply 0).
     """
-    table = sieve_primes(cfg.N)
-    alpha = complex(cfg.alpha)
-    # factors z = sum_t (alpha/p)^t satisfy |z - 1| <= r/(1-r) < 1/2 once
-    # r = |alpha|/p < 1/3, so primes beyond 3|alpha| accumulate in log space;
-    # this split never needs the exponent marginals (which pole on the
-    # forbidden rays where Z itself is simply 0)
-    split = int(np.searchsorted(table.primes, 3.0 * abs(alpha), side="right"))
-    head = 1.0 + 0.0j
-    for p in table.primes[:split]:
-        x = alpha / int(p)
-        z = 1.0 + 0.0j
-        xt = 1.0 + 0.0j
-        for _ in range(cfg.k - 1):
-            xt *= x
-            z += xt
-        head *= z
-    tail = table.primes[split:].astype(float)
-    if tail.size:
-        x = alpha / tail
-        w = np.zeros_like(x)
-        xt = np.ones_like(x)
-        for _ in range(cfg.k - 1):
-            xt = xt * x
-            w = w + xt
-        log_sum = complex(np.sum(_clog1p(w)))
-        return head * complex(np.exp(log_sum))
-    return head
+    p = sieve_primes(cfg.N).primes.astype(float)
+    w = _factor_offset(cfg.k, cfg.alpha / p)
+    z = complex(np.exp(_log_euler(w)))
+    # real alpha: negative factors add pi to the log; keep Z exactly real
+    return complex(z.real) if cfg.alpha.imag == 0 else z
 
 
 def forbidden_alphas(k: int, prime_limit: int) -> list[complex]:
@@ -399,15 +405,9 @@ def _predicted_constant(k: int, alpha: complex, prime_limit: int = 10**7) -> com
     """
     from .specfun import exp_integral_e1
 
-    table = sieve_primes(prime_limit)
-    p = table.primes.astype(float)
+    p = sieve_primes(prime_limit).primes.astype(float)
     x = complex(alpha) / p
-    w = np.zeros_like(x)
-    xt = np.ones_like(x)
-    for _ in range(k - 1):
-        xt = xt * x
-        w = w + xt
-    series_sum = complex(np.sum(_clog1p(w) - x))
+    series_sum = _log_euler(_factor_offset(k, x)) - complex(np.sum(x))
     a = math.log(prime_limit)
     tail = 0.0 + 0.0j
     for j in range(2, 5):
@@ -542,34 +542,31 @@ def _cis_minus_one(theta: np.ndarray) -> np.ndarray:
     return -2.0 * half * half + 1j * np.sin(theta)
 
 
+# primes per chunk of the exact evaluator, so memory stays bounded at N = 10^8
+_CHUNK = 1 << 20
+
+
 class CharfnEvaluator:
     """Exact prime-product evaluator of the finite-N characteristic function.
 
     phi_N(lambda) = prod_{p<=N} sum_t F_t(p) e^{i lambda t log p / log N}.
-    Factors below the threshold prime multiply directly (they may leave the
-    unit-centered disk); beyond it each factor is 1 + w with |w| < 1/2 and the
-    principal logs accumulate.  Work proceeds in fixed-size prime chunks so
-    memory stays bounded at N = 10^8.
+    Each factor is 1 + w with w = sum_t F_t(p) (e^{i lambda t v_p} - 1), and
+    every prime goes through the Euler-product kernel: the principal logs of
+    the factors are summed, chunk by chunk, and exponentiated once.
     """
 
-    def __init__(self, cfg: EnsembleConfig, chunk: int = 1 << 20):
+    def __init__(self, cfg: EnsembleConfig):
         self.cfg = cfg
         self.table = sieve_primes(cfg.N)
-        self.d_star = threshold_prime(cfg)
-        self.split = int(np.searchsorted(self.table.primes, self.d_star, side="right"))
-        self.chunk = int(chunk)
         self.log_n = math.log(cfg.N)
-        head = self.table.primes[: self.split].astype(float)
-        self._head_v = np.log(head) / self.log_n
-        self._head_rows = _marginal_rows(cfg.k, cfg.alpha, head)
 
     def grid(self, lams) -> np.ndarray:
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         k = self.cfg.k
         out_log = np.zeros(lams.shape, dtype=complex)
         primes = self.table.primes
-        for start in range(self.split, len(primes), self.chunk):
-            p = primes[start : start + self.chunk].astype(float)
+        for start in range(0, len(primes), _CHUNK):
+            p = primes[start : start + _CHUNK].astype(float)
             v = np.log(p) / self.log_n
             rows = _marginal_rows(k, self.cfg.alpha, p)
             for i, lam in enumerate(lams):
@@ -578,16 +575,8 @@ class CharfnEvaluator:
                 w = np.zeros(p.shape, dtype=complex)
                 for t in range(1, k):
                     w += rows[t] * _cis_minus_one(lam * t * v)
-                out_log[i] += np.sum(_clog1p(w))
-        head_f = np.ones(lams.shape, dtype=complex)
-        for i, lam in enumerate(lams):
-            if lam == 0.0:
-                continue
-            z = np.copy(self._head_rows[0])
-            for t in range(1, k):
-                z += self._head_rows[t] * np.exp(1j * lam * t * self._head_v)
-            head_f[i] = np.prod(z)
-        out = head_f * np.exp(out_log)
+                out_log[i] += _log_euler(w)
+        out = np.exp(out_log)
         out[lams == 0.0] = 1.0
         return out
 
@@ -607,6 +596,10 @@ def trivial_charfn_bound(cfg: EnsembleConfig) -> float:
     if z == 0:
         raise DegenerateConfigError("partition function vanishes; bound undefined")
     return float(abs(z_abs) / abs(z))
+
+
+# FastCharfn's default head cutoff; at or below it there are no tail primes
+_FAST_HEAD_LIMIT = 10**4
 
 
 class FastCharfn:
@@ -633,7 +626,7 @@ class FastCharfn:
     def __init__(
         self,
         cfg: EnsembleConfig,
-        head_limit: int = 10**4,
+        head_limit: int = _FAST_HEAD_LIMIT,
         buckets: int = 4096,
     ):
         if cfg.k > 4:
@@ -726,6 +719,17 @@ class FastCharfn:
             out[start : start + lam.size] = np.prod(z, axis=1) * np.exp(acc)
         out[lams == 0.0] = 1.0
         return out
+
+
+def charfn_for(cfg: EnsembleConfig):
+    """The phi_N evaluator for cfg: CharfnEvaluator up to N = 10^4, else FastCharfn.
+
+    10^4 is FastCharfn's default head cutoff; at or below it there are no tail
+    primes to bucket.
+    """
+    if cfg.N <= _FAST_HEAD_LIMIT:
+        return CharfnEvaluator(cfg)
+    return FastCharfn(cfg)
 
 
 def _poly_mult(a: list, b: list) -> list:

@@ -53,9 +53,8 @@ import numpy as np
 from ._quad import complex_quad
 from .dickman import charfn_limit
 from .ensemble import (
-    CharfnEvaluator,
     EnsembleConfig,
-    FastCharfn,
+    charfn_for,
     marginal_row,
     threshold_prime,
 )
@@ -627,14 +626,12 @@ def limit_deviation_scan(
     alpha: complex,
     lam_values: Sequence[float],
     n_values: Sequence[int],
-    head_limit: int = 10**4,
-    buckets: int = 4096,
 ) -> EnvelopeReport:
     """Deviation |phi_N(lam) / phi_limit(lam) - 1| over an (N, lam) grid.
 
-    Uses the exact per-prime evaluator up to ``head_limit`` and the bucketed
-    fast evaluator beyond it, and fits the deviations against the standard
-    two-feature envelope C1 / log N + C2 * eps |log eps|.
+    phi_N comes from :func:`~kfree.ensemble.charfn_for` (exact per-prime
+    product up to N = 10^4, bucketed beyond), and the deviations are fitted
+    against the standard two-feature envelope C1 / log N + C2 * eps |log eps|.
     """
     lam_values = tuple(float(l) for l in lam_values)
     if any(l < 0.0 for l in lam_values):
@@ -645,13 +642,7 @@ def limit_deviation_scan(
     lam_grid = np.array(lam_values, dtype=float)
     rows = []
     for n in n_values:
-        cfg = EnsembleConfig(k, alpha, n)
-        if n <= head_limit:
-            values = CharfnEvaluator(cfg).grid(lam_grid)
-        else:
-            values = FastCharfn(cfg, head_limit=head_limit, buckets=buckets).grid(
-                lam_grid
-            )
+        values = charfn_for(EnsembleConfig(k, alpha, n)).grid(lam_grid)
         for lam, phi in zip(lam_values, values):
             deviation = abs(complex(phi) / charfn_limit(alpha, lam) - 1.0)
             rows.append(

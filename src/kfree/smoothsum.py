@@ -36,7 +36,7 @@ from .dickman import charfn_limit_grid
 from .ensemble import (
     CharfnEvaluator,
     EnsembleConfig,
-    FastCharfn,
+    charfn_for,
     enumerate_ensemble,
     forbidden_alphas,
     measure,
@@ -537,13 +537,7 @@ def asymptotic_prediction(
     constant = complex(constant)
     log_pow = complex(np.exp(alpha * math.log(log_n)))
     asymptotic = constant * log_pow * _limit_integral(alpha, f, R)
-    # exact per-prime evaluator up to 10^4; beyond that the bucketed fast
-    # evaluator keeps large-N sweeps tractable (validated against the exact
-    # one in the ensemble tests)
-    charfn = None
-    if cfg.N > 10**4:
-        charfn = FastCharfn(cfg, head_limit=10**4, buckets=4096)
-    spectral = smooth_sum_spectral(cfg, f, charfn=charfn)
+    spectral = smooth_sum_spectral(cfg, f, charfn=charfn_for(cfg))
     n_primes = len(sieve_primes(cfg.N).primes)
     direct = None
     if cfg.k**n_primes <= enumeration_limit:
@@ -641,8 +635,6 @@ def theorem1_ratio_scan(
     n_values: Sequence[int],
     f: Optional[CutoffDescriptor] = None,
     R_numerator: float = 360.0,
-    head_limit: int = 10**4,
-    buckets: int = 4096,
 ) -> list:
     """Ratio of the spectral integral to its limiting prediction, per N.
 
@@ -650,8 +642,9 @@ def theorem1_ratio_scan(
     |lam| <= R_numerator) / (integral of the limiting characteristic
     function * fhat over |lam| <= R_N), R_N = log N / log log N.  The
     partition factor cancels in the ratio, so the scan stays well
-    conditioned even where Z itself tends to zero.  phi_N is evaluated with
-    the bucketed fast evaluator (exact at and below N = 10^4).
+    conditioned even where Z itself tends to zero.  phi_N is evaluated by
+    :func:`~kfree.ensemble.charfn_for` (exact at and below N = 10^4,
+    bucketed beyond).
     """
     if f is None:
         f = get_cutoff("bump")
@@ -661,11 +654,7 @@ def theorem1_ratio_scan(
     )
     out = []
     for N in sorted(int(n) for n in n_values):
-        cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
-        if N <= 10**4:
-            charfn = CharfnEvaluator(cfg)
-        else:
-            charfn = FastCharfn(cfg, head_limit=head_limit, buckets=buckets)
+        charfn = charfn_for(EnsembleConfig(k=k, alpha=alpha, N=N))
         numerator = complex(np.dot(num_w, charfn.grid(num_pts) * fhat_num))
         log_n = math.log(N)
         R_N = log_n / math.log(log_n)

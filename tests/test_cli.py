@@ -304,6 +304,17 @@ class TestExitCodes:
         assert run(["partition", "--k", "2", "--N", "10", "--threads", "0"]) == 2
         capsys.readouterr()
 
+    def test_internal_key_error_propagates(self, monkeypatch):
+        # a KeyError inside a handler is a bug, not a usage error: no exit 2
+        import kfree.cli as cli_module
+
+        def broken(config):
+            raise KeyError("internal")
+
+        monkeypatch.setitem(cli_module._HANDLERS, "partition", broken)
+        with pytest.raises(KeyError, match="internal"):
+            run(["partition", "--k", "2", "--N", "10"])
+
 
 class TestTruncationRules:
     def test_fixed_radius(self, tmp_path):

@@ -11,6 +11,8 @@ Oracles used here, in decreasing order of independence:
 """
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from kfree.ensemble import (
     FastCharfn,
     LaurentCoeffs,
     cancellation_check,
+    charfn_for,
     ensemble_charfn,
     enumerate_ensemble,
     error_kernel,
@@ -152,8 +155,23 @@ class TestPartitionFunction:
 
     @pytest.mark.parametrize("N", [2, 10, 100])
     def test_zero_at_negated_prime(self, N):
-        # alpha = -2 kills the p = 2 factor: 1 + (-2)/2 = 0.
-        assert partition_function(EnsembleConfig(k=2, alpha=-2.0, N=N)) == 0
+        # alpha = -2 kills the p = 2 factor: 1 + (-2)/2 = 0, and its log
+        # (-inf) must not raise a divide warning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert partition_function(EnsembleConfig(k=2, alpha=-2.0, N=N)) == 0
+
+    @pytest.mark.parametrize("alpha", [-2.0 + 2.0**-30, -2.5])
+    def test_near_vanishing_and_negative_factors(self, alpha):
+        # Exact rational product (alpha/2 is exact, so 1 + alpha/2 is too): a
+        # factor near 0 keeps its relative accuracy, and negative factors
+        # leave a real Z real.
+        exact = Fraction(1)
+        for p in (2, 3, 5, 7, 11, 13):
+            exact *= 1 + Fraction(alpha) / p
+        z = partition_function(EnsembleConfig(k=2, alpha=alpha, N=13))
+        assert z.imag == 0.0
+        assert abs(z.real - float(exact)) <= 1e-13 * abs(float(exact))
 
     def test_matches_enumeration(self):
         cfg = EnsembleConfig(k=3, alpha=1 + 1j, N=7)
@@ -162,7 +180,7 @@ class TestPartitionFunction:
         assert abs(z - brute) <= 1e-12 * abs(brute)
 
     def test_large_alpha_head_factors(self):
-        # |alpha| > 2 forces the direct-product head path; check vs. brute.
+        # |alpha| > 2 puts the first factors far outside |z - 1| < 1/2.
         cfg = EnsembleConfig(k=4, alpha=3.5 - 1.0j, N=13)
         brute = measure(cfg, enumerate_ensemble(cfg))
         z = partition_function(cfg)
@@ -397,8 +415,12 @@ class TestCharfn:
         want = charfn_by_enumeration(cfg, 1.0)
         assert abs(got - want) <= 1e-12 * abs(want)
 
-    def test_matches_enumeration_complex_alpha(self):
-        cfg = EnsembleConfig(k=3, alpha=1 + 1j, N=7)
+    @pytest.mark.parametrize(
+        "k,alpha,N", [(3, 1 + 1j, 7), (4, 3.5 - 1j, 13), (2, 1.9, 30)]
+    )
+    def test_matches_enumeration_complex_alpha(self, k, alpha, N):
+        # the last two have factors outside the half-disk |z - 1| < 1/2
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
         for lam in (0.7, 2.3, -4.1):
             got = ensemble_charfn(cfg, lam)
             want = charfn_by_enumeration(cfg, lam)
@@ -441,6 +463,12 @@ class TestCharfn:
                 joint = measure(cfg, subset) / z
                 product = nu_marginal(cfg, p, s) * nu_marginal(cfg, q, t)
                 assert abs(joint - product) <= 1e-14
+
+
+class TestCharfnFor:
+    def test_exact_up_to_ten_thousand_then_fast(self):
+        assert type(charfn_for(EnsembleConfig(k=2, alpha=1.0, N=10**4))) is CharfnEvaluator
+        assert type(charfn_for(EnsembleConfig(k=2, alpha=1.0, N=10**5))) is FastCharfn
 
 
 class TestFastCharfn:
