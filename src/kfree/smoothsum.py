@@ -427,9 +427,10 @@ def smooth_sum_spectral(
     When ``R`` is omitted it is doubled from 8 upward until the tail bound
     (trivial bound on |Z * phi_N| times the integral of |fhat| beyond R)
     drops below ``tol/2``; failure to reach that within R = 4096 raises
-    :class:`ToleranceError` naming the last R tried.  An explicit ``R`` is
-    honored as given and the tail bound is only reported.  The quadrature
-    error is estimated by re-evaluating on a half-resolution panel grid.
+    :class:`ToleranceError` naming R = 4096 and its tail bound and asking
+    for an explicit ``R``.  An explicit ``R`` is honored as given and the
+    tail bound is only reported.  The quadrature error is estimated by
+    re-evaluating on a half-resolution panel grid.
 
     Discontinuous cutoffs receive the exact boundary-atom correction of
     :func:`_atom_correction` so that the routes share one convention (the
@@ -442,12 +443,13 @@ def smooth_sum_spectral(
     if R is None:
         R = 8.0
         while z_abs * f.tail_integral(R) > 0.5 * tol:
-            R *= 2.0
-            if R > 4096.0:
+            if R >= 4096.0:
                 raise ToleranceError(
                     f"tail bound {z_abs * f.tail_integral(R):.2e} still above "
-                    f"tol/2 = {0.5 * tol:.2e} at R = {R:.0f}; cutoff decays too slowly"
+                    f"tol/2 = {0.5 * tol:.2e} at R = {R:.0f}, the largest automatic R; "
+                    "the cutoff decays too slowly: pass an explicit R"
                 )
+            R *= 2.0
     R = float(R)
     tail_bound = float(z_abs * f.tail_integral(R))
     if charfn is None:

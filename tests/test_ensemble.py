@@ -11,12 +11,14 @@ Oracles used here, in decreasing order of independence:
 """
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from kfree import ensemble
 from kfree.ensemble import (
     CharfnEvaluator,
     EnsembleConfig,
@@ -38,6 +40,8 @@ from kfree.ensemble import (
     partition_function,
     threshold_prime,
     trivial_charfn_bound,
+    _log_series_coeffs,
+    _marginal_rows,
 )
 from kfree.dickman import charfn_limit
 from kfree.errors import DegenerateConfigError, DomainError, SizeCapError
@@ -294,6 +298,48 @@ class TestThresholdPrime:
             envelope = 2 * float(np.sum(np.abs(row[1:])))
             assert envelope < 0.5
 
+    @pytest.mark.parametrize("N", [7, 10**5])
+    @pytest.mark.parametrize(
+        "k,alpha",
+        [
+            (2, 1.0),
+            (2, -1.0),
+            (3, 1 + 0.5j),
+            (4, 3.5 - 1j),
+            (3, -1.5),
+            (2, 7.2),
+            # within 1e-9 of the forbidden rays through -3 and 5 e^{2 pi i/3}
+            (2, -3.0 + 1e-9j),
+            (3, (5.0 + 1e-9j) * np.exp(2j * np.pi / 3)),
+        ],
+    )
+    def test_matches_full_table_scan(self, k, alpha, N):
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
+        assert threshold_prime(cfg) == threshold_prime_full_table(cfg)
+
+    @pytest.mark.parametrize("k,alpha", [(2, -3.0), (3, 5.0 * np.exp(2j * np.pi / 3))])
+    def test_pole_raises_like_full_table_scan(self, k, alpha):
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=10**5)
+        with pytest.raises(DegenerateConfigError):
+            threshold_prime_full_table(cfg)
+        with pytest.raises(DegenerateConfigError):
+            threshold_prime(cfg)
+
+
+def threshold_prime_full_table(cfg):
+    """Reference d*: the disk condition checked over every prime <= N."""
+    primes = sieve_primes(cfg.N).primes
+    rows = _marginal_rows(cfg.k, cfg.alpha, primes.astype(float))
+    envelope = 2.0 * np.sum(np.abs(np.stack(rows[1:])), axis=0)
+    bad = np.nonzero(envelope >= 0.5)[0]
+    d_star = int(primes[bad[-1]]) if bad.size else int(primes[0])
+    while d_star <= abs(cfg.alpha):
+        idx = int(np.searchsorted(primes, d_star, side="right"))
+        if idx >= len(primes):
+            break
+        d_star = int(primes[idx])
+    return d_star
+
 
 # ---------------------------------------------------------------------------
 # series coefficients at large argument
@@ -471,18 +517,106 @@ class TestCharfnFor:
         assert type(charfn_for(EnsembleConfig(k=2, alpha=1.0, N=10**5))) is FastCharfn
 
 
+def _poly_mult(a: list, b: list) -> list:
+    """Product of two coefficient lists (index = power of X) of per-prime arrays."""
+    out = [np.zeros_like(a[0]) for _ in range(len(a) + len(b) - 1)]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def log_series_by_expansion(k, F, magnitudes=False):
+    """Reference c_d: log(1 + w) through w^4, w = sum_t F_t (X^t - 1), expanded in X.
+
+    F holds the arrays F_1, ..., F_{k-1}.  With ``magnitudes`` every
+    coefficient and sign is replaced by its absolute value, which gives the
+    size of the terms each c_d sums (the scale of its rounding error).
+    """
+    a = [np.zeros_like(F[0]) for _ in range(k)]
+    for t in range(1, k):
+        a[t] = np.abs(F[t - 1]) if magnitudes else F[t - 1]
+        a[0] = a[0] + a[t] if magnitudes else a[0] - a[t]
+    c = [np.zeros_like(a[0]) for _ in range(4 * (k - 1) + 1)]
+    power = list(a)
+    for m in range(1, 5):
+        sign = 1.0 if magnitudes or m % 2 else -1.0
+        for d, coef in enumerate(power):
+            c[d] = c[d] + sign * coef / m
+        power = _poly_mult(power, a)
+    return np.array(c)
+
+
 class TestFastCharfn:
     def test_agrees_with_exact_within_stated_bound(self, table_1e6):
         cfg = EnsembleConfig(k=2, alpha=1.0, N=10**6)
         lams = np.array([0.5, 1.0, 2.0, 3.5, 5.0])
         fast = FastCharfn(cfg)
         exact = CharfnEvaluator(cfg)
-        diff = np.max(np.abs(fast.grid(lams) - exact.grid(lams)))
+        got, want = fast.grid(lams), exact.grid(lams)
+        diff = np.max(np.abs(got - want))
         bound = fast.truncation_bound(5.0)
         # The analytic bound covers series truncation only; summing ~78k
         # per-prime terms adds a machine-roundoff floor of order 1e-13.
         assert diff <= bound + 1e-13
         assert bound < 1e-6
+        # the bound is on log phi_N, i.e. on the relative error
+        assert np.max(np.abs(got / want - 1.0)) <= math.expm1(bound) + 1e-13
+
+    def test_bound_is_relative_at_large_modulus(self, table_1e6):
+        # |phi_N(300)| = 50.9 here, so the absolute difference (~1.2e-10)
+        # exceeds the bound (~9.3e-11) while the relative one stays inside it.
+        cfg = EnsembleConfig(k=3, alpha=-1.5, N=10**6)
+        fast = FastCharfn(cfg)
+        got, want = fast.grid([300.0])[0], CharfnEvaluator(cfg)(300.0)
+        assert abs(want) > 50.0
+        assert abs(got / want - 1.0) <= math.expm1(fast.truncation_bound(300.0)) + 1e-13
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_log_series_coeffs_match_polynomial_expansion(self, k, rng):
+        # random complex F_t, large enough that every c_d matters, and the
+        # marginal rows of tail primes, where the high-degree c_d are tiny
+        F = [rng.normal(size=64) * 0.2 + 1j * rng.normal(size=64) * 0.2 for _ in range(k - 1)]
+        rows = _marginal_rows(k, 1.3 - 0.4j, sieve_primes(10**5).primes[-64:].astype(float))
+        for F_t in (F, rows[1:]):
+            got = _log_series_coeffs(k, [np.ones(64, dtype=complex), *F_t])
+            want = log_series_by_expansion(k, F_t)
+            scale = log_series_by_expansion(k, F_t, magnitudes=True)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-14 * scale.real)
+
+    @pytest.mark.parametrize("buckets", [256, 4096])
+    @pytest.mark.parametrize("k,alpha", [(2, 1.0), (3, 1 + 0.5j), (4, 3.5 - 1j)])
+    def test_build_independent_of_chunking(self, table_1e6, monkeypatch, k, alpha, buckets):
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=10**6)
+        ref = FastCharfn(cfg, buckets=buckets)
+        for chunk in (1000, len(table_1e6.primes) + 1):
+            monkeypatch.setattr(ensemble, "_BUILD_CHUNK", chunk)
+            got = FastCharfn(cfg, buckets=buckets)
+            assert np.array_equal(got._vbar, ref._vbar)
+            for d in range(ref._moments.shape[0]):
+                scale = np.max(np.abs(ref._moments[d]))
+                assert np.max(np.abs(got._moments[d] - ref._moments[d])) <= 1e-13 * scale
+            np.testing.assert_allclose(got._abs4, ref._abs4, rtol=1e-13, atol=0.0)
+            for lam in (5.0, 300.0):
+                assert got.truncation_bound(lam) == pytest.approx(ref.truncation_bound(lam), rel=1e-13)
+
+    def test_build_holds_no_full_length_complex_array(self, table_1e7):
+        # Over the 663k tail primes at N = 10^7 the build keeps v_p and the
+        # bucket index (16 bytes a prime, 10.1 MB) plus chunk-sized
+        # temporaries (5.7 MB): 15.9 MB in all, against 192 MB when every
+        # per-prime array spanned the whole tail.  One full-length complex
+        # temporary (another 16 bytes a prime) breaks the 8 MB allowance.
+        cfg = EnsembleConfig(k=2, alpha=1.0, N=10**7)
+        fast = FastCharfn(cfg)  # warm lazy caches outside the measurement
+        tracemalloc.start()
+        try:
+            FastCharfn(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tail = len(table_1e7.primes) - fast.split
+        assert peak < 16 * tail + 8 * 2**20
 
     def test_truncation_bound_tracks_coarser_settings(self, table_1e6):
         # With a smaller head and fewer buckets the truncation term dominates

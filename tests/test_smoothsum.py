@@ -212,8 +212,14 @@ class TestSpectralRoute:
 
     def test_indicator_auto_R_refused(self):
         cfg = EnsembleConfig(k=2, alpha=1.0, N=10)
-        with pytest.raises(ToleranceError, match="tail"):
+        with pytest.raises(ToleranceError, match="tail") as info:
             smooth_sum_spectral(cfg, get_cutoff("indicator"))
+        # the last R tried, with its own tail bound, and the way out
+        f = get_cutoff("indicator")
+        z_abs = abs(partition_function(cfg))
+        assert f"tail bound {z_abs * f.tail_integral(4096.0):.2e}" in str(info.value)
+        assert "at R = 4096," in str(info.value)
+        assert "explicit R" in str(info.value)
 
     def test_vanishing_partition_function_is_degenerate(self):
         cfg = EnsembleConfig(k=2, alpha=-2.0, N=5)
