@@ -8,7 +8,8 @@ test-suite:
 * the Dickman-type density family, its delay differential equation, and the
   limiting characteristic function exp(alpha * g(lambda)) (``dickman``);
 * complex-capable special functions (exponential/cosine/sine integrals,
-  incomplete gamma) with per-call error estimates (``specfun``);
+  incomplete gamma) on ``scipy.special``, with per-call error bounds
+  checked against mpmath (``specfun``);
 * smooth cutoff sums by direct summation, by the exact spectral identity, and
   by the leading-order asymptotic, plus the error-regime classifier
   (``smoothsum``);

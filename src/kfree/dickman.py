@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError
 from .primes import sieve_primes
-from .specfun import EULER_GAMMA, ci_si_values, cin_values
+from .specfun import EULER_GAMMA, ci_si_values, cin_values, exp_integral_e1
 
 __all__ = [
     "RhoGrid",
@@ -110,8 +110,6 @@ def h_constant(alpha: float, prime_limit: int = _DEFAULT_PRIME_LIMIT) -> float:
     log_sum = float(np.sum(alpha * np.log1p(-1.0 / p) - np.log1p(-alpha / p)))
     # tail over p > P via prime-counting integrals: sum p^-s ~ int_P^inf dt/(t^s ln t)
     a = math.log(prime_limit)
-    from .specfun import exp_integral_e1
-
     s2 = exp_integral_e1(a).value.real  # sum_{p>P} p^-2 ~ E1(ln P)
     s3 = exp_integral_e1(2 * a).value.real  # sum_{p>P} p^-3 ~ E1(2 ln P)
     tail = (alpha * alpha - alpha) / 2.0 * s2 + (alpha**3 - alpha) / 3.0 * s3

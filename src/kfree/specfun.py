@@ -1,30 +1,34 @@
-"""Complex-capable special functions with per-call error estimates.
+"""Complex-capable special functions with per-call error bounds.
 
 Everything here is needed by the closed-form antiderivatives and the limiting
 characteristic function: the exponential integral Ei (principal value on the
 positive axis, one-sided limits off the real axis), E1/incomplete gamma on the
-principal branch, the cosine/sine integrals, and erf/erfc.
+principal branch, and the cosine/sine integrals.  The values come from
+``scipy.special`` (``sici``, ``exp1``, ``expi``); this module adds the domain
+handling, the branch conventions and the error bounds.
 
-Method choices
---------------
-* E1(z), Gamma(0,z), Gamma(-1,z): power series for |z| <= 8, modified-Lentz
-  continued fraction for |z| > 8 (standard accuracy crossover).
-* Ei(x) for real x > 0: positive-term series up to x = 40 (no cancellation, so
-  the series stays accurate far past 8, where an asymptotic expansion would
-  still be useless), optimally truncated asymptotic series beyond.
-* Ci/Si: power series for x <= 16 (max ~1e-11 absolute error at the crossover,
-  machine precision for x <= 5), optimally truncated asymptotic auxiliary
-  expansions beyond (error < ~2e-9 at the crossover, machine precision for
-  x >= 40).
-* erf/erfc delegate to the C library via ``math``.
+Error bound
+-----------
+Scalar entry points return :class:`EvalResult`, whose ``est_abs_error`` is
 
-Scalar entry points return :class:`EvalResult` with an honest absolute-error
-estimate (series: cancellation * epsilon + truncation; continued fraction:
-last-step delta; asymptotic: first omitted term).  Vectorized kernels
-(`ci_si_values`, `cin_values`) back the quadrature-heavy callers.
+    1e-13 * scale + 1e-14    (_REL_ERROR, _ABS_ERROR)
 
-Branch convention: principal logarithm everywhere; for arguments on the
-imaginary axis Ei takes the limit from the upper half-plane, which is the
+with ``scale = |value|``, except for Gamma(-1, z) = e^{-z}/z - E1(z), whose
+recurrence cancels, so that ``scale = |e^{-z}/z| + |E1(z)|``.  The seeded
+mpmath sweep in ``tests/test_specfun.py`` (30 digits; E1, Ei and Gamma(-1) at
+2000 points with |z| in [1e-3, 50], half of them 1e-8 to 1e-1 rad from the
+negative real axis; Ci, Si and Cin at 1400 points in [1e-3, 1e3]) finds no
+error above 0.12 of its bound.  The absolute term is needed: a purely
+relative bound fails where the value is small (E1 at large |z|, Ci near its
+zeros).
+
+Vectorized kernels (`ci_si_values`, `cin_values`) back the quadrature-heavy
+callers.  Cin = gamma + log x - Ci cancels for small x, so for x <= 1 it is a
+fixed-length power series instead.
+
+Branch convention: principal logarithm everywhere.  On the cut (negative real
+axis) E1 takes the limit from above, E1(-x) = -Ei(x) - i*pi; for arguments on
+the imaginary axis Ei takes the limit from the upper half-plane, which is the
 convention under which Ei(i*tau) = gamma + i*pi/2 + log(tau) + O(tau) holds.
 """
 
@@ -35,6 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special as sp
 
 from .errors import DomainError, PoleError
 
@@ -47,23 +52,22 @@ __all__ = [
     "sine_integral",
     "entire_cosine_integral",
     "upper_gamma",
-    "erf",
-    "erfc",
     "ci_si_values",
     "cin_values",
 ]
 
 EULER_GAMMA = 0.57721566490153286061
 
-_EPS = 2.2e-16
-_SERIES_RADIUS_E1 = 8.0
-_SERIES_RADIUS_EI_REAL = 40.0
-_SERIES_RADIUS_CISI = 16.0
+_REL_ERROR = 1e-13
+_ABS_ERROR = 1e-14
+
+# Cin(x) = sum_{n>=1} (-1)^{n+1} x^{2n} / (2n (2n)!); nine terms leave < 1e-19 at x = 1
+_CIN_SERIES = np.array([(-1) ** (n + 1) / (2 * n * math.factorial(2 * n)) for n in range(1, 10)])
 
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A computed value together with an absolute-error estimate."""
+    """A computed value together with an absolute-error bound."""
 
     value: complex
     est_abs_error: float
@@ -77,172 +81,51 @@ class EvalResult:
         return self.value.imag
 
 
+def _result(value, scale=None) -> EvalResult:
+    """``value`` with the module's bound _REL_ERROR * scale + _ABS_ERROR (scale = |value|)."""
+    value = complex(value)
+    if scale is None:
+        scale = abs(value)
+    return EvalResult(value, _REL_ERROR * scale + _ABS_ERROR)
+
+
 # ----------------------------------------------------------------------------
-# E1 / incomplete gamma
+# E1 / incomplete gamma / Ei
 # ----------------------------------------------------------------------------
-
-
-def _e1_series(z: complex) -> EvalResult:
-    """E1(z) = -gamma - log z + sum_{n>=1} (-1)^{n+1} z^n / (n * n!), |z| <= 8."""
-    s = 0.0 + 0.0j
-    term = 0.0 + 0.0j  # term_n = (-1)^{n+1} z^n / (n * n!)
-    peak = 0.0
-    for n in range(1, 120):
-        term = z if n == 1 else term * (-z) * (n - 1) / (n * n)
-        s += term
-        peak = max(peak, abs(s))
-        if abs(term) < 1e-18 * max(1.0, abs(s)):
-            break
-    value = -EULER_GAMMA - cmath.log(z) + s
-    est = _EPS * (peak + abs(value)) * 4.0 + abs(term)
-    return EvalResult(value, est)
-
-
-def _lentz_cf(a_fn, b_fn, max_iter: int = 400) -> tuple[complex, float]:
-    """Modified Lentz evaluation of the continued fraction a1/(b1+ a2/(b2+...)).
-
-    Returns (value, |last relative step|).
-    """
-    tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0 + 0.0j
-    delta = 0.0
-    for n in range(1, max_iter + 1):
-        an = a_fn(n)
-        bn = b_fn(n)
-        d = bn + an * d
-        if d == 0:
-            d = tiny
-        c = bn + an / c
-        if c == 0:
-            c = tiny
-        d = 1.0 / d
-        step = c * d
-        f *= step
-        delta = abs(step - 1.0)
-        if delta < 1e-16:
-            break
-    return f, delta
-
-
-def _e1_cf(z: complex) -> EvalResult:
-    """E1(z) = e^{-z} * CF, CF = 1/(z+1- 1^2/(z+3- 2^2/(z+5- ...))), |z| > 8."""
-
-    def a(n):
-        return 1.0 if n == 1 else -((n - 1) ** 2)
-
-    def b(n):
-        return z + (2 * n - 1)
-
-    cf, delta = _lentz_cf(a, b)
-    value = cmath.exp(-z) * cf
-    est = abs(value) * (delta + 8 * _EPS)
-    return EvalResult(value, est)
 
 
 def exp_integral_e1(z: complex) -> EvalResult:
     """Principal-branch exponential integral E1(z) = Gamma(0, z), z != 0.
 
     For z on the negative real axis (the branch cut) the value is the limit
-    from above (imaginary part -i*pi convention inherited from -Ei(-z)).
+    from above: E1(-x) = -Ei(x) - i*pi.
     """
     z = complex(z)
     if z == 0:
         raise PoleError("E1 has a logarithmic singularity at z = 0")
-    if abs(z) <= _SERIES_RADIUS_E1:
-        return _e1_series(z)
-    return _e1_cf(z)
-
-
-def _gamma_m1_series(z: complex) -> EvalResult:
-    """Gamma(-1,z) = 1/z + log z + gamma - 1 + sum_{n>=1} (-1)^n z^n/(n*(n+1)!)."""
-    s = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    peak = 0.0
-    for n in range(1, 120):
-        if n == 1:
-            term = -z / 2.0
-        else:
-            term = term * (-z) * (n - 1) / (n * (n + 1))
-        s += term
-        peak = max(peak, abs(s))
-        if abs(term) < 1e-18 * max(1.0, abs(s)):
-            break
-    value = 1.0 / z + cmath.log(z) + EULER_GAMMA - 1.0 + s
-    est = _EPS * (peak + abs(value) + abs(1.0 / z)) * 4.0 + abs(term)
-    return EvalResult(value, est)
-
-
-def _gamma_m1_cf(z: complex) -> EvalResult:
-    """Gamma(-1,z) = e^{-z} z^{-1} / (z+2- 1*2/(z+4- 2*3/(z+6- ...))), |z| > 8."""
-
-    def a(n):
-        return 1.0 if n == 1 else -((n - 1) * n)
-
-    def b(n):
-        return z + 2 * n
-
-    cf, delta = _lentz_cf(a, b)
-    value = cmath.exp(-z) / z * cf
-    est = abs(value) * (delta + 8 * _EPS)
-    return EvalResult(value, est)
+    if z.imag == 0.0:  # on the cut, -0.0 would select the limit from below
+        z = complex(z.real, 0.0)
+    return _result(sp.exp1(z))
 
 
 def upper_gamma(a: int, z: complex) -> EvalResult:
     """Upper incomplete gamma Gamma(a, z) for a in {0, -1}, principal branch.
 
-    Gamma(0, z) = E1(z); Gamma(-1, z) is computed by an independent series /
-    continued fraction (not via the recurrence), so the identity
-    Gamma(-1, z) = e^{-z}/z - Gamma(0, z) is a genuine cross-check between two
-    code paths.
+    Gamma(0, z) = E1(z); Gamma(-1, z) = e^{-z}/z - E1(z) by the recurrence,
+    with a bound scaled by the size of the two terms it cancels.  The check of
+    Gamma(-1) that does not go through E1 is the quadrature test
+    ``test_gamma_minus1_independent_routes_vs_quadrature``.
     """
     if a not in (0, -1):
         raise DomainError(f"upper_gamma supports a in {{0, -1}}, got {a}")
     z = complex(z)
     if z == 0:
         raise PoleError("Gamma(a, z) diverges at z = 0 for a <= 0")
+    e1 = exp_integral_e1(z)
     if a == 0:
-        return exp_integral_e1(z)
-    if abs(z) <= _SERIES_RADIUS_E1:
-        return _gamma_m1_series(z)
-    return _gamma_m1_cf(z)
-
-
-# ----------------------------------------------------------------------------
-# Ei
-# ----------------------------------------------------------------------------
-
-
-def _ei_real_series(x: float) -> EvalResult:
-    """Ei(x) = gamma + ln x + sum x^n/(n*n!) for 0 < x <= 40 (all terms > 0)."""
-    s = 0.0
-    term = 1.0
-    for n in range(1, 400):
-        term = term * x * (n - 1) / (n * n) if n > 1 else x
-        s += term
-        if term < 1e-17 * s:
-            break
-    value = EULER_GAMMA + math.log(x) + s
-    return EvalResult(complex(value), _EPS * 8 * abs(value))
-
-
-def _ei_real_asymptotic(x: float) -> EvalResult:
-    """Ei(x) ~ e^x/x * sum n!/x^n, optimally truncated; x > 40."""
-    s = 1.0
-    term = 1.0
-    trunc = 0.0
-    for n in range(1, 200):
-        nxt = term * n / x
-        if nxt >= term:  # divergent tail reached
-            trunc = nxt
-            break
-        term = nxt
-        s += term
-        trunc = term
-    value = math.exp(x) / x * s
-    est = math.exp(x) / x * trunc + _EPS * 4 * abs(value)
-    return EvalResult(complex(value), est)
+        return e1
+    lead = cmath.exp(-z) / z
+    return _result(lead - e1.value, abs(lead) + abs(e1.value))
 
 
 def exp_integral_ei(z: complex) -> EvalResult:
@@ -257,17 +140,7 @@ def exp_integral_ei(z: complex) -> EvalResult:
     z = complex(z)
     if z == 0:
         raise PoleError("Ei has a logarithmic singularity at z = 0")
-    if z.imag == 0.0:
-        x = z.real
-        if x > 0:
-            if x <= _SERIES_RADIUS_EI_REAL:
-                return _ei_real_series(x)
-            return _ei_real_asymptotic(x)
-        inner = exp_integral_e1(complex(-x, 0.0))
-        return EvalResult(-inner.value, inner.est_abs_error)
-    inner = exp_integral_e1(-z)
-    shift = 1j * math.pi if z.imag > 0 else -1j * math.pi
-    return EvalResult(-inner.value + shift, inner.est_abs_error + _EPS * 4)
+    return _result(sp.expi(z.real) if z.imag == 0.0 else sp.expi(z))
 
 
 # ----------------------------------------------------------------------------
@@ -275,102 +148,21 @@ def exp_integral_ei(z: complex) -> EvalResult:
 # ----------------------------------------------------------------------------
 
 
-def _cisi_series_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Cin, Si, est) by power series; accurate for 0 <= x <= 16.
-
-    Cin(x) = sum_{n>=1} (-1)^{n+1} x^{2n} / (2n * (2n)!)   (entire)
-    Si(x)  = sum_{n>=0} (-1)^n x^{2n+1} / ((2n+1) * (2n+1)!)
-    """
-    x = np.asarray(x, dtype=float)
-    x2 = x * x
-    cin = np.zeros_like(x)
-    si = np.zeros_like(x)
-    peak = np.zeros_like(x)
-    # Cin terms: t_1 = x^2/(2*2!) ; t_{n} = -t_{n-1} * x^2 * (2n-2)/( (2n) * (2n) * (2n-1) )
-    t = x2 / 4.0
-    n = 1
-    while True:
-        cin += t
-        np.maximum(peak, np.abs(cin), out=peak)
-        n += 1
-        t = -t * x2 * (2 * n - 2) / ((2 * n) * (2 * n) * (2 * n - 1))
-        if n > 60 or np.all(np.abs(t) < 1e-18 * np.maximum(1.0, np.abs(cin))):
-            break
-    # Si terms: s_0 = x ; s_n = -s_{n-1} * x^2 * (2n-1) / ( (2n+1)^2 * (2n) )
-    s = x.copy()
-    n = 0
-    while True:
-        si += s
-        n += 1
-        s = -s * x2 * (2 * n - 1) / ((2 * n + 1) * (2 * n + 1) * (2 * n))
-        if n > 60 or np.all(np.abs(s) < 1e-18 * np.maximum(1.0, np.abs(si))):
-            break
-    est = _EPS * (peak + np.abs(cin) + np.abs(x)) * 4.0
-    return cin, si, est
-
-
-def _cisi_asymptotic_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Ci, Si, est) via the auxiliary expansions, optimally truncated; x > 16.
-
-    f(x) ~ (1/x)  * sum (-1)^n (2n)!   / x^{2n}
-    g(x) ~ (1/x^2)* sum (-1)^n (2n+1)! / x^{2n}
-    Ci = f sin - g cos ; Si = pi/2 - f cos - g sin.
-    """
-    x = np.asarray(x, dtype=float)
-    inv2 = 1.0 / (x * x)
-    f = np.zeros_like(x)
-    g = np.zeros_like(x)
-    tf = 1.0 / x
-    tg = inv2.copy()
-    active = np.ones(x.shape, dtype=bool)
-    est = np.zeros_like(x)
-    n = 0
-    while np.any(active) and n < 40:
-        f = np.where(active, f + tf, f)
-        g = np.where(active, g + tg, g)
-        n += 1
-        ntf = -tf * (2 * n) * (2 * n - 1) * inv2
-        ntg = -tg * (2 * n + 1) * (2 * n) * inv2
-        growing = np.abs(ntf) >= np.abs(tf)
-        est = np.where(active & growing, np.abs(tf) + np.abs(tg), est)
-        active = active & ~growing
-        tf, tg = ntf, ntg
-    est = np.where(est == 0.0, np.abs(tf) + np.abs(tg), est)
-    sx, cx = np.sin(x), np.cos(x)
-    ci = f * sx - g * cx
-    si = 0.5 * math.pi - f * cx - g * sx
-    return ci, si, est + _EPS * 4
-
-
 def ci_si_values(x) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (Ci(x), Si(x)) for real x > 0 (Ci) / x >= 0 (Si)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    ci = np.empty_like(x)
-    si = np.empty_like(x)
-    lo = x <= _SERIES_RADIUS_CISI
-    if np.any(lo):
-        cin, s, _ = _cisi_series_arrays(x[lo])
-        with np.errstate(divide="ignore"):
-            ci[lo] = EULER_GAMMA + np.log(x[lo]) - cin
-        si[lo] = s
-    if np.any(~lo):
-        c, s, _ = _cisi_asymptotic_arrays(x[~lo])
-        ci[~lo] = c
-        si[~lo] = s
+    si, ci = sp.sici(np.atleast_1d(np.asarray(x, dtype=float)))
     return ci, si
 
 
 def cin_values(x) -> np.ndarray:
-    """Vectorized entire cosine integral Cin(x) = gamma + log x - Ci(x), x >= 0."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """Vectorized entire cosine integral Cin(x) = gamma + log x - Ci(x), even in x."""
+    x = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
     out = np.empty_like(x)
-    lo = x <= _SERIES_RADIUS_CISI
-    if np.any(lo):
-        out[lo] = _cisi_series_arrays(x[lo])[0]
-    if np.any(~lo):
-        xs = x[~lo]
-        ci = _cisi_asymptotic_arrays(xs)[0]
-        out[~lo] = EULER_GAMMA + np.log(xs) - ci
+    lo = x <= 1.0
+    x2 = x[lo] * x[lo]
+    out[lo] = x2 * np.polynomial.polynomial.polyval(x2, _CIN_SERIES)
+    hi = x[~lo]
+    out[~lo] = EULER_GAMMA + np.log(hi) - sp.sici(hi)[1]
     return out
 
 
@@ -379,44 +171,15 @@ def cosine_integral(lam: float) -> EvalResult:
     lam = float(lam)
     if lam <= 0:
         raise DomainError("cosine_integral requires a positive argument")
-    if lam <= _SERIES_RADIUS_CISI:
-        cin, _, est = _cisi_series_arrays(np.array([lam]))
-        return EvalResult(complex(EULER_GAMMA + math.log(lam) - cin[0]), float(est[0]))
-    ci, _, est = _cisi_asymptotic_arrays(np.array([lam]))
-    return EvalResult(complex(ci[0]), float(est[0]))
+    return _result(sp.sici(lam)[1])
 
 
 def sine_integral(lam: float) -> EvalResult:
     """Si(lam) for real lam (odd function)."""
     lam = float(lam)
-    sign = 1.0 if lam >= 0 else -1.0
-    a = abs(lam)
-    if a <= _SERIES_RADIUS_CISI:
-        _, si, est = _cisi_series_arrays(np.array([a]))
-        return EvalResult(complex(sign * si[0]), float(est[0]))
-    _, si, est = _cisi_asymptotic_arrays(np.array([a]))
-    return EvalResult(complex(sign * si[0]), float(est[0]))
+    return _result(math.copysign(sp.sici(abs(lam))[0], lam))
 
 
 def entire_cosine_integral(lam: float) -> EvalResult:
     """Cin(lam) = gamma + log lam - Ci(lam), extended to lam = 0 by Cin(0)=0."""
-    lam = abs(float(lam))
-    val = cin_values(np.array([lam]))[0]
-    return EvalResult(complex(val), _EPS * 8 * max(1.0, abs(val)))
-
-
-# ----------------------------------------------------------------------------
-# erf / erfc
-# ----------------------------------------------------------------------------
-
-
-def erf(x: float) -> EvalResult:
-    """Standard error function (C library implementation)."""
-    v = math.erf(float(x))
-    return EvalResult(complex(v), 2 * _EPS)
-
-
-def erfc(x: float) -> EvalResult:
-    """Complementary error function (C library implementation)."""
-    v = math.erfc(float(x))
-    return EvalResult(complex(v), 4 * _EPS * max(abs(v), 1e-30))
+    return _result(cin_values(lam)[0])

@@ -190,6 +190,23 @@ class TestPartitionFunction:
         z = partition_function(cfg)
         assert abs(z - brute) <= 1e-12 * abs(brute)
 
+    def test_chunked_sum_holds_no_full_length_array(self, table_1e7):
+        # Summed over 2^14-prime slices, Z at N = 10^7 (665k primes, 41 slices)
+        # peaks at 1.2 MB under tracemalloc, against 48 MB for one full-length
+        # pass.  One full-length float copy of the primes (5.3 MB) breaks the
+        # 4 MB allowance; every slice must still enter the sum.
+        cfg = EnsembleConfig(k=2, alpha=1.0, N=10**7)
+        partition_function(cfg)  # warm lazy caches outside the measurement
+        tracemalloc.start()
+        try:
+            z = partition_function(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        exact = math.exp(math.fsum(np.log1p(1.0 / table_1e7.primes)))
+        assert z.imag == 0.0 and z.real == pytest.approx(exact, rel=1e-13)
+
 
 class TestPartitionConstant:
     def test_squarefree_unit_alpha_report(self):
