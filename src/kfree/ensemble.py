@@ -422,11 +422,14 @@ def _predicted_constant(k: int, alpha: complex, prime_limit: int = 10**7) -> com
 
     Convergent because log z_p - alpha/p = O(p^-2); the sum runs over primes
     up to prime_limit with a p^-j tail correction (j = 2..4) based on
-    sum_{p>P} p^-j ~ E1((j-1) log P).
+    sum_{p>P} p^-j ~ E1((j-1) log P).  The sum runs over ``_CHUNK``-prime
+    slices, as in :func:`partition_function`.
     """
-    p = sieve_primes(prime_limit).primes.astype(float)
-    x = complex(alpha) / p
-    series_sum = _log_euler(_factor_offset(k, x)) - complex(np.sum(x))
+    primes = sieve_primes(prime_limit).primes
+    series_sum = 0j
+    for start in range(0, len(primes), _CHUNK):
+        x = complex(alpha) / primes[start : start + _CHUNK].astype(float)
+        series_sum += _log_euler(_factor_offset(k, x)) - complex(np.sum(x))
     a = math.log(prime_limit)
     tail = 0.0 + 0.0j
     for j in range(2, 5):
@@ -668,18 +671,28 @@ def _log_series_coeffs(k: int, rows: list[np.ndarray]) -> np.ndarray:
     return (B @ mono.view(float)).view(complex)  # B is real: one real GEMM
 
 
+# terms J of the cell expansion; at the widest cell offset x = 1 its
+# remainder r_J(1) <= e / J! is 4.2e-16 (of sum |M|, see truncation_bound)
+_CELL_TERMS = 18
+
+
 class FastCharfn:
     """Bucketed evaluator of phi_N for dense frequency grids at large N.
 
     Beyond a head cutoff, log z_p(lambda) is expanded as a polynomial
     sum_d c_d(p) X^d in X = e^{i lambda v_p} (v_p = log p / log N) using
-    log(1+w) through order 4 in w; the primes are then grouped into buckets
-    of nearly equal v, and within each bucket e^{i lambda d v} is expanded to
-    third order around the bucket mean.  Evaluating the grid then costs
-    O(buckets * degree) per frequency instead of O(pi(N)): per block of L
-    frequencies, one (L, buckets) cos/sin pass, degree - 1 in-place products
-    and ``degree`` skinny (L, buckets) @ (buckets, 4) GEMMs; the head factors
-    are multiplied directly.
+    log(1+w) through order 4 in w.  The layout has two levels.  The build
+    groups the tail primes into ``buckets`` equal-width fine buckets in v and
+    stores the moments M[d, j, b] = sum_p c_d(p) (v_p - vbar_b)^j, j <= 3,
+    of a third-order expansion of e^{i lambda d v} about each bucket mean.
+    Each ``grid`` call, from max|lambda| alone, joins G = 2^g fine buckets
+    into cells of width H with max|lambda| * degree * H / 2 <= 1, and shifts
+    the moments to J = ``_CELL_TERMS`` moments about the cell centres.  A
+    frequency then pays for the cells only (256 instead of 4096 buckets on
+    the R = 360 grid at N = 10^6, k = 2): per block of L frequencies, one
+    (L, cells) cos/sin pass, degree - 1 in-place products and per degree one
+    (L, cells) @ (cells, J) GEMM, combined by Horner.  The head factors are
+    multiplied directly.
 
     The build costs O(pi(N)) once.  After the bucket means (one pass over
     v_p), the tail primes are visited in chunks of ``_BUILD_CHUNK``: per
@@ -693,11 +706,10 @@ class FastCharfn:
 
     ``truncation_bound(lam_max)`` bounds the error in log phi_N, i.e. the
     relative error: |fast / exact - 1| <= e^bound - 1 for |lambda| <= lam_max.
-    It combines the fourth-order phase remainder |e^{i t} - sum_{j<=3}| <=
-    t^4/24 against the accumulated |c_d| (v - v_mean)^4 moments with the
-    order-5 remainder of the log series.  It bounds the series truncation
-    only; accumulating ~pi(N) floating-point terms adds a machine-roundoff
-    floor (order 1e-13 relative at N = 10^6) that the bound does not include.
+    It adds the remainders of the fine-bucket phase expansion, of the log
+    series and of the cell expansion.  It bounds the series truncation only;
+    accumulating ~pi(N) floating-point terms adds a machine-roundoff floor
+    (order 1e-13 relative at N = 10^6) that the bound does not include.
     """
 
     def __init__(
@@ -756,6 +768,35 @@ class FastCharfn:
         self._log_remainder = log_remainder
         self._vbar = vbar
         self._degree = degree
+        self._v0 = float(edges[0])
+        self._width = float(edges[-1] - edges[0]) / buckets  # of a fine bucket
+
+    def _cells(self, lam_max: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """H/2, the cell centres U_c and K[d - 1, c, n] (d >= 1) for max|lambda| = lam_max.
+
+        A cell joins G fine buckets, G the largest power of two <= buckets with
+        lam_max * degree * H / 2 <= 1 (or 1).  K[d, n, c] = sum_{b in c}
+        sum_{j<=min(3,n)} C(n, j) M[d, j, b] (vbar_b - U_c)^{n-j} (H/2)^{-n} / n!,
+        so the degree-d tail is sum_c e^{i lambda d U_c} sum_{n<J} K t^n, t = i lambda d H/2.
+        """
+        nb, terms, degree = self._vbar.size, _CELL_TERMS, self._degree
+        g = 1
+        while 2 * g <= nb and g * abs(lam_max) * degree * self._width <= 1.0:
+            g *= 2
+        cells, half = -(-nb // g), g * self._width / 2.0
+        centres = self._v0 + (2 * np.arange(cells) + 1) * half
+        u = np.zeros(cells * g)  # (vbar_b - U_c) / (H/2) in [-1, 1]; 0 for empty buckets
+        u[:nb] = np.where(self._vbar > 0, self._vbar - np.repeat(centres, g)[:nb], 0.0) / half
+        powers = np.cumprod([np.ones_like(u)] + [u / m for m in range(1, terms)], axis=0).T  # u^m / m!
+        # C(n, j) / n! = 1 / (j! (n-j)!): w[b, j, n] = u_b^{n-j} / (n-j)!, M gets (H/2)^{-j} / j!
+        w = np.zeros((cells * g, 4, terms))
+        for j in range(4):
+            w[:, j, j:] = powers[:, : terms - j]
+        scaled = np.zeros((cells * g, 4, degree), dtype=complex)
+        scaled[:nb] = self._moments[1:].T / (half ** np.arange(4) * [1, 1, 2, 6])[:, None]
+        # one batched real GEMM over the cells, on the complex moments' float view
+        shifted = w.reshape(cells, 4 * g, terms).transpose(0, 2, 1) @ scaled.view(float).reshape(cells, 4 * g, 2 * degree)
+        return half, centres, np.ascontiguousarray(shifted.view(complex).transpose(2, 0, 1))
 
     def truncation_bound(self, lam_max: float) -> float:
         """Bound on |log fast - log phi_N| for |lambda| <= lam_max: a relative error.
@@ -763,26 +804,40 @@ class FastCharfn:
         |fast / phi_N - 1| <= e^bound - 1; the absolute error scales with
         |phi_N|, which exceeds 1 for some alpha (50.9 at k = 3, alpha = -1.5,
         N = 10^6, lambda = 300).  Roundoff is not included (see the class).
+        The bound is the sum of three terms.  Phase: |e^{i t} - sum_{j<=3}|
+        <= t^4/24 per fine bucket, against the |c_d| (v - vbar)^4 moments.
+        Log: the order-5 remainder of the log series.  Cell: the cut of the
+        cell expansion, sum_{d,j,b} |M[d, j, b]| (lam_max d)^j / j! r_{J-j}(x_d),
+        r_m(x) = sum_{n>=m} x^n / n! <= x^m e^x / m!, x_d >= |lambda| d H / 2
+        on every grid with max|lambda| <= lam_max.
         """
-        phase = sum(self._abs4[d] * (abs(lam_max) * d) ** 4 / 24.0 for d in range(self._degree + 1))
-        return float(phase + self._log_remainder)
+        lam_max, degree = abs(lam_max), self._degree
+        phase = sum(self._abs4[d] * (lam_max * d) ** 4 / 24.0 for d in range(degree + 1))
+        # a layout keeps max|lambda| degree H / 2 <= 1 unless H is one fine
+        # bucket, and H is at most the widest cell
+        x_fine = lam_max * degree * self._width / 2.0
+        d, j = np.arange(1, degree + 1)[:, None], np.arange(4)
+        x = min(x_fine * (1 << (self._vbar.size.bit_length() - 1)), max(1.0, x_fine)) * d / degree
+        r = x ** (_CELL_TERMS - j) * np.exp(x) / np.array([math.factorial(_CELL_TERMS - i) for i in j])
+        cell = np.abs(self._moments[1:]).sum(axis=2) * (lam_max * d) ** j / np.array([1, 1, 2, 6]) * r
+        return float(phase + self._log_remainder + cell.sum())
 
     def grid(self, lams, block: int = 256) -> np.ndarray:
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         out = np.empty(lams.shape, dtype=complex)
+        half, centres, cell_moments = self._cells(np.max(np.abs(lams), initial=0.0))
         for start in range(0, lams.size, block):
             lam = lams[start : start + block]
-            # tail: per degree d, one (L, B) @ (B, 4) product against the bucket
-            # moments; the Taylor weights (i lam d)^j / j! combine its columns.
-            base = _cis(np.outer(lam, self._vbar))  # (L, B)
+            # tail: per degree d, one (L, C) @ (C, J) product against the cell
+            # moments, combined by Horner in t = i lam d H / 2
+            base = _cis(np.outer(lam, centres))  # (L, C)
             phase = base.copy()
             acc = np.full(lam.shape, complex(self._moments[0, 0].sum()))
             for d in range(1, self._degree + 1):
                 if d > 1:
                     phase *= base
-                m = phase @ self._moments[d].T  # (L, 4)
-                il = 1j * lam * d
-                acc += m[:, 0] + il * (m[:, 1] + il / 2.0 * (m[:, 2] + il / 3.0 * m[:, 3]))
+                t = 1j * lam * (d * half)
+                acc += functools.reduce(lambda s, m_n: s * t + m_n, (phase @ cell_moments[d - 1]).T[::-1])
             # head: z_p = sum_t F_t(p) X^t by Horner in X = e^{i lam v_p}, multiplied
             # directly (equal to exponentiating the sum of principal logs)
             hphase = _cis(np.outer(lam, self._head_v))  # (L, H)

@@ -137,6 +137,10 @@ def _bump_evaluate(u: float) -> float:
     return math.exp(-1.0 / (1.0 - u * u))
 
 
+# frequencies per block of the bump transform: a 256 x 2000 cos matrix is 4 MB
+_BUMP_BLOCK = 256
+
+
 @lru_cache(maxsize=None)
 def _bump_nodes():
     """Cached Gauss-Legendre grid of the bump profile on [0, 1].
@@ -166,9 +170,19 @@ def bump_transform(lam: float, tol: float = 1e-12) -> float:
 
 
 def _bump_transform_batch(lams: np.ndarray) -> np.ndarray:
+    """fhat on an array of frequencies by the cached Gauss rule.
+
+    fhat is even and cos(-x) == cos(x), so each distinct |lam| is evaluated
+    once, over blocks of ``_BUMP_BLOCK`` frequencies: memory stays at one
+    (block, nodes) cos matrix instead of (frequencies, nodes).
+    """
     lams = np.asarray(lams, dtype=float)
     x, wg = _bump_nodes()
-    return (np.cos(np.outer(lams, x)) @ wg / math.pi).astype(complex)
+    mags, inverse = np.unique(np.abs(lams).ravel(), return_inverse=True)
+    vals = np.empty(mags.size)
+    for start in range(0, mags.size, _BUMP_BLOCK):
+        vals[start : start + _BUMP_BLOCK] = np.cos(np.outer(mags[start : start + _BUMP_BLOCK], x)) @ wg
+    return (vals[inverse].reshape(lams.shape) / math.pi).astype(complex)
 
 
 def _bump_transform_bound(lam: float) -> float:

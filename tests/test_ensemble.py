@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 
 from kfree import ensemble
 from kfree.ensemble import (
@@ -46,6 +47,7 @@ from kfree.ensemble import (
 from kfree.dickman import charfn_limit
 from kfree.errors import DegenerateConfigError, DomainError, SizeCapError
 from kfree.primes import sieve_primes
+from kfree.smoothsum import _symmetric_grid
 
 
 def random_alpha(rng, radius=1.9):
@@ -233,6 +235,30 @@ class TestPartitionConstant:
     def test_rejects_large_alpha(self):
         with pytest.raises(DomainError):
             partition_constant(2, 2.0, n_values=(10**3, 10**4, 10**5))
+
+    def test_predicted_constant_holds_no_full_length_array(self, table_1e7):
+        # Summed over 2^14-prime slices up to its default prime_limit 10^7,
+        # the prediction peaks at 1.1 MB under tracemalloc, against 46 MB for
+        # one full-length pass, and agrees with that pass (written out here,
+        # tail correction included) to rounding.
+        primes = table_1e7.primes.astype(float)
+        log_p = math.log(10**7)
+        for k, alpha in [(2, 1.0), (3, 0.5 - 0.5j)]:
+            ensemble._predicted_constant(k, alpha)  # warm lazy caches outside the measurement
+            tracemalloc.start()
+            try:
+                got = ensemble._predicted_constant(k, alpha)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
+            x = alpha / primes
+            tail = sum(
+                (1.0 / j - (k / j if j % k == 0 else 0.0)) * alpha**j * scipy.special.exp1((j - 1) * log_p)
+                for j in range(2, 5)
+            )
+            log_full = alpha * ensemble.MERTENS + ensemble._log_euler(ensemble._factor_offset(k, x)) - np.sum(x) + tail
+            assert abs(got / np.exp(log_full) - 1.0) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +590,113 @@ def log_series_by_expansion(k, F, magnitudes=False):
     return np.array(c)
 
 
+def head_product(fast, lam):
+    """prod over the head primes of sum_t F_t(p) X^t, X = e^{i lam v_p}."""
+    X = np.exp(1j * np.outer(lam, fast._head_v))
+    z, Xt = np.zeros_like(X), np.ones_like(X)
+    for row in fast._head_rows:
+        z += row * Xt
+        Xt *= X
+    return np.prod(z, axis=1)
+
+
+def per_bucket_grid(fast, lams):
+    """phi_N with the tail summed bucket by bucket, as before the cell layout:
+    sum_b e^{i lam d vbar_b} sum_j M[d, j, b] (i lam d)^j / j!, times the head."""
+    lams = np.asarray(lams, dtype=float)
+    out = np.empty(lams.shape, dtype=complex)
+    for start in range(0, lams.size, 256):
+        lam = lams[start : start + 256]
+        base = np.exp(1j * np.outer(lam, fast._vbar))
+        phase = np.ones_like(base)
+        acc = np.full(lam.shape, complex(fast._moments[0, 0].sum()))
+        for d in range(1, fast._degree + 1):
+            phase *= base
+            m = phase @ fast._moments[d].T
+            il = 1j * lam * d
+            acc += m[:, 0] + il * (m[:, 1] + il / 2.0 * (m[:, 2] + il / 3.0 * m[:, 3]))
+        out[start : start + lam.size] = np.exp(acc) * head_product(fast, lam)
+    out[lams == 0.0] = 1.0
+    return out
+
+
+def cell_series_grid(fast, lams, terms):
+    """phi_N from the cell series cut at ``terms`` terms, written out per fine bucket:
+    sum_b e^{s U_b} sum_j M[d, j, b] s^j / j! sum_{m < terms - j} (s delta_b)^m / m!,
+    s = i lam d, U_b the centre of the cell holding bucket b, delta_b = vbar_b - U_b."""
+    lams = np.asarray(lams, dtype=float)
+    B, deg = fast._vbar.size, fast._degree
+    x = np.max(np.abs(lams)) * deg * fast._width / 2.0
+    G = 1
+    while 2 * G <= B and 2 * G * x <= 1.0:
+        G *= 2
+    U = fast._v0 + (np.arange(B) // G + 0.5) * G * fast._width
+    delta = np.where(fast._vbar > 0, fast._vbar - U, 0.0)
+    acc = np.full(lams.shape, complex(fast._moments[0, 0].sum()))
+    for d in range(1, deg + 1):
+        s = 1j * d * lams[:, None]
+        partial = [np.zeros((lams.size, B), dtype=complex)]  # sum_{m < n} (s delta)^m / m!
+        term = np.ones_like(partial[0])
+        for m in range(terms):
+            partial.append(partial[-1] + term)
+            term = term * s * delta / (m + 1)
+        inner = sum(fast._moments[d, j] * s**j / math.factorial(j) * partial[terms - j] for j in range(4))
+        acc += np.sum(np.exp(s * U) * inner, axis=1)
+    return np.exp(acc) * head_product(fast, lams)
+
+
+def cell_remainder(fast, lam_max, terms):
+    """sum_{d,j,b} |M[d, j, b]| (lam_max d)^j / j! x_d^(J-j) e^x_d / (J-j)! at x_d = d / degree,
+    the largest cell offset when cells are wider than one fine bucket."""
+    deg = fast._degree
+    return sum(
+        np.abs(fast._moments[d, j]).sum() * (lam_max * d) ** j / math.factorial(j)
+        * (d / deg) ** (terms - j) * math.exp(d / deg) / math.factorial(terms - j)
+        for d in range(1, deg + 1)
+        for j in range(4)
+    )
+
+
+def reference_build(cfg, head_limit=10**4, buckets=4096):
+    """vbar, moments and abs4 by the chunked bucket build, step for step."""
+    primes = sieve_primes(cfg.N).primes
+    primes = primes[np.searchsorted(primes, max(head_limit, threshold_prime(cfg)), side="right") :]
+    v = np.log(primes) / math.log(cfg.N)
+    edges = np.linspace(v.min(), v.max() * (1 + 1e-12), buckets + 1)
+    idx = np.clip(np.searchsorted(edges, v, side="right") - 1, 0, buckets - 1)
+    counts = np.bincount(idx, minlength=buckets)
+    sums = np.bincount(idx, weights=v, minlength=buckets)
+    vbar = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    moments = np.zeros((4 * (cfg.k - 1) + 1, 4, buckets), dtype=complex)
+    abs4 = np.zeros(moments.shape[0])
+    for start in range(0, primes.size, ensemble._BUILD_CHUNK):
+        stop = start + ensemble._BUILD_CHUNK
+        c = _log_series_coeffs(cfg.k, _marginal_rows(cfg.k, cfg.alpha, primes[start:stop].astype(float)))
+        b = idx[start:stop]
+        dv = v[start:stop] - vbar[b]
+        runs = np.flatnonzero(np.diff(b, prepend=-1))
+        dj = np.ones_like(dv)
+        for j in range(4):
+            moments[:, j, b[runs]] += np.add.reduceat(c * dj, runs, axis=1)
+            dj = dj * dv
+        abs4 += np.abs(c) @ dj
+    return vbar, moments, abs4
+
+
+CELL_CASES = [(2, 1.0), (2, -1.0), (3, 1 + 0.5j), (4, 3.5 - 1j)]
+
+
+def scan_grid_nodes():
+    """Every 8th node of the R = 360 panel grid and both ends (1441 of 11,520).
+
+    The cell layout depends on max|lambda| alone, so these nodes see the
+    layout of the whole grid; the per-bucket oracle on all 11,520 nodes
+    would take about 4 s per case.
+    """
+    pts = _symmetric_grid(360.0)[0]
+    return np.concatenate([pts[:-1:8], pts[-1:]])
+
+
 class TestFastCharfn:
     def test_agrees_with_exact_within_stated_bound(self, table_1e6):
         cfg = EnsembleConfig(k=2, alpha=1.0, N=10**6)
@@ -671,6 +804,67 @@ class TestFastCharfn:
         assert ref[lams == 0.0][0] == 1.0
         exact = CharfnEvaluator(cfg).grid(spots)
         assert np.max(np.abs(ref[np.searchsorted(lams, spots)] - exact)) <= 1e-10
+
+    @pytest.mark.parametrize("N", [10**5, 10**6])
+    @pytest.mark.parametrize("k,alpha", CELL_CASES)
+    def test_cells_match_per_bucket_sum(self, table_1e6, k, alpha, N):
+        # On the R = 360 panel grid (256 cells at N = 10^6) and on 2049 nodes
+        # up to 1024 (1024 cells), the cell evaluation gives the per-bucket
+        # sum it replaces; its cut at J terms (the cell term of the bound) is
+        # far below roundoff there.
+        fast = FastCharfn(EnsembleConfig(k=k, alpha=alpha, N=N))
+        for lams in (scan_grid_nodes(), np.linspace(-1024.0, 1024.0, 2049)):
+            got, want = fast.grid(lams), per_bucket_grid(fast, lams)
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+            assert cell_remainder(fast, np.max(lams), ensemble._CELL_TERMS) < 1e-20
+
+    @pytest.mark.parametrize("k,alpha", CELL_CASES)
+    def test_cell_series_at_low_order(self, table_1e6, monkeypatch, k, alpha):
+        # Cut at J = 5 terms the cell series leaves a visible error: the grid
+        # must equal the cut series written out per bucket, and the cell term
+        # of truncation_bound must cover its distance from the per-bucket sum.
+        fast = FastCharfn(EnsembleConfig(k=k, alpha=alpha, N=10**6))
+        lams = np.linspace(-1024.0, 1024.0, 129)
+        full_bound = fast.truncation_bound(1024.0)
+        monkeypatch.setattr(ensemble, "_CELL_TERMS", 5)
+        got = fast.grid(lams)
+        assert np.max(np.abs(got / cell_series_grid(fast, lams, 5) - 1.0)) <= 1e-13
+        cell = cell_remainder(fast, 1024.0, 5)
+        assert fast.truncation_bound(1024.0) - full_bound == pytest.approx(cell, rel=1e-9)
+        err = np.max(np.abs(np.log(got / per_bucket_grid(fast, lams))))
+        assert 1e-12 < err <= cell
+
+    @pytest.mark.parametrize("k,alpha", CELL_CASES)
+    def test_bound_holds_against_exact_up_to_1000(self, table_1e6, k, alpha):
+        lams = np.array([0.5, 3.0, 20.0, 100.0, 300.0, 1000.0])
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=10**6)
+        fast = FastCharfn(cfg)
+        exact = CharfnEvaluator(cfg).grid(lams)
+        for got in (fast.grid(lams), np.array([fast.grid([lam])[0] for lam in lams])):
+            for lam, g, e in zip(lams, got, exact):
+                assert abs(g / e - 1.0) <= math.expm1(fast.truncation_bound(lam)) + 1e-13
+
+    def test_layout_follows_max_frequency_only(self, table_1e6):
+        # Adding lambda = +-1000 changes the layout (256 -> 64 cells) and
+        # nothing else: on the shared nodes the values move within the bound,
+        # and +1000 and -1000 give the same values.
+        fast = FastCharfn(EnsembleConfig(k=2, alpha=-1.0, N=10**6))
+        lams = scan_grid_nodes()
+        ref = fast.grid(lams)
+        plus = fast.grid(np.append(lams, 1000.0))[:-1]
+        minus = fast.grid(np.append(lams, -1000.0))[:-1]
+        assert np.max(np.abs(plus / minus - 1.0)) <= 1e-13
+        assert 0.0 < np.max(np.abs(plus / ref - 1.0)) <= math.expm1(2 * fast.truncation_bound(360.0)) + 1e-13
+
+    @pytest.mark.parametrize("k,alpha", CELL_CASES)
+    def test_build_is_the_bucket_build(self, table_1e6, k, alpha):
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=10**6)
+        fast = FastCharfn(cfg)
+        # the cell layout is chosen per grid call and leaves the build as it was
+        vbar, moments, abs4 = reference_build(cfg)
+        assert np.array_equal(fast._vbar, vbar)
+        assert np.array_equal(fast._moments, moments)
+        assert np.array_equal(fast._abs4, abs4)
 
 
 # ---------------------------------------------------------------------------
