@@ -251,6 +251,13 @@ def _envelope(rows: list[np.ndarray]) -> np.ndarray:
     return 2.0 * np.sum(np.abs(np.stack(rows[1:])), axis=0)
 
 
+def _order5_remainder(rows: list[np.ndarray]) -> np.ndarray:
+    """Per prime, E^5 / (5 (1 - E)) with E = _envelope(rows): where E < 1/2 it bounds
+    the remainder of log(1 + w) after its series through w^4."""
+    env = _envelope(rows)
+    return env**5 / (5.0 * (1.0 - np.minimum(env, 0.5)))
+
+
 def marginal_row(cfg: EnsembleConfig, p: int) -> np.ndarray:
     """All k exponent probabilities for one prime, as a complex vector."""
     return np.array([row[0] for row in _marginal_rows(cfg.k, cfg.alpha, np.array([float(p)]))])
@@ -616,7 +623,8 @@ def trivial_charfn_bound(cfg: EnsembleConfig) -> float:
     return float(abs(z_abs) / abs(z))
 
 
-# FastCharfn's default head cutoff; at or below it there are no tail primes
+# FastCharfn's default head cutoff, the floor of its fine buckets (the direct
+# head is smaller); at or below it there are no tail primes
 _FAST_HEAD_LIMIT = 10**4
 
 # tail primes per chunk of the FastCharfn build: the chunk's marginal rows,
@@ -675,24 +683,35 @@ def _log_series_coeffs(k: int, rows: list[np.ndarray]) -> np.ndarray:
 # remainder r_J(1) <= e / J! is 4.2e-16 (of sum |M|, see truncation_bound)
 _CELL_TERMS = 18
 
+# order-5 log remainder allowed to the mid primes, which FastCharfn expands
+# instead of multiplying: a tenth of its ~1e-13 round-off floor
+_MID_BUDGET = 1e-14
+
 
 class FastCharfn:
     """Bucketed evaluator of phi_N for dense frequency grids at large N.
 
-    Beyond a head cutoff, log z_p(lambda) is expanded as a polynomial
+    The primes fall into three groups.  The direct head, every prime up to
+    a cutoff P (318 primes, P = 2111, at k = 2, alpha = 1), is multiplied
+    factor by factor.  Past P, log z_p(lambda) is expanded as a polynomial
     sum_d c_d(p) X^d in X = e^{i lambda v_p} (v_p = log p / log N) using
-    log(1+w) through order 4 in w.  The layout has two levels.  The build
-    groups the tail primes into ``buckets`` equal-width fine buckets in v and
-    stores the moments M[d, j, b] = sum_p c_d(p) (v_p - vbar_b)^j, j <= 3,
-    of a third-order expansion of e^{i lambda d v} about each bucket mean.
-    Each ``grid`` call, from max|lambda| alone, joins G = 2^g fine buckets
-    into cells of width H with max|lambda| * degree * H / 2 <= 1, and shifts
-    the moments to J = ``_CELL_TERMS`` moments about the cell centres.  A
-    frequency then pays for the cells only (256 instead of 4096 buckets on
-    the R = 360 grid at N = 10^6, k = 2): per block of L frequencies, one
-    (L, cells) cos/sin pass, degree - 1 in-place products and per degree one
-    (L, cells) @ (cells, J) GEMM, combined by Horner.  The head factors are
-    multiplied directly.
+    log(1+w) through order 4 in w.  The mid primes, P < p <= head cutoff,
+    are the longest run whose order-5 log remainder stays within
+    ``_MID_BUDGET``, with P >= ``threshold_prime``.  The tail primes
+    past the head cutoff (10^4 by default) go to ``buckets`` equal-width
+    fine buckets in v; the build stores the moments M[d, j, b] =
+    sum_p c_d(p) (v_p - vbar_b)^j, j <= 3, of a third-order expansion of
+    e^{i lambda d v} about each bucket mean.  Each ``grid`` call, from
+    max|lambda| alone, joins G = 2^g fine buckets into cells of width H with
+    max|lambda| * degree * H / 2 <= 1, shifts the moments to J =
+    ``_CELL_TERMS`` moments about the cell centres, and adds cells of the
+    same width below the buckets that hold each mid prime as an exact point
+    (a j = 0 moment at v_p).  A frequency pays for the direct head and the
+    cells (318 primes and 343 cells, 87 of them mid, on the R = 360 grid at
+    N = 10^6, k = 2, against 1229 head primes and 4096 buckets): per block
+    of L frequencies, one (L, P) and one (L, cells) cos/sin pass, degree - 1
+    in-place products and per degree one (L, cells) @ (cells, J) GEMM,
+    combined by Horner.
 
     The build costs O(pi(N)) once.  After the bucket means (one pass over
     v_p), the tail primes are visited in chunks of ``_BUILD_CHUNK``: per
@@ -723,11 +742,20 @@ class FastCharfn:
         self.cfg = cfg
         self.table = sieve_primes(cfg.N)
         self.log_n = math.log(cfg.N)
-        self.head_limit = max(int(head_limit), threshold_prime(cfg))
+        d_star = threshold_prime(cfg)
+        self.head_limit = max(int(head_limit), d_star)
         self.split = int(np.searchsorted(self.table.primes, self.head_limit, side="right"))
         head = self.table.primes[: self.split].astype(float)
-        self._head_v = np.log(head) / self.log_n
-        self._head_rows = _marginal_rows(cfg.k, cfg.alpha, head)
+        rows = _marginal_rows(cfg.k, cfg.alpha, head)
+        # rem[i]: order-5 log remainder of primes[i:split]; the mid primes are the
+        # longest such run inside _MID_BUDGET that leaves every p <= d* direct
+        rem = np.append(np.cumsum(_order5_remainder(rows)[::-1])[::-1], 0.0)
+        direct = int(np.searchsorted(head, d_star, side="right"))
+        self.mid_start = max(int(np.count_nonzero(rem > _MID_BUDGET)), direct)
+        self._head_v = np.log(head[: self.mid_start]) / self.log_n
+        self._head_rows = [row[: self.mid_start] for row in rows]
+        self._mid_v = np.log(head[self.mid_start :]) / self.log_n
+        self._mid_c = _log_series_coeffs(cfg.k, [row[self.mid_start :] for row in rows])
 
         primes = self.table.primes[self.split :]
         if primes.size == 0:
@@ -761,11 +789,10 @@ class FastCharfn:
                 dj = dj * dv
             abs4 += np.abs(c) @ dj  # dj = dv^4
             # order-5 log remainder: |w| <= envelope E(p) < 1/2 beyond the head
-            env = _envelope(rows)
-            log_remainder += float(np.sum(env**5 / (5.0 * (1.0 - np.minimum(env, 0.5)))))
+            log_remainder += float(np.sum(_order5_remainder(rows)))
         self._moments = moments
         self._abs4 = abs4
-        self._log_remainder = log_remainder
+        self._log_remainder = log_remainder + float(rem[self.mid_start])
         self._vbar = vbar
         self._degree = degree
         self._v0 = float(edges[0])
@@ -778,25 +805,33 @@ class FastCharfn:
         lam_max * degree * H / 2 <= 1 (or 1).  K[d, n, c] = sum_{b in c}
         sum_{j<=min(3,n)} C(n, j) M[d, j, b] (vbar_b - U_c)^{n-j} (H/2)^{-n} / n!,
         so the degree-d tail is sum_c e^{i lambda d U_c} sum_{n<J} K t^n, t = i lambda d H/2.
+        The first cells lie below the fine buckets and hold only mid primes.
         """
         nb, terms, degree = self._vbar.size, _CELL_TERMS, self._degree
         g = 1
         while 2 * g <= nb and g * abs(lam_max) * degree * self._width <= 1.0:
             g *= 2
         cells, half = -(-nb // g), g * self._width / 2.0
-        centres = self._v0 + (2 * np.arange(cells) + 1) * half
-        u = np.zeros(cells * g)  # (vbar_b - U_c) / (H/2) in [-1, 1]; 0 for empty buckets
-        u[:nb] = np.where(self._vbar > 0, self._vbar - np.repeat(centres, g)[:nb], 0.0) / half
+        # the mid primes fill `below` more cells of width H below v0
+        below = int(np.ceil((self._v0 - np.min(self._mid_v, initial=self._v0)) / (2.0 * half)))
+        mid = np.floor((self._mid_v - self._v0) / (2.0 * half)).astype(int) + below  # their cells
+        centres = self._v0 + (2 * np.arange(-below, cells) + 1) * half
+        u = np.zeros(cells * g + mid.size)  # (v - U_c) / (H/2) in [-1, 1]; 0 for empty buckets
+        u[:nb] = np.where(self._vbar > 0, self._vbar - np.repeat(centres[below:], g)[:nb], 0.0) / half
+        u[cells * g :] = (self._mid_v - centres[mid]) / half
         powers = np.cumprod([np.ones_like(u)] + [u / m for m in range(1, terms)], axis=0).T  # u^m / m!
+        # a mid prime is a point with only a j = 0 moment: K[d - 1, c] += c_d(p) u_p^n / n!
+        points = np.zeros((degree, below, terms), dtype=complex)
+        np.add.at(points, (slice(None), mid), self._mid_c[1:, :, None] * powers[cells * g :])
         # C(n, j) / n! = 1 / (j! (n-j)!): w[b, j, n] = u_b^{n-j} / (n-j)!, M gets (H/2)^{-j} / j!
         w = np.zeros((cells * g, 4, terms))
         for j in range(4):
-            w[:, j, j:] = powers[:, : terms - j]
+            w[:, j, j:] = powers[: cells * g, : terms - j]
         scaled = np.zeros((cells * g, 4, degree), dtype=complex)
         scaled[:nb] = self._moments[1:].T / (half ** np.arange(4) * [1, 1, 2, 6])[:, None]
         # one batched real GEMM over the cells, on the complex moments' float view
         shifted = w.reshape(cells, 4 * g, terms).transpose(0, 2, 1) @ scaled.view(float).reshape(cells, 4 * g, 2 * degree)
-        return half, centres, np.ascontiguousarray(shifted.view(complex).transpose(2, 0, 1))
+        return half, centres, np.concatenate([points, shifted.view(complex).transpose(2, 0, 1)], axis=1)
 
     def truncation_bound(self, lam_max: float) -> float:
         """Bound on |log fast - log phi_N| for |lambda| <= lam_max: a relative error.
@@ -805,11 +840,13 @@ class FastCharfn:
         |phi_N|, which exceeds 1 for some alpha (50.9 at k = 3, alpha = -1.5,
         N = 10^6, lambda = 300).  Roundoff is not included (see the class).
         The bound is the sum of three terms.  Phase: |e^{i t} - sum_{j<=3}|
-        <= t^4/24 per fine bucket, against the |c_d| (v - vbar)^4 moments.
-        Log: the order-5 remainder of the log series.  Cell: the cut of the
-        cell expansion, sum_{d,j,b} |M[d, j, b]| (lam_max d)^j / j! r_{J-j}(x_d),
-        r_m(x) = sum_{n>=m} x^n / n! <= x^m e^x / m!, x_d >= |lambda| d H / 2
-        on every grid with max|lambda| <= lam_max.
+        <= t^4/24 per fine bucket, against the |c_d| (v - vbar)^4 moments;
+        the mid primes sit at their own v_p and add nothing here.  Log: the
+        order-5 remainder of the log series over the tail and the mid primes.
+        Cell: the cut of the cell expansion, sum_{d,j,b} |M[d, j, b]|
+        (lam_max d)^j / j! r_{J-j}(x_d) plus sum_{d,p} |c_d(p)| r_J(x_d) over
+        the mid primes, r_m(x) = sum_{n>=m} x^n / n! <= x^m e^x / m!,
+        x_d >= |lambda| d H / 2 on every grid with max|lambda| <= lam_max.
         """
         lam_max, degree = abs(lam_max), self._degree
         phase = sum(self._abs4[d] * (lam_max * d) ** 4 / 24.0 for d in range(degree + 1))
@@ -820,7 +857,8 @@ class FastCharfn:
         x = min(x_fine * (1 << (self._vbar.size.bit_length() - 1)), max(1.0, x_fine)) * d / degree
         r = x ** (_CELL_TERMS - j) * np.exp(x) / np.array([math.factorial(_CELL_TERMS - i) for i in j])
         cell = np.abs(self._moments[1:]).sum(axis=2) * (lam_max * d) ** j / np.array([1, 1, 2, 6]) * r
-        return float(phase + self._log_remainder + cell.sum())
+        points = np.abs(self._mid_c[1:]).sum(axis=1) * r[:, 0]
+        return float(phase + self._log_remainder + cell.sum() + points.sum())
 
     def grid(self, lams, block: int = 256) -> np.ndarray:
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
@@ -832,7 +870,7 @@ class FastCharfn:
             # moments, combined by Horner in t = i lam d H / 2
             base = _cis(np.outer(lam, centres))  # (L, C)
             phase = base.copy()
-            acc = np.full(lam.shape, complex(self._moments[0, 0].sum()))
+            acc = np.full(lam.shape, complex(self._moments[0, 0].sum() + self._mid_c[0].sum()))
             for d in range(1, self._degree + 1):
                 if d > 1:
                     phase *= base
@@ -854,8 +892,8 @@ class FastCharfn:
 def charfn_for(cfg: EnsembleConfig):
     """The phi_N evaluator for cfg: CharfnEvaluator up to N = 10^4, else FastCharfn.
 
-    10^4 is FastCharfn's default head cutoff; at or below it there are no tail
-    primes to bucket.
+    10^4 is FastCharfn's default head cutoff, the floor of its fine buckets;
+    at or below it there are no tail primes to bucket.
     """
     if cfg.N <= _FAST_HEAD_LIMIT:
         return CharfnEvaluator(cfg)

@@ -10,6 +10,7 @@ Oracles used here, in decreasing order of independence:
     evaluator vs. exact evaluator) at stated tolerances.
 """
 
+import copy
 import math
 import tracemalloc
 import warnings
@@ -590,14 +591,33 @@ def log_series_by_expansion(k, F, magnitudes=False):
     return np.array(c)
 
 
-def head_product(fast, lam):
-    """prod over the head primes of sum_t F_t(p) X^t, X = e^{i lam v_p}."""
+def mid_primes(fast):
+    """v_p and the log-series coefficients c_d(p) of the mid primes, from the prime table."""
+    cfg = fast.cfg
+    p = sieve_primes(cfg.N).primes[fast.mid_start : fast.split].astype(float)
+    return np.log(p) / math.log(cfg.N), _log_series_coeffs(cfg.k, _marginal_rows(cfg.k, cfg.alpha, p))
+
+
+def mid_log(fast, lam):
+    """sum over the mid primes of sum_d c_d(p) e^{i lam d v_p}, summed directly."""
+    v, c = mid_primes(fast)
+    X = np.exp(1j * np.outer(lam, v))
+    return sum(c[d] * X**d for d in range(c.shape[0])).sum(axis=1)
+
+
+def direct_product(fast, lam):
+    """prod over the direct head primes of sum_t F_t(p) X^t, X = e^{i lam v_p}."""
     X = np.exp(1j * np.outer(lam, fast._head_v))
     z, Xt = np.zeros_like(X), np.ones_like(X)
     for row in fast._head_rows:
         z += row * Xt
         Xt *= X
     return np.prod(z, axis=1)
+
+
+def head_product(fast, lam):
+    """The factors of every prime <= head_limit: the direct head times e^{mid_log}."""
+    return direct_product(fast, lam) * np.exp(mid_log(fast, lam))
 
 
 def per_bucket_grid(fast, lams):
@@ -623,34 +643,43 @@ def per_bucket_grid(fast, lams):
 def cell_series_grid(fast, lams, terms):
     """phi_N from the cell series cut at ``terms`` terms, written out per fine bucket:
     sum_b e^{s U_b} sum_j M[d, j, b] s^j / j! sum_{m < terms - j} (s delta_b)^m / m!,
-    s = i lam d, U_b the centre of the cell holding bucket b, delta_b = vbar_b - U_b."""
+    s = i lam d, U_b the centre of the cell holding bucket b, delta_b = vbar_b - U_b.
+    A mid prime enters as a bucket at vbar = v_p with M[d, 0] = c_d(p) and no
+    higher moment, in a cell of the same width below the fine buckets."""
     lams = np.asarray(lams, dtype=float)
     B, deg = fast._vbar.size, fast._degree
     x = np.max(np.abs(lams)) * deg * fast._width / 2.0
     G = 1
     while 2 * G <= B and 2 * G * x <= 1.0:
         G *= 2
-    U = fast._v0 + (np.arange(B) // G + 0.5) * G * fast._width
-    delta = np.where(fast._vbar > 0, fast._vbar - U, 0.0)
-    acc = np.full(lams.shape, complex(fast._moments[0, 0].sum()))
+    v, c = mid_primes(fast)
+    H = G * fast._width
+    U = fast._v0 + (np.concatenate([np.arange(B) // G, np.floor((v - fast._v0) / H)]) + 0.5) * H
+    vbar = np.append(fast._vbar, v)
+    delta = np.where(vbar > 0, vbar - U, 0.0)
+    M = np.zeros((deg + 1, 4, B + v.size), dtype=complex)
+    M[:, :, :B], M[:, 0, B:] = fast._moments, c
+    acc = np.full(lams.shape, complex(M[0, 0].sum()))
     for d in range(1, deg + 1):
         s = 1j * d * lams[:, None]
-        partial = [np.zeros((lams.size, B), dtype=complex)]  # sum_{m < n} (s delta)^m / m!
+        partial = [np.zeros((lams.size, U.size), dtype=complex)]  # sum_{m < n} (s delta)^m / m!
         term = np.ones_like(partial[0])
         for m in range(terms):
             partial.append(partial[-1] + term)
             term = term * s * delta / (m + 1)
-        inner = sum(fast._moments[d, j] * s**j / math.factorial(j) * partial[terms - j] for j in range(4))
+        inner = sum(M[d, j] * s**j / math.factorial(j) * partial[terms - j] for j in range(4))
         acc += np.sum(np.exp(s * U) * inner, axis=1)
-    return np.exp(acc) * head_product(fast, lams)
+    return np.exp(acc) * direct_product(fast, lams)
 
 
 def cell_remainder(fast, lam_max, terms):
     """sum_{d,j,b} |M[d, j, b]| (lam_max d)^j / j! x_d^(J-j) e^x_d / (J-j)! at x_d = d / degree,
-    the largest cell offset when cells are wider than one fine bucket."""
-    deg = fast._degree
+    the largest cell offset when cells are wider than one fine bucket, plus
+    sum_{d,p} |c_d(p)| x_d^J e^x_d / J! over the mid primes."""
+    deg, c = fast._degree, mid_primes(fast)[1]
     return sum(
-        np.abs(fast._moments[d, j]).sum() * (lam_max * d) ** j / math.factorial(j)
+        (np.abs(fast._moments[d, j]).sum() + (np.abs(c[d]).sum() if j == 0 else 0.0))
+        * (lam_max * d) ** j / math.factorial(j)
         * (d / deg) ** (terms - j) * math.exp(d / deg) / math.factorial(terms - j)
         for d in range(1, deg + 1)
         for j in range(4)
@@ -684,6 +713,7 @@ def reference_build(cfg, head_limit=10**4, buckets=4096):
 
 
 CELL_CASES = [(2, 1.0), (2, -1.0), (3, 1 + 0.5j), (4, 3.5 - 1j)]
+MID_CASES = [*CELL_CASES, (3, -1.5)]
 
 
 def scan_grid_nodes():
@@ -855,6 +885,53 @@ class TestFastCharfn:
         minus = fast.grid(np.append(lams, -1000.0))[:-1]
         assert np.max(np.abs(plus / minus - 1.0)) <= 1e-13
         assert 0.0 < np.max(np.abs(plus / ref - 1.0)) <= math.expm1(2 * fast.truncation_bound(360.0)) + 1e-13
+
+    @pytest.mark.parametrize("N", [10**5, 10**6])
+    @pytest.mark.parametrize("k,alpha", MID_CASES)
+    def test_direct_head_is_cut_by_mid_budget(self, table_1e6, k, alpha, N):
+        # The mid primes primes[mid_start:split] are the longest run below the
+        # fine buckets whose order-5 log remainder sum E^5 / (5 (1 - E)) fits
+        # the budget; every prime <= d* stays in the direct head.
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
+        fast = FastCharfn(cfg)
+        primes = sieve_primes(N).primes
+        first = int(np.searchsorted(primes, threshold_prime(cfg), side="right"))
+        assert fast._head_v.size == fast.mid_start >= first
+        rows = _marginal_rows(k, alpha, primes[: fast.split].astype(float))
+        env = 2.0 * np.sum(np.abs(np.stack(rows[1:])), axis=0)
+        rem = env**5 / (5.0 * (1.0 - np.minimum(env, 0.5)))
+        assert rem[fast.mid_start :].sum() <= ensemble._MID_BUDGET
+        assert fast.mid_start == first or rem[fast.mid_start - 1 :].sum() > ensemble._MID_BUDGET
+        if k == 2 and N == 10**6:
+            assert fast.mid_start <= 320  # of the 1229 primes <= 10^4
+
+    @pytest.mark.parametrize("N", [10**5, 10**6])
+    @pytest.mark.parametrize("k,alpha", MID_CASES)
+    def test_mid_primes_match_log_series_oracle(self, table_1e6, k, alpha, N):
+        # With the fine-bucket moments zeroed and every direct-head factor
+        # set to 1, the grid is e^{mid part}: it must equal the mid primes'
+        # log series summed prime by prime on the R = 360 nodes.
+        fast = FastCharfn(EnsembleConfig(k=k, alpha=alpha, N=N))
+        mids = copy.copy(fast)
+        mids._moments = np.zeros_like(fast._moments)
+        mids._head_rows = [np.ones_like(fast._head_rows[0])] + [np.zeros_like(r) for r in fast._head_rows[1:]]
+        lams = scan_grid_nodes()
+        want = mid_log(fast, lams)
+        assert np.max(np.abs(np.log(mids.grid(lams)) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k,alpha", CELL_CASES)
+    def test_bound_covers_mid_remainder_at_loose_budget(self, table_1e6, monkeypatch, k, alpha):
+        # At a budget of 1e-6 the direct head falls to at most 30 primes
+        # (p <= 113) and the mid primes' order-5 log remainder is visible
+        # against the exact product; the log term of the bound covers it.
+        monkeypatch.setattr(ensemble, "_MID_BUDGET", 1e-6)
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=10**6)
+        fast = FastCharfn(cfg)
+        assert fast.mid_start <= 30
+        lams = np.array([0.5, 3.0, 20.0, 100.0, 300.0, 1000.0])
+        err = np.abs(np.log(fast.grid(lams) / CharfnEvaluator(cfg).grid(lams)))
+        assert np.max(err) > 1e-12
+        assert np.all(err <= [fast.truncation_bound(lam) for lam in lams])
 
     @pytest.mark.parametrize("k,alpha", CELL_CASES)
     def test_build_is_the_bucket_build(self, table_1e6, k, alpha):
