@@ -23,7 +23,16 @@ configuration.  Re-running an emitted configuration (see :func:`argv_of`)
 reproduces the output byte for byte on the same platform: no timestamps,
 dictionary keys sorted, floats written in shortest exact decimal form (a
 binary64 value round-trips through at most 17 significant digits).  CSV
-cells use an explicit ``%.17g``.  All output is UTF-8.
+cells use an explicit ``%.17g``.  All output is UTF-8.  An artifact
+written with ``--output`` records that path, so two artifacts compare
+byte for byte only when both were written to the same path.
+
+:func:`build_parser` is the one declaration of the flags: each flag's
+destination is the :class:`RunConfig` field it sets, and both the run
+configuration and the replay argv are read off the parser.
+
+``--threads`` caps the native thread pools for one run only; the cap is
+lifted when :func:`run` returns.
 
 JSON is the canonical format.  CSV is available for grid-shaped results;
 the column layouts are documented in ``--help`` and stable.
@@ -102,8 +111,9 @@ class RunConfig:
     """Fully resolved parameters of one CLI run.
 
     Every emitted artifact embeds this record; feeding it back through
-    :func:`argv_of` reproduces the run.  Fields that a subcommand does not
-    use stay ``None``.
+    :func:`argv_of` reproduces the run.  Each field is the ``dest`` of the
+    :func:`build_parser` flag that sets it.  Fields that a subcommand does
+    not use stay ``None`` (or at their defaults here).
     """
 
     command: str
@@ -153,25 +163,23 @@ class _Artifact:
 # Parsing
 
 
+def _finite(text: str) -> float:
+    """``type=`` of every float flag: a number that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_alpha(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--alpha",
-        type=float,
-        default=None,
-        help="real weight exponent base (shorthand for --alpha-re)",
-    )
-    group.add_argument(
-        "--alpha-re",
-        type=float,
-        default=None,
-        help="real part of the weight exponent base (default 1)",
-    )
+    group.add_argument("--alpha", type=_finite, help="real weight exponent base (shorthand for --alpha-re)")
+    group.add_argument("--alpha-re", type=_finite, help="real part of the weight exponent base (default 1)")
     parser.add_argument(
-        "--alpha-im",
-        type=float,
-        default=0.0,
-        help="imaginary part of the weight exponent base (default 0)",
+        "--alpha-im", type=_finite, default=0.0, help="imaginary part of the weight exponent base (default 0)"
     )
 
 
@@ -179,10 +187,9 @@ def _add_lambda(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "--lambda",
-        dest="lam",
-        type=float,
+        dest="lam_values",
+        type=_finite,
         action="append",
-        default=None,
         metavar="LAMBDA",
         help="frequency; repeat the flag for several values",
     )
@@ -190,15 +197,14 @@ def _add_lambda(parser: argparse.ArgumentParser) -> None:
         "--lambda-grid",
         dest="lam_grid",
         nargs=3,
-        type=float,
-        default=None,
+        type=_finite,
         metavar=("START", "STOP", "COUNT"),
         help="evenly spaced frequencies START..STOP (COUNT points)",
     )
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--output", default=None, help="write the artifact here instead of stdout")
+    parser.add_argument("--output", help="write the artifact here instead of stdout")
     parser.add_argument(
         "--format",
         choices=("json", "csv"),
@@ -208,7 +214,6 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads",
         type=int,
-        default=None,
         help="cap native BLAS threads via threadpoolctl; without it the cap is "
         "reported on stderr as not applied (fallback: KFREE_THREADS)",
     )
@@ -217,16 +222,14 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 def _add_truncation(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--R-rule",
-        dest="R_rule",
         choices=("fixed", "logN/loglogN", "power"),
-        default=None,
         help="spectral truncation rule; power means R = (log N)^(1 - tau)",
     )
-    parser.add_argument("--R", type=float, default=None, help="radius for --R-rule fixed")
-    parser.add_argument("--tau", type=float, default=None, help="exponent offset for --R-rule power")
+    parser.add_argument("--R", type=_finite, help="radius for --R-rule fixed")
+    parser.add_argument("--tau", type=_finite, help="exponent offset for --R-rule power")
     parser.add_argument(
         "--tol",
-        type=float,
+        type=_finite,
         default=1e-9,
         help="quadrature tolerance for the spectral route (default 1e-9)",
     )
@@ -256,12 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constant", help="large-N extrapolation of the partition constant")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--N-list",
-        dest="N_list",
-        default=None,
-        help="comma-separated prime bounds for the extrapolation ladder",
-    )
+    p.add_argument("--N-list", help="comma-separated prime bounds for the extrapolation ladder")
     _add_alpha(p)
     _add_output(p)
 
@@ -279,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dickman", help="limiting density family on a grid")
     _add_alpha(p)
-    p.add_argument("--u-max", dest="u_max", type=float, default=12.0, help="grid endpoint (default 12)")
-    p.add_argument("--step", type=float, default=1e-3, help="delay-equation step (default 1e-3)")
+    p.add_argument("--u-max", type=_finite, default=12.0, help="grid endpoint (default 12)")
+    p.add_argument("--step", type=_finite, default=1e-3, help="delay-equation step (default 1e-3)")
     p.add_argument("--points", type=int, default=201, help="rows in the output table (default 201)")
     _add_output(p)
 
@@ -308,46 +306,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regions", help="truncation-regime classification over a grid")
     tg = p.add_mutually_exclusive_group(required=True)
-    tg.add_argument("--tau-list", dest="tau_list", default=None, help="comma-separated tau values in (0, 1)")
-    tg.add_argument(
-        "--tau-grid",
-        dest="tau_grid",
-        nargs=3,
-        type=float,
-        default=None,
-        metavar=("START", "STOP", "COUNT"),
-    )
+    tg.add_argument("--tau-list", dest="tau_values", help="comma-separated tau values in (0, 1)")
+    tg.add_argument("--tau-grid", nargs=3, type=_finite, metavar=("START", "STOP", "COUNT"))
     eg = p.add_mutually_exclusive_group(required=True)
-    eg.add_argument("--eta-list", dest="eta_list", default=None, help="comma-separated decay orders > 1")
-    eg.add_argument(
-        "--eta-grid",
-        dest="eta_grid",
-        nargs=3,
-        type=float,
-        default=None,
-        metavar=("START", "STOP", "COUNT"),
-    )
-    p.add_argument("--delta", type=float, default=0.0, help="decay offset of the weight (default 0)")
+    eg.add_argument("--eta-list", dest="eta_values", help="comma-separated decay orders > 1")
+    eg.add_argument("--eta-grid", nargs=3, type=_finite, metavar=("START", "STOP", "COUNT"))
+    p.add_argument("--delta", type=_finite, default=0.0, help="decay offset of the weight (default 0)")
     _add_output(p)
 
     p = sub.add_parser("example", help="certified lower-bound chain report")
-    p.add_argument("--r", type=float, default=5.0, help="decay rate of the worked example (default 5)")
+    p.add_argument("--r", type=_finite, default=5.0, help="decay rate of the worked example (default 5)")
     p.add_argument("--M", type=int, default=1000, help="midpoint-rule panel count (default 1000)")
     _add_output(p)
 
     p = sub.add_parser("appendix", help="remainder-term magnitude scan with envelope fits")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--term",
-        required=True,
-        help="remainder index triple a,b,c (for example 2,1,1)",
-    )
-    p.add_argument(
-        "--N-list",
-        dest="N_list",
-        required=True,
-        help="comma-separated prime bounds for the scan",
-    )
+    p.add_argument("--term", required=True, help="remainder index triple a,b,c (for example 2,1,1)")
+    p.add_argument("--N-list", required=True, help="comma-separated prime bounds for the scan")
     _add_alpha(p)
     _add_lambda(p)
     _add_output(p)
@@ -365,7 +340,7 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
             number = float(part)
         except ValueError as exc:
             raise DomainError(f"{flag} expects comma-separated integers, got {part!r}") from exc
-        if number != int(number):
+        if not math.isfinite(number) or number != int(number):
             raise DomainError(f"{flag} expects integers, got {part!r}")
         values.append(int(number))
     if not values:
@@ -380,6 +355,8 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
         raise DomainError(f"{flag} expects comma-separated numbers") from exc
     if not values:
         raise DomainError(f"{flag} is empty")
+    if not all(math.isfinite(x) for x in values):
+        raise DomainError(f"{flag} expects finite numbers")
     return values
 
 
@@ -390,12 +367,19 @@ def _resolve_grid(
 ) -> Optional[tuple[float, ...]]:
     if single is not None:
         return tuple(float(x) for x in single)
-    if grid is not None:
-        start, stop, count = grid
-        if count != int(count) or int(count) < 2:
-            raise DomainError(f"{flag} COUNT must be an integer >= 2")
-        return tuple(float(x) for x in np.linspace(start, stop, int(count)))
-    return None
+    if grid is None:
+        return None
+    start, stop, count = grid
+    if not math.isfinite(stop - start):
+        raise DomainError(f"{flag} needs finite START and STOP whose difference is finite")
+    if count != int(count) or int(count) < 2:
+        raise DomainError(f"{flag} COUNT must be an integer >= 2")
+    return tuple(float(x) for x in np.linspace(start, stop, int(count)))
+
+
+def _list_or_grid(listed: Optional[str], grid, flag: str) -> Optional[tuple[float, ...]]:
+    single = _parse_float_list(listed, f"{flag}-list") if listed is not None else None
+    return _resolve_grid(single, grid, f"{flag}-grid")
 
 
 def _resolve_threads(flag_value: Optional[int]) -> Optional[int]:
@@ -412,68 +396,51 @@ def _resolve_threads(flag_value: Optional[int]) -> Optional[int]:
     return flag_value
 
 
-_THREAD_LIMITER = None
+def _apply_thread_cap(threads: Optional[int]):
+    """Cap native thread pools via threadpoolctl: numpy has already read *_NUM_THREADS.
 
-
-def _apply_thread_cap(threads: Optional[int]) -> None:
-    """Cap native thread pools via threadpoolctl: numpy has already read *_NUM_THREADS."""
-    global _THREAD_LIMITER
+    Returns the limiter, whose ``restore_original_limits`` ends the cap, or
+    None when there is no cap to apply.
+    """
     if threads is None:
-        return
+        return None
     try:
         import threadpoolctl
     except ImportError:
         msg = "threadpoolctl is not installed and numpy has already sized its BLAS pool"
         print(f"kfree: --threads {threads} not applied: {msg}", file=sys.stderr)
-        return
-    _THREAD_LIMITER = threadpoolctl.threadpool_limits(limits=threads)
+        return None
+    return threadpoolctl.threadpool_limits(limits=threads)
 
 
 def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    fields = {"command": ns.command}
-    if hasattr(ns, "alpha"):
-        if ns.alpha is not None:
-            fields["alpha_re"] = ns.alpha
-        elif ns.alpha_re is not None:
-            fields["alpha_re"] = ns.alpha_re
-        fields["alpha_im"] = ns.alpha_im
-    if hasattr(ns, "lam"):
-        fields["lam_values"] = _resolve_grid(ns.lam, ns.lam_grid, "--lambda-grid")
-    if getattr(ns, "N_list", None) is not None:
+    """Copy each parsed value whose destination is a RunConfig field, then convert.
+
+    The conversions are the inputs the parser leaves raw: the ``--alpha``
+    alias, the comma lists and ``--*-grid`` forms, and the ``KFREE_THREADS``
+    fallback of the thread cap.
+    """
+    given = vars(ns)
+    fields = {
+        field.name: given[field.name]
+        for field in dataclasses.fields(RunConfig)
+        if given.get(field.name) is not None
+    }
+    if given.get("alpha") is not None:
+        fields["alpha_re"] = ns.alpha
+    if "lam_grid" in given:
+        fields["lam_values"] = _resolve_grid(ns.lam_values, ns.lam_grid, "--lambda-grid")
+    if "N_list" in fields:
         fields["N_list"] = _parse_int_list(ns.N_list, "--N-list")
-    if getattr(ns, "term", None) is not None:
-        raw = _parse_int_list(ns.term, "--term")
-        if len(raw) != 3:
+    if "term" in fields:
+        fields["term"] = _parse_int_list(ns.term, "--term")
+        if len(fields["term"]) != 3:
             raise DomainError("--term expects exactly three comma-separated indices")
-        fields["term"] = raw
-    if getattr(ns, "tau_list", None) is not None or getattr(ns, "tau_grid", None) is not None:
-        single = _parse_float_list(ns.tau_list, "--tau-list") if ns.tau_list is not None else None
-        fields["tau_values"] = _resolve_grid(single, ns.tau_grid, "--tau-grid")
-    if getattr(ns, "eta_list", None) is not None or getattr(ns, "eta_grid", None) is not None:
-        single = _parse_float_list(ns.eta_list, "--eta-list") if ns.eta_list is not None else None
-        fields["eta_values"] = _resolve_grid(single, ns.eta_grid, "--eta-grid")
-    for name in (
-        "k",
-        "N",
-        "cutoff",
-        "route",
-        "R_rule",
-        "R",
-        "tau",
-        "tol",
-        "r",
-        "M",
-        "u_max",
-        "step",
-        "points",
-        "delta",
-        "cap",
-        "output",
-        "format",
-    ):
-        if hasattr(ns, name) and getattr(ns, name) is not None:
-            fields[name] = getattr(ns, name)
-    fields["threads"] = _resolve_threads(getattr(ns, "threads", None))
+    if "tau_grid" in given:
+        fields["tau_values"] = _list_or_grid(ns.tau_values, ns.tau_grid, "--tau")
+    if "eta_grid" in given:
+        fields["eta_values"] = _list_or_grid(ns.eta_values, ns.eta_grid, "--eta")
+    fields["threads"] = _resolve_threads(given.get("threads"))
     return RunConfig(**fields)
 
 
@@ -550,80 +517,39 @@ def argv_of(run_config: Mapping) -> list[str]:
     """Rebuild the argument vector that reproduces an emitted run.
 
     Accepts the ``run_config`` mapping found in any artifact and returns an
-    argv suitable for :func:`run`.  Floats are rendered with ``repr`` so
-    the replayed run resolves to bit-identical parameters.
+    argv suitable for :func:`run`.  The flags come from :func:`build_parser`:
+    every option of the subcommand whose destination holds a value in the
+    record is emitted under its first spelling, joined to its value by
+    ``=`` so that a negative value in exponent form is not read as a flag.
+    Floats are rendered with ``repr`` so the replayed run resolves to
+    bit-identical parameters; a sequence repeats an append flag and is
+    comma-joined otherwise.
     """
     command = run_config["command"]
-    if command not in _COMMAND_FIELDS:
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    if command not in subparsers.choices:
         raise DomainError(f"unknown command {command!r} in run configuration")
+
+    def _text(value) -> str:
+        return repr(value) if isinstance(value, float) else str(value)
+
     argv = [command]
-
-    def _num(value) -> str:
-        return repr(float(value))
-
-    for name in _COMMAND_FIELDS[command]:
-        value = run_config.get(name)
-        if name == "alpha":
-            argv += ["--alpha-re", _num(run_config["alpha_re"])]
-            argv += ["--alpha-im", _num(run_config["alpha_im"])]
-        elif value is None:
+    for action in subparsers.choices[command]._actions:
+        value = run_config.get(action.dest)
+        if value is None:
             continue
-        elif name == "lam_values":
-            for lam in value:
-                argv += ["--lambda", _num(lam)]
-        elif name == "N_list":
-            argv += ["--N-list", ",".join(str(int(n)) for n in value)]
-        elif name == "term":
-            argv += ["--term", ",".join(str(int(i)) for i in value)]
-        elif name == "tau_values":
-            argv += ["--tau-list", ",".join(_num(x) for x in value)]
-        elif name == "eta_values":
-            argv += ["--eta-list", ",".join(_num(x) for x in value)]
-        elif name in ("k", "N", "cap", "M", "points", "threads"):
-            argv += [_FLAGS[name], str(int(value))]
-        elif name in ("R", "tau", "tol", "r", "u_max", "step", "delta"):
-            argv += [_FLAGS[name], _num(value)]
+        flag = action.option_strings[0]
+        if isinstance(value, (list, tuple)) and isinstance(action, argparse._AppendAction):
+            argv += [f"{flag}={_text(item)}" for item in value]
+        elif isinstance(value, (list, tuple)):
+            argv.append(f"{flag}={','.join(_text(item) for item in value)}")
         else:
-            argv += [_FLAGS[name], str(value)]
+            argv.append(f"{flag}={_text(value)}")
     return argv
-
-
-_FLAGS = {
-    "k": "--k",
-    "N": "--N",
-    "cap": "--cap",
-    "M": "--M",
-    "points": "--points",
-    "threads": "--threads",
-    "R": "--R",
-    "tau": "--tau",
-    "tol": "--tol",
-    "r": "--r",
-    "u_max": "--u-max",
-    "step": "--step",
-    "delta": "--delta",
-    "cutoff": "--cutoff",
-    "route": "--route",
-    "R_rule": "--R-rule",
-    "output": "--output",
-    "format": "--format",
-}
-
-_COMMON_TAIL = ("threads", "output", "format")
-
-_COMMAND_FIELDS = {
-    "enumerate": ("k", "N", "cap") + _COMMON_TAIL,
-    "partition": ("k", "alpha", "N") + _COMMON_TAIL,
-    "constant": ("k", "alpha", "N_list") + _COMMON_TAIL,
-    "charfn": ("k", "alpha", "N", "lam_values") + _COMMON_TAIL,
-    "limit-charfn": ("alpha", "lam_values") + _COMMON_TAIL,
-    "dickman": ("alpha", "u_max", "step", "points") + _COMMON_TAIL,
-    "sum": ("k", "alpha", "N", "cutoff", "route", "R_rule", "R", "tau", "tol") + _COMMON_TAIL,
-    "compare": ("k", "alpha", "N", "cutoff", "R_rule", "R", "tau", "tol") + _COMMON_TAIL,
-    "regions": ("tau_values", "eta_values", "delta") + _COMMON_TAIL,
-    "example": ("r", "M") + _COMMON_TAIL,
-    "appendix": ("k", "alpha", "N_list", "term", "lam_values") + _COMMON_TAIL,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +557,6 @@ _COMMAND_FIELDS = {
 
 
 def _ensemble_config(config: RunConfig) -> EnsembleConfig:
-    if config.k is None or config.N is None:
-        raise DomainError(f"{config.command} requires --k and --N")
     return EnsembleConfig(config.k, config.alpha, config.N)
 
 
@@ -674,8 +598,6 @@ def _cmd_partition(config: RunConfig) -> _Artifact:
 
 
 def _cmd_constant(config: RunConfig) -> _Artifact:
-    if config.k is None:
-        raise DomainError("constant requires --k")
     if config.N_list is None:
         report = partition_constant(config.k, config.alpha)
     else:
@@ -716,7 +638,7 @@ def _cmd_dickman(config: RunConfig) -> _Artifact:
     if config.alpha_im != 0.0:
         raise DomainError("the density family is defined for real weights; drop --alpha-im")
     alpha = config.alpha_re
-    if config.points is None or config.points < 2:
+    if config.points < 2:
         raise DomainError("--points must be at least 2")
     grid = solve_rho(alpha, u_max=config.u_max, step=config.step)
     us = np.linspace(0.0, config.u_max, config.points)
@@ -739,10 +661,9 @@ def _cmd_sum(config: RunConfig) -> _Artifact:
     cfg = _ensemble_config(config)
     cutoff = get_cutoff(config.cutoff)
     radius = _resolve_radius(config, cfg.N)
-    route = config.route or "spectral"
+    route = config.route
     if route == "direct":
-        value = smooth_sum_direct(cfg, cutoff)
-        result = {"route": route, "value": value}
+        result = {"route": route, "value": smooth_sum_direct(cfg, cutoff)}
     elif route == "spectral":
         spectral = smooth_sum_spectral(cfg, cutoff, R=radius, tol=config.tol)
         result = {
@@ -784,13 +705,11 @@ def _cmd_compare(config: RunConfig) -> _Artifact:
 
 
 def _cmd_regions(config: RunConfig) -> _Artifact:
-    delta = config.delta if config.delta is not None else 0.0
-    rows = []
-    for tau in config.tau_values or ():
-        for eta in config.eta_values or ():
-            rows.append((float(tau), float(eta), error_region(tau, eta, delta)))
-    if not rows:
-        raise DomainError("regions requires tau and eta values")
+    rows = [
+        (float(tau), float(eta), error_region(tau, eta, config.delta))
+        for tau in config.tau_values
+        for eta in config.eta_values
+    ]
     result = {"rows": [{"case": case, "eta": eta, "tau": tau} for tau, eta, case in rows]}
     return _Artifact(result=result, csv=(("tau", "eta", "case"), rows))
 
@@ -802,8 +721,6 @@ def _cmd_example(config: RunConfig) -> _Artifact:
 
 
 def _cmd_appendix(config: RunConfig) -> _Artifact:
-    if config.k is None or config.N_list is None or config.term is None:
-        raise DomainError("appendix requires --k, --N-list, and --term")
     lams = _require_lambdas(config)
     cfgs = [EnsembleConfig(config.k, config.alpha, n) for n in config.N_list]
     report = bound_scan(config.term, cfgs, lams)
@@ -869,9 +786,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    limiter = None
     try:
         config = _config_from_namespace(ns)
-        _apply_thread_cap(config.threads)
+        limiter = _apply_thread_cap(config.threads)
         artifact = _HANDLERS[config.command](config)
         text = _render(config, artifact)
         _emit(text, config.output)
@@ -884,6 +802,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SizeCapError as exc:
         print(f"kfree: size cap: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if limiter is not None:
+            limiter.restore_original_limits()
     if artifact.message:
         print(f"kfree: {artifact.message}", file=sys.stderr)
     return artifact.status

@@ -396,15 +396,19 @@ def _symmetric_grid(R: float, coarse: bool = False):
 _transform_node_cache: dict = {}
 
 
-def _transform_on_grid(f: CutoffDescriptor, points: np.ndarray, key) -> np.ndarray:
-    if key is not None:
-        cached = _transform_node_cache.get((f.name, key))
-        if cached is not None:
-            return cached
-    vals = f.transform_grid(points)
-    if key is not None:
-        _transform_node_cache[(f.name, key)] = vals
-    return vals
+def _frequency_integral(values, f: CutoffDescriptor, R: float, coarse: bool = False) -> complex:
+    """Panel quadrature of values(lam) * fhat(lam) over |lam| <= R.
+
+    ``values`` maps the panel nodes to the other factor (a characteristic
+    function on a grid).  fhat on the nodes is cached per cutoff name, R and
+    node count.
+    """
+    pts, w = _symmetric_grid(R, coarse)
+    key = (f.name, round(R, 12), len(pts))
+    fhat = _transform_node_cache.get(key)
+    if fhat is None:
+        fhat = _transform_node_cache[key] = f.transform_grid(pts)
+    return complex(np.dot(w, values(pts) * fhat))
 
 
 def _atom_correction(cfg: EnsembleConfig, f: CutoffDescriptor) -> complex:
@@ -468,13 +472,8 @@ def smooth_sum_spectral(
     tail_bound = float(z_abs * f.tail_integral(R))
     if charfn is None:
         charfn = CharfnEvaluator(cfg)
-    fine_pts, fine_w = _symmetric_grid(R)
-    coarse_pts, coarse_w = _symmetric_grid(R, coarse=True)
-    key = (round(R, 12), len(fine_pts))
-    fhat_fine = _transform_on_grid(f, fine_pts, key)
-    fhat_coarse = _transform_on_grid(f, coarse_pts, (round(R, 12), len(coarse_pts)))
-    fine = complex(np.dot(fine_w, charfn.grid(fine_pts) * fhat_fine))
-    coarse = complex(np.dot(coarse_w, charfn.grid(coarse_pts) * fhat_coarse))
+    fine = _frequency_integral(charfn.grid, f, R)
+    coarse = _frequency_integral(charfn.grid, f, R, coarse=True)
     return SpectralSum(
         value=z * fine + _atom_correction(cfg, f),
         R=R,
@@ -506,9 +505,7 @@ class ComparisonReport:
 
 
 def _limit_integral(alpha: complex, f: CutoffDescriptor, R: float) -> complex:
-    pts, w = _symmetric_grid(R)
-    fhat = _transform_on_grid(f, pts, (round(R, 12), len(pts)))
-    return complex(np.dot(w, charfn_limit_grid(alpha, pts) * fhat))
+    return _frequency_integral(lambda pts: charfn_limit_grid(alpha, pts), f, R)
 
 
 def asymptotic_prediction(
@@ -664,14 +661,10 @@ def theorem1_ratio_scan(
     """
     if f is None:
         f = get_cutoff("bump")
-    num_pts, num_w = _symmetric_grid(float(R_numerator))
-    fhat_num = _transform_on_grid(
-        f, num_pts, (round(float(R_numerator), 12), len(num_pts))
-    )
     out = []
     for N in sorted(int(n) for n in n_values):
         charfn = charfn_for(EnsembleConfig(k=k, alpha=alpha, N=N))
-        numerator = complex(np.dot(num_w, charfn.grid(num_pts) * fhat_num))
+        numerator = _frequency_integral(charfn.grid, f, float(R_numerator))
         log_n = math.log(N)
         R_N = log_n / math.log(log_n)
         denominator = _limit_integral(complex(alpha), f, R_N)

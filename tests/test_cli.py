@@ -127,6 +127,33 @@ class TestRoundTrip:
         ["regions", "--tau-grid", "0.1", "0.9", "3", "--eta-list", "1.5,2.5", "--delta", "0.25"],
         ["example", "--r", "4", "--M", "60"],
         ["appendix", "--k", "2", "--term", "2,1,1", "--N-list", "1000,10000", "--lambda", "1"],
+        pytest.param(
+            ["charfn", "--k", "2", "--alpha-re", "0.75", "--alpha-im", "-0.5", "--N", "20",
+             "--lambda", "1.5"],
+            id="charfn-alpha-im",
+        ),
+        pytest.param(
+            # repr writes these in exponent form, which argparse takes for an option
+            # unless it is joined to its flag by "="
+            ["charfn", "--k", "2", "--alpha-re=-1e-05", "--N", "13", "--lambda=-1e-05",
+             "--lambda", "2"],
+            id="charfn-negative-exponent-form",
+        ),
+        pytest.param(
+            ["sum", "--k", "2", "--N", "30", "--cutoff", "bump", "--R-rule", "fixed", "--R", "6.5",
+             "--tol", "1e-8"],
+            id="sum-fixed-radius-tol",
+        ),
+        pytest.param(
+            ["sum", "--k", "2", "--alpha", "0.5", "--N", "30", "--cutoff", "indicator",
+             "--route", "direct"],
+            id="sum-direct",
+        ),
+        pytest.param(
+            ["compare", "--k", "2", "--N", "13", "--cutoff", "bump", "--R-rule", "fixed",
+             "--R", "40", "--tol", "1e-8"],
+            id="compare-cutoff-tol",
+        ),
     ]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda argv: argv[0])
@@ -138,6 +165,27 @@ class TestRoundTrip:
         config = json.loads(first.decode("utf-8"))["run_config"]
         replay = argv_of(config)
         assert run(replay) == first_code
+        assert path.read_bytes() == first
+
+    # one case for each CSV layout besides charfn's, which test_csv_round_trip covers
+    CSV_CASES = [
+        ["enumerate", "--k", "3", "--N", "7", "--cap", "100"],
+        ["limit-charfn", "--alpha-re", "0.5", "--alpha-im", "0.25", "--lambda-grid", "0", "1", "3"],
+        ["dickman", "--alpha", "0.5", "--u-max", "2", "--step", "0.0005", "--points", "5"],
+        ["regions", "--tau-list", "0.2,0.6", "--eta-grid", "1.5", "3", "2"],
+        ["appendix", "--k", "2", "--alpha-im", "0.25", "--term", "2,1,1",
+         "--N-list", "1000,10000", "--lambda", "1"],
+    ]
+
+    @pytest.mark.parametrize("argv", CSV_CASES, ids=lambda argv: argv[0])
+    def test_csv_layouts_round_trip(self, argv, tmp_path):
+        path = tmp_path / "table.csv"
+        assert run([*argv, "--format", "csv", "--output", str(path)]) == 0
+        first = path.read_bytes()
+        header = first.decode("utf-8").splitlines()[1]
+        config = json.loads(header.removeprefix("# run-config: "))
+        assert config["format"] == "csv"
+        assert run(argv_of(config)) == 0
         assert path.read_bytes() == first
 
     def test_csv_round_trip(self, tmp_path):
@@ -304,6 +352,28 @@ class TestExitCodes:
         assert run(["partition", "--k", "2", "--N", "10", "--threads", "0"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["constant", "--k", "2", "--N-list", "inf,1e4,1e5"], "--N-list"),
+            (["charfn", "--k", "2", "--N", "10", "--lambda-grid", "0", "1", "nan"], "--lambda-grid"),
+            (["sum", "--k", "2", "--N", "30", "--R", "nan"], "--R"),
+            (["partition", "--k", "2", "--N", "10", "--alpha", "nan"], "--alpha"),
+            (["regions", "--tau-list", "0.5,nan", "--eta-list", "2"], "--tau-list"),
+        ],
+        ids=["constant", "charfn", "sum", "partition", "regions"],
+    )
+    def test_non_finite_number_is_usage_error(self, argv, flag, tmp_path, capsys):
+        assert invoke(argv, tmp_path) == (2, "")
+        assert f"{flag} " in capsys.readouterr().err
+
+    def test_grid_overflowing_to_infinity_is_domain_error(self, tmp_path, capsys):
+        # finite ends whose span overflows; written out in digits, because
+        # argparse reads "-1e308" as an option rather than a negative number
+        argv = ["limit-charfn", "--lambda-grid", "-1" + "0" * 308, "1e308", "3"]
+        assert invoke(argv, tmp_path) == (2, "")
+        assert "--lambda-grid" in capsys.readouterr().err
+
     def test_internal_key_error_propagates(self, monkeypatch):
         # a KeyError inside a handler is a bug, not a usage error: no exit 2
         import kfree.cli as cli_module
@@ -365,11 +435,22 @@ class TestThreads:
 
     @staticmethod
     def _fake_threadpoolctl(monkeypatch):
+        # Records each cap in the returned list and each restore in the
+        # fake module's ``restored`` list.
         calls = []
         fake = types.ModuleType("threadpoolctl")
-        fake.threadpool_limits = lambda limits: calls.append(limits)
+        fake.restored = []
+
+        class Limiter:
+            def __init__(self, limits):
+                calls.append(limits)
+                self.limits = limits
+
+            def restore_original_limits(self):
+                fake.restored.append(self.limits)
+
+        fake.threadpool_limits = Limiter
         monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-        monkeypatch.setattr(kfree.cli, "_THREAD_LIMITER", None)
         return calls
 
     def test_unapplied_cap_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
@@ -393,6 +474,18 @@ class TestThreads:
         assert calls == [2]
         assert capsys.readouterr().err == ""
         assert doc["run_config"]["threads"] == 2
+
+    def test_cap_is_restored_when_the_run_ends(self, tmp_path, monkeypatch):
+        # the cap belongs to one run: an in-process caller's later runs start uncapped
+        calls = self._fake_threadpoolctl(monkeypatch)
+        restored = sys.modules["threadpoolctl"].restored
+        assert invoke(["partition", "--k", "2", "--N", "10", "--threads", "2"], tmp_path)[0] == 0
+        assert calls == [2] and restored == [2]
+        # a run that fails after the cap is applied lifts it too
+        assert invoke(["charfn", "--k", "2", "--N", "10", "--threads", "3"], tmp_path)[0] == 2
+        assert calls == [2, 3] and restored == [2, 3]
+        assert invoke(["partition", "--k", "2", "--N", "10"], tmp_path)[0] == 0
+        assert calls == [2, 3] and restored == [2, 3]
 
 
 class TestHelp:
