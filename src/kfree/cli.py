@@ -48,6 +48,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -235,8 +236,21 @@ def _add_truncation(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads ``-1e-1``, ``-1E+2`` and ``-.5e3`` as numbers.
+
+    argparse's own negative-number pattern has no exponent, so it takes such a
+    value typed after its flag for an option.  kfree has no option that looks
+    like a number, so every match is a value.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kfree",
         description="Smooth sums over k-free integers with bounded prime factors.",
         epilog=_EPILOG,
@@ -520,7 +534,7 @@ def argv_of(run_config: Mapping) -> list[str]:
     argv suitable for :func:`run`.  The flags come from :func:`build_parser`:
     every option of the subcommand whose destination holds a value in the
     record is emitted under its first spelling, joined to its value by
-    ``=`` so that a negative value in exponent form is not read as a flag.
+    ``=`` so that no value can be read as a flag.
     Floats are rendered with ``repr`` so the replayed run resolves to
     bit-identical parameters; a sequence repeats an append flag and is
     comma-joined otherwise.

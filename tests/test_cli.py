@@ -133,8 +133,7 @@ class TestRoundTrip:
             id="charfn-alpha-im",
         ),
         pytest.param(
-            # repr writes these in exponent form, which argparse takes for an option
-            # unless it is joined to its flag by "="
+            # repr writes these in exponent form; argv_of joins them to their flags by "="
             ["charfn", "--k", "2", "--alpha-re=-1e-05", "--N", "13", "--lambda=-1e-05",
              "--lambda", "2"],
             id="charfn-negative-exponent-form",
@@ -384,6 +383,22 @@ class TestExitCodes:
         monkeypatch.setitem(cli_module._HANDLERS, "partition", broken)
         with pytest.raises(KeyError, match="internal"):
             run(["partition", "--k", "2", "--N", "10"])
+
+
+class TestNegativeExponentForm:
+    """A negative number in exponent form typed after its flag is a value."""
+
+    def test_alpha_after_its_flag(self, tmp_path):
+        code, spaced = invoke(["limit-charfn", "--alpha-re", "-1e-1", "--lambda", "1"], tmp_path)
+        assert code == 0
+        for alpha in (["--alpha-re", "-0.1"], ["--alpha-re=-1e-1"]):
+            assert invoke(["limit-charfn", *alpha, "--lambda", "1"], tmp_path) == (0, spaced)
+
+    @pytest.mark.parametrize("start,decimal", [("-1e-1", "-0.1"), ("-1E+2", "-100"), ("-.5e3", "-500")])
+    def test_lambda_grid_start(self, start, decimal, tmp_path):
+        code, text = invoke(["limit-charfn", "--lambda-grid", start, "1", "3"], tmp_path)
+        assert code == 0
+        assert invoke(["limit-charfn", "--lambda-grid", decimal, "1", "3"], tmp_path) == (0, text)
 
 
 class TestTruncationRules:

@@ -493,7 +493,71 @@ def charfn_by_enumeration(cfg, lam):
     return total / z
 
 
+def charfn_per_lambda(cfg, lams):
+    """phi_N one frequency at a time, as the exact evaluator did before its
+    frequency blocks: per lambda and per ``_CHUNK``-prime chunk, the Euler-product
+    kernel on the 1-d w = sum_t F_t(p) (e^{i lam t v_p} - 1)."""
+    lams = np.asarray(lams, dtype=float)
+    out_log = np.zeros(lams.shape, dtype=complex)
+    primes = sieve_primes(cfg.N).primes
+    for start in range(0, len(primes), ensemble._CHUNK):
+        p = primes[start : start + ensemble._CHUNK].astype(float)
+        v = np.log(p) / math.log(cfg.N)
+        rows = _marginal_rows(cfg.k, cfg.alpha, p)
+        for i, lam in enumerate(lams):
+            if lam == 0.0:
+                continue
+            w = np.zeros(p.shape, dtype=complex)
+            for t in range(1, cfg.k):
+                w += rows[t] * ensemble._cis_minus_one(lam * t * v)
+            out_log[i] += ensemble._log_euler(w)
+    out = np.exp(out_log)
+    out[lams == 0.0] = 1.0
+    return out
+
+
 class TestCharfn:
+    @pytest.mark.parametrize(
+        "k,alpha,N",
+        [(2, 1.0, 30), (2, -1.0, 40), (3, 0.5, 20), (3, 1 + 0.5j, 500), (4, 3.5 - 1j, 200),
+         (3, -1.5, 1000)],
+    )
+    def test_blocked_grid_is_the_per_lambda_product(self, k, alpha, N):
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
+        lams = np.concatenate([[0.0, -0.0, 1e-12], np.linspace(-300.0, 300.0, 1000)])
+        block = ensemble._CHUNK // len(sieve_primes(N).primes)
+        assert len(lams) % block and np.any(lams < 0) and np.any(lams == 0)
+        assert np.array_equal(CharfnEvaluator(cfg).grid(lams), charfn_per_lambda(cfg, lams))
+
+    def test_blocked_grid_across_a_chunk_boundary(self):
+        # the first chunk fills _CHUNK, so its block is one frequency
+        cfg = EnsembleConfig(k=2, alpha=1.0, N=2 * 10**5)
+        assert len(sieve_primes(cfg.N).primes) > ensemble._CHUNK
+        lams = [0.0, -7.5, 0.3, 120.0, 1e-9]
+        assert np.array_equal(CharfnEvaluator(cfg).grid(lams), charfn_per_lambda(cfg, lams))
+
+    def test_scalar_calls_equal_the_grid(self):
+        cfg = EnsembleConfig(k=3, alpha=1 + 0.5j, N=300)
+        ev = CharfnEvaluator(cfg)
+        for lam in (0.0, -2.5, 13.0):
+            want = ev.grid([lam])[0]
+            assert ev(lam) == want
+            assert ensemble_charfn(cfg, lam) == want
+
+    def test_far_branch_row_sums_on_a_block(self):
+        # at (2, 1.9, 30) the factor of p = 2 is 1 + w = 0.026 where lambda v_2 = pi
+        cfg = EnsembleConfig(k=2, alpha=1.9, N=30)
+        p = sieve_primes(cfg.N).primes.astype(float)
+        v = np.log(p) / math.log(cfg.N)
+        lams = np.array([math.pi / v[0], 0.5, -3.0, 2 * math.pi / v[1], 40.0])
+        w = _marginal_rows(cfg.k, cfg.alpha, p)[1] * ensemble._cis_minus_one(lams[:, None] * v)
+        assert np.any(np.abs(w) >= 0.5) and np.min(np.abs(1.0 + w)) < 0.03
+        got = ensemble._log_euler(w)
+        assert got.shape == lams.shape
+        assert np.array_equal(got, [ensemble._log_euler(row) for row in w])
+        # without the |w| >= 1/2 branch the first row is off by about 3e-14
+        assert np.exp(got) == pytest.approx(np.prod(1.0 + w, axis=1), rel=1e-14, abs=0)
+
     def test_zero_frequency_is_exactly_one(self):
         cfg = EnsembleConfig(k=2, alpha=1 + 1j, N=100)
         assert ensemble_charfn(cfg, 0.0) == 1.0
