@@ -4,8 +4,8 @@ Two styles serve the package:
 
 * :func:`complex_quad` wraps ``scipy.integrate.quad`` for complex-valued
   integrands with an aggregated error estimate and a tolerance check;
-* :func:`gauss_panels` builds composite Gauss-Legendre node/weight grids so
-  that vectorized integrand evaluators (prime products, cached transforms)
+* :func:`gauss_panels` builds a composite Gauss-Legendre :class:`PanelGrid`
+  so that vectorized integrand evaluators (prime products, cached transforms)
   can be applied to the whole grid at once and reduced with a dot product.
 """
 
@@ -15,11 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .errors import ToleranceError
 
-__all__ = ["complex_quad", "gauss_panels"]
+__all__ = ["PanelGrid", "complex_quad", "gauss_panels"]
 
 
 def complex_quad(func, a, b, tol: float = 1e-10, limit: int = 400):
@@ -30,6 +29,7 @@ def complex_quad(func, a, b, tol: float = 1e-10, limit: int = 400):
     :class:`ToleranceError` when the reported error exceeds ``50 * tol``,
     which is how non-convergence surfaces from the adaptive routine.
     """
+    from scipy.integrate import quad  # imported on use: it slows `import kfree`
     re, re_err = quad(lambda x: func(x).real, a, b, epsabs=tol, epsrel=tol, limit=limit)
     im, im_err = quad(lambda x: func(x).imag, a, b, epsabs=tol, epsrel=tol, limit=limit)
     err = re_err + im_err
@@ -40,26 +40,59 @@ def complex_quad(func, a, b, tol: float = 1e-10, limit: int = 400):
     return complex(re, im), float(err)
 
 
+def _cis(theta: np.ndarray) -> np.ndarray:
+    """e^{i*theta} from one cos and one sin pass written into a complex array."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+class PanelGrid:
+    """Nodes lam = m + t, every panel centre m plus each offset t, centre by centre in ``points``.
+
+    It reads as its node array (``np.asarray(grid)``, ``grid.size``); its phases e^{i m v} e^{i t v}
+    cost a (centres, len(v)) and an (offsets, len(v)) cos/sin pass, not a (nodes, len(v)) one.
+    :meth:`of` reads plain nodes as centres with the one offset 0, whose factor is exactly 1 + 0j.
+    """
+
+    def __init__(self, centres, offsets, weights=None):
+        self.centres = np.atleast_1d(np.asarray(centres, dtype=float)).ravel()
+        self.offsets = np.asarray(offsets, dtype=float)
+        self.weights = weights
+        self.points = (self.centres[:, None] + self.offsets).ravel()
+        self.size = self.points.size
+
+    @classmethod
+    def of(cls, lams) -> "PanelGrid":
+        return lams if isinstance(lams, cls) else cls(lams, np.zeros(1))
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.points, dtype=dtype, copy=copy)
+
+    def phase_factors(self, v: np.ndarray, block: int):
+        """Yield (lo, hi, e^{i m v}, e^{i t v}) for the centres m = centres[lo:hi], ``block`` at a time."""
+        shift = _cis(np.outer(self.offsets, v))
+        for lo in range(0, self.centres.size, block):
+            yield lo, lo + block, _cis(np.outer(self.centres[lo : lo + block], v)), shift
+
+
 @lru_cache(maxsize=None)
 def _leggauss(nodes: int):
-    x, w = leggauss(nodes)
-    return x, w
+    return leggauss(nodes)
 
 
-def gauss_panels(a: float, b: float, n_panels: int, nodes: int = 16):
-    """Composite Gauss-Legendre grid on [a, b]: returns (points, weights).
+def gauss_panels(a: float, b: float, n_panels: int, nodes: int = 16) -> PanelGrid:
+    """Composite Gauss-Legendre grid on [a, b] with its weights.
 
     The grid integrates polynomials of degree 2*nodes - 1 exactly on each of
-    the ``n_panels`` equal panels; callers evaluate their integrand on
-    ``points`` in one vectorized pass and reduce with ``weights``.
+    the ``n_panels`` equal panels; callers evaluate their integrand on the
+    grid in one vectorized pass and reduce with ``weights``.  Centres count
+    from the midpoint of [a, b], so [-R, R] gives exactly symmetric nodes.
     """
     if n_panels < 1:
         raise ValueError("n_panels must be >= 1")
     xg, wg = _leggauss(int(nodes))
-    edges = np.linspace(float(a), float(b), n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    points = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return points, weights
-
+    half = 0.5 * (float(b) - float(a)) / n_panels
+    centres = 0.5 * (float(a) + float(b)) + (2 * np.arange(n_panels) - (n_panels - 1)) * half
+    return PanelGrid(centres, half * xg, np.tile(half * wg, n_panels))

@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._quad import PanelGrid
 from .errors import DegenerateConfigError, DomainError, SizeCapError
 from .primes import PrimeTable, sieve_primes
 from .specfun import exp_integral_e1
@@ -554,14 +555,6 @@ def cancellation_check(k: int, alpha: complex, l: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _cis(theta: np.ndarray) -> np.ndarray:
-    """e^{i*theta} from one cos and one sin pass written into a complex array."""
-    out = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out
-
-
 def _cis_minus_one(theta: np.ndarray) -> np.ndarray:
     """e^{i*theta} - 1 without cancellation: -2 sin^2(theta/2) + i sin(theta)."""
     half = np.sin(0.5 * theta)
@@ -708,9 +701,10 @@ class FastCharfn:
     (a j = 0 moment at v_p).  A frequency pays for the direct head and the
     cells (318 primes and 343 cells, 87 of them mid, on the R = 360 grid at
     N = 10^6, k = 2, against 1229 head primes and 4096 buckets): per block
-    of L frequencies, one (L, P) and one (L, cells) cos/sin pass, degree - 1
-    in-place products and per degree one (L, cells) @ (cells, J) GEMM,
-    combined by Horner.
+    of L nodes lambda = m + t, whole panels of a ``PanelGrid`` (plain nodes
+    have the one offset t = 0), one (panels, P + cells) cos/sin pass times
+    the offsets' phases e^{i t v}, degree - 1 in-place products and per
+    degree one (L, cells) @ (cells, J) GEMM, combined by Horner.
 
     The build costs O(pi(N)) once.  After the bucket means (one pass over
     v_p), the tail primes are visited in chunks of ``_BUILD_CHUNK``: per
@@ -736,8 +730,6 @@ class FastCharfn:
         head_limit: int = _FAST_HEAD_LIMIT,
         buckets: int = 4096,
     ):
-        if cfg.k > 4:
-            raise DomainError("FastCharfn supports k <= 4")
         self.cfg = cfg
         self.table = sieve_primes(cfg.N)
         self.log_n = math.log(cfg.N)
@@ -860,14 +852,17 @@ class FastCharfn:
         return float(phase + self._log_remainder + cell.sum() + points.sum())
 
     def grid(self, lams, block: int = 256) -> np.ndarray:
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
+        grid = PanelGrid.of(lams)
+        lams, per = grid.points, grid.offsets.size
         out = np.empty(lams.shape, dtype=complex)
         half, centres, cell_moments = self._cells(np.max(np.abs(lams), initial=0.0))
-        for start in range(0, lams.size, block):
-            lam = lams[start : start + block]
+        v = np.concatenate([centres, self._head_v])
+        for lo, hi, em, et in grid.phase_factors(v, max(1, block // per)):
+            lam = lams[lo * per : hi * per]
+            phases = (em[:, None] * et).reshape(lam.size, v.size)
             # tail: per degree d, one (L, C) @ (C, J) product against the cell
             # moments, combined by Horner in t = i lam d H / 2
-            base = _cis(np.outer(lam, centres))  # (L, C)
+            base, hphase = phases[:, : centres.size], phases[:, centres.size :]
             phase = base.copy()
             acc = np.full(lam.shape, complex(self._moments[0, 0].sum() + self._mid_c[0].sum()))
             for d in range(1, self._degree + 1):
@@ -877,13 +872,12 @@ class FastCharfn:
                 acc += functools.reduce(lambda s, m_n: s * t + m_n, (phase @ cell_moments[d - 1]).T[::-1])
             # head: z_p = sum_t F_t(p) X^t by Horner in X = e^{i lam v_p}, multiplied
             # directly (equal to exponentiating the sum of principal logs)
-            hphase = _cis(np.outer(lam, self._head_v))  # (L, H)
             z = np.zeros_like(hphase)
             for row in self._head_rows[:0:-1]:
                 z += row
                 z *= hphase
             z += self._head_rows[0]
-            out[start : start + lam.size] = np.prod(z, axis=1) * np.exp(acc)
+            out[lo * per : hi * per] = np.prod(z, axis=1) * np.exp(acc)
         out[lams == 0.0] = 1.0
         return out
 

@@ -29,9 +29,8 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
-from ._quad import gauss_panels
+from ._quad import PanelGrid, gauss_panels
 from .dickman import charfn_limit_grid
 from .ensemble import (
     CharfnEvaluator,
@@ -97,11 +96,10 @@ class CutoffDescriptor:
     # smooth_sum_spectral).
     jumps: tuple = ()
 
-    def transform_grid(self, lams: np.ndarray) -> np.ndarray:
-        lams = np.asarray(lams, dtype=float)
+    def transform_grid(self, lams) -> np.ndarray:
         if self.transform_batch is not None:
             return self.transform_batch(lams)
-        return np.array([self.transform(float(l)) for l in lams], dtype=complex)
+        return np.array([self.transform(float(l)) for l in np.asarray(lams, dtype=float)], dtype=complex)
 
 
 # -- indicator of [0, 1] ----------------------------------------------------
@@ -137,20 +135,21 @@ def _bump_evaluate(u: float) -> float:
     return math.exp(-1.0 / (1.0 - u * u))
 
 
-# frequencies per block of the bump transform: a 256 x 2000 cos matrix is 4 MB
-_BUMP_BLOCK = 256
+# distinct |m| per block of the bump transform: a 64 x 2000 phase matrix is 2 MB
+_BUMP_BLOCK = 64
 
 
 @lru_cache(maxsize=None)
 def _bump_nodes():
     """Cached Gauss-Legendre grid of the bump profile on [0, 1].
 
-    100 panels x 20 nodes resolve cos(lam*u) to machine precision for
-    lam up to ~500 (about 0.6 oscillation periods per panel).
+    100 panels x 20 nodes resolve cos(lam*u) to machine precision up to the
+    largest panel grid, R = 1024: against mpmath the rule is off by at most
+    3.1e-17 absolute at lam in {100, 500, 800, 1024}.
     """
-    x, w = gauss_panels(0.0, 1.0, 100, 20)
-    g = np.array([_bump_evaluate(float(xi)) for xi in x])
-    return x, w * g
+    grid = gauss_panels(0.0, 1.0, 100, 20)
+    g = np.array([_bump_evaluate(float(xi)) for xi in grid.points])
+    return grid.points, grid.weights * g
 
 
 def bump_transform(lam: float, tol: float = 1e-12) -> float:
@@ -160,6 +159,7 @@ def bump_transform(lam: float, tol: float = 1e-12) -> float:
     e^{-1/(1-u^2)} cos(lam*u) du; the cos-weighted adaptive rule reports a
     per-call error estimate checked against ``tol``.
     """
+    from scipy.integrate import quad  # imported on use: it slows `import kfree`
     val, err = quad(
         _bump_evaluate, 0.0, 1.0, weight="cos", wvar=abs(float(lam)),
         epsabs=tol, epsrel=0.0, limit=400,
@@ -169,20 +169,22 @@ def bump_transform(lam: float, tol: float = 1e-12) -> float:
     return val / math.pi
 
 
-def _bump_transform_batch(lams: np.ndarray) -> np.ndarray:
-    """fhat on an array of frequencies by the cached Gauss rule.
+def _bump_transform_batch(lams) -> np.ndarray:
+    """fhat on a panel grid (or plain nodes) by the cached Gauss rule.
 
-    fhat is even and cos(-x) == cos(x), so each distinct |lam| is evaluated
-    once, over blocks of ``_BUMP_BLOCK`` frequencies: memory stays at one
-    (block, nodes) cos matrix instead of (frequencies, nodes).
+    At lam = m + t, cos(lam x) = Re[e^{i|m|x} e^{ist x}] with s the sign of m:
+    one complex GEMM (e^{i|m|x} wg) @ e^{ist x} per block of ``_BUMP_BLOCK``
+    distinct |m| and the distinct s t.  The nodes +-lam of a symmetric grid
+    read the same entry, so fhat is exactly even.
     """
-    lams = np.asarray(lams, dtype=float)
+    grid = PanelGrid.of(lams)
     x, wg = _bump_nodes()
-    mags, inverse = np.unique(np.abs(lams).ravel(), return_inverse=True)
-    vals = np.empty(mags.size)
-    for start in range(0, mags.size, _BUMP_BLOCK):
-        vals[start : start + _BUMP_BLOCK] = np.cos(np.outer(mags[start : start + _BUMP_BLOCK], x)) @ wg
-    return (vals[inverse].reshape(lams.shape) / math.pi).astype(complex)
+    mags, row = np.unique(np.abs(grid.centres), return_inverse=True)
+    shifts, col = np.unique(np.where(grid.centres < 0, -1.0, 1.0)[:, None] * grid.offsets, return_inverse=True)
+    vals = np.empty((mags.size, shifts.size))
+    for lo, hi, em, et in PanelGrid(mags, shifts).phase_factors(x, _BUMP_BLOCK):
+        vals[lo:hi] = ((em * wg) @ et.T).real
+    return (vals[np.repeat(row, grid.offsets.size), col.ravel()] / math.pi).astype(complex)
 
 
 def _bump_transform_bound(lam: float) -> float:
@@ -208,9 +210,9 @@ def _bump01_evaluate(u: float) -> float:
     return _bump_evaluate(2.0 * u - 1.0)
 
 
-def _bump01_transform_batch(lams: np.ndarray) -> np.ndarray:
-    lams = np.asarray(lams, dtype=float)
-    return np.exp(-0.5j * lams) * 0.5 * _bump_transform_batch(0.5 * lams)
+def _bump01_transform_batch(lams) -> np.ndarray:
+    g = PanelGrid.of(lams)
+    return np.exp(-0.5j * g.points) * 0.5 * _bump_transform_batch(PanelGrid(0.5 * g.centres, 0.5 * g.offsets))
 
 
 def _bump01_tail(R: float) -> float:
@@ -307,6 +309,7 @@ def fourier_transform(f: CutoffDescriptor, lam: float, tol: float = 1e-9) -> com
     Deliberately ignores the descriptor's own transform so it can serve as an
     independent cross-check of the closed forms and cached grids.
     """
+    from scipy.integrate import quad  # imported on use: it slows `import kfree`
     lo, hi = f.support if f.support is not None else (-40.0, 40.0)
     lam = float(lam)
     re, re_err = quad(
@@ -386,7 +389,7 @@ _PANEL_WIDTH = 1.0
 _PANEL_NODES = 16
 
 
-def _symmetric_grid(R: float, coarse: bool = False):
+def _symmetric_grid(R: float, coarse: bool = False) -> PanelGrid:
     half = max(1, int(math.ceil(R / _PANEL_WIDTH)))
     if coarse:
         half = max(1, half // 2)
@@ -399,16 +402,16 @@ _transform_node_cache: dict = {}
 def _frequency_integral(values, f: CutoffDescriptor, R: float, coarse: bool = False) -> complex:
     """Panel quadrature of values(lam) * fhat(lam) over |lam| <= R.
 
-    ``values`` maps the panel nodes to the other factor (a characteristic
-    function on a grid).  fhat on the nodes is cached per cutoff name, R and
-    node count.
+    ``values`` maps the :class:`PanelGrid` (which may factor its phases) to
+    the other factor, a characteristic function on a grid.  fhat on the
+    nodes is cached per cutoff name, R and node count.
     """
-    pts, w = _symmetric_grid(R, coarse)
-    key = (f.name, round(R, 12), len(pts))
+    grid = _symmetric_grid(R, coarse)
+    key = (f.name, round(R, 12), grid.size)
     fhat = _transform_node_cache.get(key)
     if fhat is None:
-        fhat = _transform_node_cache[key] = f.transform_grid(pts)
-    return complex(np.dot(w, values(pts) * fhat))
+        fhat = _transform_node_cache[key] = f.transform_grid(grid)
+    return complex(np.dot(grid.weights, values(grid) * fhat))
 
 
 def _atom_correction(cfg: EnsembleConfig, f: CutoffDescriptor) -> complex:

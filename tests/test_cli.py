@@ -53,6 +53,15 @@ class TestNamedExamples:
         assert abs(value["re"] - 1.0) <= 1e-13
         assert abs(value["im"]) <= 1e-13
 
+    def test_charfn_fast_path_at_k_five(self, tmp_path):
+        # N > 10^4 takes FastCharfn, which serves every k >= 2
+        argv = ["charfn", "--k", "5", "--alpha", "1", "--N", "100000", "--lambda", "3"]
+        code, doc = invoke_json(argv, tmp_path)
+        assert code == 0
+        value = complex(doc["result"]["value"]["re"], doc["result"]["value"]["im"])
+        exact = kfree.CharfnEvaluator(kfree.EnsembleConfig(k=5, alpha=1.0, N=100000))(3.0)
+        assert abs(value / exact - 1.0) <= 1e-10
+
     def test_example_chain_passes(self, tmp_path):
         code, doc = invoke_json(["example", "--r", "5", "--M", "1000"], tmp_path)
         assert code == 0

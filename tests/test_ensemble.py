@@ -11,6 +11,7 @@ Oracles used here, in decreasing order of independence:
 """
 
 import copy
+import functools
 import math
 import tracemalloc
 import warnings
@@ -21,6 +22,7 @@ import pytest
 import scipy.special
 
 from kfree import ensemble
+from kfree._quad import PanelGrid, _cis
 from kfree.ensemble import (
     CharfnEvaluator,
     EnsembleConfig,
@@ -780,6 +782,31 @@ CELL_CASES = [(2, 1.0), (2, -1.0), (3, 1 + 0.5j), (4, 3.5 - 1j)]
 MID_CASES = [*CELL_CASES, (3, -1.5)]
 
 
+def unfactored_grid(fast, lams, block=256):
+    """FastCharfn.grid with every phase from one cos/sin of lambda * v, as before panel phases."""
+    out = np.empty(lams.shape, dtype=complex)
+    half, centres, cell_moments = fast._cells(np.max(np.abs(lams), initial=0.0))
+    for start in range(0, lams.size, block):
+        lam = lams[start : start + block]
+        base = _cis(np.outer(lam, centres))
+        phase = base.copy()
+        acc = np.full(lam.shape, complex(fast._moments[0, 0].sum() + fast._mid_c[0].sum()))
+        for d in range(1, fast._degree + 1):
+            if d > 1:
+                phase *= base
+            t = 1j * lam * (d * half)
+            acc += functools.reduce(lambda s, m_n: s * t + m_n, (phase @ cell_moments[d - 1]).T[::-1])
+        hphase = _cis(np.outer(lam, fast._head_v))
+        z = np.zeros_like(hphase)
+        for row in fast._head_rows[:0:-1]:
+            z += row
+            z *= hphase
+        z += fast._head_rows[0]
+        out[start : start + lam.size] = np.prod(z, axis=1) * np.exp(acc)
+    out[lams == 0.0] = 1.0
+    return out
+
+
 def scan_grid_nodes():
     """Every 8th node of the R = 360 panel grid and both ends (1441 of 11,520).
 
@@ -787,7 +814,7 @@ def scan_grid_nodes():
     layout of the whole grid; the per-bucket oracle on all 11,520 nodes
     would take about 4 s per case.
     """
-    pts = _symmetric_grid(360.0)[0]
+    pts = _symmetric_grid(360.0).points
     return np.concatenate([pts[:-1:8], pts[-1:]])
 
 
@@ -878,9 +905,34 @@ class TestFastCharfn:
         fast = FastCharfn(EnsembleConfig(k=3, alpha=1 + 0.5j, N=10**6))
         assert fast.grid([0.0])[0] == 1.0
 
-    def test_rejects_large_k(self):
-        with pytest.raises(DomainError):
-            FastCharfn(EnsembleConfig(k=5, alpha=1.0, N=10**6))
+    @pytest.mark.parametrize("N", [10**5, 10**6])
+    @pytest.mark.parametrize("k,alpha", [(5, 1.0), (5, 1 + 0.5j), (6, 1.0), (6, -1.5), (8, 1.0)])
+    def test_large_k_agrees_with_exact_within_bound(self, table_1e6, k, alpha, N):
+        # Nothing in the expansion is specific to small k: the log series is
+        # of order 4 in w for every k, so k = 5, 6 and 8 meet the same bound.
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
+        fast = FastCharfn(cfg)
+        lams = np.array([0.5, 3.0, 20.0, 100.0, 300.0])
+        ratio = fast.grid(lams) / CharfnEvaluator(cfg).grid(lams)
+        for lam, r in zip(lams, ratio):
+            assert abs(r - 1.0) <= math.expm1(fast.truncation_bound(lam)) + 1e-13
+
+    @pytest.mark.parametrize("k,alpha", [(2, 1.0), (2, -1.0), (3, 1 + 0.5j)])
+    def test_panel_phases_match_plain_nodes(self, table_1e6, k, alpha):
+        # A panel grid's phases e^{i m v} e^{i t v} give the values of its
+        # plain nodes, on every 32nd panel of the R = 8, 360 and 1024 grids,
+        # fine and coarse (the last panel keeps max|lambda|, so the layout).
+        # Either path rounds each phase to about eps |lambda v|, so the
+        # tolerance grows with max|lambda| past 360.  On plain nodes the
+        # grid is the unfactored evaluation, bit for bit.
+        fast = FastCharfn(EnsembleConfig(k=k, alpha=alpha, N=10**6))
+        for R in (8.0, 360.0, 1024.0):
+            for coarse in (False, True):
+                grid = _symmetric_grid(R, coarse)
+                grid = PanelGrid(np.append(grid.centres[:-1:32], grid.centres[-1]), grid.offsets)
+                plain = fast.grid(grid.points)
+                assert np.max(np.abs(fast.grid(grid) / plain - 1.0)) <= 1e-14 * max(1.0, R / 360.0)
+                assert np.array_equal(plain, unfactored_grid(fast, grid.points))
 
     @pytest.mark.parametrize("k,alpha", [(2, -1.0), (3, 1 + 0.5j)])
     def test_dense_grid_across_blocks(self, table_1e6, k, alpha):

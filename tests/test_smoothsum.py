@@ -11,9 +11,11 @@ import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
+from kfree._quad import PanelGrid
 from kfree.ensemble import (
     CharfnEvaluator,
     EnsembleConfig,
@@ -109,27 +111,52 @@ class TestBuiltinCutoffs:
 
     def test_bump_batch_blocked_on_distinct_magnitudes(self):
         # The 49,536 transform nodes of the small CLI runs (the R = 8 and
-        # R = 1024 panel grids, fine and coarse): the blocked transform equals
-        # the whole-matrix product, is exactly even, and peaks at about 10 MB
-        # under tracemalloc where the whole (nodes x 2000) cos matrix and its
-        # argument took 32 kB a node (1.6 GB here, 62.5 MB for 2048 nodes).
-        lams = np.concatenate(
-            [_symmetric_grid(R, coarse)[0] for R in (8.0, 1024.0) for coarse in (False, True)]
-        )
+        # R = 1024 panel grids, fine and coarse): the transform is exactly
+        # even, and it peaks well under 24 MiB under tracemalloc where the
+        # whole (nodes x 2000) cos matrix and its argument took 32 kB a node
+        # (1.6 GB here, 62.5 MB for 2048 nodes).  Oracle: the same Gauss sum
+        # in 40-digit mpmath, at the six nodes where the factored grid path
+        # and the plain-node path differ most; both stay within 2e-16 there
+        # (about 3e-15 of max|fhat|), which the unfactored cos product also
+        # meets (it is off by up to 1.6e-16 at these nodes).
+        grids = [_symmetric_grid(R, coarse) for R in (8.0, 1024.0) for coarse in (False, True)]
+        lams = np.concatenate([g.points for g in grids])
         assert lams.size == 49536
-        x, wg = _bump_nodes()
-        want = np.concatenate(
-            [np.cos(np.outer(lams[i : i + 1024], x)) @ wg / math.pi for i in range(0, lams.size, 1024)]
-        )
         tracemalloc.start()
         try:
-            got = _bump_transform_batch(lams)
+            got = np.concatenate([_bump_transform_batch(g) for g in grids])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        assert np.array_equal(_bump_transform_batch(-lams), got)
+        mirrored = [PanelGrid(-g.centres, -g.offsets) for g in grids]
+        assert np.array_equal(np.concatenate([_bump_transform_batch(g) for g in mirrored]), got)
+        plain = _bump_transform_batch(lams)
+        ends = np.cumsum([0] + [g.size for g in grids])
+        for g, lo, hi in zip(grids, ends, ends[1:]):  # a symmetric grid reversed is the grid negated
+            assert np.array_equal(g.points[::-1], -g.points)
+            assert np.array_equal(got[lo:hi][::-1], got[lo:hi])
+            assert np.array_equal(plain[lo:hi][::-1], plain[lo:hi])
+        x, wg = _bump_nodes()
+        with mpmath.workdps(40):
+            for i in np.argsort(-np.abs(got - plain))[:6]:
+                lam = mpmath.mpf(float(lams[i]))
+                want = mpmath.fsum(mpmath.mpf(float(w)) * mpmath.cos(lam * float(u)) for u, w in zip(x, wg)) / mpmath.pi
+                assert abs(got[i].real - want) <= 2e-16
+                assert abs(plain[i].real - want) <= 2e-16
+
+    @pytest.mark.parametrize("name", ["indicator", "bump", "bump01", "gaussian"])
+    def test_panel_grid_matches_its_plain_nodes(self, name):
+        # The factored phases of a panel grid give the values of its plain
+        # nodes, on every 16th panel of the R = 8, 360 and 1024 grids, fine
+        # and coarse: each path is within 2e-16 of the mpmath Gauss sum (see
+        # above), so the two differ by at most twice that.
+        f = get_cutoff(name)
+        for R in (8.0, 360.0, 1024.0):
+            for coarse in (False, True):
+                grid = _symmetric_grid(R, coarse)
+                grid = PanelGrid(np.append(grid.centres[:-1:16], grid.centres[-1]), grid.offsets)
+                assert np.max(np.abs(f.transform_grid(grid) - f.transform_grid(grid.points))) <= 4e-16
 
     @pytest.mark.parametrize("name", ["indicator", "bump", "bump01", "gaussian"])
     def test_batch_matches_single_and_quadrature(self, name):
