@@ -10,26 +10,29 @@ function.  The head term integrates
 
 by the composite midpoint rule on [0, r] (doubled by evenness), with the
 curvature envelope r*h^2/24 * max|F''| and |F''| <= 1/2 re-verified
-numerically.  Note the normalization split, which the frozen report targets
-pin down: the head uses the plain cosine transform G (no 1/(2pi)), while
-the tail term keeps the envelope stated for the frequency-normalized
-transform G/(2pi) -- |G/(2pi)| <= (3/2pi) e^{-sqrt(lam)} lam^{-3/4} --
-integrated against |Re phi_limit(-1)| <= e^gamma, giving
-(6 e^gamma / sqrt(pi)) * erfc(r^{1/4}).  The final chain must clear 3/100
-plus a 1/2500 allowance for the imaginary part.
+numerically.  G is 2pi times ``smoothsum.bump_transform``, the cached Gauss
+rule of the spectral route, and every step evaluates whole arrays: the
+midpoints and the curvature nodes go to it as uniform panel grids.  Note the
+normalization split, which the frozen report targets pin down: the head
+uses the plain cosine transform G (no 1/(2pi)), while the tail term keeps
+the envelope stated for the frequency-normalized transform G/(2pi) --
+|G/(2pi)| <= (3/2pi) e^{-sqrt(lam)} lam^{-3/4} -- integrated against
+|Re phi_limit(-1)| <= e^gamma, giving (6 e^gamma / sqrt(pi)) *
+erfc(r^{1/4}).  The final chain must clear 3/100 plus a 1/2500 allowance
+for the imaginary part.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from ._quad import PanelGrid
 from .errors import DomainError
 from .smoothsum import bump_transform
-from .specfun import EULER_GAMMA, cosine_integral, sine_integral
+from .specfun import EULER_GAMMA, ci_si_values
 
 __all__ = [
     "ExampleReport",
@@ -49,38 +52,42 @@ IMAGINARY_MARGIN = 1.0 / 2500.0
 TARGET = 3.0 / 100.0
 
 
-@lru_cache(maxsize=None)
-def _plain_transform(lam: float) -> float:
-    """Plain cosine transform of the bump: adaptive to 1e-12, cached.
+#: offsets per panel of the uniform grids handed to ``bump_transform``
+_OFFSETS = 64
 
-    G(lam) = integral over [-1, 1] of f(u) cos(lam*u) du, i.e. 2pi times
-    the frequency-normalized transform used by the cutoff descriptors.
+
+def _uniform_grid(h: float, count: int, shift: float = 0.0) -> PanelGrid:
+    """The nodes h*(j + shift) for j = 0, 1, ... in panels of ``_OFFSETS``.
+
+    The last panel runs past j = count - 1; callers keep the first ``count``
+    values.  The bump transform then pays (panels + _OFFSETS) phase rows
+    instead of one per node.
     """
-    return 2.0 * math.pi * bump_transform(lam, tol=1e-12)
+    return PanelGrid(h * np.arange(0, count, _OFFSETS), h * (np.arange(_OFFSETS) + shift))
 
 
-def limit_charfn_real_part(lam: float) -> float:
-    """Re of the alpha = -1 limiting characteristic function.
+def limit_charfn_real_part(lam):
+    """Re of the alpha = -1 limiting characteristic function, on a scalar or an array.
 
     Explicit closed form e^{gamma - Ci(lam)} * lam * cos(Si(lam)), even in
     lam, equal to 1 at lam = 0 (the removable limit: Ci(lam) ~ gamma +
     log lam there) and bounded by e^gamma everywhere.
     """
-    lam = abs(float(lam))
-    if lam == 0.0:
-        return 1.0
-    ci = cosine_integral(lam).value.real
-    si = sine_integral(lam).value.real
-    return math.exp(EULER_GAMMA - ci) * lam * math.cos(si)
+    a = np.abs(np.asarray(lam, dtype=float))
+    out = np.ones(a.shape)
+    nz = a > 0.0
+    ci, si = ci_si_values(a[nz])
+    out[nz] = np.exp(EULER_GAMMA - ci) * a[nz] * np.cos(si)
+    return out if out.ndim else float(out)
 
 
-def integrand_F(lam: float) -> float:
-    """F(lam) = G(lam) * Re phi_limit(-1)(lam); even in lam.
+def integrand_F(lam):
+    """F(lam) = G(lam) * Re phi_limit(-1)(lam) on a scalar, an array or a PanelGrid; even in lam.
 
     At lam = 0 this is G(0), the total mass of the bump profile.
     """
-    lam = abs(float(lam))
-    return _plain_transform(lam) * limit_charfn_real_part(lam)
+    values = 2.0 * math.pi * bump_transform(lam).real * limit_charfn_real_part(np.asarray(lam, dtype=float))
+    return values if np.ndim(lam) else float(values[0])
 
 
 def second_derivative_max(r: float, step: float = 1e-3) -> float:
@@ -89,11 +96,10 @@ def second_derivative_max(r: float, step: float = 1e-3) -> float:
     The curvature bound feeding the midpoint-rule envelope is re-measured
     rather than assumed; evenness supplies the one-sided stencil at 0.
     """
-    if r <= 0.0:
-        raise DomainError("second_derivative_max requires r > 0")
+    if not 0.0 < step <= 0.5 * r:
+        raise DomainError("second_derivative_max requires r > 0 and 0 < step <= r/2")
     n = int(round(r / step))
-    grid = np.arange(n + 1) * step
-    vals = np.array([integrand_F(float(l)) for l in grid])
+    vals = integrand_F(_uniform_grid(step, n + 1))[: n + 1]
     interior = np.abs(vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / step**2
     at_zero = abs(2.0 * (vals[1] - vals[0])) / step**2
     return float(max(np.max(interior), at_zero))
@@ -164,8 +170,7 @@ def reproduce_example(r: float = 5.0, M: int = 1000) -> ExampleReport:
         raise DomainError("reproduce_example requires M >= 1")
     M = int(M)
     h = r / M
-    mids = h * (np.arange(1, M + 1) - 0.5)
-    midpoint_sum = 2.0 * h * math.fsum(integrand_F(float(l)) for l in mids)
+    midpoint_sum = 2.0 * h * math.fsum(integrand_F(_uniform_grid(h, M, 0.5))[:M])
     fpp_max = second_derivative_max(r)
     step_bound = h * h * r / 24.0
     tail = tail_bound(r)

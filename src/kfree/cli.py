@@ -57,7 +57,7 @@ import numpy as np
 
 from . import __version__
 from .certify import reproduce_example
-from .dickman import charfn_limit, rho_at, solve_rho, w_density, w_integral
+from .dickman import charfn_limit_grid, rho_at, solve_rho, w_density, w_integral
 from .ensemble import (
     EnsembleConfig,
     charfn_for,
@@ -643,7 +643,7 @@ def _cmd_charfn(config: RunConfig) -> _Artifact:
 
 def _cmd_limit_charfn(config: RunConfig) -> _Artifact:
     lams = _require_lambdas(config)
-    values = [charfn_limit(config.alpha, lam) for lam in lams]
+    values = charfn_limit_grid(config.alpha, lams)
     result, csv = _charfn_rows(values, lams)
     return _Artifact(result=result, csv=csv)
 

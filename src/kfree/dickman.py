@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, SizeCapError
 from .primes import sieve_primes
 from .specfun import EULER_GAMMA, ci_si_values, cin_values, exp_integral_e1
 
@@ -64,6 +64,9 @@ __all__ = [
 ]
 
 _DEFAULT_PRIME_LIMIT = 10**7
+
+#: largest grid solve_rho allocates, in nodes u = 0, step, ..., u_max (32 MiB per array)
+RHO_NODE_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -143,10 +146,12 @@ def solve_rho(alpha: float, u_max: float = 12.0, step: float = 1e-3) -> RhoGrid:
     alpha = float(alpha)
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"solve_rho requires real alpha in (0, 2), got {alpha}")
-    if u_max < 1.0:
+    if not u_max >= 1.0:
         raise DomainError("u_max must be >= 1")
-    if step > 1e-3 + 1e-15:
-        raise DomainError("step must be <= 1e-3")
+    if not 0.0 < step <= 1e-3 + 1e-15:
+        raise DomainError("step must be in (0, 1e-3]")
+    if u_max / step + 1.0 > RHO_NODE_CAP:
+        raise SizeCapError(f"u_max/step = {u_max / step:.3g} steps exceeds the {RHO_NODE_CAP}-node grid cap")
     m = int(round(1.0 / step))
     if abs(m * step - 1.0) > 1e-12:
         raise DomainError("step must divide 1 exactly (unit delay on the grid)")
@@ -337,15 +342,11 @@ class CharFnLimit:
 
 
 def charfn_limit(alpha: complex, lam: float) -> complex:
-    """Limiting characteristic function exp(alpha * g(lam)); exactly 1 at 0."""
-    lam = float(lam)
-    if lam == 0.0:
-        return 1.0 + 0.0j
-    a = abs(lam)
-    cin = float(cin_values(np.array([a]))[0])
-    si = float(ci_si_values(np.array([a]))[1][0])
-    g = -cin + 1j * math.copysign(1.0, lam) * si
-    return complex(np.exp(complex(alpha) * g))
+    """Limiting characteristic function exp(alpha * g(lam)); exactly 1 at 0.
+
+    One point of :func:`charfn_limit_grid`, so scalar and grid values agree exactly.
+    """
+    return complex(charfn_limit_grid(alpha, [lam])[0])
 
 
 def charfn_limit_grid(alpha: complex, lam) -> np.ndarray:

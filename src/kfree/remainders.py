@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from ._quad import complex_quad
-from .dickman import charfn_limit
+from .dickman import charfn_limit_grid
 from .ensemble import (
     EnsembleConfig,
     charfn_for,
@@ -640,11 +640,12 @@ def limit_deviation_scan(
     if not n_values or not lam_values:
         raise DomainError("empty scan grid")
     lam_grid = np.array(lam_values, dtype=float)
+    limits = charfn_limit_grid(alpha, lam_grid)
     rows = []
     for n in n_values:
         values = charfn_for(EnsembleConfig(k, alpha, n)).grid(lam_grid)
-        for lam, phi in zip(lam_values, values):
-            deviation = abs(complex(phi) / charfn_limit(alpha, lam) - 1.0)
+        for lam, phi, limit in zip(lam_values, values, limits):
+            deviation = abs(complex(phi) / complex(limit) - 1.0)
             rows.append(
                 ScanRow(N=n, lam=lam, eps=lam / math.log(n), magnitude=deviation)
             )

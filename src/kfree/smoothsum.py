@@ -73,23 +73,20 @@ TWO_PI = 2.0 * math.pi
 class CutoffDescriptor:
     """A cutoff f together with its transform and decay metadata.
 
-    ``transform`` evaluates fhat at one frequency; ``transform_batch`` (when
-    present) evaluates a whole numpy grid at once and is the fast path for
-    panel quadrature.  ``eta``/``decay_constant`` give the generic envelope
-    |fhat(lam)| <= C / (1 + |lam|^eta); ``transform_bound``, when set, is a
-    tighter explicit envelope used preferentially.  ``tail_integral`` maps R
-    to a bound on the integral of |fhat| over |lam| > R (both half lines).
+    ``transform`` evaluates fhat on a numpy grid or a :class:`PanelGrid` in
+    one pass; ``transform_grid`` is the call every route makes.
+    ``eta``/``decay_constant`` give the generic envelope |fhat(lam)| <= C /
+    (1 + |lam|^eta); ``tail_integral`` maps R to a bound on the integral of
+    |fhat| over |lam| > R (both half lines).
     """
 
     name: str
     evaluate: Callable[[float], float]
-    transform: Callable[[float], complex]
+    transform: Callable
     eta: float
     decay_constant: float
     support: Optional[tuple]
     tail_integral: Callable[[float], float]
-    transform_batch: Optional[Callable] = None
-    transform_bound: Optional[Callable[[float], float]] = None
     # (u, f(u) - (f(u+) + f(u-))/2) at each jump discontinuity: Fourier
     # inversion converges to the midpoint there, so ensemble elements that
     # land exactly on a jump need an explicit atom correction (see
@@ -97,9 +94,7 @@ class CutoffDescriptor:
     jumps: tuple = ()
 
     def transform_grid(self, lams) -> np.ndarray:
-        if self.transform_batch is not None:
-            return self.transform_batch(lams)
-        return np.array([self.transform(float(l)) for l in np.asarray(lams, dtype=float)], dtype=complex)
+        return self.transform(lams)
 
 
 # -- indicator of [0, 1] ----------------------------------------------------
@@ -109,7 +104,7 @@ def _indicator_evaluate(u: float) -> float:
     return 1.0 if 0.0 <= u <= 1.0 else 0.0
 
 
-def _indicator_transform_batch(lams: np.ndarray) -> np.ndarray:
+def _indicator_transform(lams: np.ndarray) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
     # (1/2pi) * (1 - e^{-i lam}) / (i lam) in the removable-singularity form
     # e^{-i lam / 2} * sinc(lam / 2pi) / 2pi, exact at lam = 0.
@@ -141,41 +136,25 @@ _BUMP_BLOCK = 64
 
 @lru_cache(maxsize=None)
 def _bump_nodes():
-    """Cached Gauss-Legendre grid of the bump profile on [0, 1].
-
-    100 panels x 20 nodes resolve cos(lam*u) to machine precision up to the
-    largest panel grid, R = 1024: against mpmath the rule is off by at most
-    3.1e-17 absolute at lam in {100, 500, 800, 1024}.
-    """
+    """Cached 100-panel x 20-node Gauss-Legendre grid of the bump profile on [0, 1]."""
     grid = gauss_panels(0.0, 1.0, 100, 20)
     g = np.array([_bump_evaluate(float(xi)) for xi in grid.points])
     return grid.points, grid.weights * g
 
 
-def bump_transform(lam: float, tol: float = 1e-12) -> float:
-    """fhat of the bump at one frequency by adaptive oscillatory quadrature.
+def bump_transform(lams) -> np.ndarray:
+    """fhat of the bump on a panel grid (or plain nodes) by the cached Gauss rule.
 
     The profile is even, so fhat(lam) = (1/pi) * integral over [0, 1] of
-    e^{-1/(1-u^2)} cos(lam*u) du; the cos-weighted adaptive rule reports a
-    per-call error estimate checked against ``tol``.
-    """
-    from scipy.integrate import quad  # imported on use: it slows `import kfree`
-    val, err = quad(
-        _bump_evaluate, 0.0, 1.0, weight="cos", wvar=abs(float(lam)),
-        epsabs=tol, epsrel=0.0, limit=400,
-    )
-    if err > 50 * tol:
-        raise ToleranceError(f"bump transform error estimate {err:.2e} > {tol:.2e}")
-    return val / math.pi
+    e^{-1/(1-u^2)} cos(lam*u) du, taken by the rule of :func:`_bump_nodes`.
+    Its 100 panels x 20 nodes resolve cos(lam*u) to machine precision up to
+    the largest panel grid, R = 1024: against mpmath the rule is off by at
+    most 3.1e-17 absolute at lam in {100, 500, 800, 1024}.
 
-
-def _bump_transform_batch(lams) -> np.ndarray:
-    """fhat on a panel grid (or plain nodes) by the cached Gauss rule.
-
-    At lam = m + t, cos(lam x) = Re[e^{i|m|x} e^{ist x}] with s the sign of m:
-    one complex GEMM (e^{i|m|x} wg) @ e^{ist x} per block of ``_BUMP_BLOCK``
-    distinct |m| and the distinct s t.  The nodes +-lam of a symmetric grid
-    read the same entry, so fhat is exactly even.
+    At lam = m + t, cos(lam x) = Re[e^{i|m|x} e^{ist x}] with s the sign of
+    m: one complex GEMM (e^{i|m|x} wg) @ e^{ist x} per block of
+    ``_BUMP_BLOCK`` distinct |m| and the distinct s t.  The nodes +-lam of a
+    symmetric grid read the same entry, so fhat is exactly even.
     """
     grid = PanelGrid.of(lams)
     x, wg = _bump_nodes()
@@ -187,18 +166,9 @@ def _bump_transform_batch(lams) -> np.ndarray:
     return (vals[np.repeat(row, grid.offsets.size), col.ravel()] / math.pi).astype(complex)
 
 
-def _bump_transform_bound(lam: float) -> float:
-    lam = abs(lam)
-    if lam < 1.0:
-        return 0.070664  # |fhat| <= fhat(0), rounded up in the last digit
-    return 1.5 / math.pi * math.exp(-math.sqrt(lam)) * lam**-0.75
-
-
 def _bump_tail(R: float) -> float:
-    # integral over lam > R of (3/2pi) e^{-sqrt(lam)} lam^{-3/4} d lam
-    #   = (3/pi) * Gamma(1/2, sqrt(R)) = (3/sqrt(pi)) * erfc(R^{1/4}),
-    # doubled for both half lines... the envelope already covers one half
-    # line; symmetric tails double it.
+    # per half line, integral over lam > R of (3/2pi) e^{-sqrt(lam)} lam^{-3/4}
+    # = (3/sqrt(pi)) erfc(R^{1/4}); doubled for both half lines.
     R = max(float(R), 1.0)
     return 2.0 * 3.0 / math.sqrt(math.pi) * math.erfc(R**0.25)
 
@@ -210,9 +180,9 @@ def _bump01_evaluate(u: float) -> float:
     return _bump_evaluate(2.0 * u - 1.0)
 
 
-def _bump01_transform_batch(lams) -> np.ndarray:
+def _bump01_transform(lams) -> np.ndarray:
     g = PanelGrid.of(lams)
-    return np.exp(-0.5j * g.points) * 0.5 * _bump_transform_batch(PanelGrid(0.5 * g.centres, 0.5 * g.offsets))
+    return np.exp(-0.5j * g.points) * 0.5 * bump_transform(PanelGrid(0.5 * g.centres, 0.5 * g.offsets))
 
 
 def _bump01_tail(R: float) -> float:
@@ -228,7 +198,7 @@ def _gauss_evaluate(u: float) -> float:
     return math.exp(-0.5 * u * u)
 
 
-def _gauss_transform_batch(lams: np.ndarray) -> np.ndarray:
+def _gauss_transform(lams: np.ndarray) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
     return (np.exp(-0.5 * lams**2) / math.sqrt(TWO_PI)).astype(complex)
 
@@ -242,49 +212,43 @@ def builtin_cutoffs() -> tuple:
     indicator = CutoffDescriptor(
         name="indicator",
         evaluate=_indicator_evaluate,
-        transform=lambda lam: complex(_indicator_transform_batch(np.array([lam]))[0]),
+        transform=_indicator_transform,
         # sup over lam of (1 + lam)|fhat| is ~0.42 (attained near lam = pi);
         # 1/2 is a clean upper bound for the S_1 membership envelope
         eta=1.0,
         decay_constant=0.5,
         support=(0.0, 1.0),
         tail_integral=_indicator_tail,
-        transform_batch=_indicator_transform_batch,
         jumps=((0.0, 0.5), (1.0, 0.5)),
     )
     bump = CutoffDescriptor(
         name="bump",
         evaluate=_bump_evaluate,
-        transform=lambda lam, tol=1e-12: complex(bump_transform(lam, tol)),
+        transform=bump_transform,
         eta=10.0,
         decay_constant=2e15,
         support=(-1.0, 1.0),
         tail_integral=_bump_tail,
-        transform_batch=_bump_transform_batch,
-        transform_bound=_bump_transform_bound,
     )
     bump01 = CutoffDescriptor(
         name="bump01",
         evaluate=_bump01_evaluate,
-        transform=lambda lam: complex(_bump01_transform_batch(np.array([lam]))[0]),
+        transform=_bump01_transform,
         # half-argument decay e^{-sqrt(lam/2)}: sup of (1+lam^10)|fhat| is
         # ~6e17 near lam = 800
         eta=10.0,
         decay_constant=1e18,
         support=(0.0, 1.0),
         tail_integral=_bump01_tail,
-        transform_batch=_bump01_transform_batch,
-        transform_bound=lambda lam: 0.5 * _bump_transform_bound(0.5 * lam),
     )
     gaussian = CutoffDescriptor(
         name="gaussian",
         evaluate=_gauss_evaluate,
-        transform=lambda lam: complex(_gauss_transform_batch(np.array([lam]))[0]),
+        transform=_gauss_transform,
         eta=10.0,
         decay_constant=300.0,
         support=None,
         tail_integral=_gauss_tail,
-        transform_batch=_gauss_transform_batch,
     )
     return indicator, bump, bump01, gaussian
 

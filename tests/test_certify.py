@@ -3,8 +3,9 @@
 Oracles: frozen high-precision targets for the midpoint sum, curvature step
 bound, and tail term; an independent evaluation of the limiting
 characteristic function's real part through the generic complex-exponential
-route; and direct quadrature of the transform for the stationary-phase
-envelope comparison.
+route; and direct adaptive quadrature of the transform, both for the
+integrand (whose G comes from the cached Gauss rule) and for the
+stationary-phase envelope comparison.
 """
 
 import math
@@ -16,6 +17,7 @@ from kfree.certify import (
     IMAGINARY_MARGIN,
     TARGET,
     ExampleReport,
+    _uniform_grid,
     integrand_F,
     limit_charfn_real_part,
     reproduce_example,
@@ -25,7 +27,7 @@ from kfree.certify import (
 )
 from kfree.dickman import charfn_limit
 from kfree.errors import DomainError
-from kfree.smoothsum import get_cutoff
+from kfree.smoothsum import fourier_transform, get_cutoff
 from kfree.specfun import EULER_GAMMA
 
 # frozen targets for r = 5, M = 1000 (binary64 reproduction)
@@ -41,6 +43,32 @@ class TestIntegrand:
     def test_even_symmetry(self):
         for lam in (0.3, 1.1, 2.6, 4.9):
             assert integrand_F(-lam) == integrand_F(lam)
+
+    def test_matches_adaptive_transform(self):
+        # independent route: G = 2pi fhat by adaptive quadrature of the profile
+        bump = get_cutoff("bump")
+        for lam in (0.3, 1.1, 2.6, 4.9):
+            oracle = 2.0 * math.pi * fourier_transform(bump, lam, tol=1e-10).real
+            assert abs(integrand_F(lam) - oracle * limit_charfn_real_part(lam)) <= 1e-9
+
+    @pytest.mark.parametrize("h,count,shift", [(1e-3, 5001, 0.0), (5e-3, 1000, 0.5)])
+    def test_uniform_panel_grid_matches_its_plain_nodes(self, h, count, shift):
+        # the chain's curvature nodes and midpoints: factored phases against
+        # the same nodes passed as a plain array
+        grid = _uniform_grid(h, count, shift)
+        points = np.asarray(grid)[:count]
+        np.testing.assert_allclose(points, h * (np.arange(count) + shift), rtol=1e-15, atol=0)
+        assert np.max(np.abs(integrand_F(grid)[:count] - integrand_F(points))) <= 2e-15
+
+    def test_array_calls_match_scalar_calls(self):
+        lams = np.array([0.0, 0.3, -0.3, 1.1, 2.6, -4.9, 13.4])
+        limit = limit_charfn_real_part(lams)
+        assert np.array_equal(limit, [limit_charfn_real_part(float(l)) for l in lams])
+        values = integrand_F(lams)
+        assert all(integrand_F(float(l)) == integrand_F(np.array([l]))[0] for l in lams)
+        # one node is a BLAS dot, several a gemv: the same Gauss sum in
+        # another order
+        assert np.max(np.abs(values - [integrand_F(float(l)) for l in lams])) <= 1e-15
 
     def test_value_at_zero_is_profile_mass(self):
         assert integrand_F(0.0) == pytest.approx(BUMP_MASS, abs=1e-12)
@@ -71,6 +99,9 @@ class TestIntegrand:
     def test_second_derivative_requires_positive_range(self):
         with pytest.raises(DomainError):
             second_derivative_max(0.0)
+        for step in (0.0, -1e-3, 3.0):
+            with pytest.raises(DomainError):
+                second_derivative_max(5.0, step)
 
 
 @pytest.fixture(scope="module")

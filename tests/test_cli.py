@@ -9,6 +9,7 @@ comparison of re-emitted artifacts for the reproducibility guarantee.
 import json
 import math
 import sys
+import tracemalloc
 import types
 
 import pytest
@@ -316,6 +317,24 @@ class TestExitCodes:
     def test_dickman_rejects_complex_weight(self, capsys):
         assert run(["dickman", "--alpha-re", "1", "--alpha-im", "0.5"]) == 2
         assert "real" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["0", "-0.001"])
+    def test_dickman_rejects_nonpositive_step(self, step, capsys):
+        assert run(["dickman", "--alpha", "1", "--step", step]) == 2
+        assert "step must be in (0, 1e-3]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--step", "1e-300"], ["--u-max", "1e9"], ["--u-max", "4200"]])
+    def test_dickman_grid_cap_refusal(self, flags, capsys):
+        # refused before the grid (or the H(alpha) sieve) is allocated
+        tracemalloc.start()
+        try:
+            code = run(["dickman", "--alpha", "1", *flags])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert peak < 2**20
+        assert "grid cap" in capsys.readouterr().err
 
     def test_enumeration_cap_refusal(self, capsys):
         assert run(["enumerate", "--k", "2", "--N", "5", "--cap", "4"]) == 4

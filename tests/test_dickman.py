@@ -141,8 +141,12 @@ def test_solve_rho_domain_errors():
         dickman.solve_rho(1.0, step=2e-3)  # too coarse
     with pytest.raises(DomainError):
         dickman.solve_rho(1.0, step=3e-4)  # does not divide the unit delay
-    with pytest.raises(DomainError):
-        dickman.solve_rho(1.0, u_max=0.5)
+    for step in (0.0, -1e-3, math.nan):
+        with pytest.raises(DomainError):
+            dickman.solve_rho(1.0, step=step)
+    for u_max in (0.5, math.nan):
+        with pytest.raises(DomainError):
+            dickman.solve_rho(1.0, u_max=u_max)
 
 
 # ---------------------------------------------------------------------------
