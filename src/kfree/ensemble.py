@@ -342,6 +342,13 @@ def _log_euler(w: np.ndarray) -> complex | np.ndarray:
         return np.sum(_clog1p(w), axis=-1)
 
 
+def _log_product(cfg: EnsembleConfig, x) -> complex:
+    """Sum over p <= N of Log(1 + x + ... + x^{k-1}), x = x(p), over ``_CHUNK``-prime slices."""
+    primes = sieve_primes(cfg.N).primes
+    chunks = (primes[start : start + _CHUNK].astype(float) for start in range(0, len(primes), _CHUNK))
+    return sum((_log_euler(_factor_offset(cfg.k, x(p))) for p in chunks), 0j)
+
+
 def partition_function(cfg: EnsembleConfig) -> complex:
     """Finite Euler product prod_{p<=N} (1 + alpha/p + ... + (alpha/p)^{k-1}).
 
@@ -350,12 +357,7 @@ def partition_function(cfg: EnsembleConfig) -> complex:
     needs the exponent marginals (which pole on the forbidden rays where Z
     itself is simply 0).
     """
-    primes = sieve_primes(cfg.N).primes
-    log_z = 0j
-    for start in range(0, len(primes), _CHUNK):
-        p = primes[start : start + _CHUNK].astype(float)
-        log_z += _log_euler(_factor_offset(cfg.k, cfg.alpha / p))
-    z = complex(np.exp(log_z))
+    z = complex(np.exp(_log_product(cfg, lambda p: cfg.alpha / p)))
     # real alpha: negative factors add pi to the log; keep Z exactly real
     return complex(z.real) if cfg.alpha.imag == 0 else z
 
@@ -597,6 +599,9 @@ class CharfnEvaluator:
         out[lams == 0.0] = 1.0
         return out
 
+    def truncation_bound(self, lam_max: float) -> float:
+        return 0.0  # an exact product; like FastCharfn's, its round-off is not bounded
+
     def __call__(self, lam: float) -> complex:
         return complex(self.grid([float(lam)])[0])
 
@@ -606,13 +611,14 @@ def ensemble_charfn(cfg: EnsembleConfig, lam: float) -> complex:
     return CharfnEvaluator(cfg)(lam)
 
 
-def trivial_charfn_bound(cfg: EnsembleConfig) -> float:
-    """|phi_N| <= Z(k, |alpha|, N) / |Z(k, alpha, N)| uniformly in lambda."""
-    z_abs = partition_function(EnsembleConfig(k=cfg.k, alpha=abs(cfg.alpha), N=cfg.N))
+def trivial_charfn_bound(cfg: EnsembleConfig, strip: float = 0.0) -> float:
+    """Bound on |phi_N(lambda)| over |Im lambda| <= strip: |Z phi_N| <= prod_p sum_t
+    |alpha|^t p^{-t} e^{strip t v_p}, one positive Euler product; Z(k, |alpha|, N) at 0."""
     z = partition_function(cfg)
     if z == 0:
-        raise DegenerateConfigError("partition function vanishes; bound undefined")
-    return float(abs(z_abs) / abs(z))
+        raise DegenerateConfigError("partition function vanishes; phi_N undefined")
+    log_sup = _log_product(cfg, lambda p: abs(cfg.alpha) * np.exp(strip / cfg.log_n * np.log(p)) / p).real
+    return float(np.exp(log_sup) / abs(z))
 
 
 # FastCharfn's default head cutoff, the floor of its fine buckets (the direct

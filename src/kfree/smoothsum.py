@@ -30,10 +30,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._quad import PanelGrid, gauss_panels
+from ._quad import PanelGrid, complex_quad, gauss_panels
 from .dickman import charfn_limit_grid
 from .ensemble import (
-    CharfnEvaluator,
     EnsembleConfig,
     charfn_for,
     enumerate_ensemble,
@@ -41,6 +40,7 @@ from .ensemble import (
     measure,
     partition_constant,
     partition_function,
+    trivial_charfn_bound,
 )
 from .errors import DegenerateConfigError, DomainError, ToleranceError
 from .primes import prime_count, sieve_primes
@@ -75,6 +75,8 @@ class CutoffDescriptor:
 
     ``transform`` evaluates fhat on a numpy grid or a :class:`PanelGrid` in
     one pass; ``transform_grid`` is the call every route makes.
+    ``strip_bound(y)`` bounds |fhat| over |Im lam| <= y for f >= 0 by e^{y max
+    |u|} fhat(0), u over the support, or e^{y^2/2} fhat(0) for the Gaussian.
     ``eta``/``decay_constant`` give the generic envelope |fhat(lam)| <= C /
     (1 + |lam|^eta); ``tail_integral`` maps R to a bound on the integral of
     |fhat| over |lam| > R (both half lines).
@@ -95,6 +97,10 @@ class CutoffDescriptor:
 
     def transform_grid(self, lams) -> np.ndarray:
         return self.transform(lams)
+
+    def strip_bound(self, y: float) -> float:
+        reach = 0.5 * y if self.support is None else max(map(abs, self.support))
+        return math.exp(y * reach) * abs(complex(self.transform(np.zeros(1))[0]))
 
 
 # -- indicator of [0, 1] ----------------------------------------------------
@@ -273,22 +279,12 @@ def fourier_transform(f: CutoffDescriptor, lam: float, tol: float = 1e-9) -> com
     Deliberately ignores the descriptor's own transform so it can serve as an
     independent cross-check of the closed forms and cached grids.
     """
-    from scipy.integrate import quad  # imported on use: it slows `import kfree`
     lo, hi = f.support if f.support is not None else (-40.0, 40.0)
     lam = float(lam)
-    re, re_err = quad(
-        lambda u: f.evaluate(u) * math.cos(lam * u), lo, hi,
-        epsabs=tol, epsrel=tol, limit=400,
+    value, _ = complex_quad(
+        lambda u: f.evaluate(u) * complex(math.cos(lam * u), -math.sin(lam * u)), lo, hi, tol
     )
-    im, im_err = quad(
-        lambda u: -f.evaluate(u) * math.sin(lam * u), lo, hi,
-        epsabs=tol, epsrel=tol, limit=400,
-    )
-    if re_err + im_err > 50 * tol:
-        raise ToleranceError(
-            f"transform quadrature error {re_err + im_err:.2e} exceeds {tol:.2e}"
-        )
-    return complex(re, im) / TWO_PI
+    return value / TWO_PI
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +312,10 @@ def smooth_sum_direct(cfg: EnsembleConfig, f: CutoffDescriptor) -> complex:
 class SpectralSum:
     """Truncated spectral evaluation with its error budget.
 
-    ``declared_tolerance`` = quadrature error estimate + tail bound is the
-    agreement radius guaranteed against the direct route.
+    ``quadrature_error`` bounds |value - Z * (integral over |lam| <= R)|
+    save the round-off inside the phi_N and fhat evaluators (see
+    :func:`smooth_sum_spectral`).  ``declared_tolerance`` = it + ``tail_bound``
+    is the agreement radius guaranteed against the direct route.
     """
 
     value: complex
@@ -351,31 +349,32 @@ def comparison_tolerance(cfg: EnsembleConfig, direct: complex, spectral: Spectra
 
 _PANEL_WIDTH = 1.0
 _PANEL_NODES = 16
+_RHO = 6.0  # Bernstein ellipse of the panel remainder
+_STRIP = 0.25 * _PANEL_WIDTH * (_RHO - 1.0 / _RHO)  # its reach off the real axis, ~1.46
 
 
-def _symmetric_grid(R: float, coarse: bool = False) -> PanelGrid:
-    half = max(1, int(math.ceil(R / _PANEL_WIDTH)))
-    if coarse:
-        half = max(1, half // 2)
-    return gauss_panels(-R, R, 2 * half, _PANEL_NODES)
+def _symmetric_grid(R: float) -> PanelGrid:
+    if not R > 0:
+        raise DomainError(f"the frequency cutoff R must be positive, got {R}")
+    return gauss_panels(-R, R, 2 * max(1, int(math.ceil(R / _PANEL_WIDTH))), _PANEL_NODES)
 
 
 _transform_node_cache: dict = {}
 
 
-def _frequency_integral(values, f: CutoffDescriptor, R: float, coarse: bool = False) -> complex:
-    """Panel quadrature of values(lam) * fhat(lam) over |lam| <= R.
+def _panel_terms(values, f: CutoffDescriptor, R: float) -> tuple:
+    """Weights and terms values(lam) * fhat(lam) of the panel quadrature over |lam| <= R.
 
     ``values`` maps the :class:`PanelGrid` (which may factor its phases) to
     the other factor, a characteristic function on a grid.  fhat on the
     nodes is cached per cutoff name, R and node count.
     """
-    grid = _symmetric_grid(R, coarse)
+    grid = _symmetric_grid(R)
     key = (f.name, round(R, 12), grid.size)
     fhat = _transform_node_cache.get(key)
     if fhat is None:
         fhat = _transform_node_cache[key] = f.transform_grid(grid)
-    return complex(np.dot(grid.weights, values(grid) * fhat))
+    return grid.weights, values(grid) * fhat
 
 
 def _atom_correction(cfg: EnsembleConfig, f: CutoffDescriptor) -> complex:
@@ -405,26 +404,32 @@ def smooth_sum_spectral(
     f: CutoffDescriptor,
     R: Optional[float] = None,
     tol: float = 1e-9,
-    charfn=None,
 ) -> SpectralSum:
-    """Z times the truncated frequency integral of phi_N * fhat.
+    """Z times the truncated frequency integral of phi_N * fhat, phi_N from :func:`charfn_for`.
 
     When ``R`` is omitted it is doubled from 8 upward until the tail bound
     (trivial bound on |Z * phi_N| times the integral of |fhat| beyond R)
     drops below ``tol/2``; failure to reach that within R = 4096 raises
     :class:`ToleranceError` naming R = 4096 and its tail bound and asking
     for an explicit ``R``.  An explicit ``R`` is honored as given and the
-    tail bound is only reported.  The quadrature error is estimated by
-    re-evaluating on a half-resolution panel grid.
+    tail bound is only reported.  R <= 0 or tol <= 0 raise :class:`DomainError`.
+
+    ``quadrature_error`` adds three terms from the one grid of n nodes.  The
+    integrand is entire, so a 16-node panel of width h errs by at most
+    (64/15)(h/2) M rho^-32 / (rho^2 - 1), rho = 6, M = sup |Z phi_N fhat| over
+    |Im lam| <= 1.46 (Trefethen, SIAM Rev. 50, 2008, Thm 4.5).  With A = |Z|
+    sum w |phi_N fhat|, the evaluator adds expm1(``truncation_bound(R)``) A
+    and rounding eps n A: forming the n terms and summing them in any order,
+    as BLAS may, errs by at most (n + 7) eps A / 2 (Higham 2002, 3.1, 4.2).
 
     Discontinuous cutoffs receive the exact boundary-atom correction of
     :func:`_atom_correction` so that the routes share one convention (the
     closed-interval reading of indicator endpoints).
     """
+    if not tol > 0:
+        raise DomainError(f"the spectral route's tol must be positive, got {tol}")
     z = partition_function(cfg)
-    z_abs = abs(partition_function(EnsembleConfig(k=cfg.k, alpha=abs(cfg.alpha), N=cfg.N)))
-    if abs(z) == 0.0:
-        raise DegenerateConfigError("partition function vanishes; spectral route undefined")
+    z_abs = abs(z) * trivial_charfn_bound(cfg)  # raises DegenerateConfigError if Z = 0
     if R is None:
         R = 8.0
         while z_abs * f.tail_integral(R) > 0.5 * tol:
@@ -437,14 +442,15 @@ def smooth_sum_spectral(
             R *= 2.0
     R = float(R)
     tail_bound = float(z_abs * f.tail_integral(R))
-    if charfn is None:
-        charfn = CharfnEvaluator(cfg)
-    fine = _frequency_integral(charfn.grid, f, R)
-    coarse = _frequency_integral(charfn.grid, f, R, coarse=True)
+    charfn = charfn_for(cfg)
+    weights, terms = _panel_terms(charfn.grid, f, R)
+    sup = abs(z) * trivial_charfn_bound(cfg, _STRIP) * f.strip_bound(_STRIP)  # M
+    mass = abs(z) * float(np.dot(weights, np.abs(terms)))  # A
     return SpectralSum(
-        value=z * fine + _atom_correction(cfg, f),
+        value=z * complex(np.dot(weights, terms)) + _atom_correction(cfg, f),
         R=R,
-        quadrature_error=float(abs(z) * abs(fine - coarse)),
+        quadrature_error=R * 64.0 / 15.0 * sup * _RHO ** (-2 * _PANEL_NODES) / (_RHO**2 - 1.0)
+        + (math.expm1(charfn.truncation_bound(R)) + math.ulp(1.0) * terms.size) * mass,
         tail_bound=tail_bound,
     )
 
@@ -472,7 +478,7 @@ class ComparisonReport:
 
 
 def _limit_integral(alpha: complex, f: CutoffDescriptor, R: float) -> complex:
-    return _frequency_integral(lambda pts: charfn_limit_grid(alpha, pts), f, R)
+    return complex(np.dot(*_panel_terms(lambda pts: charfn_limit_grid(alpha, pts), f, R)))
 
 
 def asymptotic_prediction(
@@ -506,8 +512,8 @@ def asymptotic_prediction(
     if R is None:
         R = log_n / math.log(log_n)
     R = float(R)
-    if not R <= log_n:
-        raise DomainError(f"precondition failed: R <= log N (R = {R:.3f}, log N = {log_n:.3f})")
+    if not 0 < R <= log_n:
+        raise DomainError(f"precondition failed: 0 < R <= log N (R = {R:.3f}, log N = {log_n:.3f})")
     if not log_n**delta / R ** (f.eta - 1.0) <= 1.0:
         raise DomainError(
             "precondition failed: (log N)^(|alpha| - Re alpha) / R^(eta - 1) <= 1"
@@ -517,7 +523,7 @@ def asymptotic_prediction(
     constant = complex(constant)
     log_pow = complex(np.exp(alpha * math.log(log_n)))
     asymptotic = constant * log_pow * _limit_integral(alpha, f, R)
-    spectral = smooth_sum_spectral(cfg, f, charfn=charfn_for(cfg))
+    spectral = smooth_sum_spectral(cfg, f)
     n_primes = len(sieve_primes(cfg.N).primes)
     direct = None
     if cfg.k**n_primes <= enumeration_limit:
@@ -631,7 +637,7 @@ def theorem1_ratio_scan(
     out = []
     for N in sorted(int(n) for n in n_values):
         charfn = charfn_for(EnsembleConfig(k=k, alpha=alpha, N=N))
-        numerator = _frequency_integral(charfn.grid, f, float(R_numerator))
+        numerator = complex(np.dot(*_panel_terms(charfn.grid, f, float(R_numerator))))
         log_n = math.log(N)
         R_N = log_n / math.log(log_n)
         denominator = _limit_integral(complex(alpha), f, R_N)

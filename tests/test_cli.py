@@ -314,6 +314,22 @@ class TestExitCodes:
         assert run(["sum", "--k", "2", "--N", "10", "--cutoff", "nope"]) == 2
         assert "unknown cutoff" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,needle",
+        [
+            (["sum", "--N", "30", "--cutoff", "gaussian", "--R-rule", "fixed", "--R=-5"], "R must be positive"),
+            (["compare", "--N", "30", "--R-rule", "fixed", "--R=-5"], "R must be positive"),
+            (["sum", "--N", "100000", "--cutoff", "bump", "--route", "asymptotic", "--R-rule", "fixed", "--R=0"], "0 < R"),
+            (["sum", "--N", "100000", "--cutoff", "bump", "--route", "asymptotic", "--R-rule", "fixed", "--R=-1"], "0 < R"),
+            (["sum", "--N", "30", "--tol=-1"], "tol must be positive"),
+        ],
+    )
+    def test_nonpositive_radius_or_tolerance_is_domain_error(self, flags, needle, capsys):
+        # a negative R flipped the sign of the spectral and asymptotic values,
+        # R = 0 divided by zero and tol < 0 ran the tail search into exit 3
+        assert run([flags[0], "--k", "2", *flags[1:]]) == 2
+        assert needle in capsys.readouterr().err
+
     def test_dickman_rejects_complex_weight(self, capsys):
         assert run(["dickman", "--alpha-re", "1", "--alpha-im", "0.5"]) == 2
         assert "real" in capsys.readouterr().err

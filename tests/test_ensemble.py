@@ -22,7 +22,7 @@ import pytest
 import scipy.special
 
 from kfree import ensemble
-from kfree._quad import PanelGrid, _cis
+from kfree._quad import PanelGrid, _cis, gauss_panels
 from kfree.ensemble import (
     CharfnEvaluator,
     EnsembleConfig,
@@ -603,6 +603,26 @@ class TestCharfn:
         lams = rng.uniform(-50, 50, size=20)
         assert np.all(np.abs(ev.grid(lams)) <= bound * (1 + 1e-12))
 
+    @pytest.mark.parametrize("k,alpha,N", [(2, 1.0, 13), (2, -1.0, 30), (3, 1 + 0.5j, 11), (4, 2j / 3, 7)])
+    def test_trivial_bound_on_a_strip(self, k, alpha, N, rng):
+        # phi_N at complex lambda summed over the enumerated ensemble stays
+        # under the strip bound, which grows with the strip and equals the
+        # real-line bound at strip 0; the exact evaluator bounds no truncation.
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
+        elements = enumerate_ensemble(cfg)
+        z = partition_function(cfg)
+        weights = np.array([complex(alpha) ** fac.omega / value for value, fac in elements])
+        xi = np.array([fac.xi(N) for _, fac in elements])
+        bounds = [trivial_charfn_bound(cfg, y) for y in (0.0, 0.5, 1.46)]
+        plain = partition_function(EnsembleConfig(k=k, alpha=abs(alpha), N=N))
+        assert bounds[0] == pytest.approx(abs(plain) / abs(z), rel=1e-15)
+        assert bounds[0] < bounds[1] < bounds[2]
+        for y, bound in zip((0.5, 1.46), bounds[1:]):
+            lams = rng.uniform(-50, 50, size=20) + 1j * y * rng.choice([-1.0, 1.0], size=20)
+            phi = np.exp(1j * np.outer(lams, xi)) @ weights / z
+            assert np.all(np.abs(phi) <= bound * (1 + 1e-12))
+        assert CharfnEvaluator(cfg).truncation_bound(100.0) == 0.0
+
     @pytest.mark.parametrize("k,alpha,N", [(2, 0.7 + 0.3j, 7), (3, -0.8, 5)])
     def test_exponents_independent_across_primes(self, k, alpha, N):
         cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
@@ -920,15 +940,15 @@ class TestFastCharfn:
     @pytest.mark.parametrize("k,alpha", [(2, 1.0), (2, -1.0), (3, 1 + 0.5j)])
     def test_panel_phases_match_plain_nodes(self, table_1e6, k, alpha):
         # A panel grid's phases e^{i m v} e^{i t v} give the values of its
-        # plain nodes, on every 32nd panel of the R = 8, 360 and 1024 grids,
-        # fine and coarse (the last panel keeps max|lambda|, so the layout).
-        # Either path rounds each phase to about eps |lambda v|, so the
-        # tolerance grows with max|lambda| past 360.  On plain nodes the
-        # grid is the unfactored evaluation, bit for bit.
+        # plain nodes, on every 32nd panel of the R = 8, 360 and 1024 grids
+        # and of their half-resolution siblings (the last panel keeps
+        # max|lambda|, so the layout).  Either path rounds each phase to
+        # about eps |lambda v|, so the tolerance grows with max|lambda| past
+        # 360.  On plain nodes the grid is the unfactored evaluation, bit for
+        # bit.
         fast = FastCharfn(EnsembleConfig(k=k, alpha=alpha, N=10**6))
         for R in (8.0, 360.0, 1024.0):
-            for coarse in (False, True):
-                grid = _symmetric_grid(R, coarse)
+            for grid in (_symmetric_grid(R), gauss_panels(-R, R, 2 * max(1, math.ceil(R) // 2), 16)):
                 grid = PanelGrid(np.append(grid.centres[:-1:32], grid.centres[-1]), grid.offsets)
                 plain = fast.grid(grid.points)
                 assert np.max(np.abs(fast.grid(grid) / plain - 1.0)) <= 1e-14 * max(1.0, R / 360.0)

@@ -8,6 +8,7 @@ against scipy.quad at 8e-16).
 """
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -15,14 +16,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from kfree._quad import PanelGrid
+from kfree._quad import PanelGrid, complex_quad, gauss_panels
 from kfree.ensemble import (
     CharfnEvaluator,
     EnsembleConfig,
+    FastCharfn,
     partition_constant,
     partition_function,
 )
 from kfree.errors import DegenerateConfigError, DomainError, ToleranceError
+from kfree.primes import prime_count
 from kfree.smoothsum import (
     CutoffDescriptor,
     asymptotic_prediction,
@@ -41,6 +44,11 @@ TWO_PI = 2.0 * math.pi
 
 # integral of e^{-1/(1-u^2)} over [-1, 1], frozen at 30-digit precision
 BUMP_MASS = 0.443993816168079437823
+
+
+def half_resolution_grid(R):
+    """Half the panels of the spectral route's grid over [-R, R], 16 nodes each."""
+    return gauss_panels(-R, R, 2 * max(1, math.ceil(R) // 2), 16)
 
 
 def constant_one_cutoff() -> CutoffDescriptor:
@@ -66,6 +74,19 @@ def combination_cutoff(a, f, b, g) -> CutoffDescriptor:
         support=None,
         tail_integral=lambda R: math.inf,
     )
+
+
+# (k, alpha, N, cutoff): the criterion-2 matrix, the route-agreement cases
+# and the three spectral sums of the small CLI benchmark
+QUADRATURE_CASES = [
+    (k, alpha, N, "gaussian")
+    for k, N, alpha in itertools.product((2, 3, 4), (5, 7, 10, 13), (1.0, -1.0, 2j / 3, 1 + 1j))
+    if float(k) ** prime_count(N) <= 2.0**20
+] + [
+    (k, alpha, N, name)
+    for k, alpha, N in [(2, 1.0, 10), (2, -1.0, 13), (3, 1 + 1j, 7), (4, 2j / 3, 7)]
+    for name in ("bump", "bump01", "gaussian")
+] + [(2, 1.0, 30, "gaussian"), (3, 0.5, 20, "gaussian"), (2, -1.0, 40, "bump01")]
 
 
 class TestBuiltinCutoffs:
@@ -110,16 +131,16 @@ class TestBuiltinCutoffs:
         np.testing.assert_allclose(flipped, vals, rtol=0, atol=1e-16)
 
     def test_bump_batch_blocked_on_distinct_magnitudes(self):
-        # The 49,536 transform nodes of the small CLI runs (the R = 8 and
-        # R = 1024 panel grids, fine and coarse): the transform is exactly
-        # even, and it peaks well under 24 MiB under tracemalloc where the
+        # 49,536 transform nodes, the R = 8 and R = 1024 panel grids and
+        # their half-resolution siblings: the transform is exactly even, and
+        # it peaks well under 24 MiB under tracemalloc where the
         # whole (nodes x 2000) cos matrix and its argument took 32 kB a node
         # (1.6 GB here, 62.5 MB for 2048 nodes).  Oracle: the same Gauss sum
         # in 40-digit mpmath, at the six nodes where the factored grid path
         # and the plain-node path differ most; both stay within 2e-16 there
         # (about 3e-15 of max|fhat|), which the unfactored cos product also
         # meets (it is off by up to 1.6e-16 at these nodes).
-        grids = [_symmetric_grid(R, coarse) for R in (8.0, 1024.0) for coarse in (False, True)]
+        grids = [g for R in (8.0, 1024.0) for g in (_symmetric_grid(R), half_resolution_grid(R))]
         lams = np.concatenate([g.points for g in grids])
         assert lams.size == 49536
         tracemalloc.start()
@@ -148,13 +169,12 @@ class TestBuiltinCutoffs:
     @pytest.mark.parametrize("name", ["indicator", "bump", "bump01", "gaussian"])
     def test_panel_grid_matches_its_plain_nodes(self, name):
         # The factored phases of a panel grid give the values of its plain
-        # nodes, on every 16th panel of the R = 8, 360 and 1024 grids, fine
-        # and coarse: each path is within 2e-16 of the mpmath Gauss sum (see
-        # above), so the two differ by at most twice that.
+        # nodes, on every 16th panel of the R = 8, 360 and 1024 grids and of
+        # their half-resolution siblings: each path is within 2e-16 of the
+        # mpmath Gauss sum (see above), so the two differ by at most twice that.
         f = get_cutoff(name)
         for R in (8.0, 360.0, 1024.0):
-            for coarse in (False, True):
-                grid = _symmetric_grid(R, coarse)
+            for grid in (_symmetric_grid(R), half_resolution_grid(R)):
                 grid = PanelGrid(np.append(grid.centres[:-1:16], grid.centres[-1]), grid.offsets)
                 assert np.max(np.abs(f.transform_grid(grid) - f.transform_grid(grid.points))) <= 4e-16
 
@@ -277,6 +297,55 @@ class TestSpectralRoute:
         with pytest.raises(DegenerateConfigError):
             smooth_sum_spectral(cfg, get_cutoff("bump"))
 
+    @pytest.mark.parametrize("k,alpha,N,name", QUADRATURE_CASES)
+    def test_quadrature_error_bounds_a_finer_rule(self, k, alpha, N, name):
+        # The same panels with 32 Gauss nodes instead of 16 give the
+        # reference; the reported quadrature error covers the whole gap.
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
+        f = get_cutoff(name)
+        spectral = smooth_sum_spectral(cfg, f)
+        phi = CharfnEvaluator(cfg).grid
+        fine = _symmetric_grid(spectral.R)
+        ref = gauss_panels(-spectral.R, spectral.R, fine.centres.size, 32)
+        gap = [np.dot(g.weights, phi(g) * f.transform_grid(g)) for g in (fine, ref)]
+        assert spectral.quadrature_error >= abs(partition_function(cfg)) * abs(gap[0] - gap[1])
+
+    def test_large_N_uses_the_fast_evaluator_and_its_bound(self, monkeypatch):
+        # Past N = 10^4 the route takes charfn_for's FastCharfn: the exact
+        # product on the same grid lands inside the quadrature error, and the
+        # evaluator's relative truncation bound enters it (a bound of 1e-6 put
+        # in its place lifts it to at least expm1(1e-6) |value|).
+        cfg = EnsembleConfig(k=2, alpha=1.0, N=10**5)
+        f = get_cutoff("gaussian")
+        spectral = smooth_sum_spectral(cfg, f)
+        grid = _symmetric_grid(spectral.R)
+        exact = np.dot(grid.weights, CharfnEvaluator(cfg).grid(grid) * f.transform_grid(grid))
+        assert abs(spectral.value - partition_function(cfg) * exact) <= spectral.quadrature_error
+        monkeypatch.setattr(FastCharfn, "truncation_bound", lambda self, lam_max: 1e-6)
+        loose = smooth_sum_spectral(cfg, f)
+        assert loose.value == spectral.value
+        assert loose.quadrature_error >= math.expm1(1e-6) * abs(loose.value) > spectral.quadrature_error
+
+    @pytest.mark.parametrize("kwargs", [{"R": 0.0}, {"R": -5.0}, {"tol": 0.0}, {"tol": -1.0}])
+    def test_nonpositive_radius_or_tolerance_rejected(self, kwargs):
+        cfg = EnsembleConfig(k=2, alpha=1.0, N=30)
+        with pytest.raises(DomainError):
+            smooth_sum_spectral(cfg, get_cutoff("gaussian"), **kwargs)
+
+    @pytest.mark.parametrize("y", [0.5, 1.46])
+    @pytest.mark.parametrize("name", ["indicator", "bump", "bump01", "gaussian"])
+    def test_strip_bound_covers_complex_frequencies(self, name, y):
+        # fhat(lam + i y) by adaptive quadrature of f(u) e^{-i lam u} e^{y u}
+        f = get_cutoff(name)
+        lo, hi = f.support if f.support is not None else (-40.0, 40.0)
+        for lam in (0.0, 2.0, 10.0):
+            for s in (-1.0, 1.0):
+                value, _ = complex_quad(
+                    lambda u: f.evaluate(u) * np.exp(-1j * lam * u + s * y * u) / TWO_PI, lo, hi
+                )
+                assert abs(value) <= f.strip_bound(y) * (1 + 1e-12)
+        assert f.strip_bound(y) > f.strip_bound(0.0) == pytest.approx(abs(f.transform([0.0])[0]))
+
 
 class TestAlgebraicInvariants:
     def test_linearity_of_the_direct_route(self):
@@ -374,6 +443,12 @@ class TestAsymptoticPrediction:
         with pytest.raises(DomainError, match="eta"):
             asymptotic_prediction(cfg, f_slow, constant=1.0)
 
+    @pytest.mark.parametrize("R", [0.0, -1.0])
+    def test_nonpositive_R_rejected(self, R):
+        cfg = EnsembleConfig(k=2, alpha=1.0, N=10**5)
+        with pytest.raises(DomainError, match="0 < R"):
+            asymptotic_prediction(cfg, get_cutoff("bump"), R=R, constant=1.0)
+
     def test_oversized_R_rejected(self):
         cfg = EnsembleConfig(k=2, alpha=1.0, N=100)
         with pytest.raises(DomainError, match="R <= log N"):
@@ -442,6 +517,10 @@ class TestCorollary1Rate:
 
 
 class TestRatioScan:
+    def test_nonpositive_radius_rejected(self):
+        with pytest.raises(DomainError, match="positive"):
+            theorem1_ratio_scan(2, 1.0, [10**3], R_numerator=0.0)
+
     def test_rows_sorted_with_truncation_rule(self):
         rows = theorem1_ratio_scan(2, 1.0, [10**4, 10**3])
         assert [r[0] for r in rows] == [10**3, 10**4]
