@@ -27,7 +27,6 @@ This module provides:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -247,13 +246,6 @@ def _envelope(rows: list[np.ndarray]) -> np.ndarray:
     return 2.0 * np.sum(np.abs(np.stack(rows[1:])), axis=0)
 
 
-def _order5_remainder(rows: list[np.ndarray]) -> np.ndarray:
-    """Per prime, E^5 / (5 (1 - E)) with E = _envelope(rows): where E < 1/2 it bounds
-    the remainder of log(1 + w) after its series through w^4."""
-    env = _envelope(rows)
-    return env**5 / (5.0 * (1.0 - np.minimum(env, 0.5)))
-
-
 def marginal_row(cfg: EnsembleConfig, p: int) -> np.ndarray:
     """All k exponent probabilities for one prime, as a complex vector."""
     return np.array([row[0] for row in _marginal_rows(cfg.k, cfg.alpha, np.array([float(p)]))])
@@ -424,26 +416,36 @@ def _neville_at_zero(x: np.ndarray, y: np.ndarray):
     return best, best_err
 
 
+# degree at which FastCharfn cuts the log series of z_p in X, for every k
+_LOG_DEGREE = 4
+
+
+def _log_coeffs(k: int, alpha: complex) -> np.ndarray:
+    """a_d alpha^d for d = 1..4, a_d = (1 - k [k | d]) / d: the X^d coefficients of log z_p times p^d.
+
+    z_p(X) = sum_t F_t X^t = (1 - x)(1 - (xX)^k) / ((1 - x^k)(1 - xX)) with
+    x = alpha/p, so log z_p(X) = sum_{d>=1} a_d x^d (X^d - 1) for |x| < 1.
+    """
+    a = [1.0 / d - (k / d if d % k == 0 else 0.0) for d in range(1, _LOG_DEGREE + 1)]
+    return np.array([a_d * complex(alpha) ** d for d, a_d in enumerate(a, 1)])
+
+
 def _predicted_constant(k: int, alpha: complex, prime_limit: int = 10**7) -> complex:
     """Independent route to the constant: exp(alpha*M + sum_p [log z_p - alpha/p]).
 
     Convergent because log z_p - alpha/p = O(p^-2); the sum runs over primes
-    up to prime_limit with a p^-j tail correction (j = 2..4) based on
-    sum_{p>P} p^-j ~ E1((j-1) log P).  The sum runs over ``_CHUNK``-prime
-    slices, as in :func:`partition_function`.
+    up to prime_limit with the tail correction sum_{j=2..4} a_j alpha^j
+    sum_{p>P} p^-j (a_j from :func:`_log_coeffs`), sum_{p>P} p^-j ~
+    E1((j-1) log P).  The sum runs over ``_CHUNK``-prime slices, as in
+    :func:`partition_function`.
     """
     primes = sieve_primes(prime_limit).primes
     series_sum = 0j
     for start in range(0, len(primes), _CHUNK):
         x = complex(alpha) / primes[start : start + _CHUNK].astype(float)
         series_sum += _log_euler(_factor_offset(k, x)) - complex(np.sum(x))
-    a = math.log(prime_limit)
-    tail = 0.0 + 0.0j
-    for j in range(2, 5):
-        c = 1.0 / j - (k / j if j % k == 0 else 0.0)
-        if c:
-            s_j = exp_integral_e1((j - 1) * a).value.real
-            tail += c * complex(alpha) ** j * s_j
+    a, coef = math.log(prime_limit), _log_coeffs(k, alpha)
+    tail = sum(coef[j - 1] * exp_integral_e1((j - 1) * a).value.real for j in range(2, 5))
     return complex(np.exp(complex(alpha) * MERTENS + series_sum + tail))
 
 
@@ -611,77 +613,49 @@ def ensemble_charfn(cfg: EnsembleConfig, lam: float) -> complex:
     return CharfnEvaluator(cfg)(lam)
 
 
+def _positive_product(cfg: EnsembleConfig, strip: float) -> float:
+    """prod_p sum_t |alpha|^t p^{-t} e^{strip t v_p}, one positive Euler product: it bounds
+    |Z phi_N(lambda)| over |Im lambda| <= strip, and is Z(k, |alpha|, N) at strip 0."""
+    return float(np.exp(_log_product(cfg, lambda p: abs(cfg.alpha) * np.exp(strip / cfg.log_n * np.log(p)) / p).real))
+
+
 def trivial_charfn_bound(cfg: EnsembleConfig, strip: float = 0.0) -> float:
-    """Bound on |phi_N(lambda)| over |Im lambda| <= strip: |Z phi_N| <= prod_p sum_t
-    |alpha|^t p^{-t} e^{strip t v_p}, one positive Euler product; Z(k, |alpha|, N) at 0."""
+    """Bound on |phi_N(lambda)| over |Im lambda| <= strip: the positive product over |Z|."""
     z = partition_function(cfg)
     if z == 0:
         raise DegenerateConfigError("partition function vanishes; phi_N undefined")
-    log_sup = _log_product(cfg, lambda p: abs(cfg.alpha) * np.exp(strip / cfg.log_n * np.log(p)) / p).real
-    return float(np.exp(log_sup) / abs(z))
+    return _positive_product(cfg, strip) / abs(z)
 
 
 # FastCharfn's default head cutoff, the floor of its fine buckets (the direct
 # head is smaller); at or below it there are no tail primes
 _FAST_HEAD_LIMIT = 10**4
 
-# tail primes per chunk of the FastCharfn build: the chunk's marginal rows,
-# coefficients and moment products stay cache-resident (2^20 ran 2.5x slower)
+# tail primes per group of whole buckets in the FastCharfn build, whose
+# (4, 5, group) power sums stay cache-resident
 _BUILD_CHUNK = 1 << 14
 
 
-@functools.lru_cache(maxsize=None)
-def _log_series_matrix(k: int) -> tuple[np.ndarray, tuple]:
-    """Constant B and monomial steps with c_d = sum_i B[d, i] * m_i(F_1, ..., F_{k-1}).
-
-    c_d is the X^d coefficient of log(1 + w) through order 4 in w, where
-    w(X) = sum_{t=1}^{k-1} F_t (X^t - 1).  The monomials m_i run over total
-    degree 1 to 4, graded; step i is (j, t) with m_i = m_j * F_t (m_{-1} = 1).
-    A monomial of degree g enters only through w^g, so B[d, i] is
-    (-1)^{g+1}/g times an integer.
-    """
-    # polynomials as {(power of X, sorted indices t of the F_t factors): coefficient}
-    w = {}
-    for t in range(1, k):
-        w[(t, (t,))] = 1.0
-        w[(0, (t,))] = -1.0
-    monomials = [
-        comb for g in range(1, 5) for comb in itertools.combinations_with_replacement(range(1, k), g)
-    ]
-    column = {comb: i for i, comb in enumerate(monomials)}
-    steps = tuple((column.get(comb[:-1], -1), comb[-1]) for comb in monomials)
-    B = np.zeros((4 * (k - 1) + 1, len(monomials)))
-    power = {(0, ()): 1.0}
-    for g in range(1, 5):
-        product = {}
-        for (d1, c1), a in power.items():
-            for (d2, c2), b in w.items():
-                key = (d1 + d2, tuple(sorted(c1 + c2)))
-                product[key] = product.get(key, 0.0) + a * b
-        power = product
-        for (d, comb), coef in power.items():
-            B[d, column[comb]] += (-1) ** (g + 1) * coef / g
-    B.setflags(write=False)
-    return B, steps
+def _inverse_powers(p: np.ndarray) -> np.ndarray:
+    """(4, n) array of p^-1, ..., p^-4 over the primes p, by repeated products."""
+    out = np.empty((_LOG_DEGREE, p.size))
+    np.divide(1.0, p, out=out[0])
+    for d in range(1, _LOG_DEGREE):
+        np.multiply(out[d - 1], out[0], out=out[d])
+    return out
 
 
-def _log_series_coeffs(k: int, rows: list[np.ndarray]) -> np.ndarray:
-    """(4(k-1) + 1, n) array of the c_d(p) of log z_p = sum_d c_d X^d + O(w^5).
-
-    ``rows`` are the marginal rows [F_0, ..., F_{k-1}] over n primes.
-    """
-    B, steps = _log_series_matrix(k)
-    mono = np.empty((len(steps), rows[0].size), dtype=complex)
-    for i, (parent, t) in enumerate(steps):
-        np.multiply(mono[parent] if parent >= 0 else 1.0, rows[t], out=mono[i])
-    return (B @ mono.view(float)).view(complex)  # B is real: one real GEMM
+def _log_remainder(k: int, r):
+    """2 (k - 1) r^5 / (5 (1 - r)): bounds the terms d > 4 of log z_p where |x| <= r < 1,
+    since |a_d| <= (k - 1) / d and |X^d - 1| <= 2."""
+    return 2.0 * (k - 1) * r**5 / (5.0 * (1.0 - r))
 
 
 # terms J of the cell expansion; at the widest cell offset x = 1 its
 # remainder r_J(1) <= e / J! is 4.2e-16 (of sum |M|, see truncation_bound)
 _CELL_TERMS = 18
 
-# order-5 log remainder allowed to the mid primes, which FastCharfn expands
+# log-series remainder allowed to the mid primes, which FastCharfn expands
 # instead of multiplying: a tenth of its ~1e-13 round-off floor
 _MID_BUDGET = 1e-14
 
@@ -690,14 +664,17 @@ class FastCharfn:
     """Bucketed evaluator of phi_N for dense frequency grids at large N.
 
     The primes fall into three groups.  The direct head, every prime up to
-    a cutoff P (318 primes, P = 2111, at k = 2, alpha = 1), is multiplied
-    factor by factor.  Past P, log z_p(lambda) is expanded as a polynomial
-    sum_d c_d(p) X^d in X = e^{i lambda v_p} (v_p = log p / log N) using
-    log(1+w) through order 4 in w.  The mid primes, P < p <= head cutoff,
-    are the longest run whose order-5 log remainder stays within
-    ``_MID_BUDGET``, with P >= ``threshold_prime``.  The tail primes
-    past the head cutoff (10^4 by default) go to ``buckets`` equal-width
-    fine buckets in v; the build stores the moments M[d, j, b] =
+    a cutoff P (181 primes, P = 1087, at k = 2, alpha = 1), is multiplied
+    factor by factor.  Past P, log z_p(lambda) is the polynomial
+    sum_d c_d(p) X^d in X = e^{i lambda v_p} (v_p = log p / log N) from
+    the closed form log z_p(X) = sum_{d>=1} a_d x^d (X^d - 1), x = alpha/p,
+    a_d = (1 - k [k | d]) / d (see :func:`_log_coeffs`), cut at degree 4
+    for every k: c_d = a_d alpha^d p^-d, c_0 = -sum_{d>=1} c_d, and each
+    prime leaves at most 2 (k - 1) |x|^5 / (5 (1 - |x|)).  The mid primes,
+    P < p <= head cutoff, are the longest run whose remainder stays within
+    ``_MID_BUDGET``, with P >= ``threshold_prime``.  The tail primes past
+    the head cutoff (10^4 by default) go to ``buckets`` equal-width fine
+    buckets in v; the build stores the moments M[d, j, b] =
     sum_p c_d(p) (v_p - vbar_b)^j, j <= 3, of a third-order expansion of
     e^{i lambda d v} about each bucket mean.  Each ``grid`` call, from
     max|lambda| alone, joins G = 2^g fine buckets into cells of width H with
@@ -705,22 +682,22 @@ class FastCharfn:
     ``_CELL_TERMS`` moments about the cell centres, and adds cells of the
     same width below the buckets that hold each mid prime as an exact point
     (a j = 0 moment at v_p).  A frequency pays for the direct head and the
-    cells (318 primes and 343 cells, 87 of them mid, on the R = 360 grid at
-    N = 10^6, k = 2, against 1229 head primes and 4096 buckets): per block
-    of L nodes lambda = m + t, whole panels of a ``PanelGrid`` (plain nodes
-    have the one offset t = 0), one (panels, P + cells) cos/sin pass times
-    the offsets' phases e^{i t v}, degree - 1 in-place products and per
-    degree one (L, cells) @ (cells, J) GEMM, combined by Horner.
+    cells (181 primes and 380 cells, 124 of them mid, on the R = 360 grid
+    at N = 10^6, k = 2, against 1229 head primes and 4096 buckets): per
+    block of L nodes lambda = m + t, whole panels of a ``PanelGrid`` (plain
+    nodes have the one offset t = 0), one (panels, P + cells) cos/sin pass
+    times the offsets' phases e^{i t v}, 3 in-place products and per degree
+    one (L, cells) @ (cells, J) GEMM, combined by Horner.
 
-    The build costs O(pi(N)) once.  After the bucket means (one pass over
-    v_p), the tail primes are visited in chunks of ``_BUILD_CHUNK``: per
-    chunk, the marginal rows give c_d = B @ (monomials of F_1..F_{k-1}) with
-    one constant matrix B per k, and the moments of each order j are summed
-    over the chunk's contiguous bucket runs (primes are sorted, so every
-    bucket is one slice) by one ``np.add.reduceat``; a bucket spanning two
-    chunks is added to twice.  No per-prime array longer than a chunk is ever complex: the
-    build at N = 10^8 (5.76 M tail primes) allocates at most 94 MB besides
-    the prime table, 16 bytes a tail prime for v_p and the bucket index.
+    The build costs O(pi(N)) once, the same for every k and alpha: M[d, j, b]
+    = a_d alpha^d S[d, j, b] with the real sums S[d, j, b] = sum_{p in b}
+    p^-d (v_p - vbar_b)^j, d, j <= 4 (j = 4 gives the phase term of the
+    bound), and sum p^-5 for the log term.  Primes are sorted, so bucket b
+    is the run of v between ``np.searchsorted(v, edges)`` entries b and
+    b + 1; whole buckets are visited in groups of about ``_BUILD_CHUNK``
+    primes, one ``np.add.reduceat`` per group.  The one per-prime array
+    longer than a group is v_p, 8 bytes a tail prime (46 MB for the 5.76 M
+    tail primes at N = 10^8).
 
     ``truncation_bound(lam_max)`` bounds the error in log phi_N, i.e. the
     relative error: |fast / exact - 1| <= e^bound - 1 for |lambda| <= lam_max.
@@ -739,59 +716,63 @@ class FastCharfn:
         self.cfg = cfg
         self.table = sieve_primes(cfg.N)
         self.log_n = math.log(cfg.N)
+        k, coef = cfg.k, _log_coeffs(cfg.k, cfg.alpha)
         d_star = threshold_prime(cfg)
         self.head_limit = max(int(head_limit), d_star)
         self.split = int(np.searchsorted(self.table.primes, self.head_limit, side="right"))
         head = self.table.primes[: self.split].astype(float)
-        rows = _marginal_rows(cfg.k, cfg.alpha, head)
-        # rem[i]: order-5 log remainder of primes[i:split]; the mid primes are the
-        # longest such run inside _MID_BUDGET that leaves every p <= d* direct
-        rem = np.append(np.cumsum(_order5_remainder(rows)[::-1])[::-1], 0.0)
+        # rem[i]: log remainder of primes[i:split] (|x| < 1/3 past d*, so the cap
+        # at 1/2 only touches direct primes); the mid primes are the longest
+        # such run inside _MID_BUDGET that leaves every p <= d* direct
+        rem = np.append(np.cumsum(_log_remainder(k, np.minimum(abs(cfg.alpha) / head, 0.5))[::-1])[::-1], 0.0)
         direct = int(np.searchsorted(head, d_star, side="right"))
         self.mid_start = max(int(np.count_nonzero(rem > _MID_BUDGET)), direct)
         self._head_v = np.log(head[: self.mid_start]) / self.log_n
-        self._head_rows = [row[: self.mid_start] for row in rows]
+        self._head_rows = _marginal_rows(k, cfg.alpha, head[: self.mid_start])
         self._mid_v = np.log(head[self.mid_start :]) / self.log_n
-        self._mid_c = _log_series_coeffs(cfg.k, [row[self.mid_start :] for row in rows])
+        c = coef[:, None] * _inverse_powers(head[self.mid_start :])
+        self._mid_c = np.concatenate([-c.sum(axis=0, keepdims=True), c])
 
         primes = self.table.primes[self.split :]
         if primes.size == 0:
             raise DomainError("no tail primes to bucket; lower head_limit or raise N")
-        v = np.log(primes) / self.log_n
-        # bucket by v; primes are sorted, so idx is nondecreasing
-        edges = np.linspace(v.min(), v.max() * (1 + 1e-12), buckets + 1)
-        idx = np.searchsorted(edges, v, side="right")
-        idx -= 1
-        np.clip(idx, 0, buckets - 1, out=idx)
-        counts = np.bincount(idx, minlength=buckets)
-        sums = np.bincount(idx, weights=v, minlength=buckets)
-        vbar = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-
-        k = cfg.k
-        degree = 4 * (k - 1)
-        # moments M[d][j][b] = sum_p c_d(p) (v - vbar)^j
-        moments = np.zeros((degree + 1, 4, buckets), dtype=complex)
-        abs4 = np.zeros(degree + 1)
-        log_remainder = 0.0
-        for start in range(0, primes.size, _BUILD_CHUNK):
-            stop = start + _BUILD_CHUNK
-            rows = _marginal_rows(k, cfg.alpha, primes[start:stop].astype(float))
-            c = _log_series_coeffs(k, rows)
-            b = idx[start:stop]
-            dv = v[start:stop] - vbar[b]
-            runs = np.flatnonzero(np.diff(b, prepend=-1))
-            dj = np.ones_like(dv)
-            for j in range(4):
-                moments[:, j, b[runs]] += np.add.reduceat(c * dj, runs, axis=1)
-                dj = dj * dv
-            abs4 += np.abs(c) @ dj  # dj = dv^4
-            # order-5 log remainder: |w| <= envelope E(p) < 1/2 beyond the head
-            log_remainder += float(np.sum(_order5_remainder(rows)))
-        self._moments = moments
-        self._abs4 = abs4
-        self._log_remainder = log_remainder + float(rem[self.mid_start])
+        v = primes.astype(float)  # the one full-length array: v_p, in place
+        np.log(v, out=v)
+        v /= self.log_n
+        # bucket b is the run primes[starts[b] : starts[b + 1]] of v in [edges[b], edges[b + 1])
+        edges = np.linspace(v[0], v[-1] * (1 + 1e-12), buckets + 1)
+        starts = np.searchsorted(v, edges)
+        full = np.flatnonzero(np.diff(starts))  # the nonempty buckets
+        bounds = np.append(starts[full], v.size)  # bucket full[i] is bounds[i] : bounds[i + 1]
+        counts = np.diff(bounds)
+        vbar = np.zeros(buckets)
+        vbar[full] = np.add.reduceat(v, bounds[:-1]) / counts
+        # S[d - 1, j, b] = sum_{p in b} p^-d (v_p - vbar_b)^j, j <= 4, and s5 = sum p^-5:
+        # real sums free of alpha and k, over groups of whole buckets
+        S = np.zeros((_LOG_DEGREE, 5, buckets))
+        s5 = 0.0
+        groups = np.searchsorted(bounds, np.arange(0, v.size, _BUILD_CHUNK), side="right") - 1
+        groups = np.unique(np.append(groups, full.size))
+        for g0, g1 in zip(groups[:-1], groups[1:]):
+            lo, hi = bounds[g0], bounds[g1]
+            dv = v[lo:hi] - np.repeat(vbar[full[g0:g1]], counts[g0:g1])
+            terms = np.empty((_LOG_DEGREE, 5, dv.size))
+            terms[:, 0] = _inverse_powers(primes[lo:hi])
+            for j in range(1, 5):
+                np.multiply(terms[:, j - 1], dv, out=terms[:, j])
+            s5 += float(np.dot(terms[-1, 0], terms[0, 0]))
+            S[:, :, full[g0:g1]] = np.add.reduceat(terms, bounds[g0:g1] - lo, axis=2)
+        # M[d, j, b] = a_d alpha^d S[d, j, b] and M[0, 0] = -sum_d M[d, 0]; for
+        # each d, _abs4[d] = sum_p |c_d(p)| (v_p - vbar_b)^4
+        self._moments = np.zeros((_LOG_DEGREE + 1, 4, buckets), dtype=complex)
+        self._moments[1:] = coef[:, None, None] * S[:, :4]
+        self._moments[0, 0] = -self._moments[1:, 0].sum(axis=0)
+        self._abs4 = np.append(0.0, np.abs(coef) * S[:, 4].sum(axis=1))
+        # the tail's log remainder, |x| <= |alpha| / p0 for all of it
+        p0 = float(primes[0])
+        self._log_remainder = float(_log_remainder(k, abs(cfg.alpha) / p0) * p0**5 * s5 + rem[self.mid_start])
         self._vbar = vbar
-        self._degree = degree
+        self._degree = _LOG_DEGREE
         self._v0 = float(edges[0])
         self._width = float(edges[-1] - edges[0]) / buckets  # of a fine bucket
 
@@ -839,7 +820,9 @@ class FastCharfn:
         The bound is the sum of three terms.  Phase: |e^{i t} - sum_{j<=3}|
         <= t^4/24 per fine bucket, against the |c_d| (v - vbar)^4 moments;
         the mid primes sit at their own v_p and add nothing here.  Log: the
-        order-5 remainder of the log series over the tail and the mid primes.
+        cut of the log series at degree 4, sum_p 2 (k - 1) |x|^5 / (5 (1 - |x|)),
+        over the mid primes and (with |x| <= |alpha| / p0, p0 the first tail
+        prime) over the tail.
         Cell: the cut of the cell expansion, sum_{d,j,b} |M[d, j, b]|
         (lam_max d)^j / j! r_{J-j}(x_d) plus sum_{d,p} |c_d(p)| r_J(x_d) over
         the mid primes, r_m(x) = sum_{n>=m} x^n / n! <= x^m e^x / m!,

@@ -1,9 +1,10 @@
 """Prime generation and counting shared by every other module.
 
-A plain odd-only numpy sieve serves limits up to 10**7; beyond that a
-segmented sieve keeps memory bounded (the convergence scans need every prime
-up to ~10**8).  Tables are immutable after construction and cached, so the
-expensive sieves run once per process and can be shared freely across threads.
+A plain odd-only numpy sieve serves limits up to 10**7; beyond that an
+odd-only segmented sieve keeps memory bounded (the convergence scans need
+every prime up to ~10**8).  Tables are immutable after construction and
+cached, so the expensive sieves run once per process and can be shared
+freely across threads.
 """
 
 from __future__ import annotations
@@ -66,22 +67,26 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 
 def _segmented_sieve(limit: int) -> np.ndarray:
-    """Segmented sieve for large limits; memory stays O(sqrt(limit) + segment)."""
+    """Segmented odd-only sieve for large limits; memory stays O(sqrt(limit) + segment).
+
+    A segment spans ``_SEGMENT_SIZE`` integers from an odd ``first`` and stores
+    only its odd ones (entry i is first + 2i); the odd base primes cross out
+    their odd multiples from max(p^2, first), every p-th entry.
+    """
     base = _simple_sieve(int(limit**0.5) + 1)
     chunks = [base[base <= limit]]
-    low = int(base[-1]) + 1
-    while low <= limit:
-        high = min(low + _SEGMENT_SIZE, limit + 1)
-        seg = np.ones(high - low, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = ((low + p - 1) // p) * p
-            if start < p * p:
-                start = p * p
-            if start < high:
-                seg[start - low :: p] = False
-        chunks.append((np.nonzero(seg)[0] + low).astype(np.int64))
-        low = high
+    odd = base[1:]
+    half = max(1, _SEGMENT_SIZE // 2)
+    first = (int(base[-1]) + 1) | 1
+    while first <= limit:
+        seg = np.ones(min(half, (limit - first) // 2 + 1), dtype=bool)
+        # the first odd multiple of p at or past max(p^2, first), as an entry index
+        start = np.maximum(odd * odd, -(-first // odd) * odd)
+        start += odd * (start % 2 == 0)
+        for p, i in zip(odd.tolist(), ((start - first) // 2).tolist()):
+            seg[i::p] = False
+        chunks.append(2 * np.flatnonzero(seg) + first)
+        first += 2 * half
     return np.concatenate(chunks)
 
 

@@ -40,7 +40,7 @@ from .ensemble import (
     measure,
     partition_constant,
     partition_function,
-    trivial_charfn_bound,
+    _positive_product,
 )
 from .errors import DegenerateConfigError, DomainError, ToleranceError
 from .primes import prime_count, sieve_primes
@@ -429,7 +429,9 @@ def smooth_sum_spectral(
     if not tol > 0:
         raise DomainError(f"the spectral route's tol must be positive, got {tol}")
     z = partition_function(cfg)
-    z_abs = abs(z) * trivial_charfn_bound(cfg)  # raises DegenerateConfigError if Z = 0
+    if z == 0:
+        raise DegenerateConfigError("partition function vanishes; phi_N undefined")
+    z_abs = _positive_product(cfg, 0.0)  # bounds |Z phi_N| on the real line
     if R is None:
         R = 8.0
         while z_abs * f.tail_integral(R) > 0.5 * tol:
@@ -444,7 +446,7 @@ def smooth_sum_spectral(
     tail_bound = float(z_abs * f.tail_integral(R))
     charfn = charfn_for(cfg)
     weights, terms = _panel_terms(charfn.grid, f, R)
-    sup = abs(z) * trivial_charfn_bound(cfg, _STRIP) * f.strip_bound(_STRIP)  # M
+    sup = _positive_product(cfg, _STRIP) * f.strip_bound(_STRIP)  # M
     mass = abs(z) * float(np.dot(weights, np.abs(terms)))  # A
     return SpectralSum(
         value=z * complex(np.dot(weights, terms)) + _atom_correction(cfg, f),

@@ -17,6 +17,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -44,7 +45,6 @@ from kfree.ensemble import (
     partition_function,
     threshold_prime,
     trivial_charfn_bound,
-    _log_series_coeffs,
     _marginal_rows,
 )
 from kfree.dickman import charfn_limit
@@ -647,41 +647,18 @@ class TestCharfnFor:
         assert type(charfn_for(EnsembleConfig(k=2, alpha=1.0, N=10**5))) is FastCharfn
 
 
-def _poly_mult(a: list, b: list) -> list:
-    """Product of two coefficient lists (index = power of X) of per-prime arrays."""
-    out = [np.zeros_like(a[0]) for _ in range(len(a) + len(b) - 1)]
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def log_series_by_expansion(k, F, magnitudes=False):
-    """Reference c_d: log(1 + w) through w^4, w = sum_t F_t (X^t - 1), expanded in X.
-
-    F holds the arrays F_1, ..., F_{k-1}.  With ``magnitudes`` every
-    coefficient and sign is replaced by its absolute value, which gives the
-    size of the terms each c_d sums (the scale of its rounding error).
-    """
-    a = [np.zeros_like(F[0]) for _ in range(k)]
-    for t in range(1, k):
-        a[t] = np.abs(F[t - 1]) if magnitudes else F[t - 1]
-        a[0] = a[0] + a[t] if magnitudes else a[0] - a[t]
-    c = [np.zeros_like(a[0]) for _ in range(4 * (k - 1) + 1)]
-    power = list(a)
-    for m in range(1, 5):
-        sign = 1.0 if magnitudes or m % 2 else -1.0
-        for d, coef in enumerate(power):
-            c[d] = c[d] + sign * coef / m
-        power = _poly_mult(power, a)
-    return np.array(c)
+def log_coeffs(k, alpha, p):
+    """c_d(p), d = 0..4, of log z_p = sum_d c_d X^d + O(x^5): c_d = a_d x^d with
+    x = alpha/p and a_d = (1 - k [k | d]) / d for d >= 1, c_0 = -sum_{d>=1} c_d."""
+    c = np.array([(1 - (k if d % k == 0 else 0)) / d * (alpha / p) ** d for d in range(1, 5)])
+    return np.concatenate([-c.sum(axis=0, keepdims=True), c])
 
 
 def mid_primes(fast):
     """v_p and the log-series coefficients c_d(p) of the mid primes, from the prime table."""
     cfg = fast.cfg
     p = sieve_primes(cfg.N).primes[fast.mid_start : fast.split].astype(float)
-    return np.log(p) / math.log(cfg.N), _log_series_coeffs(cfg.k, _marginal_rows(cfg.k, cfg.alpha, p))
+    return np.log(p) / math.log(cfg.N), log_coeffs(cfg.k, cfg.alpha, p)
 
 
 def mid_log(fast, lam):
@@ -773,28 +750,31 @@ def cell_remainder(fast, lam_max, terms):
 
 
 def reference_build(cfg, head_limit=10**4, buckets=4096):
-    """vbar, moments and abs4 by the chunked bucket build, step for step."""
+    """vbar, moments and abs4 of the bucket build in one full-length pass, step for step:
+    the old bucket index (the searchsorted of v in the edges) gives the runs, and
+    M[d, j, b] = a_d alpha^d S[d, j, b] with S[d, j, b] = sum_{p in b} p^-d (v_p - vbar_b)^j."""
     primes = sieve_primes(cfg.N).primes
     primes = primes[np.searchsorted(primes, max(head_limit, threshold_prime(cfg)), side="right") :]
     v = np.log(primes) / math.log(cfg.N)
     edges = np.linspace(v.min(), v.max() * (1 + 1e-12), buckets + 1)
     idx = np.clip(np.searchsorted(edges, v, side="right") - 1, 0, buckets - 1)
-    counts = np.bincount(idx, minlength=buckets)
-    sums = np.bincount(idx, weights=v, minlength=buckets)
-    vbar = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    moments = np.zeros((4 * (cfg.k - 1) + 1, 4, buckets), dtype=complex)
-    abs4 = np.zeros(moments.shape[0])
-    for start in range(0, primes.size, ensemble._BUILD_CHUNK):
-        stop = start + ensemble._BUILD_CHUNK
-        c = _log_series_coeffs(cfg.k, _marginal_rows(cfg.k, cfg.alpha, primes[start:stop].astype(float)))
-        b = idx[start:stop]
-        dv = v[start:stop] - vbar[b]
-        runs = np.flatnonzero(np.diff(b, prepend=-1))
-        dj = np.ones_like(dv)
-        for j in range(4):
-            moments[:, j, b[runs]] += np.add.reduceat(c * dj, runs, axis=1)
-            dj = dj * dv
-        abs4 += np.abs(c) @ dj
+    runs = np.flatnonzero(np.diff(idx, prepend=-1))
+    full, counts = idx[runs], np.diff(np.append(runs, v.size))
+    vbar = np.zeros(buckets)
+    vbar[full] = np.add.reduceat(v, runs) / counts
+    inv = 1.0 / primes
+    dv = v - vbar[idx]
+    terms = np.empty((4, 5, v.size))
+    terms[:, 0] = np.cumprod(np.broadcast_to(inv, (4, v.size)), axis=0)
+    for j in range(1, 5):
+        terms[:, j] = terms[:, j - 1] * dv
+    S = np.zeros((4, 5, buckets))
+    S[:, :, full] = np.add.reduceat(terms, runs, axis=2)
+    coef = np.array([(1.0 / d - (cfg.k / d if d % cfg.k == 0 else 0.0)) * cfg.alpha**d for d in range(1, 5)])
+    moments = np.zeros((5, 4, buckets), dtype=complex)
+    moments[1:] = coef[:, None, None] * S[:, :4]
+    moments[0, 0] = -moments[1:, 0].sum(axis=0)
+    abs4 = np.append(0.0, np.abs(coef) * S[:, 4].sum(axis=1))
     return vbar, moments, abs4
 
 
@@ -863,18 +843,24 @@ class TestFastCharfn:
         assert abs(want) > 50.0
         assert abs(got / want - 1.0) <= math.expm1(fast.truncation_bound(300.0)) + 1e-13
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_log_series_coeffs_match_polynomial_expansion(self, k, rng):
-        # random complex F_t, large enough that every c_d matters, and the
-        # marginal rows of tail primes, where the high-degree c_d are tiny
-        F = [rng.normal(size=64) * 0.2 + 1j * rng.normal(size=64) * 0.2 for _ in range(k - 1)]
-        rows = _marginal_rows(k, 1.3 - 0.4j, sieve_primes(10**5).primes[-64:].astype(float))
-        for F_t in (F, rows[1:]):
-            got = _log_series_coeffs(k, [np.ones(64, dtype=complex), *F_t])
-            want = log_series_by_expansion(k, F_t)
-            scale = log_series_by_expansion(k, F_t, magnitudes=True)
-            assert got.shape == want.shape
-            assert np.all(np.abs(got - want) <= 1e-14 * scale.real)
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_log_coeffs_match_mpmath_taylor(self, k, rng):
+        # The X^d coefficient of log sum_t F_t X^t is a_d x^d, d >= 1: against
+        # 50-digit Taylor coefficients at X = 0 for complex |x| <= 1/2, and the
+        # series cut at degree 4 stays within the remainder bound on |X| = 1.
+        xs = [0.5, -0.5, 0.5j, 0.3 - 0.4j] + [complex(*rng.uniform(-0.35, 0.35, 2)) for _ in range(4)]
+        for x in xs:
+            got = ensemble._log_coeffs(k, x)
+            with mpmath.workdps(50):
+                xm = mpmath.mpc(x)
+                F = [xm**t * (1 - xm) / (1 - xm**k) for t in range(k)]
+                want = mpmath.taylor(lambda X: mpmath.log(mpmath.polyval(F[::-1], X)), 0, 4)[1:]
+                for X in (mpmath.expjpi(s) for s in (0.25, 0.5, 1.0, -0.7)):
+                    cut = sum(a * (X ** (d + 1) - 1) for d, a in enumerate(got))
+                    err = abs(mpmath.log(mpmath.polyval(F[::-1], X)) - cut)
+                    assert err <= ensemble._log_remainder(k, abs(x)) * (1 + 1e-12)
+            for g, w in zip(got, want):
+                assert abs(g - complex(w)) <= 1e-14 * abs(complex(w))
 
     @pytest.mark.parametrize("buckets", [256, 4096])
     @pytest.mark.parametrize("k,alpha", [(2, 1.0), (3, 1 + 0.5j), (4, 3.5 - 1j)])
@@ -892,13 +878,13 @@ class TestFastCharfn:
             for lam in (5.0, 300.0):
                 assert got.truncation_bound(lam) == pytest.approx(ref.truncation_bound(lam), rel=1e-13)
 
-    def test_build_holds_no_full_length_complex_array(self, table_1e7):
-        # Over the 663k tail primes at N = 10^7 the build keeps v_p and the
-        # bucket index (16 bytes a prime, 10.1 MB) plus chunk-sized
-        # temporaries (5.7 MB): 15.9 MB in all, against 192 MB when every
-        # per-prime array spanned the whole tail.  One full-length complex
-        # temporary (another 16 bytes a prime) breaks the 8 MB allowance.
-        cfg = EnsembleConfig(k=2, alpha=1.0, N=10**7)
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_build_holds_no_full_length_complex_array(self, table_1e7, k):
+        # Over the 663k tail primes at N = 10^7 the build keeps v_p (8 bytes
+        # a prime, 5.3 MB) plus group-sized real temporaries, at every k.
+        # One more full-length array of 8 bytes a prime, or a k-sized
+        # temporary per prime, breaks the 8 MB allowance.
+        cfg = EnsembleConfig(k=k, alpha=1.0, N=10**7)
         fast = FastCharfn(cfg)  # warm lazy caches outside the measurement
         tracemalloc.start()
         try:
@@ -907,7 +893,7 @@ class TestFastCharfn:
         finally:
             tracemalloc.stop()
         tail = len(table_1e7.primes) - fast.split
-        assert peak < 16 * tail + 8 * 2**20
+        assert peak < 8 * tail + 8 * 2**20
 
     def test_truncation_bound_tracks_coarser_settings(self, table_1e6):
         # With a smaller head and fewer buckets the truncation term dominates
@@ -1026,16 +1012,15 @@ class TestFastCharfn:
     @pytest.mark.parametrize("k,alpha", MID_CASES)
     def test_direct_head_is_cut_by_mid_budget(self, table_1e6, k, alpha, N):
         # The mid primes primes[mid_start:split] are the longest run below the
-        # fine buckets whose order-5 log remainder sum E^5 / (5 (1 - E)) fits
-        # the budget; every prime <= d* stays in the direct head.
+        # fine buckets whose log remainder sum 2 (k - 1) |x|^5 / (5 (1 - |x|))
+        # fits the budget; every prime <= d* stays in the direct head.
         cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
         fast = FastCharfn(cfg)
         primes = sieve_primes(N).primes
         first = int(np.searchsorted(primes, threshold_prime(cfg), side="right"))
         assert fast._head_v.size == fast.mid_start >= first
-        rows = _marginal_rows(k, alpha, primes[: fast.split].astype(float))
-        env = 2.0 * np.sum(np.abs(np.stack(rows[1:])), axis=0)
-        rem = env**5 / (5.0 * (1.0 - np.minimum(env, 0.5)))
+        r = np.minimum(abs(alpha) / primes[: fast.split], 0.5)
+        rem = 2.0 * (k - 1) * r**5 / (5.0 * (1.0 - r))
         assert rem[fast.mid_start :].sum() <= ensemble._MID_BUDGET
         assert fast.mid_start == first or rem[fast.mid_start - 1 :].sum() > ensemble._MID_BUDGET
         if k == 2 and N == 10**6:

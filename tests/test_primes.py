@@ -8,7 +8,7 @@ development): pi(10^6) = 78498, pi(10^7) = 664579, pi(10^8) = 5761455.
 import numpy as np
 import pytest
 
-from kfree import DomainError, prime_count, sieve_primes
+from kfree import DomainError, prime_count, primes, sieve_primes
 
 
 def oracle_sieve(limit):
@@ -51,6 +51,17 @@ def test_segmented_sieve_agrees_with_plain():
     assert np.array_equal(seg.primes[: lo.count()], lo.primes)
     tail = [int(p) for p in seg.primes[lo.count() :]]
     assert tail == [p for p in oracle_sieve(limit) if p > 10**7]
+
+
+@pytest.mark.parametrize("segment", [2, 6, 64, 1000])
+def test_small_segments_match_simple_sieve(monkeypatch, segment):
+    # Odd, even, prime and p^2 limits spanning many segments, and tiny
+    # limits whose table is the base primes: the odd-only segments must give
+    # the plain sieve's table exactly.
+    monkeypatch.setattr(primes, "_SEGMENT_SIZE", segment)
+    for limit in (2, 3, 4, 9, 10, 25, 49, 50, 9_999, 10_000, 10_007, 97**2):
+        got, want = primes._segmented_sieve(limit), primes._simple_sieve(limit)
+        assert got.dtype == want.dtype and np.array_equal(got, want), limit
 
 
 @pytest.mark.slow
