@@ -12,7 +12,7 @@ Routes:
   <= R with a reported tail bound;
 * ``asymptotic_prediction`` -- the large-N form C * (log N)^alpha * integral
   of the limiting characteristic function against fhat over |lambda| <= R,
-  with an error envelope in the two standard terms.
+  with a unit-constant error rate in the two standard terms.
 
 Fourier convention throughout: fhat(lambda) = (1/2pi) * integral of
 f(u) e^{-i lambda u} du, so that f(u) = integral of fhat(lambda) e^{i lambda u}
@@ -419,8 +419,8 @@ def smooth_sum_spectral(
     (64/15)(h/2) M rho^-32 / (rho^2 - 1), rho = 6, M = sup |Z phi_N fhat| over
     |Im lam| <= 1.46 (Trefethen, SIAM Rev. 50, 2008, Thm 4.5).  With A = |Z|
     sum w |phi_N fhat|, the evaluator adds expm1(``truncation_bound(R)``) A
-    and rounding eps n A: forming the n terms and summing them in any order,
-    as BLAS may, errs by at most (n + 7) eps A / 2 (Higham 2002, 3.1, 4.2).
+    and rounding eps n A: forming the n terms and summing them in any order
+    (here numpy's fixed one) errs by at most (n + 7) eps A / 2 (Higham 2002).
 
     Discontinuous cutoffs receive the exact boundary-atom correction of
     :func:`_atom_correction` so that the routes share one convention (the
@@ -447,9 +447,9 @@ def smooth_sum_spectral(
     charfn = charfn_for(cfg)
     weights, terms = _panel_terms(charfn.grid, f, R)
     sup = _positive_product(cfg, _STRIP) * f.strip_bound(_STRIP)  # M
-    mass = abs(z) * float(np.dot(weights, np.abs(terms)))  # A
+    mass = abs(z) * float(np.sum(weights * np.abs(terms)))  # A
     return SpectralSum(
-        value=z * complex(np.dot(weights, terms)) + _atom_correction(cfg, f),
+        value=z * complex(np.sum(weights * terms)) + _atom_correction(cfg, f),
         R=R,
         quadrature_error=R * 64.0 / 15.0 * sup * _RHO ** (-2 * _PANEL_NODES) / (_RHO**2 - 1.0)
         + (math.expm1(charfn.truncation_bound(R)) + math.ulp(1.0) * terms.size) * mass,
@@ -464,7 +464,7 @@ def smooth_sum_spectral(
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """All computable routes for one configuration, with the error envelope."""
+    """All computable routes for one configuration, with the unit-constant error rate."""
 
     k: int
     alpha: complex
@@ -475,12 +475,13 @@ class ComparisonReport:
     direct: Optional[complex]
     spectral: complex
     asymptotic: complex
-    epsilon_bound: float
+    epsilon_rate: float
     ratios: dict = field(default_factory=dict)
 
 
 def _limit_integral(alpha: complex, f: CutoffDescriptor, R: float) -> complex:
-    return complex(np.dot(*_panel_terms(lambda pts: charfn_limit_grid(alpha, pts), f, R)))
+    weights, terms = _panel_terms(lambda pts: charfn_limit_grid(alpha, pts), f, R)
+    return complex(np.sum(weights * terms))
 
 
 def asymptotic_prediction(
@@ -495,8 +496,9 @@ def asymptotic_prediction(
     Preconditions are checked numerically and violations raise errors naming
     the failed inequality.  ``constant`` short-circuits the extrapolation of
     the partition constant (useful when sweeping N at fixed (k, alpha)).
-    ``epsilon_bound`` is the standard two-term envelope with unit constants:
-    log log N / log N plus (log N)^{|alpha| - Re alpha} / R^{eta - 1}.
+    ``epsilon_rate`` is the standard two-term rate with unit constants,
+    log log N / log N plus (log N)^{|alpha| - Re alpha} / R^{eta - 1}; it is
+    not a bound, and |spectral / asymptotic - 1| can exceed it.
     """
     alpha = complex(cfg.alpha)
     for bad in forbidden_alphas(cfg.k, max(3, int(abs(alpha)) + 1)):
@@ -530,7 +532,7 @@ def asymptotic_prediction(
     direct = None
     if cfg.k**n_primes <= enumeration_limit:
         direct = smooth_sum_direct(cfg, f)
-    epsilon_bound = math.log(log_n) / log_n + log_n**delta / R ** (f.eta - 1.0)
+    epsilon_rate = math.log(log_n) / log_n + log_n**delta / R ** (f.eta - 1.0)
     ratios = {"spectral_over_asymptotic": spectral.value / asymptotic}
     if direct is not None:
         ratios["direct_over_spectral"] = direct / spectral.value
@@ -544,7 +546,7 @@ def asymptotic_prediction(
         direct=direct,
         spectral=spectral.value,
         asymptotic=asymptotic,
-        epsilon_bound=float(epsilon_bound),
+        epsilon_rate=float(epsilon_rate),
         ratios=ratios,
     )
 
@@ -639,7 +641,8 @@ def theorem1_ratio_scan(
     out = []
     for N in sorted(int(n) for n in n_values):
         charfn = charfn_for(EnsembleConfig(k=k, alpha=alpha, N=N))
-        numerator = complex(np.dot(*_panel_terms(charfn.grid, f, float(R_numerator))))
+        weights, terms = _panel_terms(charfn.grid, f, float(R_numerator))
+        numerator = complex(np.sum(weights * terms))
         log_n = math.log(N)
         R_N = log_n / math.log(log_n)
         denominator = _limit_integral(complex(alpha), f, R_N)

@@ -8,9 +8,12 @@ comparison of re-emitted artifacts for the reproducibility guarantee.
 
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,8 @@ SQUAREFREE_5_SMOOTH = [1, 2, 3, 5, 6, 10, 15, 30]
 
 # Z(2, 1, 10) = (1 + 1/2)(1 + 1/3)(1 + 1/5)(1 + 1/7) = 96/35 by hand.
 PARTITION_2_1_10 = 96.0 / 35.0
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def invoke(argv, tmp_path, name="out.json"):
@@ -545,6 +550,23 @@ class TestThreads:
         assert calls == [2, 3] and restored == [2, 3]
         assert invoke(["partition", "--k", "2", "--N", "10"], tmp_path)[0] == 0
         assert calls == [2, 3] and restored == [2, 3]
+
+    def test_artifact_identical_at_any_blas_thread_count(self):
+        # the frequency sums run in a fixed order, so the BLAS pool size,
+        # fixed when numpy loads, cannot move a digit of the artifact
+        argv = ["compare", "--k", "2", "--alpha", "-1", "--N", "40", "--cutoff", "bump01"]
+        code = "import sys; sys.path.insert(0, sys.argv[1]); from kfree.cli import run; sys.exit(run(sys.argv[2:]))"
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(ROOT / "src"), *argv],
+                capture_output=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestHelp:

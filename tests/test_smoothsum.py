@@ -413,7 +413,7 @@ class TestAsymptoticPrediction:
         assert (rep.k, rep.alpha, rep.N) == (2, 1.0 + 0.0j, 10**4)
         assert rep.cutoff == "bump"
         assert rep.direct is None  # 2^1229 elements: far past the cap
-        assert rep.epsilon_bound > 0.0
+        assert rep.epsilon_rate > 0.0
         assert "spectral_over_asymptotic" in rep.ratios
 
     def test_envelope_dominated_by_loglog_term_for_eta_four(self):
@@ -425,7 +425,7 @@ class TestAsymptoticPrediction:
         first = math.log(log_n) / log_n
         second = 1.0 / R**3
         assert first > second
-        assert rep.epsilon_bound == pytest.approx(first + second, rel=1e-12)
+        assert rep.epsilon_rate == pytest.approx(first + second, rel=1e-12)
 
     def test_forbidden_alpha_is_degenerate(self):
         cfg = EnsembleConfig(k=2, alpha=-2.0, N=100)
