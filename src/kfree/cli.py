@@ -683,7 +683,9 @@ def _cmd_sum(config: RunConfig) -> _Artifact:
         result = {
             "R": float(spectral.R),
             "declared_tolerance": float(spectral.declared_tolerance),
+            "panel_width": float(spectral.panel_width),
             "quadrature_error": float(spectral.quadrature_error),
+            "rho": float(spectral.rho),
             "route": route,
             "tail_bound": float(spectral.tail_bound),
             "value": spectral.value,
@@ -709,7 +711,9 @@ def _cmd_compare(config: RunConfig) -> _Artifact:
         "declared_tolerance": declared,
         "difference": float(difference),
         "direct": direct,
+        "panel_width": float(spectral.panel_width),
         "quadrature_error": float(spectral.quadrature_error),
+        "rho": float(spectral.rho),
         "rounding_allowance": rounding,
         "spectral": spectral.value,
         "tail_bound": float(spectral.tail_bound),

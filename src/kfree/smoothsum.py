@@ -76,7 +76,8 @@ class CutoffDescriptor:
     ``transform`` evaluates fhat on a numpy grid or a :class:`PanelGrid` in
     one pass; ``transform_grid`` is the call every route makes.
     ``strip_bound(y)`` bounds |fhat| over |Im lam| <= y for f >= 0 by e^{y max
-    |u|} fhat(0), u over the support, or e^{y^2/2} fhat(0) for the Gaussian.
+    |u|} fhat(0), u over the support, or e^{y^2/2} fhat(0) for the Gaussian;
+    it is inf where that factor passes the float range.
     ``eta``/``decay_constant`` give the generic envelope |fhat(lam)| <= C /
     (1 + |lam|^eta); ``tail_integral`` maps R to a bound on the integral of
     |fhat| over |lam| > R (both half lines).
@@ -100,7 +101,11 @@ class CutoffDescriptor:
 
     def strip_bound(self, y: float) -> float:
         reach = 0.5 * y if self.support is None else max(map(abs, self.support))
-        return math.exp(y * reach) * abs(complex(self.transform(np.zeros(1))[0]))
+        try:
+            grow = math.exp(y * reach)
+        except OverflowError:  # e^{y^2/2} passes the float range beyond y ~ 37.7
+            return math.inf
+        return grow * abs(complex(self.transform(np.zeros(1))[0]))
 
 
 # -- indicator of [0, 1] ----------------------------------------------------
@@ -277,9 +282,18 @@ def fourier_transform(f: CutoffDescriptor, lam: float, tol: float = 1e-9) -> com
     """fhat(lam) by direct adaptive quadrature of f(u) e^{-i lam u} / 2pi.
 
     Deliberately ignores the descriptor's own transform so it can serve as an
-    independent cross-check of the closed forms and cached grids.
+    independent cross-check of the closed forms and cached grids.  Without a
+    support the window is [-L, L] for the first whole L (at most 40) with
+    |f(+-L)| <= 1e-6 tol: [-9, 9] for the Gaussian at tol = 1e-9 or 1e-10,
+    narrow enough for the 256 panels of :func:`complex_quad` to resolve
+    e^{-i lam u} far past lam = 60.
     """
-    lo, hi = f.support if f.support is not None else (-40.0, 40.0)
+    if f.support is not None:
+        lo, hi = f.support
+    else:
+        decayed = (L for L in range(1, 40) if max(abs(f.evaluate(L)), abs(f.evaluate(-L))) <= 1e-6 * tol)
+        hi = float(next(decayed, 40))
+        lo = -hi
     lam = float(lam)
     value, _ = complex_quad(
         lambda u: f.evaluate(u) * complex(math.cos(lam * u), -math.sin(lam * u)), lo, hi, tol
@@ -316,12 +330,16 @@ class SpectralSum:
     save the round-off inside the phi_N and fhat evaluators (see
     :func:`smooth_sum_spectral`).  ``declared_tolerance`` = it + ``tail_bound``
     is the agreement radius guaranteed against the direct route.
+    ``panel_width`` and ``rho`` are the panel layout :func:`_panel_rule` chose
+    and the Bernstein ellipse its Gauss remainder is bounded on.
     """
 
     value: complex
     R: float
     quadrature_error: float
     tail_bound: float
+    panel_width: float
+    rho: float
 
     @property
     def declared_tolerance(self) -> float:
@@ -347,29 +365,61 @@ def comparison_tolerance(cfg: EnsembleConfig, direct: complex, spectral: Spectra
     return float(spectral.declared_tolerance + rounding)
 
 
+# The unit-width layout: the grid of _limit_integral and the panel rule's
+# fallback, whose Gauss remainder is bounded on the ellipse rho = 6, which
+# reaches _STRIP ~ 1.46 off the real axis.
 _PANEL_WIDTH = 1.0
 _PANEL_NODES = 16
-_RHO = 6.0  # Bernstein ellipse of the panel remainder
-_STRIP = 0.25 * _PANEL_WIDTH * (_RHO - 1.0 / _RHO)  # its reach off the real axis, ~1.46
+_RHO = 6.0
+_STRIP = 0.25 * _PANEL_WIDTH * (_RHO - 1.0 / _RHO)
+
+# (panel width h, strip half-width y) the panel rule tries, widest first; the
+# last is the unit-width layout, taken when no wider one fits
+_LAYOUTS = ((4.0, 3.0), (2.0, 3.0), (_PANEL_WIDTH, _STRIP))
+# share of the target the chosen layout's Gauss remainder may take
+_REMAINDER_SHARE = 0.25
 
 
-def _symmetric_grid(R: float) -> PanelGrid:
+def _symmetric_grid(R: float, width: float = _PANEL_WIDTH) -> PanelGrid:
     if not R > 0:
         raise DomainError(f"the frequency cutoff R must be positive, got {R}")
-    return gauss_panels(-R, R, 2 * max(1, int(math.ceil(R / _PANEL_WIDTH))), _PANEL_NODES)
+    return gauss_panels(-R, R, 2 * max(1, int(math.ceil(R / width))), _PANEL_NODES)
+
+
+def _panel_rule(cfg: EnsembleConfig, f: CutoffDescriptor, R: float, target: float) -> tuple:
+    """(h, rho, grid, bound): the widest panel layout whose Gauss remainder fits the target.
+
+    The integrand Z phi_N fhat is entire.  On the panels of width h over
+    |lam| <= R, 16 Gauss nodes err by at most R (64/15) M rho^-32 / (rho^2 -
+    1) in all (Trefethen, SIAM Rev. 50, 2008, Thm 4.5), where the ellipse
+    rho = 2y/h + sqrt((2y/h)^2 + 1) reaches y off the real axis and M =
+    ``_positive_product(cfg, y)`` ``f.strip_bound(y)`` bounds the integrand
+    on |Im lam| <= y.  The first layout of ``_LAYOUTS`` whose bound is at
+    most ``_REMAINDER_SHARE * target`` is taken, else the unit-width one; an
+    M that overflows to inf leaves its layouts out.  M costs one Euler
+    product per distinct y.
+    """
+    sups: dict = {}
+    for h, y in _LAYOUTS:
+        if y not in sups:
+            with np.errstate(over="ignore"):
+                sups[y] = _positive_product(cfg, y) * f.strip_bound(y)
+        rho = 2.0 * y / h + math.sqrt((2.0 * y / h) ** 2 + 1.0)
+        bound = R * 64.0 / 15.0 * sups[y] * rho ** (-2 * _PANEL_NODES) / (rho**2 - 1.0)
+        if bound <= _REMAINDER_SHARE * target or h == _PANEL_WIDTH:
+            return h, rho, _symmetric_grid(R, h), bound
 
 
 _transform_node_cache: dict = {}
 
 
-def _panel_terms(values, f: CutoffDescriptor, R: float) -> tuple:
-    """Weights and terms values(lam) * fhat(lam) of the panel quadrature over |lam| <= R.
+def _panel_terms(values, f: CutoffDescriptor, R: float, grid: PanelGrid) -> tuple:
+    """Weights and terms values(lam) * fhat(lam) of the panel quadrature on ``grid`` over |lam| <= R.
 
     ``values`` maps the :class:`PanelGrid` (which may factor its phases) to
     the other factor, a characteristic function on a grid.  fhat on the
     nodes is cached per cutoff name, R and node count.
     """
-    grid = _symmetric_grid(R)
     key = (f.name, round(R, 12), grid.size)
     fhat = _transform_node_cache.get(key)
     if fhat is None:
@@ -414,10 +464,12 @@ def smooth_sum_spectral(
     for an explicit ``R``.  An explicit ``R`` is honored as given and the
     tail bound is only reported.  R <= 0 or tol <= 0 raise :class:`DomainError`.
 
-    ``quadrature_error`` adds three terms from the one grid of n nodes.  The
-    integrand is entire, so a 16-node panel of width h errs by at most
-    (64/15)(h/2) M rho^-32 / (rho^2 - 1), rho = 6, M = sup |Z phi_N fhat| over
-    |Im lam| <= 1.46 (Trefethen, SIAM Rev. 50, 2008, Thm 4.5).  With A = |Z|
+    The grid is the one :func:`_panel_rule` picks for the target ``tol``:
+    panels of width h = 4, 2 or 1, the widest whose Gauss remainder bound is
+    at most tol / 4, and h = 1 (rho = 6) when none is.  ``quadrature_error``
+    adds three terms from that grid of n nodes: the remainder bound R (64/15)
+    M rho^-32 / (rho^2 - 1), M = sup |Z phi_N fhat| on the strip the ellipse
+    rho reaches (Trefethen, SIAM Rev. 50, 2008, Thm 4.5).  With A = |Z|
     sum w |phi_N fhat|, the evaluator adds expm1(``truncation_bound(R)``) A
     and rounding eps n A: forming the n terms and summing them in any order
     (here numpy's fixed one) errs by at most (n + 7) eps A / 2 (Higham 2002).
@@ -445,15 +497,17 @@ def smooth_sum_spectral(
     R = float(R)
     tail_bound = float(z_abs * f.tail_integral(R))
     charfn = charfn_for(cfg)
-    weights, terms = _panel_terms(charfn.grid, f, R)
-    sup = _positive_product(cfg, _STRIP) * f.strip_bound(_STRIP)  # M
+    width, rho, grid, remainder = _panel_rule(cfg, f, R, tol)
+    weights, terms = _panel_terms(charfn.grid, f, R, grid)
     mass = abs(z) * float(np.sum(weights * np.abs(terms)))  # A
     return SpectralSum(
         value=z * complex(np.sum(weights * terms)) + _atom_correction(cfg, f),
         R=R,
-        quadrature_error=R * 64.0 / 15.0 * sup * _RHO ** (-2 * _PANEL_NODES) / (_RHO**2 - 1.0)
+        quadrature_error=remainder
         + (math.expm1(charfn.truncation_bound(R)) + math.ulp(1.0) * terms.size) * mass,
         tail_bound=tail_bound,
+        panel_width=width,
+        rho=rho,
     )
 
 
@@ -480,7 +534,7 @@ class ComparisonReport:
 
 
 def _limit_integral(alpha: complex, f: CutoffDescriptor, R: float) -> complex:
-    weights, terms = _panel_terms(lambda pts: charfn_limit_grid(alpha, pts), f, R)
+    weights, terms = _panel_terms(lambda pts: charfn_limit_grid(alpha, pts), f, R, _symmetric_grid(R))
     return complex(np.sum(weights * terms))
 
 
@@ -634,14 +688,19 @@ def theorem1_ratio_scan(
     partition factor cancels in the ratio, so the scan stays well
     conditioned even where Z itself tends to zero.  phi_N is evaluated by
     :func:`~kfree.ensemble.charfn_for` (exact at and below N = 10^4,
-    bucketed beyond).
+    bucketed beyond), on the grid :func:`_panel_rule` picks for the target
+    1e-9 on the numerator: the rule bounds Z times it, so its target is 1e-9
+    |Z|.
     """
     if f is None:
         f = get_cutoff("bump")
+    R = float(R_numerator)
     out = []
     for N in sorted(int(n) for n in n_values):
-        charfn = charfn_for(EnsembleConfig(k=k, alpha=alpha, N=N))
-        weights, terms = _panel_terms(charfn.grid, f, float(R_numerator))
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
+        charfn = charfn_for(cfg)
+        grid = _panel_rule(cfg, f, R, 1e-9 * abs(partition_function(cfg)))[2]
+        weights, terms = _panel_terms(charfn.grid, f, R, grid)
         numerator = complex(np.sum(weights * terms))
         log_n = math.log(N)
         R_N = log_n / math.log(log_n)

@@ -110,6 +110,7 @@ class TestArtifactShape:
         spectral = doc_s["result"]["value"]
         assert abs(complex(direct["re"], direct["im"]) - complex(spectral["re"], spectral["im"])) < 1e-9
         assert doc_s["result"]["declared_tolerance"] > 0.0
+        assert (doc_s["result"]["panel_width"], doc_s["result"]["rho"]) == (4.0, 1.5 + math.sqrt(3.25))
 
     def test_asymptotic_route_embeds_report(self, tmp_path):
         argv = ["sum", "--k", "2", "--N", "30", "--route", "asymptotic"]
@@ -385,6 +386,8 @@ class TestExitCodes:
         assert code == 0
         assert doc["result"]["agree"] is True
         assert doc["result"]["difference"] <= doc["result"]["declared_tolerance"]
+        # the panel layout the Gauss remainder bound chose is in the artifact
+        assert (doc["result"]["panel_width"], doc["result"]["rho"]) == (4.0, 1.5 + math.sqrt(3.25))
 
     def test_unwritable_output_path(self, capsys):
         argv = ["partition", "--k", "2", "--N", "10", "--output", "/nonexistent-dir/x.json"]

@@ -11,16 +11,20 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
+from kfree import smoothsum
 from kfree._quad import PanelGrid, complex_quad, gauss_panels
 from kfree.ensemble import (
     CharfnEvaluator,
     EnsembleConfig,
     FastCharfn,
+    _positive_product,
+    charfn_for,
     partition_constant,
     partition_function,
 )
@@ -38,7 +42,7 @@ from kfree.smoothsum import (
     smooth_sum_spectral,
     theorem1_ratio_scan,
 )
-from kfree.smoothsum import _bump_nodes, _symmetric_grid, bump_transform
+from kfree.smoothsum import _bump_nodes, _gauss_transform, _panel_rule, _symmetric_grid, bump_transform
 
 TWO_PI = 2.0 * math.pi
 
@@ -186,6 +190,13 @@ class TestBuiltinCutoffs:
             oracle = fourier_transform(f, lam, tol=1e-10)
             assert batch == pytest.approx(oracle, abs=1e-8)
 
+    def test_gaussian_quadrature_converges_at_high_frequency(self):
+        # e^{-lam^2/2} / sqrt(2pi) is below 1e-540 here, so the quadrature
+        # returns the cancellation of a window of the Gaussian against e^{-i lam u}
+        f = get_cutoff("gaussian")
+        for lam in (50.0, 58.0, 60.0):
+            assert abs(fourier_transform(f, lam, tol=1e-10) - _gauss_transform([lam])[0]) <= 1e-16
+
     @pytest.mark.parametrize("name", ["indicator", "bump", "bump01", "gaussian"])
     def test_decay_class_membership_spot_check(self, name):
         f = get_cutoff(name)
@@ -299,14 +310,14 @@ class TestSpectralRoute:
 
     @pytest.mark.parametrize("k,alpha,N,name", QUADRATURE_CASES)
     def test_quadrature_error_bounds_a_finer_rule(self, k, alpha, N, name):
-        # The same panels with 32 Gauss nodes instead of 16 give the
-        # reference; the reported quadrature error covers the whole gap.
+        # Unit-width panels with 32 Gauss nodes give the reference, whatever
+        # width the route chose; the reported quadrature error covers the gap.
         cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
         f = get_cutoff(name)
         spectral = smooth_sum_spectral(cfg, f)
         phi = CharfnEvaluator(cfg).grid
-        fine = _symmetric_grid(spectral.R)
-        ref = gauss_panels(-spectral.R, spectral.R, fine.centres.size, 32)
+        fine = _symmetric_grid(spectral.R, spectral.panel_width)
+        ref = gauss_panels(-spectral.R, spectral.R, _symmetric_grid(spectral.R).centres.size, 32)
         gap = [np.dot(g.weights, phi(g) * f.transform_grid(g)) for g in (fine, ref)]
         assert spectral.quadrature_error >= abs(partition_function(cfg)) * abs(gap[0] - gap[1])
 
@@ -318,7 +329,7 @@ class TestSpectralRoute:
         cfg = EnsembleConfig(k=2, alpha=1.0, N=10**5)
         f = get_cutoff("gaussian")
         spectral = smooth_sum_spectral(cfg, f)
-        grid = _symmetric_grid(spectral.R)
+        grid = _symmetric_grid(spectral.R, spectral.panel_width)
         exact = np.dot(grid.weights, CharfnEvaluator(cfg).grid(grid) * f.transform_grid(grid))
         assert abs(spectral.value - partition_function(cfg) * exact) <= spectral.quadrature_error
         monkeypatch.setattr(FastCharfn, "truncation_bound", lambda self, lam_max: 1e-6)
@@ -332,7 +343,55 @@ class TestSpectralRoute:
         with pytest.raises(DomainError):
             smooth_sum_spectral(cfg, get_cutoff("gaussian"), **kwargs)
 
-    @pytest.mark.parametrize("y", [0.5, 1.46])
+    def test_unit_width_fallback_is_the_fixed_layout(self):
+        # tol / 4 = 2.5e-24 lies below the h = 2 remainder bound (5.3e-22) and
+        # above the h = 1 one (2.0e-24): the route keeps unit-width panels and
+        # gives, bit for bit, their sum and the remainder bound at rho = 6
+        cfg = EnsembleConfig(k=2, alpha=1.0, N=30)
+        f, R = get_cutoff("gaussian"), 8.0
+        spectral = smooth_sum_spectral(cfg, f, R=R, tol=1e-23)
+        assert (spectral.panel_width, spectral.rho) == (1.0, 6.0)
+        z, charfn = partition_function(cfg), charfn_for(cfg)
+        grid = gauss_panels(-R, R, 16, 16)
+        terms = charfn.grid(grid) * f.transform_grid(grid)
+        assert spectral.value == z * complex(np.sum(grid.weights * terms))
+        sup = _positive_product(cfg, 1.4583333333333333) * f.strip_bound(1.4583333333333333)
+        mass = abs(z) * float(np.sum(grid.weights * np.abs(terms)))
+        assert spectral.quadrature_error == R * 64.0 / 15.0 * sup * 6.0**-32 / (6.0**2 - 1.0) + (
+            math.expm1(charfn.truncation_bound(R)) + math.ulp(1.0) * terms.size
+        ) * mass
+
+    def test_wider_panels_keep_the_remainder_within_its_share(self):
+        # the three spectral sums of the small CLI benchmark take h = 4, and
+        # their quadrature error (remainder, evaluator and rounding) stays
+        # under a quarter of tol
+        for k, alpha, N, name in QUADRATURE_CASES[-3:]:
+            spectral = smooth_sum_spectral(EnsembleConfig(k=k, alpha=alpha, N=N), get_cutoff(name))
+            assert (spectral.panel_width, spectral.rho) == (4.0, 1.5 + math.sqrt(3.25))
+            assert spectral.quadrature_error <= 0.25e-9
+
+    def test_layouts_with_an_overflowing_bound_are_skipped(self, monkeypatch):
+        # a strip bound past the float range (e^{3 * 300}) or an Euler product
+        # that overflows drops the y = 3 layouts without a RuntimeWarning
+        cfg = EnsembleConfig(k=2, alpha=1.0, N=30)
+        wide = dataclasses.replace(get_cutoff("bump01"), name="wide", support=(0.0, 300.0))
+        assert wide.strip_bound(3.0) == math.inf
+        product = smoothsum._positive_product
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            width, rho, grid, bound = _panel_rule(cfg, wide, 8.0, 1.0)
+            assert (width, rho, grid.size) == (1.0, 6.0, 256) and math.isfinite(bound)
+            monkeypatch.setattr(
+                smoothsum, "_positive_product", lambda c, y: float(np.exp(1e3)) if y == 3.0 else product(c, y)
+            )
+            assert _panel_rule(cfg, get_cutoff("gaussian"), 8.0, 1.0)[:2] == (1.0, 6.0)
+
+    def test_gaussian_strip_bound_overflows_to_inf(self):
+        f = get_cutoff("gaussian")
+        assert math.isfinite(f.strip_bound(37.0))
+        assert f.strip_bound(40.0) == math.inf
+
+    @pytest.mark.parametrize("y", [0.5, 1.46, 3.0])
     @pytest.mark.parametrize("name", ["indicator", "bump", "bump01", "gaussian"])
     def test_strip_bound_covers_complex_frequencies(self, name, y):
         # fhat(lam + i y) by adaptive quadrature of f(u) e^{-i lam u} e^{y u}
@@ -528,6 +587,16 @@ class TestRatioScan:
             log_n = math.log(N)
             assert R_N == pytest.approx(log_n / math.log(log_n), rel=1e-12)
             assert np.isfinite(ratio.real) and np.isfinite(ratio.imag)
+
+    def test_scan_grid_layouts(self, monkeypatch):
+        # at N = 10^6, R = 360 the Gauss remainder over |Z| is ~1.3e-11 at
+        # h = 4 for alpha = 1, inside a quarter of 1e-9; for alpha = -1 it is
+        # ~4.7e-9 there and ~2.7e-18 at h = 2
+        rule, picked = smoothsum._panel_rule, []
+        monkeypatch.setattr(smoothsum, "_panel_rule", lambda *args: picked.append(rule(*args)) or picked[-1])
+        for alpha in (1.0, -1.0):
+            theorem1_ratio_scan(2, alpha, [10**6])
+        assert [p[0] for p in picked] == [4.0, 2.0]
 
     def test_unit_alpha_deviations_shrink(self):
         rows = theorem1_ratio_scan(2, 1.0, [10**4, 10**5, 10**6])
