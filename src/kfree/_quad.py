@@ -74,11 +74,13 @@ class PanelGrid:
     def __array__(self, dtype=None, copy=None):
         return np.array(self.points, dtype=dtype, copy=copy)
 
-    def phase_factors(self, v: np.ndarray, block: int):
-        """Yield (lo, hi, e^{i m v}, e^{i t v}) for the centres m = centres[lo:hi], ``block`` at a time."""
-        shift = _cis(np.outer(self.offsets, v))
-        for lo in range(0, self.centres.size, block):
-            yield lo, lo + block, _cis(np.outer(self.centres[lo : lo + block], v)), shift
+    def offset_phases(self, v: np.ndarray) -> np.ndarray:
+        """e^{i t v}, one row per offset t."""
+        return _cis(np.outer(self.offsets, v))
+
+    def centre_phases(self, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """e^{i m v}, one row per centre m of centres[lo:hi]."""
+        return _cis(np.outer(self.centres[lo:hi], v))
 
 
 @lru_cache(maxsize=None)

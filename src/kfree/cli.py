@@ -31,8 +31,8 @@ byte for byte only when both were written to the same path.
 destination is the :class:`RunConfig` field it sets, and both the run
 configuration and the replay argv are read off the parser.
 
-``--threads`` caps the native thread pools for one run only; the cap is
-lifted when :func:`run` returns.
+``--threads`` caps kfree's worker threads and numpy's OpenBLAS pool for
+one run only; the cap is lifted when :func:`run` returns.
 
 JSON is the canonical format.  CSV is available for grid-shaped results;
 the column layouts are documented in ``--help`` and stable.
@@ -55,7 +55,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _threads
 from .certify import reproduce_example
 from .dickman import charfn_limit_grid, rho_at, solve_rho, w_density, w_integral
 from .ensemble import (
@@ -215,8 +215,9 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads",
         type=int,
-        help="cap native BLAS threads via threadpoolctl; without it the cap is "
-        "reported on stderr as not applied (fallback: KFREE_THREADS)",
+        help="cap kfree's worker threads and numpy's OpenBLAS pool; where that "
+        "OpenBLAS is not found the cap is reported on stderr as not applied "
+        "(fallback: KFREE_THREADS)",
     )
 
 
@@ -411,20 +412,18 @@ def _resolve_threads(flag_value: Optional[int]) -> Optional[int]:
 
 
 def _apply_thread_cap(threads: Optional[int]):
-    """Cap native thread pools via threadpoolctl: numpy has already read *_NUM_THREADS.
+    """Cap kfree's workers and the BLAS pool at ``threads`` for one run.
 
-    Returns the limiter, whose ``restore_original_limits`` ends the cap, or
-    None when there is no cap to apply.
+    Returns the call that lifts the cap, or None when there is no cap or no
+    OpenBLAS to apply it to.
     """
     if threads is None:
         return None
-    try:
-        import threadpoolctl
-    except ImportError:
-        msg = "threadpoolctl is not installed and numpy has already sized its BLAS pool"
+    lift = _threads.cap(threads)
+    if lift is None:
+        msg = "numpy's OpenBLAS was not found, so its pool keeps the size set when numpy loaded"
         print(f"kfree: --threads {threads} not applied: {msg}", file=sys.stderr)
-        return None
-    return threadpoolctl.threadpool_limits(limits=threads)
+    return lift
 
 
 def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
@@ -804,10 +803,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    limiter = None
+    lift = None
     try:
         config = _config_from_namespace(ns)
-        limiter = _apply_thread_cap(config.threads)
+        lift = _apply_thread_cap(config.threads)
         artifact = _HANDLERS[config.command](config)
         text = _render(config, artifact)
         _emit(text, config.output)
@@ -821,8 +820,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"kfree: size cap: {exc}", file=sys.stderr)
         return 4
     finally:
-        if limiter is not None:
-            limiter.restore_original_limits()
+        if lift is not None:
+            lift()
     if artifact.message:
         print(f"kfree: {artifact.message}", file=sys.stderr)
     return artifact.status

@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._quad import PanelGrid
+from ._threads import map_blocks, one_blas_thread
 from .errors import DegenerateConfigError, DomainError, SizeCapError
 from .primes import PrimeTable, sieve_primes
 from .specfun import exp_integral_e1
@@ -687,7 +688,10 @@ class FastCharfn:
     block of L nodes lambda = m + t, whole panels of a ``PanelGrid`` (plain
     nodes have the one offset t = 0), one (panels, P + cells) cos/sin pass
     times the offsets' phases e^{i t v}, 3 in-place products and per degree
-    one (L, cells) @ (cells, J) GEMM, combined by Horner.
+    one (L, cells) @ (cells, J) GEMM, combined by Horner.  The build and the
+    grid run on one BLAS thread; the blocks are independent and go to the
+    workers of :func:`~kfree._threads.map_blocks`, and a node's value does
+    not depend on how many there are.
 
     The build costs O(pi(N)) once, the same for every k and alpha: M[d, j, b]
     = a_d alpha^d S[d, j, b] with the real sums S[d, j, b] = sum_{p in b}
@@ -707,6 +711,7 @@ class FastCharfn:
     (order 1e-13 relative at N = 10^6) that the bound does not include.
     """
 
+    @one_blas_thread()
     def __init__(
         self,
         cfg: EnsembleConfig,
@@ -840,15 +845,19 @@ class FastCharfn:
         points = np.abs(self._mid_c[1:]).sum(axis=1) * r[:, 0]
         return float(phase + self._log_remainder + cell.sum() + points.sum())
 
+    @one_blas_thread()
     def grid(self, lams, block: int = 256) -> np.ndarray:
+        """phi_N on ``lams``, whole panels of about ``block`` nodes at a time (see :func:`map_blocks`)."""
         grid = PanelGrid.of(lams)
         lams, per = grid.points, grid.offsets.size
         out = np.empty(lams.shape, dtype=complex)
         half, centres, cell_moments = self._cells(np.max(np.abs(lams), initial=0.0))
         v = np.concatenate([centres, self._head_v])
-        for lo, hi, em, et in grid.phase_factors(v, max(1, block // per)):
+        et = grid.offset_phases(v)
+
+        def panels(lo: int, hi: int) -> None:
             lam = lams[lo * per : hi * per]
-            phases = (em[:, None] * et).reshape(lam.size, v.size)
+            phases = (grid.centre_phases(v, lo, hi)[:, None] * et).reshape(lam.size, v.size)
             # tail: per degree d, one (L, C) @ (C, J) product against the cell
             # moments, combined by Horner in t = i lam d H / 2
             base, hphase = phases[:, : centres.size], phases[:, centres.size :]
@@ -867,6 +876,8 @@ class FastCharfn:
                 z *= hphase
             z += self._head_rows[0]
             out[lo * per : hi * per] = np.prod(z, axis=1) * np.exp(acc)
+
+        map_blocks(panels, grid.centres.size, max(1, block // per))
         out[lams == 0.0] = 1.0
         return out
 

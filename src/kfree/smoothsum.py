@@ -31,6 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._quad import PanelGrid, complex_quad, gauss_panels
+from ._threads import map_blocks, one_blas_thread
 from .dickman import charfn_limit_grid
 from .ensemble import (
     EnsembleConfig,
@@ -153,6 +154,7 @@ def _bump_nodes():
     return grid.points, grid.weights * g
 
 
+@one_blas_thread()
 def bump_transform(lams) -> np.ndarray:
     """fhat of the bump on a panel grid (or plain nodes) by the cached Gauss rule.
 
@@ -164,16 +166,24 @@ def bump_transform(lams) -> np.ndarray:
 
     At lam = m + t, cos(lam x) = Re[e^{i|m|x} e^{ist x}] with s the sign of
     m: one complex GEMM (e^{i|m|x} wg) @ e^{ist x} per block of
-    ``_BUMP_BLOCK`` distinct |m| and the distinct s t.  The nodes +-lam of a
-    symmetric grid read the same entry, so fhat is exactly even.
+    ``_BUMP_BLOCK`` distinct |m| and the distinct s t, the blocks shared
+    among the workers of :func:`~kfree._threads.map_blocks`.  The nodes
+    +-lam of a symmetric grid read the same entry, so fhat is exactly even.
     """
     grid = PanelGrid.of(lams)
     x, wg = _bump_nodes()
     mags, row = np.unique(np.abs(grid.centres), return_inverse=True)
     shifts, col = np.unique(np.where(grid.centres < 0, -1.0, 1.0)[:, None] * grid.offsets, return_inverse=True)
     vals = np.empty((mags.size, shifts.size))
-    for lo, hi, em, et in PanelGrid(mags, shifts).phase_factors(x, _BUMP_BLOCK):
-        vals[lo:hi] = ((em * wg) @ et.T).real
+    phases = PanelGrid(mags, shifts)
+    et = phases.offset_phases(x)
+
+    def rows(lo: int, hi: int) -> None:
+        em = phases.centre_phases(x, lo, hi)
+        em *= wg  # in place: one (block, 2000) array in flight per piece
+        vals[lo:hi] = (em @ et.T).real
+
+    map_blocks(rows, mags.size, _BUMP_BLOCK)
     return (vals[np.repeat(row, grid.offsets.size), col.ravel()] / math.pi).astype(complex)
 
 
@@ -427,6 +437,17 @@ def _panel_terms(values, f: CutoffDescriptor, R: float, grid: PanelGrid) -> tupl
     return grid.weights, values(grid) * fhat
 
 
+def _paired_sum(weights: np.ndarray, terms: np.ndarray) -> complex:
+    """sum of weights * terms on a symmetric grid, each +-lam pair added first.
+
+    The nodes of :func:`_symmetric_grid` are exactly antisymmetric and its
+    weights exactly symmetric, so where terms(-lam) = conj terms(lam) bit for
+    bit (real alpha, even cutoff) every pair, and so the sum, is exactly real.
+    """
+    half = terms.size // 2
+    return complex(np.sum(weights[:half] * (terms[:half] + terms[::-1][:half])))
+
+
 def _atom_correction(cfg: EnsembleConfig, f: CutoffDescriptor) -> complex:
     """Exact correction for ensemble elements sitting on jumps of f.
 
@@ -472,7 +493,8 @@ def smooth_sum_spectral(
     rho reaches (Trefethen, SIAM Rev. 50, 2008, Thm 4.5).  With A = |Z|
     sum w |phi_N fhat|, the evaluator adds expm1(``truncation_bound(R)``) A
     and rounding eps n A: forming the n terms and summing them in any order
-    (here numpy's fixed one) errs by at most (n + 7) eps A / 2 (Higham 2002).
+    (here each +-lam pair first, then numpy's fixed order; see
+    :func:`_paired_sum`) errs by at most (n + 7) eps A / 2 (Higham 2002).
 
     Discontinuous cutoffs receive the exact boundary-atom correction of
     :func:`_atom_correction` so that the routes share one convention (the
@@ -501,7 +523,7 @@ def smooth_sum_spectral(
     weights, terms = _panel_terms(charfn.grid, f, R, grid)
     mass = abs(z) * float(np.sum(weights * np.abs(terms)))  # A
     return SpectralSum(
-        value=z * complex(np.sum(weights * terms)) + _atom_correction(cfg, f),
+        value=z * _paired_sum(weights, terms) + _atom_correction(cfg, f),
         R=R,
         quadrature_error=remainder
         + (math.expm1(charfn.truncation_bound(R)) + math.ulp(1.0) * terms.size) * mass,
@@ -535,7 +557,7 @@ class ComparisonReport:
 
 def _limit_integral(alpha: complex, f: CutoffDescriptor, R: float) -> complex:
     weights, terms = _panel_terms(lambda pts: charfn_limit_grid(alpha, pts), f, R, _symmetric_grid(R))
-    return complex(np.sum(weights * terms))
+    return _paired_sum(weights, terms)
 
 
 def asymptotic_prediction(
@@ -701,7 +723,7 @@ def theorem1_ratio_scan(
         charfn = charfn_for(cfg)
         grid = _panel_rule(cfg, f, R, 1e-9 * abs(partition_function(cfg)))[2]
         weights, terms = _panel_terms(charfn.grid, f, R, grid)
-        numerator = complex(np.sum(weights * terms))
+        numerator = _paired_sum(weights, terms)
         log_n = math.log(N)
         R_N = log_n / math.log(log_n)
         denominator = _limit_integral(complex(alpha), f, R_N)

@@ -1,13 +1,36 @@
-"""Shared fixtures: cached prime tables and density grids.
+"""Shared fixtures: cached prime tables and density grids, and the BLAS pool guard.
 
 The big sieves and the delay-ODE solves are the session's expensive shared
 artifacts; build them once and hand the same immutable objects to every test.
+Every test must leave numpy's OpenBLAS pool, and kfree's thread cap, as it
+found them: a scope that does not restore the pool fails the test that left it.
 """
 
 import numpy as np
 import pytest
 
-from kfree import primes
+from kfree import _threads, primes
+
+
+@pytest.fixture(autouse=True)
+def blas_pool_unchanged():
+    blas = _threads._openblas()
+    before = (blas.get() if blas else None, _threads._cap)
+    yield
+    assert (blas.get() if blas else None, _threads._cap) == before, "BLAS pool size or thread cap left changed"
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """A stand-in OpenBLAS handle with a pool of 4: ``state["size"]`` is its pool, ``state["sets"]`` each resize."""
+    state = {"size": 4, "sets": []}
+
+    def resize(n):
+        state["sets"].append(n)
+        state["size"] = n
+
+    monkeypatch.setattr(_threads, "_openblas", lambda: _threads._Blas(lambda: state["size"], resize, 4))
+    return state
 
 
 @pytest.fixture(scope="session")

@@ -12,12 +12,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import types
 from pathlib import Path
 
 import pytest
 
 import kfree
+from kfree import _threads, ensemble
 from kfree.cli import argv_of, run
 from kfree.errors import DomainError
 from kfree.smoothsum import error_region
@@ -388,6 +388,8 @@ class TestExitCodes:
         assert doc["result"]["difference"] <= doc["result"]["declared_tolerance"]
         # the panel layout the Gauss remainder bound chose is in the artifact
         assert (doc["result"]["panel_width"], doc["result"]["rho"]) == (4.0, 1.5 + math.sqrt(3.25))
+        # real alpha and an even cutoff: the +-lambda pairs make the spectral value exactly real
+        assert doc["result"]["spectral"]["im"] == 0.0
 
     def test_unwritable_output_path(self, capsys):
         argv = ["partition", "--k", "2", "--N", "10", "--output", "/nonexistent-dir/x.json"]
@@ -500,76 +502,85 @@ class TestThreads:
         assert code == 0
         assert doc["run_config"]["threads"] == 1
 
-    @staticmethod
-    def _fake_threadpoolctl(monkeypatch):
-        # Records each cap in the returned list and each restore in the
-        # fake module's ``restored`` list.
-        calls = []
-        fake = types.ModuleType("threadpoolctl")
-        fake.restored = []
-
-        class Limiter:
-            def __init__(self, limits):
-                calls.append(limits)
-                self.limits = limits
-
-            def restore_original_limits(self):
-                fake.restored.append(self.limits)
-
-        fake.threadpool_limits = Limiter
-        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-        return calls
-
     def test_unapplied_cap_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
-        # Without threadpoolctl the BLAS pool cannot be resized after numpy
-        # has loaded: say so once, and write the same artifact as when it can.
+        # Without numpy's OpenBLAS the pool cannot be resized after numpy has
+        # loaded: say so once, and write the same artifact as when it can.
         argv = ["partition", "--k", "2", "--N", "10", "--threads", "2"]
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.setattr(_threads, "_openblas", lambda: None)
         code, text = invoke(argv, tmp_path)
         assert code == 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("kfree: --threads 2 not applied: ")
         assert json.loads(text)["run_config"]["threads"] == 2
-        self._fake_threadpoolctl(monkeypatch)
+        monkeypatch.undo()
         assert invoke(argv, tmp_path) == (0, text)
 
-    def test_applied_cap_is_silent(self, tmp_path, capsys, monkeypatch):
-        calls = self._fake_threadpoolctl(monkeypatch)
+    def test_applied_cap_is_silent(self, tmp_path, capsys, fake_blas):
         code, doc = invoke_json(["partition", "--k", "2", "--N", "10", "--threads", "2"], tmp_path)
         assert code == 0
-        assert calls == [2]
+        assert fake_blas["sets"] == [2, 4]  # the cap, then the pool it found
         assert capsys.readouterr().err == ""
         assert doc["run_config"]["threads"] == 2
 
-    def test_cap_is_restored_when_the_run_ends(self, tmp_path, monkeypatch):
+    def test_cap_is_restored_when_the_run_ends(self, tmp_path, fake_blas):
         # the cap belongs to one run: an in-process caller's later runs start uncapped
-        calls = self._fake_threadpoolctl(monkeypatch)
-        restored = sys.modules["threadpoolctl"].restored
         assert invoke(["partition", "--k", "2", "--N", "10", "--threads", "2"], tmp_path)[0] == 0
-        assert calls == [2] and restored == [2]
+        assert fake_blas["sets"] == [2, 4] and _threads._cap is None
         # a run that fails after the cap is applied lifts it too
         assert invoke(["charfn", "--k", "2", "--N", "10", "--threads", "3"], tmp_path)[0] == 2
-        assert calls == [2, 3] and restored == [2, 3]
+        assert fake_blas["sets"] == [2, 4, 3, 4] and _threads._cap is None
         assert invoke(["partition", "--k", "2", "--N", "10"], tmp_path)[0] == 0
-        assert calls == [2, 3] and restored == [2, 3]
+        assert fake_blas["sets"] == [2, 4, 3, 4]
 
-    def test_artifact_identical_at_any_blas_thread_count(self):
-        # the frequency sums run in a fixed order, so the BLAS pool size,
-        # fixed when numpy loads, cannot move a digit of the artifact
-        argv = ["compare", "--k", "2", "--alpha", "-1", "--N", "40", "--cutoff", "bump01"]
+    def test_cap_reaches_the_grid_workers(self, tmp_path, monkeypatch, fake_blas):
+        # FastCharfn.grid shares its panels among at most --threads workers
+        counts = []
+        map_blocks = ensemble.map_blocks
+
+        def spy(task, size, block):
+            counts.append(_threads.workers(-(-size // block)))
+            map_blocks(task, size, block)
+
+        monkeypatch.setattr(ensemble, "map_blocks", spy)
+        argv = ["charfn", "--k", "2", "--N", "100000", "--lambda-grid", "-300", "300", "1025"]
+        assert invoke([*argv, "--threads", "1"], tmp_path)[0] == 0
+        assert invoke(argv, tmp_path)[0] == 0
+        assert counts == [1, min(4, len(os.sched_getaffinity(0)))]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--k", "2", "--alpha", "-1", "--N", "40", "--cutoff", "bump01"],
+            ["sum", "--k", "2", "--alpha", "1", "--N", "1000000", "--route", "spectral", "--cutoff", "bump"],
+        ],
+        ids=["compare-exact", "sum-fast"],
+    )
+    def test_artifact_identical_at_any_blas_thread_count(self, argv):
+        # the frequency sums run in a fixed order and FastCharfn on one BLAS
+        # thread, so neither the BLAS pool size, fixed when numpy loads, nor
+        # the worker cap can move a digit of the artifact
         code = "import sys; sys.path.insert(0, sys.argv[1]); from kfree.cli import run; sys.exit(run(sys.argv[2:]))"
-        outputs = []
-        for threads in ("1", "2"):
-            proc = subprocess.run(
-                [sys.executable, "-c", code, str(ROOT / "src"), *argv],
-                capture_output=True,
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
-                timeout=300,
+        runs = (("1", []), ("2", []), ("2", ["--threads", "1"]), ("2", ["--threads", "2"]))
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code, str(ROOT / "src"), *argv, *cap],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": blas},
             )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
+            for blas, cap in runs
+        ]
+        outputs = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            outputs.append(out)
         assert outputs[0] == outputs[1]
+        # a cap is recorded in the run configuration; every other byte agrees
+        for out, cap in zip(outputs[2:], (b"1", b"2")):
+            assert b'"threads": ' + cap in out
+            assert out.replace(b'"threads": ' + cap, b'"threads": null') == outputs[1]
 
 
 class TestHelp:

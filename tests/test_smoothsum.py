@@ -426,6 +426,14 @@ class TestAlgebraicInvariants:
         )
         assert value.imag == 0.0
 
+    @pytest.mark.parametrize("N", [13, 10**6])
+    @pytest.mark.parametrize("alpha", [1.0, -1.0])
+    def test_real_alpha_even_cutoff_gives_real_spectral_sum(self, alpha, N):
+        # phi_N(-lam) = conj phi_N(lam) bit for bit on the symmetric grid, so
+        # each +-lam pair of terms is real and so is the sum, at any panel width
+        value = smooth_sum_spectral(EnsembleConfig(k=2, alpha=alpha, N=N), get_cutoff("bump")).value
+        assert value.imag == 0.0
+
     def test_conjugating_alpha_conjugates_the_sum(self):
         f = get_cutoff("bump01")
         alpha = 0.9 + 0.7j

@@ -1,0 +1,188 @@
+"""kfree's thread control: one BLAS thread inside kfree's stages, and its own worker pool."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from kfree import _threads
+from kfree.ensemble import EnsembleConfig, FastCharfn
+from kfree.smoothsum import _symmetric_grid, bump_transform
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def real_blas():
+    blas = _threads._openblas()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS was not found in this process")
+    return blas
+
+
+class TestOneBlasThread:
+    def test_sets_one_thread_and_restores_nested(self, fake_blas):
+        with _threads.one_blas_thread():
+            assert fake_blas["size"] == 1
+            with _threads.one_blas_thread():
+                assert fake_blas["size"] == 1
+            assert fake_blas["size"] == 1
+        assert fake_blas["size"] == 4
+        assert fake_blas["sets"] == [1, 4]
+
+    def test_restores_when_the_body_raises(self, fake_blas):
+        with pytest.raises(ValueError):
+            with _threads.one_blas_thread():
+                raise ValueError
+        assert fake_blas["size"] == 4
+
+    def test_concurrent_scopes_share_one_count(self, fake_blas):
+        # more threads than cores entering and leaving scopes, switching often:
+        # every body sees one thread, and the pool is back when the last closes
+        seen, interval = [], sys.getswitchinterval()
+
+        def enter_often():
+            for _ in range(200):
+                with _threads.one_blas_thread():
+                    seen.append(fake_blas["size"])
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=enter_often) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [1] * 1600
+        assert fake_blas["size"] == 4 and _threads._scopes[0] == 0
+        assert fake_blas["sets"][-1] == 4
+
+    def test_real_pool_restored(self, real_blas):
+        before = real_blas.get()
+        with _threads.one_blas_thread():
+            assert real_blas.get() == 1
+        assert real_blas.get() == before
+
+    def test_no_handle_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(_threads, "_openblas", lambda: None)
+        with _threads.one_blas_thread():
+            pass
+        assert _threads.workers(100) == 1
+        assert _threads.cap(2) is None
+        calls = []
+        _threads.map_blocks(lambda lo, hi: calls.append((lo, hi, threading.get_ident())), 10, 4)
+        assert calls == [(0, 4, threading.get_ident()), (4, 8, threading.get_ident()), (8, 10, threading.get_ident())]
+
+    def test_library_stages_leave_the_callers_pool(self, real_blas):
+        # FastCharfn's build and grid and the bump transform hold BLAS to one
+        # thread inside and hand the caller's pool size back, whatever it is
+        before = real_blas.get()
+        try:
+            for pool in sorted({1, before}):
+                real_blas.set(pool)
+                fast = FastCharfn(EnsembleConfig(k=2, alpha=1.0, N=10**5))
+                assert real_blas.get() == pool
+                fast.grid(_symmetric_grid(8.0))
+                assert real_blas.get() == pool
+                bump_transform(_symmetric_grid(8.0))
+                assert real_blas.get() == pool
+        finally:
+            real_blas.set(before)
+
+    def test_no_lookup_at_import(self):
+        code = "import sys; sys.path.insert(0, sys.argv[1]); import kfree.cli; print(kfree._threads._openblas.cache_info().misses)"
+        proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+
+class TestWorkers:
+    def test_clamp(self):
+        # a pure function of the pool, the cap, the usable CPUs and the blocks
+        assert _threads.clamp(2, None, 2, 45) == 2
+        assert _threads.clamp(2, 10**6, 2, 45) == 2
+        assert _threads.clamp(10**6, 10**6, 3, 45) == 3
+        assert _threads.clamp(10**6, None, 10**6, 5) == 5
+        assert _threads.clamp(4, 1, 8, 45) == 1
+        assert _threads.clamp(1, 10**6, 8, 45) == 1
+        assert _threads.clamp(4, None, 8, 0) == 1
+
+    def test_large_caps_are_cut_to_the_cpus_and_blocks(self, monkeypatch):
+        # no thread is started: workers only counts
+        monkeypatch.setattr(_threads, "_openblas", lambda: _threads._Blas(lambda: 10**6, lambda n: None, 10**6))
+        monkeypatch.setattr(_threads, "_cap", 10**6)
+        cpus = len(os.sched_getaffinity(0))
+        assert _threads.workers(10**9) == cpus
+        assert _threads.workers(1) == 1
+
+    def test_cap_sets_workers_and_pool_until_lifted(self, fake_blas):
+        lift = _threads.cap(1)
+        assert fake_blas["size"] == 1
+        assert _threads.workers(100) == 1
+        lift()
+        assert fake_blas["size"] == 4
+        assert _threads._cap is None
+
+    @pytest.mark.parametrize(
+        "count,size,pieces",
+        [
+            (1, 23, [(0, 8), (8, 16), (16, 23)]),
+            (2, 23, [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20), (20, 23)]),
+            # a one-item tail joins the piece before it, unless its block has one item
+            (2, 21, [(0, 4), (4, 8), (8, 12), (12, 16), (16, 21)]),
+            (2, 17, [(0, 4), (4, 8), (8, 12), (12, 16), (16, 17)]),
+            (3, 19, [(lo, lo + 2) for lo in range(0, 16, 2)] + [(16, 19)]),
+        ],
+    )
+    def test_blocks_split_over_workers(self, monkeypatch, count, size, pieces):
+        # w workers cut each block of 8 into pieces of 8 // w, covering every index once
+        monkeypatch.setattr(_threads, "workers", lambda blocks: min(count, blocks))
+        seen = []
+        _threads.map_blocks(lambda lo, hi: seen.append((lo, hi)), size, 8)
+        assert sorted(seen) == pieces
+
+
+@pytest.mark.parametrize("k,alpha", [(2, 1.0), (2, -1.0), (3, 1 + 0.5j)])
+def test_grid_identical_at_one_and_two_workers(table_1e6, monkeypatch, k, alpha):
+    # each node's value is computed row by row, so it does not depend on
+    # how the panels are shared out
+    fast = FastCharfn(EnsembleConfig(k=k, alpha=alpha, N=10**6))
+    grid = _symmetric_grid(360.0)
+    values = []
+    for count in (1, 2):
+        monkeypatch.setattr(_threads, "workers", lambda blocks, count=count: min(count, blocks))
+        values.append(fast.grid(grid))
+    assert np.array_equal(values[0], values[1])
+
+
+@pytest.mark.parametrize("size", [257, 385, 513, 641, 1025])
+def test_plain_nodes_identical_at_any_worker_count(table_1e6, monkeypatch, size):
+    # sizes whose blocks or pieces end in a single node, where a one-row
+    # product would round differently from the rows around it
+    fast = FastCharfn(EnsembleConfig(k=2, alpha=1.0, N=10**6))
+    lams = np.linspace(-300.0, 300.0, size) + 0.125
+    values = []
+    for count in (1, 2, 3):
+        monkeypatch.setattr(_threads, "workers", lambda blocks, count=count: min(count, blocks))
+        values.append(fast.grid(lams))
+    assert np.array_equal(values[0], values[1]) and np.array_equal(values[0], values[2])
+
+
+@pytest.mark.parametrize(
+    "lams",
+    [_symmetric_grid(360.0, 4.0), _symmetric_grid(1024.0), np.linspace(-300.0, 300.0, 193) + 0.125],
+    ids=["R360-h4", "R1024-h1", "plain-193"],
+)
+def test_bump_transform_identical_at_any_worker_count(monkeypatch, lams):
+    values = []
+    for count in (1, 2, 3):
+        monkeypatch.setattr(_threads, "workers", lambda blocks, count=count: min(count, blocks))
+        values.append(bump_transform(lams))
+    assert np.array_equal(values[0], values[1]) and np.array_equal(values[0], values[2])
