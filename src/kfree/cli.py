@@ -61,9 +61,9 @@ from .dickman import charfn_limit_grid, rho_at, solve_rho, w_density, w_integral
 from .ensemble import (
     EnsembleConfig,
     charfn_for,
-    enumerate_ensemble,
     partition_constant,
     partition_function,
+    _ensemble_integers,
 )
 from .errors import (
     DegenerateConfigError,
@@ -599,7 +599,7 @@ def _resolve_radius(config: RunConfig, n_value: int) -> Optional[float]:
 
 def _cmd_enumerate(config: RunConfig) -> _Artifact:
     cfg = _ensemble_config(config)
-    elements = [value for value, _ in enumerate_ensemble(cfg, cap=config.cap)]
+    elements, _ = _ensemble_integers(cfg, cap=config.cap)
     result = {"count": len(elements), "elements": elements}
     csv = (("element",), [(value,) for value in elements])
     return _Artifact(result=result, csv=csv)

@@ -17,8 +17,7 @@ This module provides:
   equals the direct product (a vanishing factor gives exactly 0);
 * Richardson-style extrapolation of Z_N/(log N)^alpha toward its constant;
 * per-prime exponent marginals F_t(p), their Laurent coefficients at
-  u = infinity, the exact cancellation identity behind the error kernel,
-  and the error kernel itself with its envelope bound;
+  u = infinity, and the error kernel with its envelope bound;
 * the finite-N characteristic function of xi(x) = log x / log N, both as an
   exact prime product and as a bucketed fast evaluator for dense frequency
   grids at large N, with one rule (:func:`charfn_for`) choosing between them.
@@ -52,11 +51,8 @@ __all__ = [
     "nu_marginal",
     "marginal_row",
     "laurent_coeffs",
-    "laurent_partial_sum",
-    "cancellation_check",
     "threshold_prime",
     "ensemble_charfn",
-    "trivial_charfn_bound",
     "CharfnEvaluator",
     "FastCharfn",
     "charfn_for",
@@ -129,36 +125,51 @@ class Factorization:
         return 0
 
     def xi(self, N: int) -> float:
-        """log(value)/log(N), the normalized logarithm in [0, pi(N)]."""
+        """log(value)/log(N), the normalized logarithm in [0, (k-1) pi(N)]."""
         if self.value == 1:
             return 0.0
         return math.log(self.value) / math.log(N)
 
 
-def enumerate_ensemble(cfg: EnsembleConfig, cap: int = ENUMERATION_CAP):
-    """All k^pi(N) elements as a list of (value, Factorization), sorted by value."""
-    table = sieve_primes(cfg.N)
-    primes = [int(p) for p in table.primes]
-    count = cfg.k ** len(primes)
-    if count > cap:
+def _ensemble_integers(cfg: EnsembleConfig, cap: int = ENUMERATION_CAP) -> tuple[list, list]:
+    """All k^pi(N) elements as plain ints: (values, Omegas), sorted by value.
+
+    A Kronecker product over the primes, each multiplying by p^0, ..., p^(k-1).
+    """
+    primes = [int(p) for p in sieve_primes(cfg.N).primes]
+    if cfg.k ** len(primes) > cap:
         raise SizeCapError(
             f"ensemble has {cfg.k}^{len(primes)} elements (> cap {cap}); "
             "use the product/spectral paths instead of enumeration"
         )
+    values, omegas = [1], [0]
+    for p in primes:
+        powers = [p**t for t in range(cfg.k)]
+        values = [v * q for q in powers for v in values]
+        omegas = [m + t for t in range(cfg.k) for m in omegas]
+    order = sorted(range(len(values)), key=values.__getitem__)
+    return [values[i] for i in order], [omegas[i] for i in order]
+
+
+def enumerate_ensemble(cfg: EnsembleConfig, cap: int = ENUMERATION_CAP):
+    """All k^pi(N) elements as a list of (value, Factorization), sorted by value.
+
+    The factorization-building view of the ensemble; the direct sum and
+    ``kfree enumerate`` walk the plain integers instead.
+    """
+    values, _ = _ensemble_integers(cfg, cap)
+    primes = [int(p) for p in sieve_primes(cfg.N).primes]
     items = []
-
-    def rec(i: int, val: int, pairs: tuple):
-        if i == len(primes):
-            items.append((val, Factorization(pairs)))
-            return
-        p = primes[i]
-        pv = 1
-        for t in range(cfg.k):
-            rec(i + 1, val * pv, pairs + ((p, t),) if t else pairs)
-            pv *= p
-
-    rec(0, 1, ())
-    items.sort(key=lambda vf: vf[0])
+    for value in values:
+        pairs, rest = [], value
+        for p in primes:
+            t = 0
+            while rest % p == 0:
+                rest //= p
+                t += 1
+            if t:
+                pairs.append((p, t))
+        items.append((value, Factorization(tuple(pairs))))
     return items
 
 
@@ -539,22 +550,6 @@ def laurent_coeffs(k: int, alpha: complex, t: int, l_max: int) -> LaurentCoeffs:
     return LaurentCoeffs(k=k, alpha=alpha, t=t, coefficients=coeffs)
 
 
-def laurent_partial_sum(coeffs: LaurentCoeffs, u: complex) -> complex:
-    """sum_l b(l)/u^l, evaluated by Horner from the top coefficient."""
-    acc = 0.0 + 0.0j
-    for b in reversed(coeffs.coefficients):
-        acc = acc / u + b
-    return complex(acc)
-
-
-def cancellation_check(k: int, alpha: complex, l: int) -> complex:
-    """sum_{j=0}^{min(l, k-1)} alpha^j * b_0(l-j); identically zero for l >= 2."""
-    if l < 2:
-        raise DomainError("the cancellation identity needs l >= 2")
-    alpha = complex(alpha)
-    return complex(sum(alpha**j * _b0(k, alpha, l - j) for j in range(min(l, k - 1) + 1)))
-
-
 # ---------------------------------------------------------------------------
 # finite-N characteristic function
 # ---------------------------------------------------------------------------
@@ -618,14 +613,6 @@ def _positive_product(cfg: EnsembleConfig, strip: float) -> float:
     """prod_p sum_t |alpha|^t p^{-t} e^{strip t v_p}, one positive Euler product: it bounds
     |Z phi_N(lambda)| over |Im lambda| <= strip, and is Z(k, |alpha|, N) at strip 0."""
     return float(np.exp(_log_product(cfg, lambda p: abs(cfg.alpha) * np.exp(strip / cfg.log_n * np.log(p)) / p).real))
-
-
-def trivial_charfn_bound(cfg: EnsembleConfig, strip: float = 0.0) -> float:
-    """Bound on |phi_N(lambda)| over |Im lambda| <= strip: the positive product over |Z|."""
-    z = partition_function(cfg)
-    if z == 0:
-        raise DegenerateConfigError("partition function vanishes; phi_N undefined")
-    return _positive_product(cfg, strip) / abs(z)
 
 
 # FastCharfn's default head cutoff, the floor of its fine buckets (the direct

@@ -36,11 +36,11 @@ from .dickman import charfn_limit_grid
 from .ensemble import (
     EnsembleConfig,
     charfn_for,
-    enumerate_ensemble,
     forbidden_alphas,
     measure,
     partition_constant,
     partition_function,
+    _ensemble_integers,
     _positive_product,
 )
 from .errors import DegenerateConfigError, DomainError, ToleranceError
@@ -317,13 +317,22 @@ def fourier_transform(f: CutoffDescriptor, lam: float, tol: float = 1e-9) -> com
 
 
 def smooth_sum_direct(cfg: EnsembleConfig, f: CutoffDescriptor) -> complex:
-    """The literal cutoff-weighted sum over the enumerated ensemble."""
+    """The literal cutoff-weighted sum over the enumerated ensemble.
+
+    The terms f(xi) alpha^Omega(x) / x are added left to right from 0 in
+    ascending order of x.  That fixed order makes the value reproducible, and
+    it is the summation the random-walk rounding term of
+    :func:`comparison_tolerance` models.
+    """
+    values, omegas = _ensemble_integers(cfg)
     alpha = complex(cfg.alpha)
+    powers = [alpha**m for m in range(max(omegas) + 1)]
+    log_n = math.log(cfg.N)
     total = 0.0 + 0.0j
-    for value, fac in enumerate_ensemble(cfg):
-        fu = f.evaluate(fac.xi(cfg.N))
+    for value, omega in zip(values, omegas):
+        fu = f.evaluate(math.log(value) / log_n if value > 1 else 0.0)
         if fu:
-            total += fu * alpha**fac.omega / value
+            total += fu * powers[omega] / value
     return total
 
 

@@ -21,6 +21,7 @@ from kfree import _threads, ensemble
 from kfree.cli import argv_of, run
 from kfree.errors import DomainError
 from kfree.smoothsum import error_region
+from oracles import recursive_enumeration
 
 # Hand enumeration: squarefree integers whose prime factors are at most 5.
 SQUAREFREE_5_SMOOTH = [1, 2, 3, 5, 6, 10, 15, 30]
@@ -50,6 +51,17 @@ class TestNamedExamples:
         assert code == 0
         assert doc["result"]["elements"] == SQUAREFREE_5_SMOOTH
         assert doc["result"]["count"] == 8
+
+    def test_enumerate_builds_no_factorization(self, tmp_path, monkeypatch):
+        want = [value for value, _ in recursive_enumeration(ensemble.EnsembleConfig(k=3, alpha=1.0, N=7))]
+
+        def refuse(self):
+            raise AssertionError("Factorization built")
+
+        monkeypatch.setattr(ensemble.Factorization, "__post_init__", refuse)
+        code, doc = invoke_json(["enumerate", "--k", "3", "--N", "7"], tmp_path)
+        assert code == 0
+        assert doc["result"]["elements"] == want
 
     def test_charfn_at_zero_is_one(self, tmp_path):
         argv = ["charfn", "--k", "2", "--alpha", "1", "--N", "10", "--lambda", "0"]
@@ -360,7 +372,16 @@ class TestExitCodes:
 
     def test_enumeration_cap_refusal(self, capsys):
         assert run(["enumerate", "--k", "2", "--N", "5", "--cap", "4"]) == 4
-        capsys.readouterr()
+        # refused before any element list is built: the 2^17 values would take megabytes
+        tracemalloc.start()
+        try:
+            code = run(["enumerate", "--k", "2", "--N", "60", "--cap", "1000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert peak < 2**20
+        assert "size cap" in capsys.readouterr().err
 
     def test_failed_chain_exits_three(self, tmp_path, capsys):
         code, doc = invoke_json(["example", "--r", "5", "--M", "40"], tmp_path)

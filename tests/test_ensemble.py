@@ -31,27 +31,25 @@ from kfree.ensemble import (
     Factorization,
     FastCharfn,
     LaurentCoeffs,
-    cancellation_check,
     charfn_for,
     ensemble_charfn,
     enumerate_ensemble,
     error_kernel,
     forbidden_alphas,
     laurent_coeffs,
-    laurent_partial_sum,
     marginal_row,
     measure,
     nu_marginal,
     partition_constant,
     partition_function,
     threshold_prime,
-    trivial_charfn_bound,
     _marginal_rows,
 )
 from kfree.dickman import charfn_limit
 from kfree.errors import DegenerateConfigError, DomainError, SizeCapError
 from kfree.primes import sieve_primes
 from kfree.smoothsum import _symmetric_grid
+from oracles import cancellation_check, laurent_partial_sum, recursive_enumeration, trivial_charfn_bound
 
 
 def random_alpha(rng, radius=1.9):
@@ -95,6 +93,12 @@ class TestEnumeration:
                 assert p <= cfg.N
                 assert 1 <= t <= cfg.k - 1
 
+    @pytest.mark.parametrize("k,N", [(2, 13), (3, 20), (4, 7)])
+    def test_matches_recursive_oracle(self, k, N):
+        cfg = EnsembleConfig(k=k, alpha=1.0, N=N)
+        got = [(value, fac.exponents) for value, fac in enumerate_ensemble(cfg)]
+        assert got == [(value, fac.exponents) for value, fac in recursive_enumeration(cfg)]
+
     def test_cap_enforced(self):
         with pytest.raises(SizeCapError):
             enumerate_ensemble(EnsembleConfig(k=2, alpha=1.0, N=200), cap=1000)
@@ -106,6 +110,7 @@ class TestEnumeration:
         assert fac.exponent(2) == 2
         assert fac.exponent(5) == 0
         assert fac.xi(12) == pytest.approx(1.0)
+        assert Factorization(((2, 2),)).xi(2) == 2.0  # x = 4 at k = 3, N = 2: past pi(2) = 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from kfree._quad import PanelGrid, complex_quad, gauss_panels
 from kfree.ensemble import (
     CharfnEvaluator,
     EnsembleConfig,
+    Factorization,
     FastCharfn,
     _positive_product,
     charfn_for,
@@ -43,6 +44,7 @@ from kfree.smoothsum import (
     theorem1_ratio_scan,
 )
 from kfree.smoothsum import _bump_nodes, _gauss_transform, _panel_rule, _symmetric_grid, bump_transform
+from oracles import factorization_direct_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -231,6 +233,23 @@ class TestDirectRoute:
         cfg = EnsembleConfig(k=2, alpha=alpha, N=5)
         value = smooth_sum_direct(cfg, constant_one_cutoff())
         assert value == pytest.approx(partition_function(cfg), rel=1e-14)
+
+    @pytest.mark.parametrize("name", ["indicator", "bump", "bump01", "gaussian"])
+    @pytest.mark.parametrize("alpha", [1.0, -1.0, 0.5, 1 + 0.3j])
+    @pytest.mark.parametrize("k,N", [(2, 31), (3, 20), (4, 7)])
+    def test_bit_identical_to_factorization_sum(self, k, N, alpha, name):
+        # x = N (or 20 = 2^2 5 at k = 3) lands on the indicator's jump at xi = 1
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
+        f = get_cutoff(name)
+        assert smooth_sum_direct(cfg, f) == factorization_direct_sum(cfg, f)
+
+    def test_builds_no_factorization(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Factorization built")
+
+        monkeypatch.setattr(Factorization, "__post_init__", refuse)
+        value = smooth_sum_direct(EnsembleConfig(k=3, alpha=0.5, N=20), get_cutoff("gaussian"))
+        assert value != 0
 
     def test_shifted_bump_cross_route(self):
         cfg = EnsembleConfig(k=3, alpha=1 + 1j, N=7)
