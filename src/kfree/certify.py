@@ -40,7 +40,6 @@ __all__ = [
     "limit_charfn_real_part",
     "reproduce_example",
     "second_derivative_max",
-    "stationary_phase_amplitude",
     "tail_bound",
 ]
 
@@ -116,20 +115,6 @@ def tail_bound(r: float) -> float:
     if r <= 0.0:
         raise DomainError("tail_bound requires r > 0")
     return 6.0 * math.exp(EULER_GAMMA) / math.sqrt(math.pi) * math.erfc(r**0.25)
-
-
-def stationary_phase_amplitude(lam: float) -> float:
-    """Modulus of the saddle-point form of the bump transform at large lam.
-
-    The oscillatory asymptotic has modulus
-    e^{-1/4} / (sqrt(pi) * 2^{1/4}) * lam^{-3/4} * e^{-sqrt(lam)}; the
-    phase factor is deliberately dropped (peak-envelope comparisons only).
-    """
-    lam = float(lam)
-    if lam <= 0.0:
-        raise DomainError("stationary_phase_amplitude requires lam > 0")
-    coeff = math.exp(-0.25) / (math.sqrt(math.pi) * 2.0**0.25)
-    return coeff * lam**-0.75 * math.exp(-math.sqrt(lam))
 
 
 @dataclass(frozen=True)

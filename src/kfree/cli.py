@@ -59,6 +59,7 @@ from . import __version__, _threads
 from .certify import reproduce_example
 from .dickman import charfn_limit_grid, rho_at, solve_rho, w_density, w_integral
 from .ensemble import (
+    ENUMERATION_CAP,
     EnsembleConfig,
     charfn_for,
     partition_constant,
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list the ensemble elements for (k, N)")
     p.add_argument("--k", type=int, required=True, help="forbidden prime-power exponent")
     p.add_argument("--N", type=int, required=True, help="largest allowed prime factor")
-    p.add_argument("--cap", type=int, default=2**26, help="refuse ensembles larger than this")
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP, help="refuse ensembles larger than this")
     _add_output(p)
 
     p = sub.add_parser("partition", help="normalizing constant of the weighted ensemble")

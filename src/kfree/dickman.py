@@ -4,8 +4,9 @@ Objects
 -------
 * ``h_constant(alpha, prime_limit)`` -- the Euler-product constant
   H(alpha) = (1/Gamma(alpha)) * prod_p (1 - alpha/p)^{-1} (1 - 1/p)^{alpha},
-  computed in log space with a prime-square tail correction.  H(1) = 1
-  exactly (every factor is 1).  This is the plateau value a0 of rho_alpha.
+  computed in log space over float chunks of primes, with the shared
+  prime-power tail correction.  H(1) = 1 exactly (every factor is 1).  This
+  is the plateau value a0 of rho_alpha.
 
 * ``solve_rho(alpha, u_max, step)`` -- grid solution of the delayed ODE
 
@@ -44,9 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PoleError, SizeCapError
-from .primes import sieve_primes
-from .specfun import EULER_GAMMA, ci_si_values, cin_values, exp_integral_e1
+from .errors import DomainError, SizeCapError
+from .primes import prime_power_tail, sieve_primes
+from .specfun import EULER_GAMMA, ci_si_values, cin_values
 
 __all__ = [
     "RhoGrid",
@@ -57,10 +58,8 @@ __all__ = [
     "w_density",
     "w_density_grid",
     "w_integral",
-    "grid_integral",
     "charfn_limit",
     "charfn_limit_grid",
-    "charfn_fourier_from_grid",
 ]
 
 _DEFAULT_PRIME_LIMIT = 10**7
@@ -88,11 +87,12 @@ class RhoGrid:
 
 
 def h_constant(alpha: float, prime_limit: int = _DEFAULT_PRIME_LIMIT) -> float:
-    """Euler-product constant H(alpha) for real alpha in (0, 2).
+    """Euler-product constant H(alpha) for real alpha in (0, 2), where it has no pole.
 
-    Log-space product over primes <= prime_limit plus the leading tail
-    corrections (alpha^2-alpha)/2 * sum_{p>P} p^-2 + (alpha^3-alpha)/3 *
-    sum_{p>P} p^-3; increasing prime_limit refines the value.
+    The log of prod_{p<=P} (1-1/p)^alpha (1-alpha/p)^{-1}, P = prime_limit,
+    over ``_CHUNK``-prime chunks, plus the tail sum_{j=2,3} (alpha^j - alpha)/j
+    sum_{p>P} p^-j by the rule the partition constant shares
+    (:func:`~kfree.primes.prime_power_tail`).
     """
     if isinstance(alpha, complex):
         if alpha.imag != 0.0:
@@ -105,17 +105,9 @@ def h_constant(alpha: float, prime_limit: int = _DEFAULT_PRIME_LIMIT) -> float:
         raise DomainError("prime_limit must be at least 10^3")
     if alpha == 1.0:
         return 1.0  # every factor is exactly 1 and Gamma(1) = 1
-    table = sieve_primes(prime_limit)
-    p = table.primes.astype(float)
-    if alpha in p[:2]:  # poles sit at prime alpha; unreachable for (0,2) but kept explicit
-        raise PoleError(f"H has a pole at alpha = {alpha}")
-    # log of prod (1-1/p)^alpha (1-alpha/p)^{-1}
-    log_sum = float(np.sum(alpha * np.log1p(-1.0 / p) - np.log1p(-alpha / p)))
-    # tail over p > P via prime-counting integrals: sum p^-s ~ int_P^inf dt/(t^s ln t)
-    a = math.log(prime_limit)
-    s2 = exp_integral_e1(a).value.real  # sum_{p>P} p^-2 ~ E1(ln P)
-    s3 = exp_integral_e1(2 * a).value.real  # sum_{p>P} p^-3 ~ E1(2 ln P)
-    tail = (alpha * alpha - alpha) / 2.0 * s2 + (alpha**3 - alpha) / 3.0 * s3
+    chunks = sieve_primes(prime_limit).chunks()
+    log_sum = sum(float(np.sum(alpha * np.log1p(-1.0 / p) - np.log1p(-alpha / p))) for p in chunks)
+    tail = prime_power_tail(((alpha * alpha - alpha) / 2.0, (alpha**3 - alpha) / 3.0), prime_limit)
     return math.exp(log_sum + tail) / math.gamma(alpha)
 
 
@@ -295,19 +287,6 @@ def w_integral(grid: RhoGrid) -> float:
     return head + _simpson(w, grid.step)
 
 
-def _power_phase_moment(alpha: float, lam: float, terms: int = 120) -> complex:
-    """integral_0^1 u^{alpha-1} e^{i*lam*u} du as an entire series in lam."""
-    z = 1j * lam
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j  # z^j / j!
-    for j in range(terms):
-        total += term / (alpha + j)
-        term *= z / (j + 1)
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            break
-    return total
-
-
 def _simpson(y: np.ndarray, h: float) -> float:
     """Composite Simpson over equally spaced samples (trapezoid on a leftover)."""
     y = np.asarray(y, dtype=float)
@@ -321,11 +300,6 @@ def _simpson(y: np.ndarray, h: float) -> float:
         extra = 0.0
     s = y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])
     return float(h / 3.0 * s + extra)
-
-
-def grid_integral(grid: RhoGrid, samples: np.ndarray) -> float:
-    """Composite Simpson integral of node samples over [0, u_max]."""
-    return _simpson(np.asarray(samples, dtype=float), grid.step)
 
 
 @dataclass(frozen=True)
@@ -361,26 +335,4 @@ def charfn_limit_grid(alpha: complex, lam) -> np.ndarray:
         si = ci_si_values(an)[1]
         g = -cin + 1j * np.sign(lam[nz]) * si
         out[nz] = np.exp(complex(alpha) * g)
-    return out
-
-
-def charfn_fourier_from_grid(grid: RhoGrid, lam) -> np.ndarray:
-    """int e^{i*lam*u} w_alpha(u) du: analytic on [0, 1], Simpson beyond.
-
-    Validation route for ``charfn_limit``; intended for moderate |lam| (the
-    [0, 1] head is an entire power series in lam).
-    """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    alpha = grid.alpha
-    pref = _w_prefactor(alpha, grid.a0)
-    m = int(round(1.0 / grid.step))
-    w_tail = w_density_grid(grid)[m:]
-    u_tail = grid.u[m:]
-    out = np.empty(lam.shape, dtype=complex)
-    for i, l in enumerate(lam):
-        head = pref * grid.a0 * _power_phase_moment(alpha, l)
-        tail = _simpson(w_tail * np.cos(l * u_tail), grid.step) + 1j * _simpson(
-            w_tail * np.sin(l * u_tail), grid.step
-        )
-        out[i] = head + tail
     return out

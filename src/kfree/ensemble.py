@@ -35,8 +35,7 @@ import numpy as np
 from ._quad import PanelGrid
 from ._threads import map_blocks, one_blas_thread
 from .errors import DegenerateConfigError, DomainError, SizeCapError
-from .primes import PrimeTable, sieve_primes
-from .specfun import exp_integral_e1
+from .primes import _CHUNK, PrimeTable, prime_power_tail, sieve_primes
 
 __all__ = [
     "EnsembleConfig",
@@ -59,7 +58,9 @@ __all__ = [
     "error_kernel",
 ]
 
-ENUMERATION_CAP = 1 << 26
+# the one cap on enumerated ensembles, sized to memory: the value and Omega
+# lists take about 104 bytes an element, 0.44 GB at the cap
+ENUMERATION_CAP = 1 << 22
 
 # Meissel-Mertens constant: lim (sum_{p<=N} 1/p - log log N)
 MERTENS = 0.2614972128476427837554268386
@@ -158,19 +159,7 @@ def enumerate_ensemble(cfg: EnsembleConfig, cap: int = ENUMERATION_CAP):
     ``kfree enumerate`` walk the plain integers instead.
     """
     values, _ = _ensemble_integers(cfg, cap)
-    primes = [int(p) for p in sieve_primes(cfg.N).primes]
-    items = []
-    for value in values:
-        pairs, rest = [], value
-        for p in primes:
-            t = 0
-            while rest % p == 0:
-                rest //= p
-                t += 1
-            if t:
-                pairs.append((p, t))
-        items.append((value, Factorization(tuple(pairs))))
-    return items
+    return [(value, _coerce_factorization(cfg, value)) for value in values]
 
 
 def _coerce_factorization(cfg: EnsembleConfig, item) -> Factorization:
@@ -329,13 +318,6 @@ def _factor_offset(k: int, x: np.ndarray) -> np.ndarray:
     return w
 
 
-# primes per chunk of the Euler-product sums (partition_function and the exact
-# evaluator), so memory stays bounded at any N; at N = 10^7 and 10^8 this ran
-# as fast as or faster than 2^20 primes per chunk or one full-length pass; it
-# also bounds the exact evaluator's (frequency block, chunk) arrays
-_CHUNK = 1 << 14
-
-
 def _log_euler(w: np.ndarray) -> complex | np.ndarray:
     """Sum over the last axis of Log(1 + w), whose exp is the product of the factors 1 + w.
 
@@ -347,16 +329,14 @@ def _log_euler(w: np.ndarray) -> complex | np.ndarray:
 
 
 def _log_product(cfg: EnsembleConfig, x) -> complex:
-    """Sum over p <= N of Log(1 + x + ... + x^{k-1}), x = x(p), over ``_CHUNK``-prime slices."""
-    primes = sieve_primes(cfg.N).primes
-    chunks = (primes[start : start + _CHUNK].astype(float) for start in range(0, len(primes), _CHUNK))
-    return sum((_log_euler(_factor_offset(cfg.k, x(p))) for p in chunks), 0j)
+    """Sum over p <= N of Log(1 + x + ... + x^{k-1}), x = x(p), over ``_CHUNK``-prime chunks."""
+    return sum((_log_euler(_factor_offset(cfg.k, x(p))) for p in sieve_primes(cfg.N).chunks()), 0j)
 
 
 def partition_function(cfg: EnsembleConfig) -> complex:
     """Finite Euler product prod_{p<=N} (1 + alpha/p + ... + (alpha/p)^{k-1}).
 
-    The principal logs of the factors are summed over ``_CHUNK``-prime slices
+    The principal logs of the factors are summed over ``_CHUNK``-prime chunks
     and exponentiated once; a vanishing factor makes Z exactly 0.  It never
     needs the exponent marginals (which pole on the forbidden rays where Z
     itself is simply 0).
@@ -448,16 +428,14 @@ def _predicted_constant(k: int, alpha: complex, prime_limit: int = 10**7) -> com
     Convergent because log z_p - alpha/p = O(p^-2); the sum runs over primes
     up to prime_limit with the tail correction sum_{j=2..4} a_j alpha^j
     sum_{p>P} p^-j (a_j from :func:`_log_coeffs`), sum_{p>P} p^-j ~
-    E1((j-1) log P).  The sum runs over ``_CHUNK``-prime slices, as in
-    :func:`partition_function`.
+    E1((j-1) log P) (:func:`~kfree.primes.prime_power_tail`).  The sum runs
+    over ``_CHUNK``-prime chunks, as in :func:`partition_function`.
     """
-    primes = sieve_primes(prime_limit).primes
     series_sum = 0j
-    for start in range(0, len(primes), _CHUNK):
-        x = complex(alpha) / primes[start : start + _CHUNK].astype(float)
+    for p in sieve_primes(prime_limit).chunks():
+        x = complex(alpha) / p
         series_sum += _log_euler(_factor_offset(k, x)) - complex(np.sum(x))
-    a, coef = math.log(prime_limit), _log_coeffs(k, alpha)
-    tail = sum(coef[j - 1] * exp_integral_e1((j - 1) * a).value.real for j in range(2, 5))
+    tail = prime_power_tail(_log_coeffs(k, alpha)[1:], prime_limit)
     return complex(np.exp(complex(alpha) * MERTENS + series_sum + tail))
 
 
@@ -581,9 +559,7 @@ class CharfnEvaluator:
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         k = self.cfg.k
         out_log = np.zeros(lams.shape, dtype=complex)
-        primes = self.table.primes
-        for start in range(0, len(primes), _CHUNK):
-            p = primes[start : start + _CHUNK].astype(float)
+        for p in self.table.chunks():
             v = np.log(p) / self.log_n
             rows = _marginal_rows(k, self.cfg.alpha, p)
             block = max(1, _CHUNK // p.size)
@@ -618,10 +594,6 @@ def _positive_product(cfg: EnsembleConfig, strip: float) -> float:
 # FastCharfn's default head cutoff, the floor of its fine buckets (the direct
 # head is smaller); at or below it there are no tail primes
 _FAST_HEAD_LIMIT = 10**4
-
-# tail primes per group of whole buckets in the FastCharfn build, whose
-# (4, 5, group) power sums stay cache-resident
-_BUILD_CHUNK = 1 << 14
 
 
 def _inverse_powers(p: np.ndarray) -> np.ndarray:
@@ -685,10 +657,11 @@ class FastCharfn:
     p^-d (v_p - vbar_b)^j, d, j <= 4 (j = 4 gives the phase term of the
     bound), and sum p^-5 for the log term.  Primes are sorted, so bucket b
     is the run of v between ``np.searchsorted(v, edges)`` entries b and
-    b + 1; whole buckets are visited in groups of about ``_BUILD_CHUNK``
-    primes, one ``np.add.reduceat`` per group.  The one per-prime array
-    longer than a group is v_p, 8 bytes a tail prime (46 MB for the 5.76 M
-    tail primes at N = 10^8).
+    b + 1; whole buckets are visited in groups of about ``_CHUNK`` primes,
+    whose (4, 5, group) power sums stay cache-resident, one
+    ``np.add.reduceat`` per group.  The one per-prime array longer than a
+    group is v_p, 8 bytes a tail prime (46 MB for the 5.76 M tail primes at
+    N = 10^8).
 
     ``truncation_bound(lam_max)`` bounds the error in log phi_N, i.e. the
     relative error: |fast / exact - 1| <= e^bound - 1 for |lambda| <= lam_max.
@@ -743,7 +716,7 @@ class FastCharfn:
         # real sums free of alpha and k, over groups of whole buckets
         S = np.zeros((_LOG_DEGREE, 5, buckets))
         s5 = 0.0
-        groups = np.searchsorted(bounds, np.arange(0, v.size, _BUILD_CHUNK), side="right") - 1
+        groups = np.searchsorted(bounds, np.arange(0, v.size, _CHUNK), side="right") - 1
         groups = np.unique(np.append(groups, full.size))
         for g0, g1 in zip(groups[:-1], groups[1:]):
             lo, hi = bounds[g0], bounds[g1]

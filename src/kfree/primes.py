@@ -1,24 +1,32 @@
-"""Prime generation and counting shared by every other module.
+"""Prime generation, counting and prime sums shared by every other module.
 
-A plain odd-only numpy sieve serves limits up to 10**7; beyond that an
-odd-only segmented sieve keeps memory bounded (the convergence scans need
-every prime up to ~10**8).  Tables are immutable after construction and
-cached, so the expensive sieves run once per process and can be shared
-freely across threads.
+One odd-only segmented sieve serves every limit in O(sqrt(limit) + segment)
+memory besides the table (the convergence scans need every prime up to
+~10**8).  Tables are immutable and cached, and a smaller limit is sliced
+from a larger cached table, so tables can be shared freely across threads.
+The Euler-product sums walk a table in float chunks (:meth:`PrimeTable.chunks`)
+and take their tails past it by one rule (:func:`prime_power_tail`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
+from .specfun import exp_integral_e1
 
-__all__ = ["PrimeTable", "sieve_primes", "prime_count"]
+__all__ = ["PrimeTable", "sieve_primes", "prime_count", "prime_power_tail"]
 
-_SEGMENT_THRESHOLD = 10**7
 _SEGMENT_SIZE = 1 << 21
+
+# primes per chunk of the Euler-product sums, so memory stays bounded at any
+# N; at N = 10^7 and 10^8 this ran as fast as or faster than 2^20 primes per
+# chunk or one full-length pass; it also bounds the exact evaluator's
+# (frequency block, chunk) arrays and FastCharfn's build groups
+_CHUNK = 1 << 14
 
 # process-wide cache: limit -> PrimeTable (immutable, safe to share)
 _TABLE_CACHE: dict[int, "PrimeTable"] = {}
@@ -47,38 +55,26 @@ class PrimeTable:
         """Number of table primes <= x (valid for x <= limit)."""
         return int(np.searchsorted(self.primes, x, side="right"))
 
-
-def _simple_sieve(limit: int) -> np.ndarray:
-    """Odd-only Eratosthenes sieve; returns int64 array of primes <= limit."""
-    if limit < 3:
-        return np.array([2], dtype=np.int64) if limit == 2 else np.array([], dtype=np.int64)
-    # index i represents the odd number 2i+1; entry 0 (=1) is not prime
-    n_odd = (limit + 1) // 2
-    is_prime = np.ones(n_odd, dtype=bool)
-    is_prime[0] = False
-    for i in range(1, (int(limit**0.5) + 1) // 2 + 1):
-        if is_prime[i]:
-            p = 2 * i + 1
-            start = (p * p) // 2
-            if start < n_odd:
-                is_prime[start::p] = False
-    odds = 2 * np.nonzero(is_prime)[0] + 1
-    return np.concatenate(([2], odds)).astype(np.int64)
+    def chunks(self):
+        """The primes as float arrays of ``_CHUNK`` primes each (the last one shorter)."""
+        for start in range(0, self.primes.size, _CHUNK):
+            yield self.primes[start : start + _CHUNK].astype(float)
 
 
-def _segmented_sieve(limit: int) -> np.ndarray:
-    """Segmented odd-only sieve for large limits; memory stays O(sqrt(limit) + segment).
+def _sieve(limit: int) -> np.ndarray:
+    """Odd-only segmented Eratosthenes sieve; returns int64 array of primes <= limit.
 
-    A segment spans ``_SEGMENT_SIZE`` integers from an odd ``first`` and stores
-    only its odd ones (entry i is first + 2i); the odd base primes cross out
-    their odd multiples from max(p^2, first), every p-th entry.
+    The odd base primes <= sqrt(limit) come from this sieve itself (a literal
+    table below 9).  A segment spans ``_SEGMENT_SIZE`` integers from an odd
+    ``first`` and stores only its odd ones (entry i is first + 2i); each base
+    prime crosses out its odd multiples from max(p^2, first), every p-th entry.
     """
-    base = _simple_sieve(int(limit**0.5) + 1)
-    chunks = [base[base <= limit]]
-    odd = base[1:]
+    if limit < 9:  # no odd base prime: 3^2 = 9
+        return np.array([p for p in (2, 3, 5, 7) if p <= limit], dtype=np.int64)
+    odd = _sieve(math.isqrt(limit))[1:]
+    chunks = [np.array([2], dtype=np.int64)]
     half = max(1, _SEGMENT_SIZE // 2)
-    first = (int(base[-1]) + 1) | 1
-    while first <= limit:
+    for first in range(3, limit + 1, 2 * half):
         seg = np.ones(min(half, (limit - first) // 2 + 1), dtype=bool)
         # the first odd multiple of p at or past max(p^2, first), as an entry index
         start = np.maximum(odd * odd, -(-first // odd) * odd)
@@ -86,30 +82,26 @@ def _segmented_sieve(limit: int) -> np.ndarray:
         for p, i in zip(odd.tolist(), ((start - first) // 2).tolist()):
             seg[i::p] = False
         chunks.append(2 * np.flatnonzero(seg) + first)
-        first += 2 * half
     return np.concatenate(chunks)
 
 
 def sieve_primes(limit: int) -> PrimeTable:
     """Return the (cached) table of all primes <= limit.
 
-    Raises DomainError for limit < 2 (there is no nonempty table to build).
+    A larger cached table is sliced rather than sieving again.  Raises
+    DomainError for limit < 2 (there is no nonempty table to build).
     """
     limit = int(limit)
     if limit < 2:
         raise DomainError(f"prime table needs limit >= 2, got {limit}")
     table = _TABLE_CACHE.get(limit)
     if table is None:
-        if limit <= _SEGMENT_THRESHOLD:
-            # reuse a larger cached table if one exists: slicing is cheap
-            bigger = [l for l in _TABLE_CACHE if l >= limit]
-            if bigger:
-                src = _TABLE_CACHE[min(bigger)]
-                arr = src.primes[: src.count_below(limit)].copy()
-            else:
-                arr = _simple_sieve(limit)
+        bigger = [l for l in _TABLE_CACHE if l > limit]
+        if bigger:
+            src = _TABLE_CACHE[min(bigger)]
+            arr = src.primes[: src.count_below(limit)].copy()
         else:
-            arr = _segmented_sieve(limit)
+            arr = _sieve(limit)
         table = PrimeTable(limit=limit, primes=arr)
         _TABLE_CACHE[limit] = table
     return table
@@ -121,3 +113,13 @@ def prime_count(limit: int) -> int:
     if limit < 2:
         return 0
     return sieve_primes(limit).count()
+
+
+def prime_power_tail(coeffs, limit: int):
+    """sum_j c_j sum_{p > limit} p^-j for coeffs = (c_2, c_3, ...), the tail of a prime sum.
+
+    Each sum_{p > P} p^-j is taken as its prime-counting integral
+    int_P^inf dt / (t^j log t) = E1((j - 1) log P).
+    """
+    a = math.log(limit)
+    return sum(c * exp_integral_e1((j - 1) * a).value.real for j, c in enumerate(coeffs, 2))

@@ -26,8 +26,7 @@ explicit large-``N`` limit.
 
 Public surface:
 
-* ``main_term_J111`` / ``main_term_limit`` -- the leading integral and its
-  limiting special-function value;
+* ``main_term_J111`` -- the leading integral;
 * ``antiderivative_case`` / ``verify_antiderivative`` -- the closed-form
   catalogue and a finite-difference check that each closed form really
   differentiates to its integrand;
@@ -62,7 +61,6 @@ from .errors import DomainError
 from .primes import prime_count
 from .specfun import (
     cosine_integral,
-    entire_cosine_integral,
     exp_integral_ei,
     sine_integral,
     upper_gamma,
@@ -80,7 +78,6 @@ __all__ = [
     "boundary_terms",
     "limit_deviation_scan",
     "main_term_J111",
-    "main_term_limit",
     "verify_antiderivative",
 ]
 
@@ -422,23 +419,6 @@ def main_term_J111(
         lambda v: (cmath.exp(1j * lam * v) - 1.0) / v, v0, 1.0, tol=1e-12
     )
     return complex(cfg.alpha) * value
-
-
-def main_term_limit(alpha: complex, lam: float) -> complex:
-    """The N -> infinity value alpha * integral over (0, 1] of (e^{i lam v}-1)/v dv.
-
-    Equals ``alpha * (-Cin(lam) + i Si(lam))`` in terms of the entire cosine
-    integral and the sine integral, providing a route independent of the
-    quadrature in ``main_term_J111``.
-    """
-    lam = float(lam)
-    if lam < 0.0:
-        raise DomainError("negative frequency; the remainder scans assume lam >= 0")
-    if lam == 0.0:
-        return 0j
-    cin = entire_cosine_integral(lam).value
-    si = sine_integral(lam).value
-    return complex(alpha) * (-cin + 1j * si)
 
 
 # ---------------------------------------------------------------------------

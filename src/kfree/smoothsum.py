@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._quad import PanelGrid, complex_quad, gauss_panels
+from ._quad import PanelGrid, gauss_panels
 from ._threads import map_blocks, one_blas_thread
 from .dickman import charfn_limit_grid
 from .ensemble import (
@@ -53,7 +53,6 @@ __all__ = [
     "RateDescriptor",
     "builtin_cutoffs",
     "get_cutoff",
-    "fourier_transform",
     "smooth_sum_direct",
     "smooth_sum_spectral",
     "asymptotic_prediction",
@@ -287,28 +286,6 @@ def get_cutoff(name: str) -> CutoffDescriptor:
             f"unknown cutoff {name!r}; available: {sorted(_builtin_map())}"
         ) from None
 
-
-def fourier_transform(f: CutoffDescriptor, lam: float, tol: float = 1e-9) -> complex:
-    """fhat(lam) by direct adaptive quadrature of f(u) e^{-i lam u} / 2pi.
-
-    Deliberately ignores the descriptor's own transform so it can serve as an
-    independent cross-check of the closed forms and cached grids.  Without a
-    support the window is [-L, L] for the first whole L (at most 40) with
-    |f(+-L)| <= 1e-6 tol: [-9, 9] for the Gaussian at tol = 1e-9 or 1e-10,
-    narrow enough for the 256 panels of :func:`complex_quad` to resolve
-    e^{-i lam u} far past lam = 60.
-    """
-    if f.support is not None:
-        lo, hi = f.support
-    else:
-        decayed = (L for L in range(1, 40) if max(abs(f.evaluate(L)), abs(f.evaluate(-L))) <= 1e-6 * tol)
-        hi = float(next(decayed, 40))
-        lo = -hi
-    lam = float(lam)
-    value, _ = complex_quad(
-        lambda u: f.evaluate(u) * complex(math.cos(lam * u), -math.sin(lam * u)), lo, hi, tol
-    )
-    return value / TWO_PI
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ from kfree.specfun import (
     sine_integral,
     upper_gamma,
 )
-from oracles import cancellation_check, laurent_partial_sum
+from oracles import cancellation_check, charfn_fourier_from_grid, laurent_partial_sum
 
 pytestmark = pytest.mark.acceptance
 
@@ -203,7 +203,7 @@ def test_criterion_5_density_suite(rho_grid_1, rho_grid_15):
     lams = np.array([0.5, 1.0, 2.0, 5.0])
     for grid in (rho_grid_1, rho_grid_15):
         closed = dickman.charfn_limit_grid(grid.alpha, lams)
-        from_density = dickman.charfn_fourier_from_grid(grid, lams)
+        from_density = charfn_fourier_from_grid(grid, lams)
         assert np.max(np.abs(closed - from_density)) <= 1e-4
 
     lam = 1e4

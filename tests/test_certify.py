@@ -22,13 +22,13 @@ from kfree.certify import (
     limit_charfn_real_part,
     reproduce_example,
     second_derivative_max,
-    stationary_phase_amplitude,
     tail_bound,
 )
 from kfree.dickman import charfn_limit
 from kfree.errors import DomainError
-from kfree.smoothsum import fourier_transform, get_cutoff
+from kfree.smoothsum import get_cutoff
 from kfree.specfun import EULER_GAMMA
+from oracles import fourier_transform, stationary_phase_amplitude
 
 # frozen targets for r = 5, M = 1000 (binary64 reproduction)
 MIDPOINT_TARGET = 0.23821680383626264857

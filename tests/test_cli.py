@@ -18,7 +18,7 @@ import pytest
 
 import kfree
 from kfree import _threads, ensemble
-from kfree.cli import argv_of, run
+from kfree.cli import argv_of, build_parser, run
 from kfree.errors import DomainError
 from kfree.smoothsum import error_region
 from oracles import recursive_enumeration
@@ -376,6 +376,22 @@ class TestExitCodes:
         tracemalloc.start()
         try:
             code = run(["enumerate", "--k", "2", "--N", "60", "--cap", "1000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert peak < 2**20
+        assert "size cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["compare"], ["sum", "--route", "direct"]])
+    def test_default_cap_refuses_what_memory_cannot_hold(self, command, capsys):
+        # One cap, sized to memory: at about 104 bytes an element, the
+        # 2^26 = k^pi(101) elements of k = 2, N = 101 would take 7 GB.
+        assert ensemble.ENUMERATION_CAP == 1 << 22
+        assert build_parser().parse_args(["enumerate", "--k", "2", "--N", "5"]).cap == ensemble.ENUMERATION_CAP
+        tracemalloc.start()
+        try:
+            code = run([*command, "--k", "2", "--N", "101"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -12,12 +12,14 @@ Independent oracles used here:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kfree import dickman, specfun
 from kfree.errors import DomainError
+from oracles import charfn_fourier_from_grid, grid_integral
 
 GAMMA = specfun.EULER_GAMMA
 
@@ -76,6 +78,20 @@ def test_h_constant_domain():
         dickman.h_constant(0.5 + 0.5j)
 
 
+def test_h_constant_holds_no_full_length_array(table_1e7):
+    # Summed over 2^14-prime chunks up to its default prime_limit 10^7, H
+    # peaks at about 0.5 MB under tracemalloc, against 21 MB for the float
+    # arrays of one full-length pass.
+    dickman.h_constant(0.5)  # warm lazy caches outside the measurement
+    tracemalloc.start()
+    try:
+        dickman.h_constant(0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # delay-ODE solution
 # ---------------------------------------------------------------------------
@@ -111,7 +127,7 @@ def test_rho_frozen_deep_values(rho_grid_1):
 
 
 def test_rho_halfline_integral_is_exp_gamma(rho_grid_1):
-    total = dickman.grid_integral(rho_grid_1, rho_grid_1.values)
+    total = grid_integral(rho_grid_1, rho_grid_1.values)
     assert abs(total - math.exp(GAMMA)) < 1e-9
 
 
@@ -247,7 +263,7 @@ def test_fourier_consistency(rho_grid_1, rho_grid_15):
     lams = np.array([0.5, 1.0, 2.0, 5.0])
     for g in (rho_grid_1, rho_grid_15):
         closed = dickman.charfn_limit_grid(g.alpha, lams)
-        quad = dickman.charfn_fourier_from_grid(g, lams)
+        quad = charfn_fourier_from_grid(g, lams)
         assert np.max(np.abs(closed - quad)) < 1e-4
         assert np.max(np.abs(closed - quad)) < 1e-8
 

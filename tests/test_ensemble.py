@@ -270,6 +270,37 @@ class TestPartitionConstant:
             assert abs(got / np.exp(log_full) - 1.0) <= 1e-14
 
 
+# Z_N, the predicted constant (prime_limit 10^7) and phi_N at lambda = 0.5,
+# -3, 40, all at N = 2 * 10^5 (17,984 primes, two chunks), recorded while
+# each sum still sliced its own table; walking PrimeTable.chunks instead
+# leaves every bit in place.
+EULER_RECORDED = [
+    (
+        2, 1.0, 13.218699713379946 + 0j, 1.082762193261032 + 0j,
+        [0.8598005538349026 + 0.3871083017367207j, 0.025642171652429886 - 0.2316208917219193j,
+         0.04800321897276601 + 0.01377786835948809j],
+    ),
+    (
+        3, 0.5 - 0.5j, 0.428584106594514 - 4.054240092965744j, 1.1400770336011736 - 0.24826777324400243j,
+        [1.1784712302029443 + 0.3034406259388257j, 0.2107620699926806 - 0.005800625309522298j,
+         -0.04738941609281711 + 0.20285636691370015j],
+    ),
+    (
+        4, -1.5, 0.014612330248366773 + 0j, 0.6233084601269381 + 0j,
+        [0.8445984588978867 - 0.7016986324063049j, -8.20633959988796 + 6.501699266525108j,
+         129.28118625092694 - 83.92104842225773j],
+    ),
+]
+
+
+@pytest.mark.parametrize("k,alpha,z,constant,phi", EULER_RECORDED, ids=["2-1", "3-0.5-0.5j", "4--1.5"])
+def test_euler_product_sums_equal_recorded_values(table_1e7, k, alpha, z, constant, phi):
+    cfg = EnsembleConfig(k=k, alpha=alpha, N=2 * 10**5)
+    assert partition_function(cfg) == z
+    assert ensemble._predicted_constant(k, alpha) == constant
+    assert CharfnEvaluator(cfg).grid([0.5, -3.0, 40.0]).tolist() == phi
+
+
 # ---------------------------------------------------------------------------
 # forbidden parameter set
 # ---------------------------------------------------------------------------
@@ -874,7 +905,7 @@ class TestFastCharfn:
         cfg = EnsembleConfig(k=k, alpha=alpha, N=10**6)
         ref = FastCharfn(cfg, buckets=buckets)
         for chunk in (1000, len(table_1e6.primes) + 1):
-            monkeypatch.setattr(ensemble, "_BUILD_CHUNK", chunk)
+            monkeypatch.setattr(ensemble, "_CHUNK", chunk)
             got = FastCharfn(cfg, buckets=buckets)
             assert np.array_equal(got._vbar, ref._vbar)
             for d in range(ref._moments.shape[0]):

@@ -5,10 +5,14 @@ the large ones additionally cross-checked against sympy.primepi once during
 development): pi(10^6) = 78498, pi(10^7) = 664579, pi(10^8) = 5761455.
 """
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
 from kfree import DomainError, prime_count, primes, sieve_primes
+from kfree.primes import prime_power_tail
 
 
 def oracle_sieve(limit):
@@ -43,7 +47,7 @@ def test_frozen_large_counts(table_1e6):
 
 
 def test_segmented_sieve_agrees_with_plain():
-    # limit just over the segmentation threshold exercises the segmented path
+    # a limit just past 10^7 against the 10^7 table and the oracle
     limit = 10**7 + 30000
     seg = sieve_primes(limit)
     lo = sieve_primes(10**7)
@@ -57,11 +61,35 @@ def test_segmented_sieve_agrees_with_plain():
 def test_small_segments_match_simple_sieve(monkeypatch, segment):
     # Odd, even, prime and p^2 limits spanning many segments, and tiny
     # limits whose table is the base primes: the odd-only segments must give
-    # the plain sieve's table exactly.
+    # the plain oracle sieve's table exactly.
     monkeypatch.setattr(primes, "_SEGMENT_SIZE", segment)
     for limit in (2, 3, 4, 9, 10, 25, 49, 50, 9_999, 10_000, 10_007, 97**2):
-        got, want = primes._segmented_sieve(limit), primes._simple_sieve(limit)
-        assert got.dtype == want.dtype and np.array_equal(got, want), limit
+        got, want = primes._sieve(limit), oracle_sieve(limit)
+        assert got.dtype == np.int64 and got.tolist() == want, limit
+
+
+def test_smaller_limit_is_sliced_from_a_larger_table(monkeypatch):
+    # past 10^7 as below it: once a larger table is cached, a smaller limit
+    # never sieves again
+    monkeypatch.setattr(primes, "_TABLE_CACHE", {})
+    big = sieve_primes(10**7 + 30000)
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieved {limit} again")
+
+    monkeypatch.setattr(primes, "_sieve", no_sieve)
+    for limit in (10**7 + 20011, 10**7 + 1, 10**6):
+        got = sieve_primes(limit)
+        assert got.limit == limit
+        assert np.array_equal(got.primes, big.primes[: big.count_below(limit)])
+
+
+def test_chunks_cover_the_table_in_order(table_1e6):
+    chunks = list(table_1e6.chunks())
+    assert [c.size for c in chunks[:-1]] == [primes._CHUNK] * (len(chunks) - 1)
+    assert 0 < chunks[-1].size <= primes._CHUNK
+    assert all(c.dtype == np.float64 for c in chunks)
+    assert np.array_equal(np.concatenate(chunks), table_1e6.primes.astype(float))
 
 
 @pytest.mark.slow
@@ -97,3 +125,16 @@ def test_domain_error():
 def test_table_immutable(table_1e6):
     with pytest.raises(ValueError):
         table_1e6.primes[0] = 4
+
+
+def test_prime_power_tail_is_the_e1_rule():
+    # sum_j c_j E1((j - 1) log P) against mpmath's E1, and close to the true
+    # tail: sum_{10^5 < p <= 10^7} p^-2 plus the rule at 10^7 is the rule at 10^5
+    coeffs = (0.375, -0.3 + 0.2j, 1.25)
+    for limit in (10**3, 10**5, 10**7):
+        a = mpmath.log(limit)
+        want = sum(c * complex(mpmath.e1((j - 1) * a)) for j, c in enumerate(coeffs, 2))
+        assert abs(prime_power_tail(coeffs, limit) - want) <= 1e-15 * abs(want)
+    p = sieve_primes(10**7).primes[prime_count(10**5) :].astype(float)
+    head = math.fsum(p**-2.0)
+    assert head + prime_power_tail((1.0,), 10**7) == pytest.approx(prime_power_tail((1.0,), 10**5), rel=5e-3)

@@ -2,9 +2,10 @@
 
 ``complex_quad`` runs on the library's own Gauss-Legendre panels, the family
 that also builds the cached transforms, so its checks here go to
-``scipy.integrate.quad``, imported in this module only.  The three library
-callers are checked at their own tolerances: ``bound_scan`` (1e-11),
-``main_term_J111`` (1e-12) and ``fourier_transform`` (1e-10 here).
+``scipy.integrate.quad``, imported in this module only.  The two library
+callers ``bound_scan`` (1e-11) and ``main_term_J111`` (1e-12), and the
+test oracle ``fourier_transform`` (1e-10 here), are checked at their own
+tolerances.
 """
 
 import cmath
@@ -21,7 +22,8 @@ from kfree._quad import complex_quad
 from kfree.ensemble import threshold_prime
 from kfree.errors import ToleranceError
 from kfree.remainders import _bounding_integrand, bound_scan, main_term_J111
-from kfree.smoothsum import TWO_PI, builtin_cutoffs, fourier_transform
+from kfree.smoothsum import TWO_PI, builtin_cutoffs
+from oracles import fourier_transform
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,9 +92,10 @@ def test_unresolved_integrand_raises_within_limit():
 
 GUARD = """
 import sys
-sys.path.insert(0, sys.argv[1])
+sys.path[:0] = sys.argv[1:3]
 from kfree import EnsembleConfig, cli, main_term_J111
-from kfree.smoothsum import fourier_transform, get_cutoff
+from kfree.smoothsum import get_cutoff
+from oracles import fourier_transform
 
 status = cli.run(["appendix", "--k", "2", "--term", "2,1,1", "--N-list", "1e3,1e4", "--lambda", "1"])
 fourier_transform(get_cutoff("bump"), 1.0)
@@ -104,7 +107,7 @@ print(status, "scipy.special" in sys.modules, sorted(m for m in sys.modules if m
 def test_no_kfree_call_loads_scipy_integrate():
     # a fresh interpreter: this module itself has imported scipy.integrate
     proc = subprocess.run(
-        [sys.executable, "-c", GUARD, str(ROOT / "src")],
+        [sys.executable, "-c", GUARD, str(ROOT / "src"), str(ROOT / "tests")],
         capture_output=True,
         text=True,
         timeout=300,

@@ -37,14 +37,13 @@ from kfree.smoothsum import (
     builtin_cutoffs,
     corollary1_rate,
     error_region,
-    fourier_transform,
     get_cutoff,
     smooth_sum_direct,
     smooth_sum_spectral,
     theorem1_ratio_scan,
 )
 from kfree.smoothsum import _bump_nodes, _gauss_transform, _panel_rule, _symmetric_grid, bump_transform
-from oracles import factorization_direct_sum
+from oracles import factorization_direct_sum, fourier_transform
 
 TWO_PI = 2.0 * math.pi
 
