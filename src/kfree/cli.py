@@ -75,6 +75,7 @@ from .errors import (
 )
 from .remainders import bound_scan
 from .smoothsum import (
+    SpectralSum,
     asymptotic_prediction,
     comparison_tolerance,
     error_region,
@@ -671,6 +672,18 @@ def _cmd_dickman(config: RunConfig) -> _Artifact:
     return _Artifact(result=result, csv=csv)
 
 
+def _spectral_fields(spectral: SpectralSum, value_key: str) -> dict:
+    return {
+        "R": float(spectral.R),
+        "declared_tolerance": float(spectral.declared_tolerance),
+        "panel_width": float(spectral.panel_width),
+        "quadrature_error": float(spectral.quadrature_error),
+        "rho": float(spectral.rho),
+        "tail_bound": float(spectral.tail_bound),
+        value_key: spectral.value,
+    }
+
+
 def _cmd_sum(config: RunConfig) -> _Artifact:
     cfg = _ensemble_config(config)
     cutoff = get_cutoff(config.cutoff)
@@ -680,16 +693,7 @@ def _cmd_sum(config: RunConfig) -> _Artifact:
         result = {"route": route, "value": smooth_sum_direct(cfg, cutoff)}
     elif route == "spectral":
         spectral = smooth_sum_spectral(cfg, cutoff, R=radius, tol=config.tol)
-        result = {
-            "R": float(spectral.R),
-            "declared_tolerance": float(spectral.declared_tolerance),
-            "panel_width": float(spectral.panel_width),
-            "quadrature_error": float(spectral.quadrature_error),
-            "rho": float(spectral.rho),
-            "route": route,
-            "tail_bound": float(spectral.tail_bound),
-            "value": spectral.value,
-        }
+        result = {**_spectral_fields(spectral, "value"), "route": route}
     else:
         report = asymptotic_prediction(cfg, cutoff, R=radius)
         result = {"report": report, "route": route}
@@ -706,17 +710,12 @@ def _cmd_compare(config: RunConfig) -> _Artifact:
     rounding = declared - float(spectral.declared_tolerance)
     agree = difference <= declared
     result = {
-        "R": float(spectral.R),
+        **_spectral_fields(spectral, "spectral"),
         "agree": agree,
         "declared_tolerance": declared,
         "difference": float(difference),
         "direct": direct,
-        "panel_width": float(spectral.panel_width),
-        "quadrature_error": float(spectral.quadrature_error),
-        "rho": float(spectral.rho),
         "rounding_allowance": rounding,
-        "spectral": spectral.value,
-        "tail_bound": float(spectral.tail_bound),
     }
     message = None if agree else "routes disagree beyond the declared tolerance"
     return _Artifact(result=result, status=0 if agree else 3, message=message)

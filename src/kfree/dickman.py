@@ -28,7 +28,7 @@ Objects
   that normalization; see the test-suite's quadrature checks).
 
 * ``charfn_limit(alpha, lam)`` -- the limiting characteristic function
-  phi^(alpha)(lam) = exp(alpha * g(lam)),
+  phi^(alpha)(lam) = exp(alpha * g(lam)), with ``limit_exponent``
   g(lam) = -Cin(|lam|) + i*sign(lam)*Si(|lam|)
          = Ci(|lam|) - gamma - log|lam| + i*sign(lam)*Si(|lam|), g(0) = 0.
   Evaluating the exponent first keeps a single analytic branch for complex
@@ -60,6 +60,7 @@ __all__ = [
     "w_integral",
     "charfn_limit",
     "charfn_limit_grid",
+    "limit_exponent",
 ]
 
 _DEFAULT_PRIME_LIMIT = 10**7
@@ -323,16 +324,16 @@ def charfn_limit(alpha: complex, lam: float) -> complex:
     return complex(charfn_limit_grid(alpha, [lam])[0])
 
 
+def limit_exponent(lam: np.ndarray) -> np.ndarray:
+    """g(lam) = -Cin(|lam|) + i*sign(lam)*Si(|lam|), the integral over [0, lam] of (e^{is} - 1)/s ds."""
+    a = np.abs(lam)
+    return -cin_values(a) + 1j * np.sign(lam) * ci_si_values(a)[1]
+
+
 def charfn_limit_grid(alpha: complex, lam) -> np.ndarray:
     """Vectorized charfn_limit over a real grid."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    a = np.abs(lam)
     out = np.ones(lam.shape, dtype=complex)
-    nz = a > 0
-    if np.any(nz):
-        an = a[nz]
-        cin = cin_values(an)
-        si = ci_si_values(an)[1]
-        g = -cin + 1j * np.sign(lam[nz]) * si
-        out[nz] = np.exp(complex(alpha) * g)
+    nz = np.abs(lam) > 0
+    out[nz] = np.exp(complex(alpha) * limit_exponent(lam[nz]))
     return out

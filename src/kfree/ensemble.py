@@ -174,7 +174,7 @@ def _coerce_factorization(cfg: EnsembleConfig, item) -> Factorization:
     rem = n
     for p in sieve_primes(cfg.N).primes:
         p = int(p)
-        if p * p > rem and rem > 1:
+        if p * p > rem:
             break
         t = 0
         while rem % p == 0:
@@ -439,6 +439,14 @@ def _predicted_constant(k: int, alpha: complex, prime_limit: int = 10**7) -> com
     return complex(np.exp(complex(alpha) * MERTENS + series_sum + tail))
 
 
+def _check_constant_weight(k: int, alpha: complex) -> None:
+    """Raise unless the constant C(k, alpha) exists: alpha off the forbidden set, |alpha| < 2."""
+    if any(abs(alpha - z) < 1e-12 for z in forbidden_alphas(k, max(3, int(abs(alpha)) + 1))):
+        raise DegenerateConfigError(f"alpha = {alpha} lies in the forbidden set")
+    if abs(alpha) >= 2:
+        raise DomainError("precondition failed: |alpha| < 2")
+
+
 def partition_constant(
     k: int,
     alpha: complex,
@@ -453,11 +461,7 @@ def partition_constant(
     one; neither is hard-coded as ground truth.
     """
     alpha = complex(alpha)
-    for z in forbidden_alphas(k, max(3, int(abs(alpha)) + 1)):
-        if abs(alpha - z) < 1e-12:
-            raise DegenerateConfigError(f"alpha = {alpha} lies in the forbidden set")
-    if abs(alpha) >= 2:
-        raise DomainError("partition_constant requires |alpha| < 2")
+    _check_constant_weight(k, alpha)
     n_values = tuple(sorted(int(n) for n in n_values))
     if len(n_values) < 3:
         raise DomainError("need at least 3 N values to extrapolate")

@@ -36,15 +36,15 @@ from .dickman import charfn_limit_grid
 from .ensemble import (
     EnsembleConfig,
     charfn_for,
-    forbidden_alphas,
-    measure,
     partition_constant,
     partition_function,
+    _check_constant_weight,
+    _coerce_factorization,
     _ensemble_integers,
     _positive_product,
 )
 from .errors import DegenerateConfigError, DomainError, ToleranceError
-from .primes import prime_count, sieve_primes
+from .primes import prime_count
 
 __all__ = [
     "CutoffDescriptor",
@@ -450,9 +450,10 @@ def _atom_correction(cfg: EnsembleConfig, f: CutoffDescriptor) -> complex:
         if xr < 1 or abs(x_star - xr) > 1e-9 * max(xr, 1):
             continue
         try:
-            total += delta * measure(cfg, [xr])
+            fac = _coerce_factorization(cfg, xr)
         except DomainError:
             continue
+        total += delta * (complex(cfg.alpha) ** fac.omega * (1 / xr))
     return total
 
 
@@ -546,12 +547,16 @@ def _limit_integral(alpha: complex, f: CutoffDescriptor, R: float) -> complex:
     return _paired_sum(weights, terms)
 
 
+# The report's direct route is only a side check, so it stops below ENUMERATION_CAP:
+# on a 2-core host 2^20 elements (k = 2, N = 71) take 2 s and 113 MB, 2^22 take 12 s and 460 MB.
+_DIRECT_CHECK_CAP = 1 << 20
+
+
 def asymptotic_prediction(
     cfg: EnsembleConfig,
     f: CutoffDescriptor,
     R: Optional[float] = None,
     constant: Optional[complex] = None,
-    enumeration_limit: int = 1 << 20,
 ) -> ComparisonReport:
     """Leading-order prediction C*(log N)^alpha * integral over |lam| <= R.
 
@@ -563,11 +568,7 @@ def asymptotic_prediction(
     not a bound, and |spectral / asymptotic - 1| can exceed it.
     """
     alpha = complex(cfg.alpha)
-    for bad in forbidden_alphas(cfg.k, max(3, int(abs(alpha)) + 1)):
-        if abs(alpha - bad) < 1e-12:
-            raise DegenerateConfigError(f"alpha = {alpha} lies in the forbidden set")
-    if abs(alpha) >= 2:
-        raise DomainError("precondition failed: |alpha| < 2")
+    _check_constant_weight(cfg.k, alpha)
     delta = abs(alpha) - alpha.real
     if not f.eta > delta + 1.0:
         raise DomainError(
@@ -590,14 +591,12 @@ def asymptotic_prediction(
     log_pow = complex(np.exp(alpha * math.log(log_n)))
     asymptotic = constant * log_pow * _limit_integral(alpha, f, R)
     spectral = smooth_sum_spectral(cfg, f)
-    n_primes = len(sieve_primes(cfg.N).primes)
-    direct = None
-    if cfg.k**n_primes <= enumeration_limit:
-        direct = smooth_sum_direct(cfg, f)
-    epsilon_rate = math.log(log_n) / log_n + log_n**delta / R ** (f.eta - 1.0)
     ratios = {"spectral_over_asymptotic": spectral.value / asymptotic}
-    if direct is not None:
+    direct = None
+    if cfg.k ** prime_count(cfg.N) <= _DIRECT_CHECK_CAP:
+        direct = smooth_sum_direct(cfg, f)
         ratios["direct_over_spectral"] = direct / spectral.value
+    epsilon_rate = math.log(log_n) / log_n + log_n**delta / R ** (f.eta - 1.0)
     return ComparisonReport(
         k=cfg.k,
         alpha=alpha,

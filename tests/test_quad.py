@@ -2,10 +2,10 @@
 
 ``complex_quad`` runs on the library's own Gauss-Legendre panels, the family
 that also builds the cached transforms, so its checks here go to
-``scipy.integrate.quad``, imported in this module only.  The two library
-callers ``bound_scan`` (1e-11) and ``main_term_J111`` (1e-12), and the
-test oracle ``fourier_transform`` (1e-10 here), are checked at their own
-tolerances.
+``scipy.integrate.quad``, imported in this module only.  The one library
+caller ``bound_scan`` (1e-11) and the test oracle ``fourier_transform``
+(1e-10 here) are checked at their own tolerances, and so is the closed form
+``main_term_J111`` (1e-12) against a quadrature of its defining integral.
 """
 
 import cmath

@@ -1,10 +1,11 @@
-"""Tests for the remainder catalogue: the eleven closed-form antiderivatives,
+"""Tests for the remainder catalogue: the eleven catalogued antiderivatives,
 the leading integral and its limit, the boundary terms of the summation by
 parts, and the envelope scans with their model fits."""
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +23,7 @@ from kfree.remainders import (
     main_term_J111,
     verify_antiderivative,
 )
-from kfree.specfun import EULER_GAMMA, entire_cosine_integral, sine_integral
+from kfree.specfun import EULER_GAMMA
 from oracles import main_term_limit
 
 # classical table values, frozen independently of the library's own series
@@ -152,6 +153,30 @@ class TestVerifyAntiderivative:
         integral, _ = complex_quad(case.integrand, 2.0, 9.0, tol=1e-12)
         assert abs(integral - (case.closed_form(9.0) - case.closed_form(2.0))) < 1e-12
 
+    @pytest.mark.parametrize("triple", ALL_TRIPLES, ids=str)
+    def test_endpoint_difference_matches_mpmath(self, triple):
+        # the integrand written out from its shape, integrated at 30 digits
+        # over [log 3, log 10^6]
+        a, b, c = triple
+        x0, x1 = math.log(3), math.log(10**6)
+        for eps in (0.01, 0.1, 0.5):
+            phase_b = {
+                1: lambda x: 1,
+                2: lambda x: (mpmath.expj(eps * x) - 1) * mpmath.exp(-x),
+                3: lambda x: mpmath.exp(-2 * x),
+            }[b]
+            if c == 1:
+                phase_c = lambda x: mpmath.expj(eps * x) - 1
+            else:
+                phase_c = lambda x: (mpmath.expj(eps * (c - 2) * x) - 1) * mpmath.exp(-(c - 2) * x)
+            with mpmath.workdps(30):
+                expected = complex(
+                    mpmath.quad(lambda x: phase_b(x) * phase_c(x) / x**a, mpmath.linspace(x0, x1, 9))
+                )
+            case = antiderivative_case(triple, eps)
+            value = case.closed_form(x1) - case.closed_form(x0)
+            assert abs(value - expected) <= 1e-9 * abs(expected), (eps, value, expected)
+
     def test_grid_validation(self):
         case = antiderivative_case((2, 1, 1), 0.01)
         with pytest.raises(DomainError, match="empty"):
@@ -188,19 +213,15 @@ class TestMainTerm:
         large = abs(main_term_J111(EnsembleConfig(2, 1, 10**6), 1.0) - limit)
         assert 1.4 < small / large < 2.6
 
-    def test_quadrature_agrees_with_special_function_route(self):
-        # the truncated integral equals the difference of entire-cosine /
-        # sine integral values at the two endpoints
+    def test_matches_mpmath_limit_at_both_endpoints(self):
+        # the truncated integral over [v0, 1] is the limit at lam minus the
+        # limit at lam * v0, both from the mpmath oracle
         cfg = EnsembleConfig(2, 1, 10**5)
         lam = 2.0
         d_star = threshold_prime(cfg)
         v0 = math.log(d_star) / math.log(cfg.N)
-        full = -entire_cosine_integral(lam).value + 1j * sine_integral(lam).value
-        head = (
-            -entire_cosine_integral(lam * v0).value
-            + 1j * sine_integral(lam * v0).value
-        )
-        assert abs(main_term_J111(cfg, lam) - (full - head)) < 1e-10
+        expected = main_term_limit(1.0, lam) - main_term_limit(1.0, lam * v0)
+        assert abs(main_term_J111(cfg, lam) - expected) < 1e-12
 
     def test_preconditions(self):
         cfg = EnsembleConfig(2, 1, 10**4)

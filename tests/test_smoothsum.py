@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from kfree import smoothsum
+from kfree import ensemble, smoothsum
 from kfree._quad import PanelGrid, complex_quad, gauss_panels
 from kfree.ensemble import (
     CharfnEvaluator,
@@ -291,6 +291,20 @@ class TestSpectralRoute:
         assert gaps[1] <= bounds[1]
         assert bounds[1] < bounds[0]
         assert gaps[1] < gaps[0]
+
+    def test_atom_correction_needs_no_common_denominator(self, monkeypatch):
+        # x = 1 sits on the indicator's jump at xi = 0 with mass alpha^0 / 1,
+        # and x = N = 2^6 5^6 is not square-free; measure's product of
+        # p^(k-1) over the 78,498 primes <= N is never needed
+        def refuse(cfg, subset):
+            raise AssertionError("measure called for a single atom")
+
+        monkeypatch.setattr(ensemble, "measure", refuse)
+        monkeypatch.setattr(smoothsum, "measure", refuse, raising=False)
+        cfg = EnsembleConfig(k=2, alpha=1.0, N=10**6)
+        f = get_cutoff("indicator")
+        assert smoothsum._atom_correction(cfg, f) == 0.5
+        assert math.isfinite(abs(smooth_sum_spectral(cfg, f, R=100.0).value))
 
     def test_integrand_at_zero_frequency(self):
         cfg = EnsembleConfig(k=2, alpha=1.0, N=10)
