@@ -15,8 +15,9 @@ test-suite:
   (``smoothsum``);
 * a certified lower bound for the alpha = -1 spectral integral via midpoint
   quadrature with explicit remainder and tail bounds (``certify``);
-* the closed-form antiderivative registry and remainder-envelope scans used by
-  the convergence analysis (``remainders``).
+* the remainder catalogue, integrated by one exponential-sum antiderivative
+  rule, and the remainder-envelope scans used by the convergence analysis
+  (``remainders``).
 
 Command line front end: ``kfree`` (see ``kfree.cli``).
 """
@@ -24,7 +25,6 @@ Command line front end: ``kfree`` (see ``kfree.cli``).
 __version__ = "0.1.0"
 
 from .dickman import (
-    CharFnLimit,
     RhoGrid,
     charfn_limit,
     charfn_limit_grid,
@@ -39,7 +39,6 @@ from .ensemble import (
     Factorization,
     FastCharfn,
     PartitionConstantReport,
-    ensemble_charfn,
     enumerate_ensemble,
     error_kernel,
     forbidden_alphas,
@@ -107,7 +106,6 @@ __all__ = [
     "sieve_primes",
     "prime_count",
     "RhoGrid",
-    "CharFnLimit",
     "h_constant",
     "solve_rho",
     "w_density",
@@ -126,7 +124,6 @@ __all__ = [
     "laurent_coeffs",
     "CharfnEvaluator",
     "FastCharfn",
-    "ensemble_charfn",
     "error_kernel",
     "EULER_GAMMA",
     "EvalResult",

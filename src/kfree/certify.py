@@ -8,7 +8,8 @@ function.  The head term integrates
     G(lam) = integral over [-1, 1] of f(u) cos(lam*u) du,
     Re phi_limit(-1)(lam) = e^{gamma - Ci(lam)} * lam * cos(Si(lam)),
 
-by the composite midpoint rule on [0, r] (doubled by evenness), with the
+by the composite midpoint rule on [0, r] (doubled by evenness; the limit
+factor is the real part of ``dickman.charfn_limit_grid``), with the
 curvature envelope r*h^2/24 * max|F''| and |F''| <= 1/2 re-verified
 numerically.  G is 2pi times ``smoothsum.bump_transform``, the cached Gauss
 rule of the spectral route, and every step evaluates whole arrays: the
@@ -30,14 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import PanelGrid
+from .dickman import charfn_limit_grid
 from .errors import DomainError
 from .smoothsum import bump_transform
-from .specfun import EULER_GAMMA, ci_si_values
+from .specfun import EULER_GAMMA
 
 __all__ = [
     "ExampleReport",
     "integrand_F",
-    "limit_charfn_real_part",
     "reproduce_example",
     "second_derivative_max",
     "tail_bound",
@@ -65,27 +66,12 @@ def _uniform_grid(h: float, count: int, shift: float = 0.0) -> PanelGrid:
     return PanelGrid(h * np.arange(0, count, _OFFSETS), h * (np.arange(_OFFSETS) + shift))
 
 
-def limit_charfn_real_part(lam):
-    """Re of the alpha = -1 limiting characteristic function, on a scalar or an array.
-
-    Explicit closed form e^{gamma - Ci(lam)} * lam * cos(Si(lam)), even in
-    lam, equal to 1 at lam = 0 (the removable limit: Ci(lam) ~ gamma +
-    log lam there) and bounded by e^gamma everywhere.
-    """
-    a = np.abs(np.asarray(lam, dtype=float))
-    out = np.ones(a.shape)
-    nz = a > 0.0
-    ci, si = ci_si_values(a[nz])
-    out[nz] = np.exp(EULER_GAMMA - ci) * a[nz] * np.cos(si)
-    return out if out.ndim else float(out)
-
-
 def integrand_F(lam):
     """F(lam) = G(lam) * Re phi_limit(-1)(lam) on a scalar, an array or a PanelGrid; even in lam.
 
     At lam = 0 this is G(0), the total mass of the bump profile.
     """
-    values = 2.0 * math.pi * bump_transform(lam).real * limit_charfn_real_part(np.asarray(lam, dtype=float))
+    values = 2.0 * math.pi * bump_transform(lam).real * charfn_limit_grid(-1.0, lam).real
     return values if np.ndim(lam) else float(values[0])
 
 

@@ -658,7 +658,7 @@ def _cmd_dickman(config: RunConfig) -> _Artifact:
     grid = solve_rho(alpha, u_max=config.u_max, step=config.step)
     us = np.linspace(0.0, config.u_max, config.points)
     rhos = rho_at(grid, us)
-    ws = [w_density(alpha, float(u), grid) for u in us]
+    ws = w_density(grid, us)
     rows = [
         {"rho": float(rho), "u": float(u), "w": float(w)}
         for u, rho, w in zip(us, rhos, ws)

@@ -51,12 +51,10 @@ from .specfun import EULER_GAMMA, ci_si_values, cin_values
 
 __all__ = [
     "RhoGrid",
-    "CharFnLimit",
     "h_constant",
     "solve_rho",
     "rho_at",
     "w_density",
-    "w_density_grid",
     "w_integral",
     "charfn_limit",
     "charfn_limit_grid",
@@ -130,7 +128,8 @@ def solve_rho(alpha: float, u_max: float = 12.0, step: float = 1e-3) -> RhoGrid:
     """March the delayed ODE for real alpha in (0, 2); see the module docstring.
 
     ``step`` must divide 1 exactly (the unit delay must be a whole number of
-    steps) and be <= 1e-3.
+    steps) and be <= 1e-3.  The grid ends at the multiple of ``step``
+    nearest ``u_max``, one step further out where that falls short of it.
     """
     if isinstance(alpha, complex):
         if alpha.imag != 0.0:
@@ -150,6 +149,8 @@ def solve_rho(alpha: float, u_max: float = 12.0, step: float = 1e-3) -> RhoGrid:
         raise DomainError("step must divide 1 exactly (unit delay on the grid)")
     h = 1.0 / m
     n = int(round(u_max / h))
+    if n * h + 1e-12 < u_max:  # rho_at's tolerance
+        n += 1
     u_max = n * h
 
     a0 = h_constant(alpha)
@@ -238,39 +239,19 @@ def _w_prefactor(alpha: float, a0: float) -> float:
     return math.exp(-alpha * EULER_GAMMA) / (a0 * math.gamma(alpha))
 
 
-def w_density(alpha: float, u: float, grid: RhoGrid) -> float:
-    """Normalized density u^{alpha-1} * rho(u) / (a0 * e^{alpha*gamma} * Gamma(alpha))."""
-    if grid.alpha != alpha:
-        raise DomainError("grid was solved for a different alpha")
-    u = float(u)
-    if u < 0:
-        return 0.0
-    if u > grid.u_max + 1e-12:
-        raise DomainError("u beyond the solved grid; enlarge u_max")
-    pref = _w_prefactor(alpha, grid.a0)
-    if u == 0.0:
-        if alpha > 1:
-            return 0.0
-        if alpha == 1:
-            return pref * grid.a0
-        return math.inf
-    return pref * u ** (alpha - 1.0) * float(rho_at(grid, u)[0])
+def w_density(grid: RhoGrid, u):
+    """Normalized density u^{alpha-1} * rho(u) / (a0 * e^{alpha*gamma} * Gamma(alpha)) on a scalar or an array.
 
-
-def w_density_grid(grid: RhoGrid) -> np.ndarray:
-    """w_alpha sampled on the grid nodes (u=0 entry set by its limit value)."""
+    Zero for u < 0.  At u = 0 it takes its limit: 0 for alpha > 1, the
+    plateau value for alpha = 1 and inf (an integrable singularity) for
+    alpha < 1.  Beyond the solved grid it raises, as :func:`rho_at` does.
+    """
     alpha = grid.alpha
-    pref = _w_prefactor(alpha, grid.a0)
-    u = grid.u
-    w = np.empty_like(grid.values)
-    w[1:] = pref * u[1:] ** (alpha - 1.0) * grid.values[1:]
-    if alpha > 1:
-        w[0] = 0.0
-    elif alpha == 1:
-        w[0] = pref * grid.a0
-    else:
-        w[0] = w[1]  # integrable singularity; node value capped for display only
-    return w
+    uu = np.asarray(u, dtype=float)
+    rho = rho_at(grid, uu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(uu < 0, 0.0, _w_prefactor(alpha, grid.a0) * uu ** (alpha - 1.0) * rho)
+    return w if np.ndim(u) else float(w[0])
 
 
 def w_integral(grid: RhoGrid) -> float:
@@ -284,7 +265,7 @@ def w_integral(grid: RhoGrid) -> float:
     pref = _w_prefactor(alpha, grid.a0)
     head = pref * grid.a0 / alpha  # integral_0^1 u^{alpha-1} a0 du
     m = int(round(1.0 / grid.step))
-    w = w_density_grid(grid)[m:]
+    w = pref * grid.u[m:] ** (alpha - 1.0) * grid.values[m:]
     return head + _simpson(w, grid.step)
 
 
@@ -301,19 +282,6 @@ def _simpson(y: np.ndarray, h: float) -> float:
         extra = 0.0
     s = y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])
     return float(h / 3.0 * s + extra)
-
-
-@dataclass(frozen=True)
-class CharFnLimit:
-    """Callable wrapper for the limiting characteristic function at fixed alpha."""
-
-    alpha: complex
-
-    def __call__(self, lam: float) -> complex:
-        return charfn_limit(self.alpha, lam)
-
-    def grid(self, lam) -> np.ndarray:
-        return charfn_limit_grid(self.alpha, lam)
 
 
 def charfn_limit(alpha: complex, lam: float) -> complex:

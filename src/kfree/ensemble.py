@@ -51,7 +51,6 @@ __all__ = [
     "marginal_row",
     "laurent_coeffs",
     "threshold_prime",
-    "ensemble_charfn",
     "CharfnEvaluator",
     "FastCharfn",
     "charfn_for",
@@ -579,14 +578,6 @@ class CharfnEvaluator:
 
     def truncation_bound(self, lam_max: float) -> float:
         return 0.0  # an exact product; like FastCharfn's, its round-off is not bounded
-
-    def __call__(self, lam: float) -> complex:
-        return complex(self.grid([float(lam)])[0])
-
-
-def ensemble_charfn(cfg: EnsembleConfig, lam: float) -> complex:
-    """Convenience single-frequency evaluation (builds a fresh evaluator)."""
-    return CharfnEvaluator(cfg)(lam)
 
 
 def _positive_product(cfg: EnsembleConfig, strip: float) -> float:

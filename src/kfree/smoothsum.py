@@ -414,9 +414,10 @@ def _panel_terms(values, f: CutoffDescriptor, R: float, grid: PanelGrid) -> tupl
 
     ``values`` maps the :class:`PanelGrid` (which may factor its phases) to
     the other factor, a characteristic function on a grid.  fhat on the
-    nodes is cached per cutoff name, R and node count.
+    nodes is cached per cutoff descriptor (not its name: a custom cutoff may
+    share a builtin's), R and node count.
     """
-    key = (f.name, round(R, 12), grid.size)
+    key = (f, round(R, 12), grid.size)
     fhat = _transform_node_cache.get(key)
     if fhat is None:
         fhat = _transform_node_cache[key] = f.transform_grid(grid)

@@ -16,7 +16,7 @@ import mpmath
 import numpy as np
 
 from kfree._quad import complex_quad
-from kfree.dickman import RhoGrid, _simpson, _w_prefactor, w_density_grid
+from kfree.dickman import RhoGrid, _simpson, _w_prefactor, w_density
 from kfree.ensemble import (
     ENUMERATION_CAP,
     EnsembleConfig,
@@ -160,8 +160,8 @@ def charfn_fourier_from_grid(grid: RhoGrid, lam) -> np.ndarray:
     alpha = grid.alpha
     pref = _w_prefactor(alpha, grid.a0)
     m = int(round(1.0 / grid.step))
-    w_tail = w_density_grid(grid)[m:]
     u_tail = grid.u[m:]
+    w_tail = w_density(grid, u_tail)
     out = np.empty(lam.shape, dtype=complex)
     for i, l in enumerate(lam):
         moment = complex(mpmath.quad(lambda u: u ** (alpha - 1) * mpmath.expj(l * u), [0, 1]))

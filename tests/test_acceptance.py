@@ -25,8 +25,8 @@ import pytest
 from kfree import dickman
 from kfree.certify import reproduce_example
 from kfree.ensemble import (
+    CharfnEvaluator,
     EnsembleConfig,
-    ensemble_charfn,
     enumerate_ensemble,
     error_kernel,
     laurent_coeffs,
@@ -100,7 +100,7 @@ def test_criterion_2_small_ensemble_oracle_equivalence(rng):
                 )
                 / z
             )
-            got = ensemble_charfn(cfg, lam)
+            got = CharfnEvaluator(cfg).grid([lam])[0]
             assert abs(got - expectation) <= 1e-10 * max(1.0, abs(expectation)), (
                 k,
                 alpha,

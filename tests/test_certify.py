@@ -19,15 +19,14 @@ from kfree.certify import (
     ExampleReport,
     _uniform_grid,
     integrand_F,
-    limit_charfn_real_part,
     reproduce_example,
     second_derivative_max,
     tail_bound,
 )
-from kfree.dickman import charfn_limit
+from kfree.dickman import charfn_limit, charfn_limit_grid
 from kfree.errors import DomainError
 from kfree.smoothsum import get_cutoff
-from kfree.specfun import EULER_GAMMA
+from kfree.specfun import EULER_GAMMA, ci_si_values
 from oracles import fourier_transform, stationary_phase_amplitude
 
 # frozen targets for r = 5, M = 1000 (binary64 reproduction)
@@ -49,7 +48,7 @@ class TestIntegrand:
         bump = get_cutoff("bump")
         for lam in (0.3, 1.1, 2.6, 4.9):
             oracle = 2.0 * math.pi * fourier_transform(bump, lam, tol=1e-10).real
-            assert abs(integrand_F(lam) - oracle * limit_charfn_real_part(lam)) <= 1e-9
+            assert abs(integrand_F(lam) - oracle * charfn_limit(-1.0, lam).real) <= 1e-9
 
     @pytest.mark.parametrize("h,count,shift", [(1e-3, 5001, 0.0), (5e-3, 1000, 0.5)])
     def test_uniform_panel_grid_matches_its_plain_nodes(self, h, count, shift):
@@ -62,8 +61,8 @@ class TestIntegrand:
 
     def test_array_calls_match_scalar_calls(self):
         lams = np.array([0.0, 0.3, -0.3, 1.1, 2.6, -4.9, 13.4])
-        limit = limit_charfn_real_part(lams)
-        assert np.array_equal(limit, [limit_charfn_real_part(float(l)) for l in lams])
+        limit = charfn_limit_grid(-1.0, lams).real
+        assert np.array_equal(limit, [charfn_limit(-1.0, float(l)).real for l in lams])
         values = integrand_F(lams)
         assert all(integrand_F(float(l)) == integrand_F(np.array([l]))[0] for l in lams)
         # one node is a BLAS dot, several a gemv: the same Gauss sum in
@@ -74,23 +73,24 @@ class TestIntegrand:
         assert integrand_F(0.0) == pytest.approx(BUMP_MASS, abs=1e-12)
 
     def test_limit_factor_at_zero(self):
-        assert limit_charfn_real_part(0.0) == 1.0
+        assert charfn_limit(-1.0, 0.0).real == 1.0
 
     def test_limit_factor_matches_generic_evaluator(self):
-        # independent route: exp of the alpha-scaled log-profile, complex
+        # independent route: the explicit form e^{gamma - Ci} * lam * cos(Si)
         for lam in (0.5, 2.0, 7.0, 13.4):
-            explicit = limit_charfn_real_part(lam)
+            ci, si = (float(x[0]) for x in ci_si_values(lam))
+            explicit = math.exp(EULER_GAMMA - ci) * lam * math.cos(si)
             generic = charfn_limit(-1.0, lam).real
             assert explicit == pytest.approx(generic, abs=1e-12)
 
     def test_limit_factor_frozen_value(self):
-        assert limit_charfn_real_part(2.0) == pytest.approx(
+        assert charfn_limit(-1.0, 2.0).real == pytest.approx(
             -0.0807628490156368, abs=1e-13
         )
 
     def test_limit_factor_bounded_by_exp_gamma(self):
         grid = np.linspace(0.0, 60.0, 601)
-        vals = [abs(limit_charfn_real_part(float(l))) for l in grid]
+        vals = [abs(charfn_limit(-1.0, float(l)).real) for l in grid]
         assert max(vals) <= math.exp(EULER_GAMMA) + 1e-12
 
     def test_second_derivative_within_half(self):

@@ -77,7 +77,7 @@ class TestNamedExamples:
         code, doc = invoke_json(argv, tmp_path)
         assert code == 0
         value = complex(doc["result"]["value"]["re"], doc["result"]["value"]["im"])
-        exact = kfree.CharfnEvaluator(kfree.EnsembleConfig(k=5, alpha=1.0, N=100000))(3.0)
+        exact = kfree.CharfnEvaluator(kfree.EnsembleConfig(k=5, alpha=1.0, N=100000)).grid([3.0])[0]
         assert abs(value / exact - 1.0) <= 1e-10
 
     def test_example_chain_passes(self, tmp_path):
@@ -270,6 +270,16 @@ class TestCsvFormat:
         table = {float(u): float(rho) for u, rho, _ in (line.split(",") for line in lines[3:])}
         assert table[0.0] == pytest.approx(1.0, abs=1e-12)
         assert table[2.0] == pytest.approx(1.0 - math.log(2.0), abs=1e-6)
+
+    def test_dickman_u_max_between_grid_nodes(self, tmp_path):
+        # 2.0004 rounds to the node 2.000 below it; the solved grid must
+        # still reach the last sampled point
+        argv = ["dickman", "--alpha", "1", "--u-max", "2.0004", "--points", "3"]
+        code, doc = invoke_json(argv, tmp_path)
+        assert code == 0
+        last = doc["result"]["rows"][-1]
+        assert last["u"] == 2.0004
+        assert last["rho"] == pytest.approx(1.0 - math.log(2.0004), abs=1e-6)
 
     def test_regions_rows_match_direct_evaluation(self, tmp_path):
         argv = [

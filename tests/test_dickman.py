@@ -171,13 +171,22 @@ def test_solve_rho_domain_errors():
 
 
 def test_w_density_point_values(rho_grid_1):
-    assert dickman.w_density(1.0, -1.0, rho_grid_1) == 0.0
-    v = dickman.w_density(1.0, 1.5, rho_grid_1)
+    assert dickman.w_density(rho_grid_1, -1.0) == 0.0
+    v = dickman.w_density(rho_grid_1, 1.5)
     assert abs(v - math.exp(-GAMMA) * (1 - math.log(1.5))) < 1e-12
     with pytest.raises(DomainError):
-        dickman.w_density(1.0, rho_grid_1.u_max + 1.0, rho_grid_1)
-    with pytest.raises(DomainError):
-        dickman.w_density(1.5, 1.0, rho_grid_1)  # alpha mismatch
+        dickman.w_density(rho_grid_1, rho_grid_1.u_max + 1.0)
+
+
+@pytest.mark.parametrize("alpha,at_zero", [(0.5, math.inf), (1.0, math.exp(-GAMMA)), (1.5, 0.0)])
+def test_w_density_arrays_match_scalars(alpha, at_zero):
+    # one rule at u = 0 for scalars and arrays: the limit value, inf below alpha = 1
+    grid = dickman.solve_rho(alpha, u_max=3.0)
+    us = np.array([-1.0, 0.0, 0.5, 1.5, 2.999])
+    w = dickman.w_density(grid, us)
+    assert np.array_equal(w, [dickman.w_density(grid, float(u)) for u in us])
+    assert w[0] == 0.0
+    assert w[1] == pytest.approx(at_zero, rel=1e-15)
 
 
 def test_w_integral_alpha_one(rho_grid_1):
@@ -204,8 +213,7 @@ def test_w_integral_other_alphas(alpha):
 def test_charfn_limit_at_zero_exact():
     assert dickman.charfn_limit(1.0, 0.0) == 1.0 + 0.0j
     assert dickman.charfn_limit(2j / 3, 0.0) == 1.0 + 0.0j
-    fn = dickman.CharFnLimit(1 + 1j)
-    assert fn(0.0) == 1.0 + 0.0j
+    assert dickman.charfn_limit_grid(1 + 1j, [0.0])[0] == 1.0 + 0.0j
 
 
 def test_charfn_limit_closed_form_alpha_minus_one():
@@ -273,7 +281,7 @@ def test_fourier_consistency_against_scipy_quad(rho_grid_1):
     from scipy.integrate import quad
 
     lam = 2.0
-    w = lambda u: dickman.w_density(1.0, u, rho_grid_1)
+    w = lambda u: dickman.w_density(rho_grid_1, u)
     re = quad(lambda u: w(u) * math.cos(lam * u), 0, rho_grid_1.u_max, limit=200)[0]
     im = quad(lambda u: w(u) * math.sin(lam * u), 0, rho_grid_1.u_max, limit=200)[0]
     closed = dickman.charfn_limit(1.0, lam)

@@ -32,7 +32,6 @@ from kfree.ensemble import (
     FastCharfn,
     LaurentCoeffs,
     charfn_for,
-    ensemble_charfn,
     enumerate_ensemble,
     error_kernel,
     forbidden_alphas,
@@ -577,11 +576,10 @@ class TestCharfn:
 
     def test_scalar_calls_equal_the_grid(self):
         cfg = EnsembleConfig(k=3, alpha=1 + 0.5j, N=300)
-        ev = CharfnEvaluator(cfg)
-        for lam in (0.0, -2.5, 13.0):
-            want = ev.grid([lam])[0]
-            assert ev(lam) == want
-            assert ensemble_charfn(cfg, lam) == want
+        lams = (0.0, -2.5, 13.0)
+        values = CharfnEvaluator(cfg).grid(lams)
+        for lam, want in zip(lams, values):
+            assert CharfnEvaluator(cfg).grid([lam])[0] == want
 
     def test_far_branch_row_sums_on_a_block(self):
         # at (2, 1.9, 30) the factor of p = 2 is 1 + w = 0.026 where lambda v_2 = pi
@@ -599,12 +597,11 @@ class TestCharfn:
 
     def test_zero_frequency_is_exactly_one(self):
         cfg = EnsembleConfig(k=2, alpha=1 + 1j, N=100)
-        assert ensemble_charfn(cfg, 0.0) == 1.0
         assert CharfnEvaluator(cfg).grid([0.0])[0] == 1.0
 
     def test_matches_enumeration_small(self):
         cfg = EnsembleConfig(k=2, alpha=1.0, N=10)
-        got = ensemble_charfn(cfg, 1.0)
+        got = CharfnEvaluator(cfg).grid([1.0])[0]
         want = charfn_by_enumeration(cfg, 1.0)
         assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -615,20 +612,20 @@ class TestCharfn:
         # the last two have factors outside the half-disk |z - 1| < 1/2
         cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
         for lam in (0.7, 2.3, -4.1):
-            got = ensemble_charfn(cfg, lam)
+            got = CharfnEvaluator(cfg).grid([lam])[0]
             want = charfn_by_enumeration(cfg, lam)
             assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_conjugate_symmetry_real_alpha(self):
         ev = CharfnEvaluator(EnsembleConfig(k=2, alpha=-1.0, N=500))
         for lam in (0.5, 1.7, 3.0):
-            assert ev(-lam) == pytest.approx(np.conj(ev(lam)), rel=1e-13)
+            assert ev.grid([-lam])[0] == pytest.approx(np.conj(ev.grid([lam])[0]), rel=1e-13)
 
     def test_near_limit_at_million(self, table_1e6):
         # The absolute gap at N = 10^6 is ~0.098 (the relative gap is still
         # ~12% and only falls below 10% near N = 10^8); the acceptance scan
         # certifies that the gap shrinks monotonically with N.
-        got = ensemble_charfn(EnsembleConfig(k=2, alpha=1.0, N=10**6), 1.0)
+        got = CharfnEvaluator(EnsembleConfig(k=2, alpha=1.0, N=10**6)).grid([1.0])[0]
         limit = charfn_limit(1.0, 1.0)
         assert abs(got - limit) < 0.10
 
@@ -876,7 +873,7 @@ class TestFastCharfn:
         # exceeds the bound (~9.3e-11) while the relative one stays inside it.
         cfg = EnsembleConfig(k=3, alpha=-1.5, N=10**6)
         fast = FastCharfn(cfg)
-        got, want = fast.grid([300.0])[0], CharfnEvaluator(cfg)(300.0)
+        got, want = fast.grid([300.0])[0], CharfnEvaluator(cfg).grid([300.0])[0]
         assert abs(want) > 50.0
         assert abs(got / want - 1.0) <= math.expm1(fast.truncation_bound(300.0)) + 1e-13
 

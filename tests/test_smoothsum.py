@@ -310,9 +310,25 @@ class TestSpectralRoute:
         cfg = EnsembleConfig(k=2, alpha=1.0, N=10)
         f = get_cutoff("bump")
         z = partition_function(cfg)
-        phi0 = CharfnEvaluator(cfg)(0.0)
+        phi0 = CharfnEvaluator(cfg).grid([0.0])[0]
         assert phi0 == 1.0 + 0.0j
         assert z * phi0 * f.transform([0.0])[0] == z * f.transform([0.0])[0]
+
+    def test_transform_cache_tells_apart_cutoffs_sharing_a_name(self):
+        # fhat on the nodes is cached per descriptor: a custom cutoff named
+        # like a builtin must not reuse the builtin's transform
+        cfg = EnsembleConfig(k=2, alpha=1.0, N=30)
+        f = get_cutoff("gaussian")
+        base = smooth_sum_spectral(cfg, f, R=8.0).value
+        doubled = dataclasses.replace(
+            f, evaluate=lambda u: 2.0 * f.evaluate(u), transform=lambda lams: 2.0 * f.transform(lams)
+        )
+        assert doubled.name == "gaussian"
+        assert smooth_sum_spectral(cfg, doubled, R=8.0).value / base == pytest.approx(2.0, rel=1e-12)
+        # the builtin is one cached object, so repeated sums still hit
+        cached = len(smoothsum._transform_node_cache)
+        smooth_sum_spectral(cfg, get_cutoff("gaussian"), R=8.0)
+        assert len(smoothsum._transform_node_cache) == cached
 
     def test_explicit_R_is_honored(self):
         cfg = EnsembleConfig(k=2, alpha=1.0, N=10)
