@@ -36,15 +36,10 @@ from .dickman import (
 from .ensemble import (
     CharfnEvaluator,
     EnsembleConfig,
-    Factorization,
     FastCharfn,
     PartitionConstantReport,
     enumerate_ensemble,
-    error_kernel,
     forbidden_alphas,
-    laurent_coeffs,
-    measure,
-    nu_marginal,
     partition_constant,
     partition_function,
 )
@@ -60,15 +55,12 @@ from .primes import PrimeTable, prime_count, sieve_primes
 from .certify import ExampleReport, reproduce_example
 from .remainders import (
     AntiderivativeCase,
-    BoundaryTerms,
     EnvelopeReport,
     antiderivative_case,
     antiderivative_names,
     bound_scan,
-    boundary_terms,
     limit_deviation_scan,
     main_term_J111,
-    verify_antiderivative,
 )
 from .smoothsum import (
     ComparisonReport,
@@ -77,7 +69,6 @@ from .smoothsum import (
     asymptotic_prediction,
     builtin_cutoffs,
     comparison_tolerance,
-    corollary1_rate,
     error_region,
     get_cutoff,
     smooth_sum_direct,
@@ -113,18 +104,13 @@ __all__ = [
     "charfn_limit",
     "charfn_limit_grid",
     "EnsembleConfig",
-    "Factorization",
     "enumerate_ensemble",
-    "measure",
     "partition_function",
     "partition_constant",
     "PartitionConstantReport",
     "forbidden_alphas",
-    "nu_marginal",
-    "laurent_coeffs",
     "CharfnEvaluator",
     "FastCharfn",
-    "error_kernel",
     "EULER_GAMMA",
     "EvalResult",
     "cosine_integral",
@@ -142,18 +128,14 @@ __all__ = [
     "asymptotic_prediction",
     "comparison_tolerance",
     "error_region",
-    "corollary1_rate",
     "theorem1_ratio_scan",
     "ExampleReport",
     "reproduce_example",
     "AntiderivativeCase",
-    "BoundaryTerms",
     "EnvelopeReport",
     "antiderivative_names",
     "antiderivative_case",
-    "verify_antiderivative",
     "main_term_J111",
-    "boundary_terms",
     "bound_scan",
     "limit_deviation_scan",
 ]

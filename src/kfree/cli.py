@@ -62,9 +62,9 @@ from .ensemble import (
     ENUMERATION_CAP,
     EnsembleConfig,
     charfn_for,
+    enumerate_ensemble,
     partition_constant,
     partition_function,
-    _ensemble_integers,
 )
 from .errors import (
     DegenerateConfigError,
@@ -601,7 +601,7 @@ def _resolve_radius(config: RunConfig, n_value: int) -> Optional[float]:
 
 def _cmd_enumerate(config: RunConfig) -> _Artifact:
     cfg = _ensemble_config(config)
-    elements, _ = _ensemble_integers(cfg, cap=config.cap)
+    elements = enumerate_ensemble(cfg, cap=config.cap)
     result = {"count": len(elements), "elements": elements}
     csv = (("element",), [(value,) for value in elements])
     return _Artifact(result=result, csv=csv)
@@ -737,6 +737,12 @@ def _cmd_example(config: RunConfig) -> _Artifact:
     return _Artifact(result={"report": report}, status=0 if report.passed else 3, message=message)
 
 
+def _fit_comment(kind: str, fit) -> str:
+    """One CSV comment line for a model fit, every number at 17 significant digits."""
+    coefficients = ", ".join(format(c, ".17g") for c in fit.coefficients)
+    return f"# {kind}: model={fit.model} coefficients=({coefficients}) residual={fit.residual:.17g}"
+
+
 def _cmd_appendix(config: RunConfig) -> _Artifact:
     lams = _require_lambdas(config)
     cfgs = [EnsembleConfig(config.k, config.alpha, n) for n in config.N_list]
@@ -752,21 +758,8 @@ def _cmd_appendix(config: RunConfig) -> _Artifact:
     csv_rows = [
         (int(row.N), float(row.lam), term_text, float(row.magnitude)) for row in report.rows
     ]
-    comments = [
-        "# fit: model={} coefficients=({}) residual={}".format(
-            report.fit.model,
-            ", ".join(format(c, ".17g") for c in report.fit.coefficients),
-            format(report.fit.residual, ".17g"),
-        )
-    ]
-    for fit in report.alternatives:
-        comments.append(
-            "# alternative: model={} coefficients=({}) residual={}".format(
-                fit.model,
-                ", ".join(format(c, ".17g") for c in fit.coefficients),
-                format(fit.residual, ".17g"),
-            )
-        )
+    comments = [_fit_comment("fit", report.fit)]
+    comments += [_fit_comment("alternative", fit) for fit in report.alternatives]
     return _Artifact(
         result=result,
         csv=(("N", "lambda", "term", "magnitude"), csv_rows),

@@ -9,15 +9,14 @@ Omega(x) = sum nu(p), and the total weight is the finite Euler product
 
 This module provides:
 
-* exact enumeration with big-integer values (desk scale, size-capped);
-* the complex measure of subsets via exact integer arithmetic grouped by
-  Omega (one correctly rounded float division per Omega class);
+* exact enumeration of the elements as plain integers (desk scale,
+  size-capped), and Omega of a single integer with its membership test;
 * one Euler-product kernel: every factor 1 + w enters through its
   principal log, summed over all primes and exponentiated once, which
   equals the direct product (a vanishing factor gives exactly 0);
 * Richardson-style extrapolation of Z_N/(log N)^alpha toward its constant;
-* per-prime exponent marginals F_t(p), their Laurent coefficients at
-  u = infinity, and the error kernel with its envelope bound;
+* the per-prime exponent marginals F_t(p) and the threshold prime past
+  which every factor stays near 1;
 * the finite-N characteristic function of xi(x) = log x / log N, both as an
   exact prime product and as a bucketed fast evaluator for dense frequency
   grids at large N, with one rule (:func:`charfn_for`) choosing between them.
@@ -28,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,22 +38,15 @@ from .primes import _CHUNK, PrimeTable, prime_power_tail, sieve_primes
 
 __all__ = [
     "EnsembleConfig",
-    "Factorization",
-    "LaurentCoeffs",
     "PartitionConstantReport",
     "enumerate_ensemble",
-    "measure",
     "partition_function",
     "partition_constant",
     "forbidden_alphas",
-    "nu_marginal",
-    "marginal_row",
-    "laurent_coeffs",
     "threshold_prime",
     "CharfnEvaluator",
     "FastCharfn",
     "charfn_for",
-    "error_kernel",
 ]
 
 # the one cap on enumerated ensembles, sized to memory: the value and Omega
@@ -94,43 +86,6 @@ class EnsembleConfig:
         return math.log(self.N)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Element of the ensemble: sorted tuple of (prime, exponent >= 1) pairs.
-
-    Primes absent from the tuple carry exponent 0; exponents never reach k.
-    """
-
-    exponents: tuple
-
-    def __post_init__(self):
-        pairs = tuple(sorted((int(p), int(t)) for p, t in self.exponents if t))
-        if any(t < 1 for _, t in pairs):
-            raise DomainError("exponents must be >= 1 when stored")
-        object.__setattr__(self, "exponents", pairs)
-
-    @property
-    def value(self) -> int:
-        return math.prod(p**t for p, t in self.exponents)
-
-    @property
-    def omega(self) -> int:
-        """Number of prime factors counted with multiplicity."""
-        return sum(t for _, t in self.exponents)
-
-    def exponent(self, p: int) -> int:
-        for q, t in self.exponents:
-            if q == p:
-                return t
-        return 0
-
-    def xi(self, N: int) -> float:
-        """log(value)/log(N), the normalized logarithm in [0, (k-1) pi(N)]."""
-        if self.value == 1:
-            return 0.0
-        return math.log(self.value) / math.log(N)
-
-
 def _ensemble_integers(cfg: EnsembleConfig, cap: int = ENUMERATION_CAP) -> tuple[list, list]:
     """All k^pi(N) elements as plain ints: (values, Omegas), sorted by value.
 
@@ -151,26 +106,18 @@ def _ensemble_integers(cfg: EnsembleConfig, cap: int = ENUMERATION_CAP) -> tuple
     return [values[i] for i in order], [omegas[i] for i in order]
 
 
-def enumerate_ensemble(cfg: EnsembleConfig, cap: int = ENUMERATION_CAP):
-    """All k^pi(N) elements as a list of (value, Factorization), sorted by value.
+def enumerate_ensemble(cfg: EnsembleConfig, cap: int = ENUMERATION_CAP) -> list[int]:
+    """All k^pi(N) elements as plain integers, sorted: what ``kfree enumerate`` prints."""
+    return _ensemble_integers(cfg, cap)[0]
 
-    The factorization-building view of the ensemble; the direct sum and
-    ``kfree enumerate`` walk the plain integers instead.
+
+def _omega(cfg: EnsembleConfig, n: int) -> Optional[int]:
+    """Omega(n) for an element n of the ensemble; None when n is not one.
+
+    Trial division by the primes up to sqrt(n); n is outside the ensemble when
+    a prime divides it k or more times or its last prime factor exceeds N.
     """
-    values, _ = _ensemble_integers(cfg, cap)
-    return [(value, _coerce_factorization(cfg, value)) for value in values]
-
-
-def _coerce_factorization(cfg: EnsembleConfig, item) -> Factorization:
-    if isinstance(item, Factorization):
-        return item
-    if isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], Factorization):
-        return item[1]
-    n = int(item)
-    if n < 1:
-        raise DomainError(f"ensemble elements are positive integers, got {n}")
-    pairs = []
-    rem = n
+    omega, rem = 0, n
     for p in sieve_primes(cfg.N).primes:
         p = int(p)
         if p * p > rem:
@@ -179,40 +126,12 @@ def _coerce_factorization(cfg: EnsembleConfig, item) -> Factorization:
         while rem % p == 0:
             rem //= p
             t += 1
-        if t:
-            pairs.append((p, t))
-    if rem > 1:
-        if rem <= cfg.N:
-            pairs.append((rem, 1))
-        else:
-            raise DomainError(f"{n} has a prime factor > N = {cfg.N}")
-    f = Factorization(tuple(pairs))
-    if any(t > cfg.k - 1 for _, t in f.exponents):
-        raise DomainError(f"{n} is not {cfg.k}-free")
-    return f
-
-
-def measure(cfg: EnsembleConfig, subset: Iterable) -> complex:
-    """sum over the subset of alpha^Omega(x)/x, via exact integer arithmetic.
-
-    Elements are grouped by Omega; within a group the sum of 1/x is the exact
-    big integer sum of D/x over the common denominator D = prod p^{k-1}, so
-    floating point enters only through one correctly rounded division per
-    group.  Subset entries may be Factorization objects, (value, Factorization)
-    pairs, or plain integers (which are factored and validated).
-    """
-    facs = [_coerce_factorization(cfg, it) for it in subset]
-    if not facs:
-        return 0.0 + 0.0j
-    D = math.prod(int(p) ** (cfg.k - 1) for p in sieve_primes(cfg.N).primes)
-    numerators: dict[int, int] = {}
-    for f in facs:
-        numerators[f.omega] = numerators.get(f.omega, 0) + D // f.value
-    alpha = complex(cfg.alpha)
-    total = 0.0 + 0.0j
-    for m in sorted(numerators):
-        total += alpha**m * (numerators[m] / D)
-    return total
+        if t >= cfg.k:
+            return None
+        omega += t
+    if rem > cfg.N:
+        return None
+    return omega + (rem > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +163,6 @@ def _marginal_rows(k: int, alpha: complex, p: np.ndarray) -> list[np.ndarray]:
 def _envelope(rows: list[np.ndarray]) -> np.ndarray:
     """2 * sum_{t>=1} |F_t(p)|, a lambda-independent bound on |z_p(lambda) - 1|."""
     return 2.0 * np.sum(np.abs(np.stack(rows[1:])), axis=0)
-
-
-def marginal_row(cfg: EnsembleConfig, p: int) -> np.ndarray:
-    """All k exponent probabilities for one prime, as a complex vector."""
-    return np.array([row[0] for row in _marginal_rows(cfg.k, cfg.alpha, np.array([float(p)]))])
-
-
-def nu_marginal(cfg: EnsembleConfig, p: int, t: int) -> complex:
-    """P(nu(p) = t) under the complex measure: alpha^t p^{k-1-t}(p-alpha)/(p^k-alpha^k)."""
-    table = sieve_primes(cfg.N)
-    idx = np.searchsorted(table.primes, p)
-    if idx >= len(table.primes) or int(table.primes[idx]) != int(p):
-        raise DomainError(f"p = {p} is not a prime <= N = {cfg.N}")
-    if not 0 <= t <= cfg.k - 1:
-        raise DomainError(f"t must lie in [0, {cfg.k - 1}], got {t}")
-    return complex(marginal_row(cfg, p)[t])
 
 
 def threshold_prime(cfg: EnsembleConfig) -> int:
@@ -464,6 +367,9 @@ def partition_constant(
     n_values = tuple(sorted(int(n) for n in n_values))
     if len(n_values) < 3:
         raise DomainError("need at least 3 N values to extrapolate")
+    repeated = sorted({a for a, b in zip(n_values, n_values[1:]) if a == b})
+    if repeated:
+        raise DomainError(f"N values must be distinct to extrapolate; repeated: {', '.join(map(str, repeated))}")
     ratios = []
     for n in n_values:
         z = partition_function(EnsembleConfig(k=k, alpha=alpha, N=n))
@@ -491,44 +397,6 @@ def partition_constant(
         candidates=candidates,
         supported=supported,
     )
-
-
-# ---------------------------------------------------------------------------
-# Laurent structure of the marginals at u = infinity
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LaurentCoeffs:
-    """Coefficients b_t(l) of F_t(u) = sum_l b_t(l) / u^l, l = 0..l_max."""
-
-    k: int
-    alpha: complex
-    t: int
-    coefficients: tuple
-
-
-def _b0(k: int, alpha: complex, l: int) -> complex:
-    """Base-row coefficient: alpha^l when l = 0 mod k, -alpha^l when l = 1 mod k, else 0."""
-    if l < 0:
-        return 0.0 + 0.0j
-    r = l % k
-    if r == 0:
-        return complex(alpha) ** l
-    if r == 1:
-        return -(complex(alpha) ** l)
-    return 0.0 + 0.0j
-
-
-def laurent_coeffs(k: int, alpha: complex, t: int, l_max: int) -> LaurentCoeffs:
-    """Coefficients of the 1/u expansion of F_t; shift rule b_t(l) = alpha^t * b_0(l-t)."""
-    if l_max < k + 2:
-        raise DomainError("l_max must be at least k + 2")
-    if not 0 <= t <= k - 1:
-        raise DomainError(f"t must lie in [0, {k - 1}]")
-    alpha = complex(alpha)
-    coeffs = tuple(alpha**t * _b0(k, alpha, l - t) for l in range(l_max + 1))
-    return LaurentCoeffs(k=k, alpha=alpha, t=t, coefficients=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -847,45 +715,3 @@ def charfn_for(cfg: EnsembleConfig):
         return CharfnEvaluator(cfg)
     return FastCharfn(cfg)
 
-
-# ---------------------------------------------------------------------------
-# error kernel
-# ---------------------------------------------------------------------------
-
-
-def _marginal_derivative(k: int, alpha: complex, t: int, u: complex) -> complex:
-    """d/du of F_t(u) = x^t(1-x)/(1-x^k) with x = alpha/u (exact rational calculus)."""
-    x = complex(alpha) / u
-    num = x**t - x ** (t + 1)
-    dnum = t * x ** (t - 1) - (t + 1) * x**t if t > 0 else -1.0 + 0.0j
-    den = 1.0 - x**k
-    dF_dx = (dnum * den + num * k * x ** (k - 1)) / den**2
-    return complex(dF_dx * (-x / u))
-
-
-def error_kernel(cfg: EnsembleConfig, u: float, lam: float):
-    """Deviation of the factor-derivative from its two leading Laurent terms.
-
-    Returns (value, bound): value is
-
-        d/du F_0(u) - alpha/u^2
-        + (d/du F_1(u) + alpha/u^2) e^{i lam log u / log N}
-        + sum_{t=2}^{k-1} d/du F_t(u) e^{i lam t log u / log N}
-
-    and bound = sum_{j=1}^{k-1} |alpha^j (e^{i lam j log u / log N} - 1)| / u^{j+2},
-    the envelope that controls it (value/bound stays below a fitted constant).
-    """
-    alpha = complex(cfg.alpha)
-    u = float(u)
-    if u <= abs(alpha):
-        raise DomainError("error_kernel needs u > |alpha| (outside the Laurent disk)")
-    v = math.log(u) / cfg.log_n
-    k = cfg.k
-    value = _marginal_derivative(k, alpha, 0, u) - alpha / u**2
-    value += (_marginal_derivative(k, alpha, 1, u) + alpha / u**2) * np.exp(1j * lam * v)
-    for t in range(2, k):
-        value += _marginal_derivative(k, alpha, t, u) * np.exp(1j * lam * t * v)
-    bound = 0.0
-    for j in range(1, k):
-        bound += abs(alpha) ** j * abs(complex(_cis_minus_one(np.array([lam * j * v]))[0])) / u ** (j + 2)
-    return complex(value), float(bound)

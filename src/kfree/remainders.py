@@ -30,13 +30,11 @@ with an explicit large-``N`` limit.
 Public surface:
 
 * ``main_term_J111`` -- the leading integral;
-* ``antiderivative_case`` / ``verify_antiderivative`` -- the closed-form
-  catalogue and a finite-difference check that each closed form really
-  differentiates to its integrand;
+* ``antiderivative_case`` / ``antiderivative_names`` -- the closed-form
+  catalogue;
 * ``bound_scan`` -- magnitude scans of the bounding integrands (order-one
   prefactors set to 1) with envelope fits in ``1 / log N`` and
   ``eps * |log eps|``;
-* ``boundary_terms`` -- the two boundary values of the summation by parts;
 * ``limit_deviation_scan`` -- end-to-end deviation of the ensemble charfn
   from its limit, fitted against the same two-feature envelope.
 
@@ -49,35 +47,26 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ._quad import complex_quad
 from .dickman import charfn_limit_grid, limit_exponent
-from .ensemble import (
-    EnsembleConfig,
-    charfn_for,
-    marginal_row,
-    threshold_prime,
-)
+from .ensemble import EnsembleConfig, charfn_for, threshold_prime
 from .errors import DomainError
-from .primes import prime_count
 from .specfun import upper_gamma
 
 __all__ = [
     "AntiderivativeCase",
-    "BoundaryTerms",
     "EnvelopeReport",
     "ModelFit",
     "ScanRow",
     "antiderivative_case",
     "antiderivative_names",
     "bound_scan",
-    "boundary_terms",
     "limit_deviation_scan",
     "main_term_J111",
-    "verify_antiderivative",
 ]
 
 
@@ -247,36 +236,6 @@ def antiderivative_case(indices: Sequence[int], eps: float) -> AntiderivativeCas
     raise KeyError(f"no closed-form antiderivative for index triple {key}")
 
 
-def verify_antiderivative(
-    case: AntiderivativeCase, x_grid: Iterable[float], step: float = 1e-3
-) -> float:
-    """Max residual of d/dx (closed form) against the integrand on a grid.
-
-    The derivative is taken by the fourth-order central stencil with spacing
-    ``step``; the returned value is the worst absolute difference over the
-    grid.
-    """
-    xs = np.asarray(list(x_grid), dtype=float).ravel()
-    if xs.size == 0:
-        raise DomainError("x_grid is empty")
-    if step <= 0.0:
-        raise DomainError("step must be positive")
-    if np.any(xs - 2.0 * step <= 0.0):
-        raise DomainError("x_grid must stay positive under the stencil offsets")
-    f = case.closed_form
-    worst = 0.0
-    for x in xs:
-        x = float(x)
-        deriv = (
-            f(x - 2.0 * step)
-            - 8.0 * f(x - step)
-            + 8.0 * f(x + step)
-            - f(x + 2.0 * step)
-        ) / (12.0 * step)
-        worst = max(worst, abs(deriv - case.integrand(x)))
-    return float(worst)
-
-
 # ---------------------------------------------------------------------------
 # the leading integral
 # ---------------------------------------------------------------------------
@@ -314,51 +273,6 @@ def main_term_J111(
     v0 = math.log(d_star) / math.log(cfg.N)
     g = limit_exponent(np.array([lam, lam * v0]))
     return complex(cfg.alpha) * complex(g[0] - g[1])
-
-
-# ---------------------------------------------------------------------------
-# boundary terms of the summation by parts
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundaryTerms:
-    """The two boundary values prime-count(u) * log z(u), u in {N, d*}.
-
-    ``z(u)`` is the per-prime charfn factor continued to real ``u``; the
-    upper value is O(1/log N) and the lower one O(eps + 1/N^2) as N grows.
-    """
-
-    N: int
-    lam: float
-    d_star: int
-    eps: float
-    at_N: complex
-    at_threshold: complex
-
-
-def boundary_terms(
-    cfg: EnsembleConfig, lam: float, d_star: Optional[int] = None
-) -> BoundaryTerms:
-    """Evaluate both boundary terms of the summation by parts exactly."""
-    lam = float(lam)
-    d_star = _validate_range(cfg, lam, d_star)
-    log_n = math.log(cfg.N)
-
-    def log_factor(u: float) -> complex:
-        row = marginal_row(cfg, u)
-        v = math.log(u) / log_n
-        z = sum(row[t] * cmath.exp(1j * lam * t * v) for t in range(cfg.k))
-        return cmath.log(z)
-
-    return BoundaryTerms(
-        N=cfg.N,
-        lam=lam,
-        d_star=d_star,
-        eps=lam / log_n,
-        at_N=prime_count(cfg.N) * log_factor(float(cfg.N)),
-        at_threshold=prime_count(d_star) * log_factor(float(d_star)),
-    )
 
 
 # ---------------------------------------------------------------------------

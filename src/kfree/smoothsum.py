@@ -24,6 +24,7 @@ elements with log x = log N.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -39,8 +40,8 @@ from .ensemble import (
     partition_constant,
     partition_function,
     _check_constant_weight,
-    _coerce_factorization,
     _ensemble_integers,
+    _omega,
     _positive_product,
 )
 from .errors import DegenerateConfigError, DomainError, ToleranceError
@@ -50,14 +51,12 @@ __all__ = [
     "CutoffDescriptor",
     "ComparisonReport",
     "SpectralSum",
-    "RateDescriptor",
     "builtin_cutoffs",
     "get_cutoff",
     "smooth_sum_direct",
     "smooth_sum_spectral",
     "asymptotic_prediction",
     "error_region",
-    "corollary1_rate",
     "theorem1_ratio_scan",
 ]
 
@@ -406,7 +405,9 @@ def _panel_rule(cfg: EnsembleConfig, f: CutoffDescriptor, R: float, target: floa
             return h, rho, _symmetric_grid(R, h), bound
 
 
-_transform_node_cache: dict = {}
+# cutoff descriptor -> {(R, node count): fhat on the nodes}; an entry lives as
+# long as its descriptor, and the builtins are held by _builtin_map
+_transform_node_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _panel_terms(values, f: CutoffDescriptor, R: float, grid: PanelGrid) -> tuple:
@@ -417,10 +418,11 @@ def _panel_terms(values, f: CutoffDescriptor, R: float, grid: PanelGrid) -> tupl
     nodes is cached per cutoff descriptor (not its name: a custom cutoff may
     share a builtin's), R and node count.
     """
-    key = (f, round(R, 12), grid.size)
-    fhat = _transform_node_cache.get(key)
+    nodes = _transform_node_cache.setdefault(f, {})
+    key = (round(R, 12), grid.size)
+    fhat = nodes.get(key)
     if fhat is None:
-        fhat = _transform_node_cache[key] = f.transform_grid(grid)
+        fhat = nodes[key] = f.transform_grid(grid)
     return grid.weights, values(grid) * fhat
 
 
@@ -450,11 +452,9 @@ def _atom_correction(cfg: EnsembleConfig, f: CutoffDescriptor) -> complex:
         xr = int(round(x_star))
         if xr < 1 or abs(x_star - xr) > 1e-9 * max(xr, 1):
             continue
-        try:
-            fac = _coerce_factorization(cfg, xr)
-        except DomainError:
-            continue
-        total += delta * (complex(cfg.alpha) ** fac.omega * (1 / xr))
+        omega = _omega(cfg, xr)
+        if omega is not None:
+            total += delta * (complex(cfg.alpha) ** omega * (1 / xr))
     return total
 
 
@@ -638,42 +638,6 @@ def error_region(tau: float, eta: float, delta: float = 0.0) -> str:
     if tau <= lower:
         return "a"
     return "b"
-
-
-@dataclass(frozen=True)
-class RateDescriptor:
-    """Symbolic convergence rate (log log N)^a / (log N)^b."""
-
-    branch: str
-    loglog_exponent: float
-    log_exponent: float
-
-    def describe(self) -> str:
-        return (
-            f"(log log N)^{self.loglog_exponent:g} / (log N)^{self.log_exponent:g}"
-        )
-
-    def evaluate(self, N: float) -> float:
-        ln = math.log(N)
-        return math.log(ln) ** self.loglog_exponent / ln**self.log_exponent
-
-
-def corollary1_rate(eta: float, delta: float) -> RateDescriptor:
-    """Error decay rate for the balanced truncation R = log N / log log N.
-
-    Above ``eta = delta + 2`` the rate saturates at log log N / log N; at or
-    below that threshold (but above ``delta``) the truncation term leads and
-    the exponents depend on eta.
-    """
-    if not eta > delta:
-        raise DomainError("corollary1_rate requires eta > delta")
-    if eta > delta + 2.0:
-        return RateDescriptor(branch="loglog-over-log", loglog_exponent=1.0, log_exponent=1.0)
-    return RateDescriptor(
-        branch="power",
-        loglog_exponent=eta - 1.0,
-        log_exponent=eta - (delta + 1.0),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,23 +24,13 @@ import pytest
 
 from kfree import dickman
 from kfree.certify import reproduce_example
-from kfree.ensemble import (
-    CharfnEvaluator,
-    EnsembleConfig,
-    enumerate_ensemble,
-    error_kernel,
-    laurent_coeffs,
-    measure,
-    nu_marginal,
-    partition_function,
-)
+from kfree.ensemble import CharfnEvaluator, EnsembleConfig, enumerate_ensemble, partition_function
 from kfree.primes import prime_count
 from kfree.remainders import (
     antiderivative_case,
     antiderivative_names,
     limit_deviation_scan,
     main_term_J111,
-    verify_antiderivative,
 )
 from kfree.smoothsum import (
     comparison_tolerance,
@@ -56,7 +46,17 @@ from kfree.specfun import (
     sine_integral,
     upper_gamma,
 )
-from oracles import cancellation_check, charfn_fourier_from_grid, laurent_partial_sum
+from oracles import (
+    _coerce_factorization,
+    cancellation_check,
+    charfn_fourier_from_grid,
+    error_kernel,
+    laurent_coeffs,
+    laurent_partial_sum,
+    measure,
+    nu_marginal,
+    verify_antiderivative,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -85,7 +85,7 @@ def test_criterion_2_small_ensemble_oracle_equivalence(rng):
         if float(k) ** prime_count(n_value) > 2.0**20:
             continue
         cfg = EnsembleConfig(k=k, alpha=alpha, N=n_value)
-        elements = enumerate_ensemble(cfg)
+        elements = [(value, _coerce_factorization(cfg, value)) for value in enumerate_ensemble(cfg)]
 
         z = partition_function(cfg)
         brute_z = measure(cfg, elements)

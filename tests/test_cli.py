@@ -52,13 +52,8 @@ class TestNamedExamples:
         assert doc["result"]["elements"] == SQUAREFREE_5_SMOOTH
         assert doc["result"]["count"] == 8
 
-    def test_enumerate_builds_no_factorization(self, tmp_path, monkeypatch):
+    def test_enumerate_matches_recursive_oracle(self, tmp_path):
         want = [value for value, _ in recursive_enumeration(ensemble.EnsembleConfig(k=3, alpha=1.0, N=7))]
-
-        def refuse(self):
-            raise AssertionError("Factorization built")
-
-        monkeypatch.setattr(ensemble.Factorization, "__post_init__", refuse)
         code, doc = invoke_json(["enumerate", "--k", "3", "--N", "7"], tmp_path)
         assert code == 0
         assert doc["result"]["elements"] == want
@@ -473,6 +468,11 @@ class TestExitCodes:
         argv = ["limit-charfn", "--lambda-grid", "-1" + "0" * 308, "1e308", "3"]
         assert invoke(argv, tmp_path) == (2, "")
         assert "--lambda-grid" in capsys.readouterr().err
+
+    def test_repeated_n_in_constant_ladder_is_domain_error(self, tmp_path, capsys):
+        argv = ["constant", "--k", "2", "--N-list", "10000,10000,100000"]
+        assert invoke(argv, tmp_path) == (2, "")
+        assert "repeated: 10000" in capsys.readouterr().err
 
     def test_internal_key_error_propagates(self, monkeypatch):
         # a KeyError inside a handler is a bug, not a usage error: no exit 2

@@ -28,17 +28,10 @@ from kfree._threads import one_blas_thread
 from kfree.ensemble import (
     CharfnEvaluator,
     EnsembleConfig,
-    Factorization,
     FastCharfn,
-    LaurentCoeffs,
     charfn_for,
     enumerate_ensemble,
-    error_kernel,
     forbidden_alphas,
-    laurent_coeffs,
-    marginal_row,
-    measure,
-    nu_marginal,
     partition_constant,
     partition_function,
     threshold_prime,
@@ -48,7 +41,18 @@ from kfree.dickman import charfn_limit
 from kfree.errors import DegenerateConfigError, DomainError, SizeCapError
 from kfree.primes import sieve_primes
 from kfree.smoothsum import _symmetric_grid
-from oracles import cancellation_check, laurent_partial_sum, recursive_enumeration, trivial_charfn_bound
+from oracles import (
+    Factorization,
+    cancellation_check,
+    error_kernel,
+    laurent_coeffs,
+    laurent_partial_sum,
+    marginal_row,
+    measure,
+    nu_marginal,
+    recursive_enumeration,
+    trivial_charfn_bound,
+)
 
 
 def random_alpha(rng, radius=1.9):
@@ -67,16 +71,16 @@ def random_alpha(rng, radius=1.9):
 class TestEnumeration:
     def test_squarefree_5_smooth_exact_list(self):
         elems = enumerate_ensemble(EnsembleConfig(k=2, alpha=1.0, N=5))
-        assert [v for v, _ in elems] == [1, 2, 3, 5, 6, 10, 15, 30]
+        assert elems == [1, 2, 3, 5, 6, 10, 15, 30]
 
     def test_cubefree_4_smooth_exact_list(self):
         # 3^pi(4) = 9 elements; in particular 12 = 2^2 * 3 belongs.
         elems = enumerate_ensemble(EnsembleConfig(k=3, alpha=1.0, N=4))
-        assert [v for v, _ in elems] == [1, 2, 3, 4, 6, 9, 12, 18, 36]
+        assert elems == [1, 2, 3, 4, 6, 9, 12, 18, 36]
 
     def test_single_prime(self):
         elems = enumerate_ensemble(EnsembleConfig(k=2, alpha=1.0, N=2))
-        assert [v for v, _ in elems] == [1, 2]
+        assert elems == [1, 2]
 
     @pytest.mark.parametrize("k,N", [(2, 7), (3, 5), (4, 3)])
     def test_count_is_k_to_prime_count(self, k, N):
@@ -86,17 +90,20 @@ class TestEnumeration:
 
     def test_elements_are_kfree_and_smooth(self):
         cfg = EnsembleConfig(k=3, alpha=1.0, N=7)
-        for value, fac in enumerate_ensemble(cfg):
-            assert value == fac.value
-            for p, t in fac.exponents:
-                assert p <= cfg.N
-                assert 1 <= t <= cfg.k - 1
+        for value in enumerate_ensemble(cfg):
+            assert type(value) is int
+            for p in (2, 3, 5, 7):
+                t = 0
+                while value % p == 0:
+                    value //= p
+                    t += 1
+                assert t <= cfg.k - 1
+            assert value == 1
 
     @pytest.mark.parametrize("k,N", [(2, 13), (3, 20), (4, 7)])
     def test_matches_recursive_oracle(self, k, N):
         cfg = EnsembleConfig(k=k, alpha=1.0, N=N)
-        got = [(value, fac.exponents) for value, fac in enumerate_ensemble(cfg)]
-        assert got == [(value, fac.exponents) for value, fac in recursive_enumeration(cfg)]
+        assert enumerate_ensemble(cfg) == [value for value, _ in recursive_enumeration(cfg)]
 
     def test_cap_enforced(self):
         with pytest.raises(SizeCapError):
@@ -243,6 +250,11 @@ class TestPartitionConstant:
     def test_rejects_large_alpha(self):
         with pytest.raises(DomainError):
             partition_constant(2, 2.0, n_values=(10**3, 10**4, 10**5))
+
+    def test_rejects_repeated_n(self):
+        # a repeated N would put two equal abscissae in the Neville tableau
+        with pytest.raises(DomainError, match="repeated: 10000"):
+            partition_constant(2, 1.0, (10**4, 10**4, 10**5))
 
     def test_predicted_constant_holds_no_full_length_array(self, table_1e7):
         # Summed over 2^14-prime slices up to its default prime_limit 10^7,
@@ -525,7 +537,7 @@ def charfn_by_enumeration(cfg, lam):
     """E[e^{i lam xi}] as an explicit normalized sum over the full ensemble."""
     z = partition_function(cfg)
     total = 0j
-    for value, fac in enumerate_ensemble(cfg):
+    for value, fac in recursive_enumeration(cfg):
         weight = complex(cfg.alpha) ** fac.omega / value
         total += weight * np.exp(1j * lam * fac.xi(cfg.N))
     return total / z
@@ -643,7 +655,7 @@ class TestCharfn:
         # under the strip bound, which grows with the strip and equals the
         # real-line bound at strip 0; the exact evaluator bounds no truncation.
         cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
-        elements = enumerate_ensemble(cfg)
+        elements = recursive_enumeration(cfg)
         z = partition_function(cfg)
         weights = np.array([complex(alpha) ** fac.omega / value for value, fac in elements])
         xi = np.array([fac.xi(N) for _, fac in elements])
@@ -660,7 +672,7 @@ class TestCharfn:
     @pytest.mark.parametrize("k,alpha,N", [(2, 0.7 + 0.3j, 7), (3, -0.8, 5)])
     def test_exponents_independent_across_primes(self, k, alpha, N):
         cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
-        elems = enumerate_ensemble(cfg)
+        elems = recursive_enumeration(cfg)
         z = partition_function(cfg)
         p, q = 2, 3
         for s in range(k):

