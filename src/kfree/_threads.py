@@ -4,7 +4,9 @@ The spectral grids' GEMMs are skinny ((256, cells) @ (cells, J)): OpenBLAS
 splitting one over its pool buys no wall time, and its idle threads spin
 between calls.  So a hot stage runs inside :func:`one_blas_thread` and
 spreads its independent blocks over :func:`workers` threads with
-:func:`map_blocks` instead.
+:func:`map_blocks` instead.  The prime layer sends the sieve's segments, the
+Euler-product chunks and FastCharfn's build groups there too, for tables
+with prime limits of 2^24 or more only (see :mod:`kfree.primes`).
 
 The OpenBLAS that numpy loaded is found on first use, never at import: its
 path from ``/proc/self/maps``, its thread calls through ctypes.  Without it

@@ -104,8 +104,8 @@ def h_constant(alpha: float, prime_limit: int = _DEFAULT_PRIME_LIMIT) -> float:
         raise DomainError("prime_limit must be at least 10^3")
     if alpha == 1.0:
         return 1.0  # every factor is exactly 1 and Gamma(1) = 1
-    chunks = sieve_primes(prime_limit).chunks()
-    log_sum = sum(float(np.sum(alpha * np.log1p(-1.0 / p) - np.log1p(-alpha / p))) for p in chunks)
+    table = sieve_primes(prime_limit)
+    log_sum = sum(table.map_chunks(lambda p: float(np.sum(alpha * np.log1p(-1.0 / p) - np.log1p(-alpha / p)))))
     tail = prime_power_tail(((alpha * alpha - alpha) / 2.0, (alpha**3 - alpha) / 3.0), prime_limit)
     return math.exp(log_sum + tail) / math.gamma(alpha)
 

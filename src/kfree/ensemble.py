@@ -34,7 +34,7 @@ import numpy as np
 from ._quad import PanelGrid
 from ._threads import map_blocks, one_blas_thread
 from .errors import DegenerateConfigError, DomainError, SizeCapError
-from .primes import _CHUNK, PrimeTable, prime_power_tail, sieve_primes
+from .primes import _CHUNK, _map_pieces, prime_power_tail, sieve_primes
 
 __all__ = [
     "EnsembleConfig",
@@ -231,8 +231,8 @@ def _log_euler(w: np.ndarray) -> complex | np.ndarray:
 
 
 def _log_product(cfg: EnsembleConfig, x) -> complex:
-    """Sum over p <= N of Log(1 + x + ... + x^{k-1}), x = x(p), over ``_CHUNK``-prime chunks."""
-    return sum((_log_euler(_factor_offset(cfg.k, x(p))) for p in sieve_primes(cfg.N).chunks()), 0j)
+    """Sum over p <= N of Log(1 + x + ... + x^{k-1}), x = x(p), over ``_CHUNK``-prime chunks in order."""
+    return sum(sieve_primes(cfg.N).map_chunks(lambda p: _log_euler(_factor_offset(cfg.k, x(p)))), 0j)
 
 
 def partition_function(cfg: EnsembleConfig) -> complex:
@@ -333,10 +333,11 @@ def _predicted_constant(k: int, alpha: complex, prime_limit: int = 10**7) -> com
     E1((j-1) log P) (:func:`~kfree.primes.prime_power_tail`).  The sum runs
     over ``_CHUNK``-prime chunks, as in :func:`partition_function`.
     """
-    series_sum = 0j
-    for p in sieve_primes(prime_limit).chunks():
+    def chunk_sum(p: np.ndarray) -> complex:
         x = complex(alpha) / p
-        series_sum += _log_euler(_factor_offset(k, x)) - complex(np.sum(x))
+        return _log_euler(_factor_offset(k, x)) - complex(np.sum(x))
+
+    series_sum = sum(sieve_primes(prime_limit).map_chunks(chunk_sum), 0j)
     tail = prime_power_tail(_log_coeffs(k, alpha)[1:], prime_limit)
     return complex(np.exp(complex(alpha) * MERTENS + series_sum + tail))
 
@@ -370,6 +371,7 @@ def partition_constant(
     repeated = sorted({a for a, b in zip(n_values, n_values[1:]) if a == b})
     if repeated:
         raise DomainError(f"N values must be distinct to extrapolate; repeated: {', '.join(map(str, repeated))}")
+    sieve_primes(n_values[-1])  # the largest table first: the smaller rungs are slices of it
     ratios = []
     for n in n_values:
         z = partition_function(EnsembleConfig(k=k, alpha=alpha, N=n))
@@ -511,9 +513,9 @@ class FastCharfn:
     nodes have the one offset t = 0), one (panels, P + cells) cos/sin pass
     times the offsets' phases e^{i t v}, 3 in-place products and per degree
     one (L, cells) @ (cells, J) GEMM, combined by Horner.  The build and the
-    grid run on one BLAS thread; the blocks are independent and go to the
-    workers of :func:`~kfree._threads.map_blocks`, and a node's value does
-    not depend on how many there are.
+    grid run on one BLAS thread and share their independent pieces (a grid's
+    blocks; from N = 2^24 on, the build's bucket groups) among the workers of
+    :func:`~kfree._threads.map_blocks`; no value depends on how many there are.
 
     The build costs O(pi(N)) once, the same for every k and alpha: M[d, j, b]
     = a_d alpha^d S[d, j, b] with the real sums S[d, j, b] = sum_{p in b}
@@ -521,10 +523,10 @@ class FastCharfn:
     bound), and sum p^-5 for the log term.  Primes are sorted, so bucket b
     is the run of v between ``np.searchsorted(v, edges)`` entries b and
     b + 1; whole buckets are visited in groups of about ``_CHUNK`` primes,
-    whose (4, 5, group) power sums stay cache-resident, one
-    ``np.add.reduceat`` per group.  The one per-prime array longer than a
-    group is v_p, 8 bytes a tail prime (46 MB for the 5.76 M tail primes at
-    N = 10^8).
+    whose (4, 5, group) power sums stay cache-resident, one ``np.add.reduceat``
+    per group, and the groups' sums p^-5 are added in group order.  The one
+    per-prime array longer than a group is v_p, 8 bytes a tail prime (46 MB
+    for the 5.76 M tail primes at N = 10^8).
 
     ``truncation_bound(lam_max)`` bounds the error in log phi_N, i.e. the
     relative error: |fast / exact - 1| <= e^bound - 1 for |lambda| <= lam_max.
@@ -578,18 +580,21 @@ class FastCharfn:
         # S[d - 1, j, b] = sum_{p in b} p^-d (v_p - vbar_b)^j, j <= 4, and s5 = sum p^-5:
         # real sums free of alpha and k, over groups of whole buckets
         S = np.zeros((_LOG_DEGREE, 5, buckets))
-        s5 = 0.0
         groups = np.searchsorted(bounds, np.arange(0, v.size, _CHUNK), side="right") - 1
         groups = np.unique(np.append(groups, full.size))
-        for g0, g1 in zip(groups[:-1], groups[1:]):
+
+        def group(i: int) -> float:  # fills S for groups[i] <= b < groups[i + 1]; returns its sum p^-5
+            g0, g1 = groups[i], groups[i + 1]
             lo, hi = bounds[g0], bounds[g1]
             dv = v[lo:hi] - np.repeat(vbar[full[g0:g1]], counts[g0:g1])
             terms = np.empty((_LOG_DEGREE, 5, dv.size))
             terms[:, 0] = _inverse_powers(primes[lo:hi])
             for j in range(1, 5):
                 np.multiply(terms[:, j - 1], dv, out=terms[:, j])
-            s5 += float(np.dot(terms[-1, 0], terms[0, 0]))
             S[:, :, full[g0:g1]] = np.add.reduceat(terms, bounds[g0:g1] - lo, axis=2)
+            return float(np.dot(terms[-1, 0], terms[0, 0]))
+
+        s5 = sum(_map_pieces(group, groups.size - 1, cfg.N), 0.0)
         # M[d, j, b] = a_d alpha^d S[d, j, b] and M[0, 0] = -sum_d M[d, 0]; for
         # each d, _abs4[d] = sum_p |c_d(p)| (v_p - vbar_b)^4
         self._moments = np.zeros((_LOG_DEGREE + 1, 4, buckets), dtype=complex)

@@ -55,6 +55,7 @@ from ._quad import complex_quad
 from .dickman import charfn_limit_grid, limit_exponent
 from .ensemble import EnsembleConfig, charfn_for, threshold_prime
 from .errors import DomainError
+from .primes import sieve_primes
 from .specfun import upper_gamma
 
 __all__ = [
@@ -432,6 +433,7 @@ def limit_deviation_scan(
         raise DomainError("empty scan grid")
     lam_grid = np.array(lam_values, dtype=float)
     limits = charfn_limit_grid(alpha, lam_grid)
+    sieve_primes(n_values[-1])  # the largest table first: the smaller rungs are slices of it
     rows = []
     for n in n_values:
         values = charfn_for(EnsembleConfig(k, alpha, n)).grid(lam_grid)

@@ -45,7 +45,7 @@ from .ensemble import (
     _positive_product,
 )
 from .errors import DegenerateConfigError, DomainError, ToleranceError
-from .primes import prime_count
+from .primes import prime_count, sieve_primes
 
 __all__ = [
     "CutoffDescriptor",
@@ -668,6 +668,7 @@ def theorem1_ratio_scan(
         f = get_cutoff("bump")
     R = float(R_numerator)
     out = []
+    sieve_primes(max(map(int, n_values), default=2))  # the largest table first: the smaller rungs slice it
     for N in sorted(int(n) for n in n_values):
         cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
         charfn = charfn_for(cfg)

@@ -600,8 +600,10 @@ class TestThreads:
         [
             ["compare", "--k", "2", "--alpha", "-1", "--N", "40", "--cutoff", "bump01"],
             ["sum", "--k", "2", "--alpha", "1", "--N", "1000000", "--route", "spectral", "--cutoff", "bump"],
+            # the one form whose tables cross the gate of kfree.primes
+            ["constant", "--k", "2", "--N-list", "1e5,1e6,1e8"],
         ],
-        ids=["compare-exact", "sum-fast"],
+        ids=["compare-exact", "sum-fast", "constant-1e8"],
     )
     def test_artifact_identical_at_any_blas_thread_count(self, argv):
         # the frequency sums run in a fixed order and FastCharfn on one BLAS

@@ -6,12 +6,22 @@ development): pi(10^6) = 78498, pi(10^7) = 664579, pi(10^8) = 5761455.
 """
 
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
 import pytest
 
-from kfree import DomainError, prime_count, primes, sieve_primes
+from kfree import (
+    DomainError,
+    limit_deviation_scan,
+    partition_constant,
+    prime_count,
+    primes,
+    sieve_primes,
+    theorem1_ratio_scan,
+)
 from kfree.primes import prime_power_tail
 
 
@@ -84,12 +94,63 @@ def test_smaller_limit_is_sliced_from_a_larger_table(monkeypatch):
         assert np.array_equal(got.primes, big.primes[: big.count_below(limit)])
 
 
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda ladder: limit_deviation_scan(2, 1.0, (1.0,), ladder),
+        lambda ladder: partition_constant(2, 1.0, ladder),
+        lambda ladder: theorem1_ratio_scan(2, 1.0, ladder),
+    ],
+    ids=["limit_deviation_scan", "partition_constant", "theorem1_ratio_scan"],
+)
+def test_ladders_sieve_only_their_largest_table(monkeypatch, scan):
+    # the rungs walk N upward, so the largest table is made first and the
+    # smaller rungs are slices of it
+    monkeypatch.setattr(primes, "_TABLE_CACHE", {})
+    sieve, sieved = primes._sieve, []
+    monkeypatch.setattr(primes, "_sieve", lambda limit: sieved.append(limit) or sieve(limit))
+    scan((10**4, 10**3, 10**5))
+    assert [limit for limit in sieved if limit in (10**3, 10**4, 10**5)] == [10**5]
+
+
+def test_cache_is_safe_to_share_across_threads(monkeypatch):
+    # four threads add tables while the others look for a larger one to
+    # slice, switching often: no lookup may see the cache change under it
+    monkeypatch.setattr(primes, "_TABLE_CACHE", {})
+    errors, interval = [], sys.getswitchinterval()
+
+    def fill(offset):
+        try:
+            for limit in range(16 + offset, 3000, 4):
+                sieve_primes(limit)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    want = np.array(oracle_sieve(3000))
+    assert len(primes._TABLE_CACHE) == 2984
+    for limit, table in primes._TABLE_CACHE.items():
+        assert np.array_equal(table.primes, want[want <= limit]), limit
+
+
 def test_chunks_cover_the_table_in_order(table_1e6):
     chunks = list(table_1e6.chunks())
     assert [c.size for c in chunks[:-1]] == [primes._CHUNK] * (len(chunks) - 1)
     assert 0 < chunks[-1].size <= primes._CHUNK
     assert all(c.dtype == np.float64 for c in chunks)
     assert np.array_equal(np.concatenate(chunks), table_1e6.primes.astype(float))
+    mapped = table_1e6.map_chunks(lambda p: p)
+    assert len(mapped) == len(chunks) and all(np.array_equal(a, b) for a, b in zip(mapped, chunks))
 
 
 @pytest.mark.slow

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kfree import _threads
-from kfree.ensemble import EnsembleConfig, FastCharfn
+from kfree import _threads, primes
+from kfree.dickman import h_constant
+from kfree.ensemble import EnsembleConfig, FastCharfn, _predicted_constant, partition_function
 from kfree.smoothsum import _symmetric_grid, bump_transform
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -186,3 +187,74 @@ def test_bump_transform_identical_at_any_worker_count(monkeypatch, lams):
         monkeypatch.setattr(_threads, "workers", lambda blocks, count=count: min(count, blocks))
         values.append(bump_transform(lams))
     assert np.array_equal(values[0], values[1]) and np.array_equal(values[0], values[2])
+
+
+def _at_worker_counts(monkeypatch, compute) -> list:
+    """compute() below the gate, then past it at 1, 2 and 3 workers."""
+    values = [compute()]
+    monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 10**5)
+    for count in (1, 2, 3):
+        monkeypatch.setattr(_threads, "workers", lambda blocks, count=count: min(count, blocks))
+        values.append(compute())
+    return values
+
+
+@pytest.mark.parametrize("k,alpha", [(2, 1.0), (2, -1.0), (3, 1 + 0.5j)])
+def test_build_and_products_identical_at_any_worker_count(table_1e6, monkeypatch, k, alpha):
+    # past the gate the build groups and the Euler-product chunks go to the
+    # workers, and their sums are taken in piece order
+    cfg = EnsembleConfig(k=k, alpha=alpha, N=10**6)
+
+    def compute():
+        fast = FastCharfn(cfg)
+        products = partition_function(cfg), _predicted_constant(k, alpha, 10**6)
+        return fast._moments, fast._abs4, fast._log_remainder, fast._vbar, *products
+
+    values = _at_worker_counts(monkeypatch, compute)
+    for got in values[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(values[0], got))
+
+
+def test_sieve_and_h_constant_identical_at_any_worker_count(table_1e6, monkeypatch):
+    # segments of 2^16 integers, so the 10^6 sieve has 16 pieces to share out
+    monkeypatch.setattr(primes, "_SEGMENT_SIZE", 1 << 16)
+    values = _at_worker_counts(monkeypatch, lambda: (primes._sieve(10**6), h_constant(0.5, 10**6)))
+    assert np.array_equal(values[0][0], table_1e6.primes)
+    assert all(np.array_equal(got[0], values[0][0]) and got[1] == values[0][1] for got in values[1:])
+
+
+def test_sieve_identical_at_any_worker_count_past_the_real_gate(monkeypatch):
+    limit = primes._PARALLEL_LIMIT + 1001
+    tables = []
+    for count in (1, 2, 3):
+        monkeypatch.setattr(_threads, "workers", lambda blocks, count=count: min(count, blocks))
+        tables.append(primes._sieve(limit))
+    assert all(np.array_equal(tables[0], table) for table in tables[1:])
+    # pi(2^24) = 1077871, then 56 more primes up to 2^24 + 1001, as the plain oracle sieve lists them
+    assert np.searchsorted(tables[0], 1 << 24, side="right") == 1077871
+    assert tables[0].size == 1077927 and tables[0][-1] == 16778173
+
+
+def test_tables_below_the_gate_stay_on_the_calling_thread(table_1e6, table_1e7, monkeypatch):
+    def no_workers(*args):
+        raise AssertionError("a table below the gate went to the workers")
+
+    monkeypatch.setattr(primes, "map_blocks", no_workers)
+    cfg = EnsembleConfig(k=2, alpha=1.0, N=10**6)
+    FastCharfn(cfg)
+    partition_function(cfg)
+    _predicted_constant(2, 1.0)
+    h_constant(0.5)
+    primes._sieve(10**7)
+
+
+def test_pieces_run_in_order_on_the_calling_thread_at_one_worker(fake_blas):
+    # --threads 1 past the gate: map_blocks has one worker, the caller
+    seen = []
+    lift = _threads.cap(1)
+    try:
+        out = primes._map_pieces(lambda i: seen.append((i, threading.get_ident())) or -i, 6, primes._PARALLEL_LIMIT)
+    finally:
+        lift()
+    assert seen == [(i, threading.get_ident()) for i in range(6)]
+    assert out == [0, -1, -2, -3, -4, -5]
