@@ -29,7 +29,9 @@ byte for byte only when both were written to the same path.
 
 :func:`build_parser` is the one declaration of the flags: each flag's
 destination is the :class:`RunConfig` field it sets, and both the run
-configuration and the replay argv are read off the parser.
+configuration and the replay argv are read off the parser.  The parser also
+checks every flag value: a malformed number, comma list or ``--*-grid``
+triple exits 2 with the usage line and the flag's name on stderr.
 
 ``--threads`` caps kfree's worker threads and numpy's OpenBLAS pool for
 one run only; the cap is lifted when :func:`run` returns.
@@ -125,7 +127,7 @@ class RunConfig:
     alpha_im: float = 0.0
     N: Optional[int] = None
     N_list: Optional[tuple[int, ...]] = None
-    lam_values: Optional[tuple[float, ...]] = None
+    lam_values: Optional[Sequence[float]] = None  # a list when --lambda is repeated
     cutoff: Optional[str] = None
     route: Optional[str] = None
     R_rule: Optional[str] = None
@@ -177,6 +179,41 @@ def _finite(text: str) -> float:
     return value
 
 
+def _float_list(text: str) -> tuple[float, ...]:
+    """``type=`` of the comma lists: at least one finite number; empty items are skipped."""
+    values = tuple(_finite(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """``type=`` of the integer lists: a :func:`_float_list` of whole numbers, so ``1e4`` is 10000."""
+    values = _float_list(text)
+    for value in values:
+        if value != int(value):
+            raise argparse.ArgumentTypeError(f"expected integers, got {value!r}")
+    return tuple(int(value) for value in values)
+
+
+class _Grid(argparse.Action):
+    """``--*-grid START STOP COUNT``: stores the evenly spaced values in its list flag's ``dest``.
+
+    :func:`argv_of` skips this action, so a replay gives the values in the list form.
+    """
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=3, type=_finite, metavar=("START", "STOP", "COUNT"), **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        start, stop, count = values
+        if not math.isfinite(stop - start):
+            raise argparse.ArgumentError(self, "needs finite START and STOP whose difference is finite")
+        if count != int(count) or int(count) < 2:
+            raise argparse.ArgumentError(self, "COUNT must be an integer >= 2")
+        setattr(namespace, self.dest, tuple(float(x) for x in np.linspace(start, stop, int(count))))
+
+
 def _add_alpha(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--alpha", type=_finite, help="real weight exponent base (shorthand for --alpha-re)")
@@ -197,12 +234,7 @@ def _add_lambda(parser: argparse.ArgumentParser) -> None:
         help="frequency; repeat the flag for several values",
     )
     group.add_argument(
-        "--lambda-grid",
-        dest="lam_grid",
-        nargs=3,
-        type=_finite,
-        metavar=("START", "STOP", "COUNT"),
-        help="evenly spaced frequencies START..STOP (COUNT points)",
+        "--lambda-grid", dest="lam_values", action=_Grid, help="evenly spaced frequencies START..STOP (COUNT points)"
     )
 
 
@@ -276,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constant", help="large-N extrapolation of the partition constant")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N-list", help="comma-separated prime bounds for the extrapolation ladder")
+    p.add_argument("--N-list", type=_int_list, help="comma-separated prime bounds for the extrapolation ladder")
     _add_alpha(p)
     _add_output(p)
 
@@ -323,11 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regions", help="truncation-regime classification over a grid")
     tg = p.add_mutually_exclusive_group(required=True)
-    tg.add_argument("--tau-list", dest="tau_values", help="comma-separated tau values in (0, 1)")
-    tg.add_argument("--tau-grid", nargs=3, type=_finite, metavar=("START", "STOP", "COUNT"))
+    tg.add_argument("--tau-list", dest="tau_values", type=_float_list, help="comma-separated tau values in (0, 1)")
+    tg.add_argument("--tau-grid", dest="tau_values", action=_Grid)
     eg = p.add_mutually_exclusive_group(required=True)
-    eg.add_argument("--eta-list", dest="eta_values", help="comma-separated decay orders > 1")
-    eg.add_argument("--eta-grid", nargs=3, type=_finite, metavar=("START", "STOP", "COUNT"))
+    eg.add_argument("--eta-list", dest="eta_values", type=_float_list, help="comma-separated decay orders > 1")
+    eg.add_argument("--eta-grid", dest="eta_values", action=_Grid)
     p.add_argument("--delta", type=_finite, default=0.0, help="decay offset of the weight (default 0)")
     _add_output(p)
 
@@ -338,65 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("appendix", help="remainder-term magnitude scan with envelope fits")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--term", required=True, help="remainder index triple a,b,c (for example 2,1,1)")
-    p.add_argument("--N-list", required=True, help="comma-separated prime bounds for the scan")
+    p.add_argument("--term", type=_int_list, required=True, help="remainder index triple a,b,c (for example 2,1,1)")
+    p.add_argument("--N-list", type=_int_list, required=True, help="comma-separated prime bounds for the scan")
     _add_alpha(p)
     _add_lambda(p)
     _add_output(p)
 
     return parser
-
-
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    values = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            number = float(part)
-        except ValueError as exc:
-            raise DomainError(f"{flag} expects comma-separated integers, got {part!r}") from exc
-        if not math.isfinite(number) or number != int(number):
-            raise DomainError(f"{flag} expects integers, got {part!r}")
-        values.append(int(number))
-    if not values:
-        raise DomainError(f"{flag} is empty")
-    return tuple(values)
-
-
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise DomainError(f"{flag} expects comma-separated numbers") from exc
-    if not values:
-        raise DomainError(f"{flag} is empty")
-    if not all(math.isfinite(x) for x in values):
-        raise DomainError(f"{flag} expects finite numbers")
-    return values
-
-
-def _resolve_grid(
-    single: Optional[Sequence[float]],
-    grid: Optional[Sequence[float]],
-    flag: str,
-) -> Optional[tuple[float, ...]]:
-    if single is not None:
-        return tuple(float(x) for x in single)
-    if grid is None:
-        return None
-    start, stop, count = grid
-    if not math.isfinite(stop - start):
-        raise DomainError(f"{flag} needs finite START and STOP whose difference is finite")
-    if count != int(count) or int(count) < 2:
-        raise DomainError(f"{flag} COUNT must be an integer >= 2")
-    return tuple(float(x) for x in np.linspace(start, stop, int(count)))
-
-
-def _list_or_grid(listed: Optional[str], grid, flag: str) -> Optional[tuple[float, ...]]:
-    single = _parse_float_list(listed, f"{flag}-list") if listed is not None else None
-    return _resolve_grid(single, grid, f"{flag}-grid")
 
 
 def _resolve_threads(flag_value: Optional[int]) -> Optional[int]:
@@ -429,10 +409,10 @@ def _apply_thread_cap(threads: Optional[int]):
 
 
 def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    """Copy each parsed value whose destination is a RunConfig field, then convert.
+    """Copy each parsed value whose destination is a RunConfig field.
 
-    The conversions are the inputs the parser leaves raw: the ``--alpha``
-    alias, the comma lists and ``--*-grid`` forms, and the ``KFREE_THREADS``
+    The parser has checked every flag value; three inputs are settled here:
+    the ``--alpha`` alias, the length of ``--term`` and the ``KFREE_THREADS``
     fallback of the thread cap.
     """
     given = vars(ns)
@@ -443,18 +423,8 @@ def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
     }
     if given.get("alpha") is not None:
         fields["alpha_re"] = ns.alpha
-    if "lam_grid" in given:
-        fields["lam_values"] = _resolve_grid(ns.lam_values, ns.lam_grid, "--lambda-grid")
-    if "N_list" in fields:
-        fields["N_list"] = _parse_int_list(ns.N_list, "--N-list")
-    if "term" in fields:
-        fields["term"] = _parse_int_list(ns.term, "--term")
-        if len(fields["term"]) != 3:
-            raise DomainError("--term expects exactly three comma-separated indices")
-    if "tau_grid" in given:
-        fields["tau_values"] = _list_or_grid(ns.tau_values, ns.tau_grid, "--tau")
-    if "eta_grid" in given:
-        fields["eta_values"] = _list_or_grid(ns.eta_values, ns.eta_grid, "--eta")
+    if "term" in fields and len(fields["term"]) != 3:
+        raise DomainError("--term expects exactly three comma-separated indices")
     fields["threads"] = _resolve_threads(given.get("threads"))
     return RunConfig(**fields)
 
@@ -463,28 +433,14 @@ def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
 # Serialization
 
 
-def _jsonify(obj):
-    """Recursively convert a result object into JSON-serializable values."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, complex):
+def _json_default(obj):
+    """``default=`` of :func:`json.dumps` for what json cannot write itself."""
+    if isinstance(obj, (complex, np.complexfloating)):
         return {"im": float(obj.imag), "re": float(obj.real)}
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (np.floating, np.complexfloating)):
-        return _jsonify(complex(obj)) if np.iscomplexobj(obj) else float(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonify(dataclasses.asdict(obj))
-    if isinstance(obj, Mapping):
-        return {str(key): _jsonify(value) for key, value in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(value) for value in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(value) for value in obj]
+        return dataclasses.asdict(obj)
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -499,25 +455,25 @@ def _cell(value) -> str:
 
 
 def _render(config: RunConfig, artifact: _Artifact) -> str:
-    config_doc = _jsonify(dataclasses.asdict(config))
+    config_doc = dataclasses.asdict(config)
     if config.format == "csv":
         if artifact.csv is None:
             raise DomainError(f"no CSV layout for subcommand {config.command!r}; use --format json")
         header, rows = artifact.csv
         lines = [
             f"# kfree-version: {__version__}",
-            "# run-config: " + json.dumps(config_doc, sort_keys=True, ensure_ascii=False),
+            "# run-config: " + json.dumps(config_doc, sort_keys=True, ensure_ascii=False, default=_json_default),
         ]
         lines.extend(artifact.csv_comments)
         lines.append(",".join(header))
         lines.extend(",".join(_cell(value) for value in row) for row in rows)
         return "\n".join(lines) + "\n"
     doc = {
-        "result": _jsonify(artifact.result),
+        "result": artifact.result,
         "run_config": config_doc,
         "version": __version__,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False, default=_json_default) + "\n"
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -535,7 +491,8 @@ def argv_of(run_config: Mapping) -> list[str]:
     argv suitable for :func:`run`.  The flags come from :func:`build_parser`:
     every option of the subcommand whose destination holds a value in the
     record is emitted under its first spelling, joined to its value by
-    ``=`` so that no value can be read as a flag.
+    ``=`` so that no value can be read as a flag.  A ``--*-grid`` flag
+    shares its list flag's destination and is skipped.
     Floats are rendered with ``repr`` so the replayed run resolves to
     bit-identical parameters; a sequence repeats an append flag and is
     comma-joined otherwise.
@@ -555,7 +512,7 @@ def argv_of(run_config: Mapping) -> list[str]:
     argv = [command]
     for action in subparsers.choices[command]._actions:
         value = run_config.get(action.dest)
-        if value is None:
+        if value is None or isinstance(action, _Grid):
             continue
         flag = action.option_strings[0]
         if isinstance(value, (list, tuple)) and isinstance(action, argparse._AppendAction):
@@ -620,33 +577,29 @@ def _cmd_constant(config: RunConfig) -> _Artifact:
     return _Artifact(result={"report": report})
 
 
-def _charfn_rows(values, lams) -> tuple[dict, tuple]:
-    rows = [
-        {"im": float(value.imag), "lambda": float(lam), "re": float(value.real)}
-        for lam, value in zip(lams, values)
-    ]
-    csv = (
-        ("lambda", "re", "im"),
-        [(float(lam), float(value.real), float(value.imag)) for lam, value in zip(lams, values)],
-    )
+def _records(header: tuple[str, ...], rows: list[tuple]) -> list[dict]:
+    """The JSON ``rows`` of a CSV table: one object per row, keyed by the header."""
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _charfn_artifact(values, lams) -> _Artifact:
+    header = ("lambda", "re", "im")
+    rows = [(float(lam), float(value.real), float(value.imag)) for lam, value in zip(lams, values)]
     if len(rows) == 1:
-        return {"lambda": rows[0]["lambda"], "value": complex(values[0])}, csv
-    return {"rows": rows}, csv
+        result = {"lambda": rows[0][0], "value": complex(values[0])}
+    else:
+        result = {"rows": _records(header, rows)}
+    return _Artifact(result=result, csv=(header, rows))
 
 
 def _cmd_charfn(config: RunConfig) -> _Artifact:
-    cfg = _ensemble_config(config)
     lams = _require_lambdas(config)
-    values = charfn_for(cfg).grid(lams)
-    result, csv = _charfn_rows(values, lams)
-    return _Artifact(result=result, csv=csv)
+    return _charfn_artifact(charfn_for(_ensemble_config(config)).grid(lams), lams)
 
 
 def _cmd_limit_charfn(config: RunConfig) -> _Artifact:
     lams = _require_lambdas(config)
-    values = charfn_limit_grid(config.alpha, lams)
-    result, csv = _charfn_rows(values, lams)
-    return _Artifact(result=result, csv=csv)
+    return _charfn_artifact(charfn_limit_grid(config.alpha, lams), lams)
 
 
 def _cmd_dickman(config: RunConfig) -> _Artifact:
@@ -659,17 +612,14 @@ def _cmd_dickman(config: RunConfig) -> _Artifact:
     us = np.linspace(0.0, config.u_max, config.points)
     rhos = rho_at(grid, us)
     ws = w_density(grid, us)
-    rows = [
-        {"rho": float(rho), "u": float(u), "w": float(w)}
-        for u, rho, w in zip(us, rhos, ws)
-    ]
+    header = ("u", "rho", "w")
+    rows = [(float(u), float(rho), float(w)) for u, rho, w in zip(us, rhos, ws)]
     result = {
         "a0": float(grid.a0),
-        "rows": rows,
+        "rows": _records(header, rows),
         "w_integral": float(w_integral(grid)),
     }
-    csv = (("u", "rho", "w"), [(float(u), float(r_), float(w)) for u, r_, w in zip(us, rhos, ws)])
-    return _Artifact(result=result, csv=csv)
+    return _Artifact(result=result, csv=(header, rows))
 
 
 def _spectral_fields(spectral: SpectralSum, value_key: str) -> dict:
@@ -727,8 +677,8 @@ def _cmd_regions(config: RunConfig) -> _Artifact:
         for tau in config.tau_values
         for eta in config.eta_values
     ]
-    result = {"rows": [{"case": case, "eta": eta, "tau": tau} for tau, eta, case in rows]}
-    return _Artifact(result=result, csv=(("tau", "eta", "case"), rows))
+    header = ("tau", "eta", "case")
+    return _Artifact(result={"rows": _records(header, rows)}, csv=(header, rows))
 
 
 def _cmd_example(config: RunConfig) -> _Artifact:

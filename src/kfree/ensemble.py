@@ -431,18 +431,21 @@ class CharfnEvaluator:
     def grid(self, lams) -> np.ndarray:
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         k = self.cfg.k
-        out_log = np.zeros(lams.shape, dtype=complex)
-        for p in self.table.chunks():
+
+        def chunk_log(p: np.ndarray) -> np.ndarray:
             v = np.log(p) / self.log_n
             rows = _marginal_rows(k, self.cfg.alpha, p)
             block = max(1, _CHUNK // p.size)
+            log = np.empty(lams.shape, dtype=complex)
             for lo in range(0, lams.size, block):
                 lam = lams[lo : lo + block, None]
                 w = np.zeros((lam.shape[0], p.size), dtype=complex)
                 for t in range(1, k):
                     w += rows[t] * _cis_minus_one(lam * t * v)
-                out_log[lo : lo + block] += _log_euler(w)
-        out = np.exp(out_log)
+                log[lo : lo + block] = _log_euler(w)
+            return log
+
+        out = np.exp(sum(self.table.map_chunks(chunk_log), 0j))
         out[lams == 0.0] = 1.0
         return out
 
@@ -686,6 +689,8 @@ class FastCharfn:
         def panels(lo: int, hi: int) -> None:
             lam = lams[lo * per : hi * per]
             phases = (grid.centre_phases(v, lo, hi)[:, None] * et).reshape(lam.size, v.size)
+            if lam.size == 1:  # one row makes the products below gemv, which rounds unlike gemm
+                lam, phases = np.repeat(lam, 2), np.repeat(phases, 2, axis=0)
             # tail: per degree d, one (L, C) @ (C, J) product against the cell
             # moments, combined by Horner in t = i lam d H / 2
             base, hphase = phases[:, : centres.size], phases[:, centres.size :]
@@ -703,7 +708,7 @@ class FastCharfn:
                 z += row
                 z *= hphase
             z += self._head_rows[0]
-            out[lo * per : hi * per] = np.prod(z, axis=1) * np.exp(acc)
+            out[lo * per : hi * per] = (np.prod(z, axis=1) * np.exp(acc))[: (hi - lo) * per]
 
         map_blocks(panels, grid.centres.size, max(1, block // per))
         out[lams == 0.0] = 1.0

@@ -80,13 +80,9 @@ class PrimeTable:
         """Number of table primes <= x (valid for x <= limit)."""
         return int(np.searchsorted(self.primes, x, side="right"))
 
-    def chunks(self):
-        """The primes as float arrays of ``_CHUNK`` primes each (the last one shorter)."""
-        for start in range(0, self.primes.size, _CHUNK):
-            yield self.primes[start : start + _CHUNK].astype(float)
-
     def map_chunks(self, fn) -> list:
-        """[fn(chunk) for chunk in self.chunks()], the chunks shared out by :func:`_map_pieces`."""
+        """[fn(chunk) for each chunk in order], a chunk being ``_CHUNK`` primes as a float
+        array (the last one shorter); the chunks are shared out by :func:`_map_pieces`."""
         count = -(-self.primes.size // _CHUNK)
         return _map_pieces(lambda i: fn(self.primes[i * _CHUNK : (i + 1) * _CHUNK].astype(float)), count, self.limit)
 

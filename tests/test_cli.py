@@ -9,6 +9,7 @@ comparison of re-emitted artifacts for the reproducibility guarantee.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -462,6 +463,25 @@ class TestExitCodes:
         assert invoke(argv, tmp_path) == (2, "")
         assert f"{flag} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["constant", "--k", "2", "--N-list", "1.5,10,100"], "--N-list"),
+            (["constant", "--k", "2", "--N-list", "inf,1e4,1e5"], "--N-list"),
+            (["appendix", "--k", "2", "--term", "2,1.5,1", "--N-list", "1000", "--lambda", "1"], "--term"),
+            (["regions", "--tau-list", ",", "--eta-list", "2"], "--tau-list"),
+            (["regions", "--tau-list", "0.5", "--eta-list", "2,x"], "--eta-list"),
+            (["charfn", "--k", "2", "--N", "10", "--lambda-grid", "0", "1", "1.5"], "--lambda-grid"),
+            (["regions", "--tau-grid", "0", "1", "1", "--eta-list", "2"], "--tau-grid"),
+        ],
+        ids=["N-list-fraction", "N-list-inf", "term", "tau-list-empty", "eta-list-word", "lambda-grid", "tau-grid"],
+    )
+    def test_malformed_list_or_grid_is_usage_error(self, argv, flag, capsys):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: kfree ") and f"argument {flag}: " in err
+
     def test_grid_overflowing_to_infinity_is_domain_error(self, tmp_path, capsys):
         # finite ends whose span overflows; written out in digits, because
         # argparse reads "-1e308" as an option rather than a negative number
@@ -633,13 +653,19 @@ class TestThreads:
 
 
 class TestHelp:
-    def test_help_documents_csv_columns_and_exit_codes(self, capsys):
+    def test_help_documents_csv_columns_and_exit_codes(self, tmp_path, capsys):
         assert run(["--help"]) == 0
         out = capsys.readouterr().out
-        assert "lambda, re, im" in out
-        assert "u, rho, w" in out
         assert "Exit codes" in out
         assert "KFREE_THREADS" in out
+        # each layout line of --help against the header its subcommand writes
+        charfn = ["charfn", "--k", "2", "--N", "50", "--lambda-grid", "0", "1", "3"]
+        for argv in [*TestRoundTrip.CSV_CASES, charfn]:
+            code, text = invoke([*argv, "--format", "csv"], tmp_path, "table.csv")
+            assert code == 0
+            header = next(line for line in text.splitlines() if not line.startswith("#"))
+            layout = rf"^  {re.escape(argv[0])} +{re.escape(header.replace(',', ', '))}( |$)"
+            assert re.search(layout, out, re.MULTILINE), (argv[0], header)
 
     def test_version_flag(self, capsys):
         assert run(["--version"]) == 0
