@@ -14,9 +14,12 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ToleranceError
+from .errors import SizeCapError, ToleranceError
 
-__all__ = ["PanelGrid", "complex_quad", "gauss_panels"]
+__all__ = ["NODE_CAP", "PanelGrid", "complex_quad", "gauss_panels"]
+
+#: most nodes any kfree grid may hold (32 MiB per float array); larger ones raise SizeCapError
+NODE_CAP = 1 << 22
 
 
 def complex_quad(func, a, b, tol: float = 1e-10, limit: int = 400):
@@ -98,6 +101,8 @@ def gauss_panels(a: float, b: float, n_panels: int, nodes: int = 16) -> PanelGri
     """
     if n_panels < 1:
         raise ValueError("n_panels must be >= 1")
+    if n_panels * nodes > NODE_CAP:
+        raise SizeCapError(f"{n_panels} panels of {nodes} nodes exceed the {NODE_CAP}-node grid cap")
     xg, wg = _leggauss(int(nodes))
     half = 0.5 * (float(b) - float(a)) / n_panels
     centres = 0.5 * (float(a) + float(b)) + (2 * np.arange(n_panels) - (n_panels - 1)) * half

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import PanelGrid
+from ._quad import NODE_CAP, PanelGrid
 from .dickman import charfn_limit_grid
-from .errors import DomainError
+from .errors import DomainError, SizeCapError
 from .smoothsum import bump_transform
 from .specfun import EULER_GAMMA
 
@@ -61,8 +61,10 @@ def _uniform_grid(h: float, count: int, shift: float = 0.0) -> PanelGrid:
 
     The last panel runs past j = count - 1; callers keep the first ``count``
     values.  The bump transform then pays (panels + _OFFSETS) phase rows
-    instead of one per node.
+    instead of one per node.  More than ``NODE_CAP`` values raise :class:`SizeCapError`.
     """
+    if count > NODE_CAP:
+        raise SizeCapError(f"{count} uniform nodes exceed the {NODE_CAP}-node grid cap")
     return PanelGrid(h * np.arange(0, count, _OFFSETS), h * (np.arange(_OFFSETS) + shift))
 
 

@@ -58,6 +58,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import __version__, _threads
+from ._quad import NODE_CAP
 from .certify import reproduce_example
 from .dickman import charfn_limit_grid, rho_at, solve_rho, w_density, w_integral
 from .ensemble import (
@@ -104,7 +105,8 @@ Exit codes:
   0  success
   2  usage or domain error (bad flags, parameters outside the domain)
   3  tolerance failure, or compare routes disagreeing beyond tolerance
-  4  size-cap refusal (enumeration would exceed the element cap)
+  4  size-cap refusal (an enumeration past the element cap, or a grid past
+     the node cap: --R, --M, --r, --points)
 
 Environment:
   KFREE_THREADS  fallback for --threads when the flag is absent
@@ -211,6 +213,8 @@ class _Grid(argparse.Action):
             raise argparse.ArgumentError(self, "needs finite START and STOP whose difference is finite")
         if count != int(count) or int(count) < 2:
             raise argparse.ArgumentError(self, "COUNT must be an integer >= 2")
+        if count > NODE_CAP:
+            raise argparse.ArgumentError(self, f"COUNT must be at most {NODE_CAP}")
         setattr(namespace, self.dest, tuple(float(x) for x in np.linspace(start, stop, int(count))))
 
 
@@ -608,6 +612,8 @@ def _cmd_dickman(config: RunConfig) -> _Artifact:
     alpha = config.alpha_re
     if config.points < 2:
         raise DomainError("--points must be at least 2")
+    if config.points > NODE_CAP:
+        raise SizeCapError(f"--points {config.points} exceeds the {NODE_CAP}-node grid cap")
     grid = solve_rho(alpha, u_max=config.u_max, step=config.step)
     us = np.linspace(0.0, config.u_max, config.points)
     rhos = rho_at(grid, us)

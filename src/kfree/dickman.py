@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._quad import NODE_CAP
 from .errors import DomainError, SizeCapError
 from .primes import prime_power_tail, sieve_primes
 from .specfun import EULER_GAMMA, ci_si_values, cin_values
@@ -62,9 +63,6 @@ __all__ = [
 ]
 
 _DEFAULT_PRIME_LIMIT = 10**7
-
-#: largest grid solve_rho allocates, in nodes u = 0, step, ..., u_max (32 MiB per array)
-RHO_NODE_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -142,8 +140,8 @@ def solve_rho(alpha: float, u_max: float = 12.0, step: float = 1e-3) -> RhoGrid:
         raise DomainError("u_max must be >= 1")
     if not 0.0 < step <= 1e-3 + 1e-15:
         raise DomainError("step must be in (0, 1e-3]")
-    if u_max / step + 1.0 > RHO_NODE_CAP:
-        raise SizeCapError(f"u_max/step = {u_max / step:.3g} steps exceeds the {RHO_NODE_CAP}-node grid cap")
+    if u_max / step + 1.0 > NODE_CAP:
+        raise SizeCapError(f"u_max/step = {u_max / step:.3g} steps exceeds the {NODE_CAP}-node grid cap")
     m = int(round(1.0 / step))
     if abs(m * step - 1.0) > 1e-12:
         raise DomainError("step must divide 1 exactly (unit delay on the grid)")

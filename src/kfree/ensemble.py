@@ -463,6 +463,20 @@ def _positive_product(cfg: EnsembleConfig, strip: float) -> float:
 # head is smaller); at or below it there are no tail primes
 _FAST_HEAD_LIMIT = 10**4
 
+# fewest tail primes FastCharfn lays out.  One prime leaves the fine buckets
+# zero wide, and two (N = 10009) give the mid primes 11,091 cells: 0.71 s on the
+# 2,880-node R = 360 grid against 0.24 s for CharfnEvaluator, while three
+# (N = 10037) take 742 cells and 0.05 s, and every later N fewer (2-core host)
+_MIN_TAIL = 3
+
+
+def _tail_split(cfg: EnsembleConfig, primes: np.ndarray, head_limit: int = _FAST_HEAD_LIMIT) -> Optional[tuple]:
+    """(d*, i) of FastCharfn's layout over ``primes``, the primes <= N: d* = ``threshold_prime``,
+    and primes[i:] the tail past max(head_limit, d*); None when it has fewer than ``_MIN_TAIL``."""
+    d_star = threshold_prime(cfg)
+    split = int(np.searchsorted(primes, max(int(head_limit), d_star), side="right"))
+    return (d_star, split) if primes.size - split >= _MIN_TAIL else None
+
 
 def _inverse_powers(p: np.ndarray) -> np.ndarray:
     """(4, n) array of p^-1, ..., p^-4 over the primes p, by repeated products."""
@@ -520,6 +534,10 @@ class FastCharfn:
     blocks; from N = 2^24 on, the build's bucket groups) among the workers of
     :func:`~kfree._threads.map_blocks`; no value depends on how many there are.
 
+    A tail of fewer than ``_MIN_TAIL`` primes raises :class:`DomainError`
+    before anything is allocated; :func:`charfn_for` takes the exact
+    evaluator there.
+
     The build costs O(pi(N)) once, the same for every k and alpha: M[d, j, b]
     = a_d alpha^d S[d, j, b] with the real sums S[d, j, b] = sum_{p in b}
     p^-d (v_p - vbar_b)^j, d, j <= 4 (j = 4 gives the phase term of the
@@ -548,11 +566,13 @@ class FastCharfn:
     ):
         self.cfg = cfg
         self.table = sieve_primes(cfg.N)
+        layout = _tail_split(cfg, self.table.primes, head_limit)
+        if layout is None:
+            raise DomainError(f"fewer than {_MIN_TAIL} tail primes to bucket; lower head_limit or raise N")
+        d_star, self.split = layout
+        self.head_limit = max(int(head_limit), d_star)
         self.log_n = math.log(cfg.N)
         k, coef = cfg.k, _log_coeffs(cfg.k, cfg.alpha)
-        d_star = threshold_prime(cfg)
-        self.head_limit = max(int(head_limit), d_star)
-        self.split = int(np.searchsorted(self.table.primes, self.head_limit, side="right"))
         head = self.table.primes[: self.split].astype(float)
         # rem[i]: log remainder of primes[i:split] (|x| < 1/3 past d*, so the cap
         # at 1/2 only touches direct primes); the mid primes are the longest
@@ -567,8 +587,6 @@ class FastCharfn:
         self._mid_c = np.concatenate([-c.sum(axis=0, keepdims=True), c])
 
         primes = self.table.primes[self.split :]
-        if primes.size == 0:
-            raise DomainError("no tail primes to bucket; lower head_limit or raise N")
         v = primes.astype(float)  # the one full-length array: v_p, in place
         np.log(v, out=v)
         v /= self.log_n
@@ -716,12 +734,10 @@ class FastCharfn:
 
 
 def charfn_for(cfg: EnsembleConfig):
-    """The phi_N evaluator for cfg: CharfnEvaluator up to N = 10^4, else FastCharfn.
-
-    10^4 is FastCharfn's default head cutoff, the floor of its fine buckets;
-    at or below it there are no tail primes to bucket.
+    """The phi_N evaluator for cfg: FastCharfn where it has at least ``_MIN_TAIL`` tail
+    primes past max(10^4, ``threshold_prime``), else CharfnEvaluator (so every N <= 10036).
     """
-    if cfg.N <= _FAST_HEAD_LIMIT:
+    if _tail_split(cfg, sieve_primes(cfg.N).primes) is None:
         return CharfnEvaluator(cfg)
     return FastCharfn(cfg)
 

@@ -421,9 +421,10 @@ def limit_deviation_scan(
 ) -> EnvelopeReport:
     """Deviation |phi_N(lam) / phi_limit(lam) - 1| over an (N, lam) grid.
 
-    phi_N comes from :func:`~kfree.ensemble.charfn_for` (exact per-prime
-    product up to N = 10^4, bucketed beyond), and the deviations are fitted
-    against the standard two-feature envelope C1 / log N + C2 * eps |log eps|.
+    phi_N comes from :func:`~kfree.ensemble.charfn_for` (bucketed where at
+    least three primes lie past max(10^4, the threshold prime), else the
+    exact per-prime product), and the deviations are fitted against the
+    standard two-feature envelope C1 / log N + C2 * eps |log eps|.
     """
     lam_values = tuple(float(l) for l in lam_values)
     if any(l < 0.0 for l in lam_values):

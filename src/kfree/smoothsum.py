@@ -24,7 +24,6 @@ elements with log x = log N.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -376,8 +375,8 @@ _REMAINDER_SHARE = 0.25
 
 
 def _symmetric_grid(R: float, width: float = _PANEL_WIDTH) -> PanelGrid:
-    if not R > 0:
-        raise DomainError(f"the frequency cutoff R must be positive, got {R}")
+    if not 0 < R < math.inf:
+        raise DomainError(f"the frequency cutoff R must be positive and finite, got {R}")
     return gauss_panels(-R, R, 2 * max(1, int(math.ceil(R / width))), _PANEL_NODES)
 
 
@@ -405,36 +404,21 @@ def _panel_rule(cfg: EnsembleConfig, f: CutoffDescriptor, R: float, target: floa
             return h, rho, _symmetric_grid(R, h), bound
 
 
-# cutoff descriptor -> {(R, node count): fhat on the nodes}; an entry lives as
-# long as its descriptor, and the builtins are held by _builtin_map
-_transform_node_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _frequency_integral(values, f: CutoffDescriptor, grid: PanelGrid) -> tuple:
+    """(I, A): I = sum w values fhat and A = sum w |values fhat| over the symmetric ``grid``.
 
-
-def _panel_terms(values, f: CutoffDescriptor, R: float, grid: PanelGrid) -> tuple:
-    """Weights and terms values(lam) * fhat(lam) of the panel quadrature on ``grid`` over |lam| <= R.
-
-    ``values`` maps the :class:`PanelGrid` (which may factor its phases) to
-    the other factor, a characteristic function on a grid.  fhat on the
-    nodes is cached per cutoff descriptor (not its name: a custom cutoff may
-    share a builtin's), R and node count.
+    ``values`` maps the :class:`PanelGrid` (which may factor its phases) to a
+    characteristic function on it.  I adds each +-lam pair first: the nodes
+    of :func:`_symmetric_grid` are exactly antisymmetric and its weights
+    exactly symmetric, so where terms(-lam) = conj terms(lam) bit for bit
+    (real alpha, even cutoff) every pair, and so I, is exactly real.  A is
+    the mass the rounding term of :func:`smooth_sum_spectral` scales.
     """
-    nodes = _transform_node_cache.setdefault(f, {})
-    key = (round(R, 12), grid.size)
-    fhat = nodes.get(key)
-    if fhat is None:
-        fhat = nodes[key] = f.transform_grid(grid)
-    return grid.weights, values(grid) * fhat
-
-
-def _paired_sum(weights: np.ndarray, terms: np.ndarray) -> complex:
-    """sum of weights * terms on a symmetric grid, each +-lam pair added first.
-
-    The nodes of :func:`_symmetric_grid` are exactly antisymmetric and its
-    weights exactly symmetric, so where terms(-lam) = conj terms(lam) bit for
-    bit (real alpha, even cutoff) every pair, and so the sum, is exactly real.
-    """
+    fhat = f.transform_grid(grid)  # first: values(grid) then runs faster
+    terms = values(grid) * fhat
     half = terms.size // 2
-    return complex(np.sum(weights[:half] * (terms[:half] + terms[::-1][:half])))
+    integral = complex(np.sum(grid.weights[:half] * (terms[:half] + terms[::-1][:half])))
+    return integral, float(np.sum(grid.weights * np.abs(terms)))
 
 
 def _atom_correction(cfg: EnsembleConfig, f: CutoffDescriptor) -> complex:
@@ -471,7 +455,8 @@ def smooth_sum_spectral(
     drops below ``tol/2``; failure to reach that within R = 4096 raises
     :class:`ToleranceError` naming R = 4096 and its tail bound and asking
     for an explicit ``R``.  An explicit ``R`` is honored as given and the
-    tail bound is only reported.  R <= 0 or tol <= 0 raise :class:`DomainError`.
+    tail bound is only reported.  An R that is not positive and finite, or
+    tol <= 0, raises :class:`DomainError` before any Euler product is taken.
 
     The grid is the one :func:`_panel_rule` picks for the target ``tol``:
     panels of width h = 4, 2 or 1, the widest whose Gauss remainder bound is
@@ -482,7 +467,7 @@ def smooth_sum_spectral(
     sum w |phi_N fhat|, the evaluator adds expm1(``truncation_bound(R)``) A
     and rounding eps n A: forming the n terms and summing them in any order
     (here each +-lam pair first, then numpy's fixed order; see
-    :func:`_paired_sum`) errs by at most (n + 7) eps A / 2 (Higham 2002).
+    :func:`_frequency_integral`) errs by at most (n + 7) eps A / 2 (Higham 2002).
 
     Discontinuous cutoffs receive the exact boundary-atom correction of
     :func:`_atom_correction` so that the routes share one convention (the
@@ -490,6 +475,8 @@ def smooth_sum_spectral(
     """
     if not tol > 0:
         raise DomainError(f"the spectral route's tol must be positive, got {tol}")
+    if R is not None and not 0 < R < math.inf:
+        raise DomainError(f"the frequency cutoff R must be positive and finite, got {R}")
     z = partition_function(cfg)
     if z == 0:
         raise DegenerateConfigError("partition function vanishes; phi_N undefined")
@@ -508,13 +495,12 @@ def smooth_sum_spectral(
     tail_bound = float(z_abs * f.tail_integral(R))
     charfn = charfn_for(cfg)
     width, rho, grid, remainder = _panel_rule(cfg, f, R, tol)
-    weights, terms = _panel_terms(charfn.grid, f, R, grid)
-    mass = abs(z) * float(np.sum(weights * np.abs(terms)))  # A
+    integral, mass = _frequency_integral(charfn.grid, f, grid)
     return SpectralSum(
-        value=z * _paired_sum(weights, terms) + _atom_correction(cfg, f),
+        value=z * integral + _atom_correction(cfg, f),
         R=R,
         quadrature_error=remainder
-        + (math.expm1(charfn.truncation_bound(R)) + math.ulp(1.0) * terms.size) * mass,
+        + (math.expm1(charfn.truncation_bound(R)) + math.ulp(1.0) * grid.size) * (abs(z) * mass),
         tail_bound=tail_bound,
         panel_width=width,
         rho=rho,
@@ -544,8 +530,7 @@ class ComparisonReport:
 
 
 def _limit_integral(alpha: complex, f: CutoffDescriptor, R: float) -> complex:
-    weights, terms = _panel_terms(lambda pts: charfn_limit_grid(alpha, pts), f, R, _symmetric_grid(R))
-    return _paired_sum(weights, terms)
+    return _frequency_integral(lambda grid: charfn_limit_grid(alpha, grid), f, _symmetric_grid(R))[0]
 
 
 # The report's direct route is only a side check, so it stops below ENUMERATION_CAP:
@@ -659,8 +644,8 @@ def theorem1_ratio_scan(
     function * fhat over |lam| <= R_N), R_N = log N / log log N.  The
     partition factor cancels in the ratio, so the scan stays well
     conditioned even where Z itself tends to zero.  phi_N is evaluated by
-    :func:`~kfree.ensemble.charfn_for` (exact at and below N = 10^4,
-    bucketed beyond), on the grid :func:`_panel_rule` picks for the target
+    :func:`~kfree.ensemble.charfn_for` (bucketed where at least three primes
+    lie past max(10^4, the threshold prime), else exact), on the grid :func:`_panel_rule` picks for the target
     1e-9 on the numerator: the rule bounds Z times it, so its target is 1e-9
     |Z|.
     """
@@ -671,10 +656,8 @@ def theorem1_ratio_scan(
     sieve_primes(max(map(int, n_values), default=2))  # the largest table first: the smaller rungs slice it
     for N in sorted(int(n) for n in n_values):
         cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
-        charfn = charfn_for(cfg)
         grid = _panel_rule(cfg, f, R, 1e-9 * abs(partition_function(cfg)))[2]
-        weights, terms = _panel_terms(charfn.grid, f, R, grid)
-        numerator = _paired_sum(weights, terms)
+        numerator = _frequency_integral(charfn_for(cfg).grid, f, grid)[0]
         log_n = math.log(N)
         R_N = log_n / math.log(log_n)
         denominator = _limit_integral(complex(alpha), f, R_N)

@@ -15,6 +15,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kfree
@@ -504,6 +505,44 @@ class TestExitCodes:
         monkeypatch.setitem(cli_module._HANDLERS, "partition", broken)
         with pytest.raises(KeyError, match="internal"):
             run(["partition", "--k", "2", "--N", "10"])
+
+
+class TestCappedInputs:
+    """Inputs that once allocated terabytes or crashed, each run in a child capped by ``capped_run``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sum", "--k", "2", "--N", "30", "--R", "1e15"],
+            ["dickman", "--alpha", "1", "--points", "1000000000000"],
+            ["example", "--M", "1000000000000"],
+            ["example", "--r", "1e6"],
+        ],
+        ids=["R", "points", "M", "r"],
+    )
+    def test_grid_past_the_node_cap_is_refused(self, argv, capped_run):
+        code, err = capped_run(argv)
+        assert code == 4, err
+        assert "grid cap" in err
+
+    def test_grid_count_past_the_node_cap_is_usage_error(self, capped_run):
+        code, err = capped_run(["charfn", "--k", "2", "--N", "30", "--lambda-grid", "0", "1", "1e12"])
+        assert code == 2, err
+        assert "argument --lambda-grid: COUNT must be at most" in err
+
+    @pytest.mark.parametrize(
+        "alpha, N", [(1.0, 10005), (1.0, 10007), (1.0, 10009), (1e6, 20000)], ids=["0", "1", "2", "alpha1e6"]
+    )
+    def test_charfn_with_a_thin_fast_tail(self, alpha, N, capped_run, tmp_path):
+        # each id counts the primes past max(10^4, threshold_prime): too few for FastCharfn's buckets
+        path = tmp_path / "out.json"
+        argv = ["charfn", "--k", "2", "--alpha", repr(alpha), "--N", str(N), "--lambda-grid", "-300", "300", "61"]
+        code, err = capped_run([*argv, "--output", str(path)])
+        assert code == 0, err
+        rows = json.loads(path.read_text(encoding="utf-8"))["result"]["rows"]
+        got = np.array([complex(row["re"], row["im"]) for row in rows])
+        exact = kfree.CharfnEvaluator(kfree.EnsembleConfig(k=2, alpha=alpha, N=N)).grid([row["lambda"] for row in rows])
+        np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0.0)
 
 
 class TestNegativeExponentForm:

@@ -692,6 +692,16 @@ class TestCharfnFor:
         assert type(charfn_for(EnsembleConfig(k=2, alpha=1.0, N=10**4))) is CharfnEvaluator
         assert type(charfn_for(EnsembleConfig(k=2, alpha=1.0, N=10**5))) is FastCharfn
 
+    @pytest.mark.parametrize("alpha, N", [(1.0, 10007), (1.0, 10009), (1e6, 20000)])
+    def test_thin_tail_goes_to_the_exact_evaluator(self, alpha, N):
+        # one, two and no primes past max(10^4, threshold_prime): FastCharfn refuses
+        # the layout before building it, and N = 10037, the third prime, is fast
+        cfg = EnsembleConfig(k=2, alpha=alpha, N=N)
+        with pytest.raises(DomainError, match="tail primes"):
+            FastCharfn(cfg)
+        assert type(charfn_for(cfg)) is CharfnEvaluator
+        assert type(charfn_for(EnsembleConfig(k=2, alpha=1.0, N=10037))) is FastCharfn
+
 
 def log_coeffs(k, alpha, p):
     """c_d(p), d = 0..4, of log z_p = sum_d c_d X^d + O(x^5): c_d = a_d x^d with

@@ -8,7 +8,6 @@ against scipy.quad at 8e-16).
 """
 
 import dataclasses
-import gc
 import itertools
 import math
 import tracemalloc
@@ -301,8 +300,7 @@ class TestSpectralRoute:
         assert z * phi0 * f.transform([0.0])[0] == z * f.transform([0.0])[0]
 
     def test_transform_cache_tells_apart_cutoffs_sharing_a_name(self):
-        # fhat on the nodes is cached per descriptor: a custom cutoff named
-        # like a builtin must not reuse the builtin's transform
+        # a custom cutoff named like a builtin must not reuse the builtin's transform
         cfg = EnsembleConfig(k=2, alpha=1.0, N=30)
         f = get_cutoff("gaussian")
         base = smooth_sum_spectral(cfg, f, R=8.0).value
@@ -311,32 +309,6 @@ class TestSpectralRoute:
         )
         assert doubled.name == "gaussian"
         assert smooth_sum_spectral(cfg, doubled, R=8.0).value / base == pytest.approx(2.0, rel=1e-12)
-        # the builtin is one cached object, so repeated sums still hit
-        cached = len(smoothsum._transform_node_cache)
-        smooth_sum_spectral(cfg, get_cutoff("gaussian"), R=8.0)
-        assert len(smoothsum._transform_node_cache) == cached
-
-    def test_transform_cache_lets_go_of_dropped_cutoffs(self, monkeypatch):
-        # an entry lives as long as its descriptor: five fresh custom cutoffs
-        # leave nothing once dropped, while the builtins, held by the
-        # registry, still hit on a repeated scan
-        cfg = EnsembleConfig(k=2, alpha=1.0, N=30)
-        before = len(smoothsum._transform_node_cache)
-        for i in range(5):
-            f = dataclasses.replace(get_cutoff("gaussian"), name=f"gaussian-{i}")
-            smooth_sum_spectral(cfg, f, R=8.0)
-        del f
-        gc.collect()
-        assert len(smoothsum._transform_node_cache) == before
-        misses = []
-        transform_grid = CutoffDescriptor.transform_grid
-        monkeypatch.setattr(
-            CutoffDescriptor, "transform_grid", lambda f, lams: misses.append(f.name) or transform_grid(f, lams)
-        )
-        theorem1_ratio_scan(2, 1.0, [10**3])
-        misses.clear()
-        theorem1_ratio_scan(2, 1.0, [10**3])
-        assert misses == []
 
     def test_explicit_R_is_honored(self):
         cfg = EnsembleConfig(k=2, alpha=1.0, N=10)
@@ -393,8 +365,17 @@ class TestSpectralRoute:
         assert loose.value == spectral.value
         assert loose.quadrature_error >= math.expm1(1e-6) * abs(loose.value) > spectral.quadrature_error
 
-    @pytest.mark.parametrize("kwargs", [{"R": 0.0}, {"R": -5.0}, {"tol": 0.0}, {"tol": -1.0}])
-    def test_nonpositive_radius_or_tolerance_rejected(self, kwargs):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"R": 0.0}, {"R": -5.0}, {"R": math.inf}, {"R": math.nan}, {"tol": 0.0}, {"tol": -1.0}],
+    )
+    def test_nonpositive_radius_or_tolerance_rejected(self, kwargs, monkeypatch):
+        # refused up front, before any Euler product
+        def euler_product(*args):
+            raise AssertionError("an Euler product was taken")
+
+        monkeypatch.setattr(smoothsum, "partition_function", euler_product)
+        monkeypatch.setattr(smoothsum, "_positive_product", euler_product)
         cfg = EnsembleConfig(k=2, alpha=1.0, N=30)
         with pytest.raises(DomainError):
             smooth_sum_spectral(cfg, get_cutoff("gaussian"), **kwargs)
@@ -643,6 +624,10 @@ class TestRatioScan:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(DomainError, match="positive"):
             theorem1_ratio_scan(2, 1.0, [10**3], R_numerator=0.0)
+
+    def test_infinite_radius_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            theorem1_ratio_scan(2, 1.0, [10**3], R_numerator=math.inf)
 
     def test_rows_sorted_with_truncation_rule(self):
         rows = theorem1_ratio_scan(2, 1.0, [10**4, 10**3])
