@@ -5,7 +5,7 @@ splitting one over its pool buys no wall time, and its idle threads spin
 between calls.  So a hot stage runs inside :func:`one_blas_thread` and
 spreads its independent blocks over :func:`workers` threads with
 :func:`map_blocks` instead.  The prime layer sends the sieve's segments, the
-Euler-product chunks and FastCharfn's build groups there too, for tables
+Euler-product chunks and the tail power sums' bucket groups there too, for tables
 with prime limits of 2^24 or more only (see :mod:`kfree.primes`).
 
 The OpenBLAS that numpy loaded is found on first use, never at import: its

@@ -11,9 +11,9 @@ This module provides:
 
 * exact enumeration of the elements as plain integers (desk scale,
   size-capped), and Omega of a single integer with its membership test;
-* one Euler-product kernel: every factor 1 + w enters through its
-  principal log, summed over all primes and exponentiated once, which
-  equals the direct product (a vanishing factor gives exactly 0);
+* one Euler-product kernel: the principal logs of the factors 1 + w (for
+  Z past P, their log series) are summed over all primes and exponentiated
+  once, which equals the direct product (a vanishing factor gives exactly 0);
 * Richardson-style extrapolation of Z_N/(log N)^alpha toward its constant;
 * the per-prime exponent marginals F_t(p) and the threshold prime past
   which every factor stays near 1;
@@ -34,7 +34,7 @@ import numpy as np
 from ._quad import PanelGrid
 from ._threads import map_blocks, one_blas_thread
 from .errors import DegenerateConfigError, DomainError, SizeCapError
-from .primes import _CHUNK, _map_pieces, prime_power_tail, sieve_primes
+from .primes import _CHUNK, _TAIL_DEGREE, _inverse_powers, prime_power_tail, sieve_primes
 
 __all__ = [
     "EnsembleConfig",
@@ -235,15 +235,36 @@ def _log_product(cfg: EnsembleConfig, x) -> complex:
     return sum(sieve_primes(cfg.N).map_chunks(lambda p: _log_euler(_factor_offset(cfg.k, x(p)))), 0j)
 
 
+def _series_log(table, k: int, alpha: complex, less_x: bool = False) -> complex:
+    """sum_p [Log(1 + x + ... + x^{k-1}) - x [less_x]], x = alpha/p, over the table: principal logs over
+    its chunks up to P (all of them if fewer than ``_MIN_TAIL`` primes are left), then the log series
+    sum_{d<=5} a_d alpha^d S_d (from d = 2 if less_x), S_d = sum_{p>P} p^-d from its ``tail_sums``.
+    The cut, sum_{d>=6} (k - 1)/d |alpha|^d S_d <= (k - 1) |alpha|^6 / (15 P^5) for |alpha| <= P/2
+    (S_6 <= int_P^inf t^-6 dt), is below 1e-17 at P = max(10^4, 2|alpha|, |alpha| ((k - 1) |alpha|
+    / 1.5e-16)^(1/5)): 10^4, FastCharfn's split, for |alpha| < 2 and k <= 235."""
+    def head(p: np.ndarray) -> complex:
+        x = alpha / p
+        return _log_euler(_factor_offset(k, x)) - (complex(np.sum(x)) if less_x else 0)
+
+    a = abs(alpha)
+    cut = max(_FAST_HEAD_LIMIT, 2.0 * a, a * ((k - 1) * a / 1.5e-16) ** 0.2)
+    split = table.count_below(math.ceil(min(cut, table.limit)))
+    if table.count() - split < _MIN_TAIL:
+        return sum(table.map_chunks(head), 0j)
+    _, S, s5, _, _ = table.tail_sums(split, _FAST_BUCKETS)
+    terms = (_log_coeffs(k, alpha, _LOG_DEGREE + 1) * np.append(S[:, 0].sum(axis=1), s5))[int(less_x) :]
+    return sum(table.map_chunks(head, split), 0j) + sum(terms)
+
+
 def partition_function(cfg: EnsembleConfig) -> complex:
     """Finite Euler product prod_{p<=N} (1 + alpha/p + ... + (alpha/p)^{k-1}).
 
-    The principal logs of the factors are summed over ``_CHUNK``-prime chunks
-    and exponentiated once; a vanishing factor makes Z exactly 0.  It never
-    needs the exponent marginals (which pole on the forbidden rays where Z
-    itself is simply 0).
+    The principal logs of the factors up to P (:func:`_series_log`) and the
+    degree-5 log series past P are summed and exponentiated once; a vanishing
+    factor, always below P, makes Z exactly 0.  It never needs the exponent
+    marginals (which pole on the forbidden rays where Z itself is simply 0).
     """
-    z = complex(np.exp(_log_product(cfg, lambda p: cfg.alpha / p)))
+    z = complex(np.exp(_series_log(sieve_primes(cfg.N), cfg.k, cfg.alpha)))
     # real alpha: negative factors add pi to the log; keep Z exactly real
     return complex(z.real) if cfg.alpha.imag == 0 else z
 
@@ -311,16 +332,17 @@ def _neville_at_zero(x: np.ndarray, y: np.ndarray):
 
 
 # degree at which FastCharfn cuts the log series of z_p in X, for every k
-_LOG_DEGREE = 4
+_LOG_DEGREE = _TAIL_DEGREE
 
 
-def _log_coeffs(k: int, alpha: complex) -> np.ndarray:
-    """a_d alpha^d for d = 1..4, a_d = (1 - k [k | d]) / d: the X^d coefficients of log z_p times p^d.
+def _log_coeffs(k: int, alpha: complex, degree: int = _LOG_DEGREE) -> np.ndarray:
+    """a_d alpha^d for d = 1..degree, a_d = (1 - k [k | d]) / d: the X^d coefficients of log z_p times p^d.
 
     z_p(X) = sum_t F_t X^t = (1 - x)(1 - (xX)^k) / ((1 - x^k)(1 - xX)) with
-    x = alpha/p, so log z_p(X) = sum_{d>=1} a_d x^d (X^d - 1) for |x| < 1.
+    x = alpha/p, so log z_p(X) = sum_{d>=1} a_d x^d (X^d - 1) for |x| < 1; at
+    X = 0, log(1 + x + ... + x^{k-1}) = sum_d a_d x^d.
     """
-    a = [1.0 / d - (k / d if d % k == 0 else 0.0) for d in range(1, _LOG_DEGREE + 1)]
+    a = [1.0 / d - (k / d if d % k == 0 else 0.0) for d in range(1, degree + 1)]
     return np.array([a_d * complex(alpha) ** d for d, a_d in enumerate(a, 1)])
 
 
@@ -331,13 +353,9 @@ def _predicted_constant(k: int, alpha: complex, prime_limit: int = 10**7) -> com
     up to prime_limit with the tail correction sum_{j=2..4} a_j alpha^j
     sum_{p>P} p^-j (a_j from :func:`_log_coeffs`), sum_{p>P} p^-j ~
     E1((j-1) log P) (:func:`~kfree.primes.prime_power_tail`).  The sum runs
-    over ``_CHUNK``-prime chunks, as in :func:`partition_function`.
+    as in :func:`partition_function` (:func:`_series_log`).
     """
-    def chunk_sum(p: np.ndarray) -> complex:
-        x = complex(alpha) / p
-        return _log_euler(_factor_offset(k, x)) - complex(np.sum(x))
-
-    series_sum = sum(sieve_primes(prime_limit).map_chunks(chunk_sum), 0j)
+    series_sum = _series_log(sieve_primes(prime_limit), k, complex(alpha), less_x=True)
     tail = prime_power_tail(_log_coeffs(k, alpha)[1:], prime_limit)
     return complex(np.exp(complex(alpha) * MERTENS + series_sum + tail))
 
@@ -463,6 +481,8 @@ def _positive_product(cfg: EnsembleConfig, strip: float) -> float:
 # head is smaller); at or below it there are no tail primes
 _FAST_HEAD_LIMIT = 10**4
 
+_FAST_BUCKETS = 4096  # FastCharfn's default fine buckets, also Z's tail sums
+
 # fewest tail primes FastCharfn lays out.  One prime leaves the fine buckets
 # zero wide, and two (N = 10009) give the mid primes 11,091 cells: 0.71 s on the
 # 2,880-node R = 360 grid against 0.24 s for CharfnEvaluator, while three
@@ -476,15 +496,6 @@ def _tail_split(cfg: EnsembleConfig, primes: np.ndarray, head_limit: int = _FAST
     d_star = threshold_prime(cfg)
     split = int(np.searchsorted(primes, max(int(head_limit), d_star), side="right"))
     return (d_star, split) if primes.size - split >= _MIN_TAIL else None
-
-
-def _inverse_powers(p: np.ndarray) -> np.ndarray:
-    """(4, n) array of p^-1, ..., p^-4 over the primes p, by repeated products."""
-    out = np.empty((_LOG_DEGREE, p.size))
-    np.divide(1.0, p, out=out[0])
-    for d in range(1, _LOG_DEGREE):
-        np.multiply(out[d - 1], out[0], out=out[d])
-    return out
 
 
 def _log_remainder(k: int, r):
@@ -531,23 +542,18 @@ class FastCharfn:
     times the offsets' phases e^{i t v}, 3 in-place products and per degree
     one (L, cells) @ (cells, J) GEMM, combined by Horner.  The build and the
     grid run on one BLAS thread and share their independent pieces (a grid's
-    blocks; from N = 2^24 on, the build's bucket groups) among the workers of
+    blocks; from N = 2^24 on, the tail pass's bucket groups) among the workers of
     :func:`~kfree._threads.map_blocks`; no value depends on how many there are.
 
     A tail of fewer than ``_MIN_TAIL`` primes raises :class:`DomainError`
     before anything is allocated; :func:`charfn_for` takes the exact
     evaluator there.
 
-    The build costs O(pi(N)) once, the same for every k and alpha: M[d, j, b]
-    = a_d alpha^d S[d, j, b] with the real sums S[d, j, b] = sum_{p in b}
-    p^-d (v_p - vbar_b)^j, d, j <= 4 (j = 4 gives the phase term of the
-    bound), and sum p^-5 for the log term.  Primes are sorted, so bucket b
-    is the run of v between ``np.searchsorted(v, edges)`` entries b and
-    b + 1; whole buckets are visited in groups of about ``_CHUNK`` primes,
-    whose (4, 5, group) power sums stay cache-resident, one ``np.add.reduceat``
-    per group, and the groups' sums p^-5 are added in group order.  The one
-    per-prime array longer than a group is v_p, 8 bytes a tail prime (46 MB
-    for the 5.76 M tail primes at N = 10^8).
+    The build costs O(pi(N)) once per table, the same for every k and alpha:
+    M[d, j, b] = a_d alpha^d S[d, j, b] with the real sums S[d, j, b] =
+    sum_{p in b} p^-d (v_p - vbar_b)^j, d, j <= 4 (j = 4 gives the phase
+    term of the bound), and sum p^-5 for the log term, from the table's
+    cached :meth:`~kfree.primes.PrimeTable.tail_sums` (which Z reads too).
 
     ``truncation_bound(lam_max)`` bounds the error in log phi_N, i.e. the
     relative error: |fast / exact - 1| <= e^bound - 1 for |lambda| <= lam_max.
@@ -562,7 +568,7 @@ class FastCharfn:
         self,
         cfg: EnsembleConfig,
         head_limit: int = _FAST_HEAD_LIMIT,
-        buckets: int = 4096,
+        buckets: int = _FAST_BUCKETS,
     ):
         self.cfg = cfg
         self.table = sieve_primes(cfg.N)
@@ -586,36 +592,7 @@ class FastCharfn:
         c = coef[:, None] * _inverse_powers(head[self.mid_start :])
         self._mid_c = np.concatenate([-c.sum(axis=0, keepdims=True), c])
 
-        primes = self.table.primes[self.split :]
-        v = primes.astype(float)  # the one full-length array: v_p, in place
-        np.log(v, out=v)
-        v /= self.log_n
-        # bucket b is the run primes[starts[b] : starts[b + 1]] of v in [edges[b], edges[b + 1])
-        edges = np.linspace(v[0], v[-1] * (1 + 1e-12), buckets + 1)
-        starts = np.searchsorted(v, edges)
-        full = np.flatnonzero(np.diff(starts))  # the nonempty buckets
-        bounds = np.append(starts[full], v.size)  # bucket full[i] is bounds[i] : bounds[i + 1]
-        counts = np.diff(bounds)
-        vbar = np.zeros(buckets)
-        vbar[full] = np.add.reduceat(v, bounds[:-1]) / counts
-        # S[d - 1, j, b] = sum_{p in b} p^-d (v_p - vbar_b)^j, j <= 4, and s5 = sum p^-5:
-        # real sums free of alpha and k, over groups of whole buckets
-        S = np.zeros((_LOG_DEGREE, 5, buckets))
-        groups = np.searchsorted(bounds, np.arange(0, v.size, _CHUNK), side="right") - 1
-        groups = np.unique(np.append(groups, full.size))
-
-        def group(i: int) -> float:  # fills S for groups[i] <= b < groups[i + 1]; returns its sum p^-5
-            g0, g1 = groups[i], groups[i + 1]
-            lo, hi = bounds[g0], bounds[g1]
-            dv = v[lo:hi] - np.repeat(vbar[full[g0:g1]], counts[g0:g1])
-            terms = np.empty((_LOG_DEGREE, 5, dv.size))
-            terms[:, 0] = _inverse_powers(primes[lo:hi])
-            for j in range(1, 5):
-                np.multiply(terms[:, j - 1], dv, out=terms[:, j])
-            S[:, :, full[g0:g1]] = np.add.reduceat(terms, bounds[g0:g1] - lo, axis=2)
-            return float(np.dot(terms[-1, 0], terms[0, 0]))
-
-        s5 = sum(_map_pieces(group, groups.size - 1, cfg.N), 0.0)
+        vbar, S, s5, self._v0, self._width = self.table.tail_sums(self.split, buckets)  # alpha- and k-free
         # M[d, j, b] = a_d alpha^d S[d, j, b] and M[0, 0] = -sum_d M[d, 0]; for
         # each d, _abs4[d] = sum_p |c_d(p)| (v_p - vbar_b)^4
         self._moments = np.zeros((_LOG_DEGREE + 1, 4, buckets), dtype=complex)
@@ -623,12 +600,10 @@ class FastCharfn:
         self._moments[0, 0] = -self._moments[1:, 0].sum(axis=0)
         self._abs4 = np.append(0.0, np.abs(coef) * S[:, 4].sum(axis=1))
         # the tail's log remainder, |x| <= |alpha| / p0 for all of it
-        p0 = float(primes[0])
+        p0 = float(self.table.primes[self.split])
         self._log_remainder = float(_log_remainder(k, abs(cfg.alpha) / p0) * p0**5 * s5 + rem[self.mid_start])
         self._vbar = vbar
         self._degree = _LOG_DEGREE
-        self._v0 = float(edges[0])
-        self._width = float(edges[-1] - edges[0]) / buckets  # of a fine bucket
 
     def _cells(self, lam_max: float) -> tuple[float, np.ndarray, np.ndarray]:
         """H/2, the cell centres U_c and K[d - 1, c, n] (d >= 1) for max|lambda| = lam_max.

@@ -6,9 +6,10 @@ memory besides the table (the convergence scans need every prime up to
 is sliced from a larger cached table, so tables can be shared freely across
 threads.  The Euler-product sums map a table's float chunks in order
 (:meth:`PrimeTable.map_chunks`) and take their tails past it by one rule
-(:func:`prime_power_tail`).  From ``_PARALLEL_LIMIT`` on, the sieve's segments,
-these chunks and FastCharfn's build groups are shared among kfree's workers
-and reduced in order, so no value depends on the worker count.
+(:func:`prime_power_tail`); past a split they read the table's cached power
+sums (:meth:`PrimeTable.tail_sums`).  From ``_PARALLEL_LIMIT`` on, the sieve's
+segments, these chunks and the power sums' bucket groups are shared among
+kfree's workers and reduced in order, so no value depends on the worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._threads import map_blocks
+from ._threads import map_blocks, one_blas_thread
 from .errors import DomainError
 from .specfun import exp_integral_e1
 
@@ -30,7 +31,7 @@ _SEGMENT_SIZE = 1 << 21
 # primes per chunk of the Euler-product sums, so memory stays bounded at any
 # N; at N = 10^7 and 10^8 this ran as fast as or faster than 2^20 primes per
 # chunk or one full-length pass; it also bounds the exact evaluator's
-# (frequency block, chunk) arrays and FastCharfn's build groups
+# (frequency block, chunk) arrays and the tail power sums' bucket groups
 _CHUNK = 1 << 14
 
 # pieces go to workers from this prime limit on (pi(2^24) ~ 2^20 primes): on a
@@ -38,9 +39,13 @@ _CHUNK = 1 << 14
 # the 10^7 tables of `kfree constant` and `dickman` saved <= 0.03 s for 30-40% more CPU
 _PARALLEL_LIMIT = 1 << 24
 
-# process-wide cache: limit -> PrimeTable (immutable, safe to share)
+# caches under one lock, immutable and safe to share: limit -> PrimeTable, (limit, split, buckets) -> tail sums
 _TABLE_CACHE: dict[int, "PrimeTable"] = {}
+_TAIL_CACHE: dict[tuple, tuple] = {}
 _CACHE_LOCK = threading.Lock()
+
+# highest power p^-d of the bucketed tail sums (FastCharfn's log-series degree)
+_TAIL_DEGREE = 4
 
 
 def _map_pieces(task, count: int, limit: int) -> list:
@@ -80,11 +85,71 @@ class PrimeTable:
         """Number of table primes <= x (valid for x <= limit)."""
         return int(np.searchsorted(self.primes, x, side="right"))
 
-    def map_chunks(self, fn) -> list:
-        """[fn(chunk) for each chunk in order], a chunk being ``_CHUNK`` primes as a float
-        array (the last one shorter); the chunks are shared out by :func:`_map_pieces`."""
-        count = -(-self.primes.size // _CHUNK)
-        return _map_pieces(lambda i: fn(self.primes[i * _CHUNK : (i + 1) * _CHUNK].astype(float)), count, self.limit)
+    def map_chunks(self, fn, stop: int | None = None) -> list:
+        """[fn(chunk) for each chunk of primes[:stop] in order], a chunk being ``_CHUNK`` primes as a
+        float array (the last one shorter); the chunks are shared out by :func:`_map_pieces`."""
+        primes = self.primes[:stop]
+        count = -(-primes.size // _CHUNK)
+        return _map_pieces(lambda i: fn(primes[i * _CHUNK : (i + 1) * _CHUNK].astype(float)), count, self.limit)
+
+    def tail_sums(self, split: int, buckets: int) -> tuple:
+        """(vbar, S, s5, v0, width), alpha-free sums of primes[split:] in ``buckets`` buckets of
+        v_p = log p / log limit, each ``width`` wide from v0: S[d - 1, j, b] = sum_{p in b} p^-d
+        (v_p - vbar_b)^j, d, j <= 4, vbar_b the bucket's mean v_p (0 if empty), and s5 = sum p^-5.
+        One pass per (limit, split, buckets), cached; the arrays are read-only."""
+        key = (self.limit, int(split), int(buckets))
+        with _CACHE_LOCK:
+            if key not in _TAIL_CACHE:
+                _TAIL_CACHE[key] = _tail_pass(self, split, buckets)
+            return _TAIL_CACHE[key]
+
+
+def _inverse_powers(p: np.ndarray, out=None) -> np.ndarray:
+    """(4, n) array of p^-1, ..., p^-4 over the primes p, by repeated products (into ``out`` if given)."""
+    out = np.empty((_TAIL_DEGREE, p.size)) if out is None else out
+    np.divide(1.0, p, out=out[0])
+    for d in range(1, _TAIL_DEGREE):
+        np.multiply(out[d - 1], out[0], out=out[d])
+    return out
+
+
+@one_blas_thread()
+def _tail_pass(table: PrimeTable, split: int, buckets: int) -> tuple:
+    """:meth:`PrimeTable.tail_sums`, over groups of whole buckets of about ``_CHUNK`` primes, each with its
+    own v_p and a cache-resident (4, 5, group) block that one ``np.add.reduceat`` sums per bucket; the
+    groups' sums p^-5 add in group order."""
+    primes, log_n = table.primes[split:], math.log(table.limit)
+    v0, v1 = np.log(primes[[0, -1]]) / log_n
+    edges = np.linspace(v0, v1 * (1 + 1e-12), buckets + 1)
+    # starts[b] = #{p : v_p < edges[b]}: v increases with p, so counting the primes up to e^{edge log N}
+    # misses at most the one prime within rounding of that point, which its own v_p settles
+    starts = np.searchsorted(primes, np.floor(np.exp(edges * log_n)).astype(np.int64), side="right")
+    below, at = np.log(primes[np.clip([starts - 1, starts], 0, primes.size - 1)]) / log_n
+    starts += ((starts < primes.size) & (at < edges)).astype(np.int64) - ((starts > 0) & (below >= edges))
+    full = np.flatnonzero(np.diff(starts))  # the nonempty buckets
+    bounds = np.append(starts[full], primes.size)  # bucket full[i] is bounds[i] : bounds[i + 1]
+    counts = np.diff(bounds)
+    vbar, S = np.zeros(buckets), np.zeros((_TAIL_DEGREE, 5, buckets))
+    groups = np.searchsorted(bounds, np.arange(0, primes.size, _CHUNK), side="right") - 1
+    groups = np.unique(np.append(groups, full.size))
+
+    def group(i: int) -> float:  # fills vbar and S for groups[i] <= b < groups[i + 1]; returns its sum p^-5
+        g0, g1 = groups[i], groups[i + 1]
+        lo, hi = bounds[g0], bounds[g1]
+        v = np.log(primes[lo:hi]) / log_n
+        vbar[full[g0:g1]] = np.add.reduceat(v, bounds[g0:g1] - lo) / counts[g0:g1]
+        v -= np.repeat(vbar[full[g0:g1]], counts[g0:g1])
+        terms = np.empty((_TAIL_DEGREE, 5, v.size))
+        _inverse_powers(primes[lo:hi], out=terms[:, 0])
+        for j in range(1, 5):
+            np.multiply(terms[:, j - 1], v, out=terms[:, j])
+        S[:, :, full[g0:g1]] = np.add.reduceat(terms, bounds[g0:g1] - lo, axis=2)
+        return float(np.dot(terms[-1, 0], terms[0, 0]))
+
+    s5 = sum(_map_pieces(group, groups.size - 1, table.limit), 0.0)
+    for array in (vbar, S):
+        array.setflags(write=False)
+    return vbar, S, s5, float(edges[0]), float(edges[-1] - edges[0]) / buckets
 
 
 def _sieve(limit: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from kfree import ensemble
+from kfree import ensemble, primes as kfree_primes
 from kfree._quad import PanelGrid, _cis, gauss_panels
 from kfree._threads import one_blas_thread
 from kfree.ensemble import (
@@ -200,6 +200,49 @@ class TestPartitionFunction:
         z = partition_function(cfg)
         assert abs(z - brute) <= 1e-12 * abs(brute)
 
+    @pytest.mark.parametrize("k,alpha", [(2, -2.0), (3, 2 * np.exp(2j * np.pi / 3))])
+    def test_forbidden_alpha_needs_no_threshold_prime(self, k, alpha):
+        # threshold_prime raises on the forbidden set; Z picks its head by a
+        # bound instead, and the vanishing p = 2 factor stays in it.  The float
+        # 2 e^{2 pi i/3} leaves 1 + x + x^2 at 1e-16, not 0: Z is 2e-17 there,
+        # as the all-chunk route gives it
+        cfg = EnsembleConfig(k=k, alpha=alpha, N=10**5)
+        with pytest.raises(DegenerateConfigError):
+            threshold_prime(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = partition_function(cfg)
+        if k == 2:
+            assert z == 0
+        else:
+            assert abs(z) < 1e-16
+            assert z == pytest.approx(np.exp(ensemble._log_product(cfg, lambda p: cfg.alpha / p)), rel=1e-14)
+
+    def test_shares_the_fast_builds_tail_pass(self, table_1e6):
+        # for |alpha| < 2 (and k <= 235) the series cut is FastCharfn's split
+        # 10^4, so Z and the predicted constant read the build's tail sums
+        kfree_primes._TAIL_CACHE.clear()
+        for k, alpha in [(2, 1.0), (3, 1.9j), (235, -1.99)]:
+            cfg = EnsembleConfig(k=k, alpha=alpha, N=10**6)
+            fast = FastCharfn(cfg)
+            partition_function(cfg)
+            ensemble._predicted_constant(k, alpha, 10**6)
+        assert list(kfree_primes._TAIL_CACHE) == [(10**6, fast.split, 4096)]
+
+    @pytest.mark.parametrize("alpha", [10.0, 1e6, 3.5 - 1j])
+    def test_large_alpha_moves_the_series_cut(self, alpha):
+        # the head grows with |alpha| until the series cut is below 1e-17 (past
+        # N = 10^6 for alpha = 10^6, which is all head); log Z agrees with the
+        # all-chunk route to 1e-14, a relative 1e-14 in Z, which is compared
+        # where it is finite (at alpha = 10^6 it overflows on both routes)
+        table = sieve_primes(10**6)
+        for k in (2, 3):
+            cfg = EnsembleConfig(k=k, alpha=alpha, N=10**6)
+            old = ensemble._log_product(cfg, lambda p: cfg.alpha / p)
+            assert abs(ensemble._series_log(table, k, cfg.alpha) - old) <= 1e-14
+            if abs(alpha) < 100:
+                assert partition_function(cfg) == pytest.approx(np.exp(old), rel=1e-14)
+
     def test_large_alpha_head_factors(self):
         # |alpha| > 2 puts the first factors far outside |z - 1| < 1/2.
         cfg = EnsembleConfig(k=4, alpha=3.5 - 1.0j, N=13)
@@ -208,12 +251,14 @@ class TestPartitionFunction:
         assert abs(z - brute) <= 1e-12 * abs(brute)
 
     def test_chunked_sum_holds_no_full_length_array(self, table_1e7):
-        # Summed over 2^14-prime slices, Z at N = 10^7 (665k primes, 41 slices)
-        # peaks at 1.2 MB under tracemalloc, against 48 MB for one full-length
-        # pass.  One full-length float copy of the primes (5.3 MB) breaks the
-        # 4 MB allowance; every slice must still enter the sum.
+        # Z at N = 10^7 (665k primes) from a cold tail pass, whose bucket groups
+        # of about 2^14 primes hold a (4, 5, group) block, peaks at 3.7 MB under
+        # tracemalloc, against 48 MB for one full-length pass of complex logs.
+        # One full-length float copy of the primes (5.3 MB) breaks the 4 MB
+        # allowance; every prime must still enter the sum.
         cfg = EnsembleConfig(k=2, alpha=1.0, N=10**7)
         partition_function(cfg)  # warm lazy caches outside the measurement
+        kfree_primes._TAIL_CACHE.clear()  # but measure the tail pass itself
         tracemalloc.start()
         try:
             z = partition_function(cfg)
@@ -282,22 +327,23 @@ class TestPartitionConstant:
 
 
 # Z_N, the predicted constant (prime_limit 10^7) and phi_N at lambda = 0.5,
-# -3, 40, all at N = 2 * 10^5 (17,984 primes, two chunks), recorded while
-# each sum still sliced its own table; walking the chunks of PrimeTable instead
-# leaves every bit in place.
+# -3, 40, all at N = 2 * 10^5 (17,984 primes, two chunks).  phi_N was recorded
+# while each sum still sliced its own table; Z and the constant were recorded
+# again when their primes past 10^4 moved to the tail power sums (moves of at
+# most 1.0e-15 and 2.7e-15 relative).
 EULER_RECORDED = [
     (
-        2, 1.0, 13.218699713379946 + 0j, 1.082762193261032 + 0j,
+        2, 1.0, 13.21869971337994 + 0j, 1.0827621932610318 + 0j,
         [0.8598005538349026 + 0.3871083017367207j, 0.025642171652429886 - 0.2316208917219193j,
          0.04800321897276601 + 0.01377786835948809j],
     ),
     (
-        3, 0.5 - 0.5j, 0.428584106594514 - 4.054240092965744j, 1.1400770336011736 - 0.24826777324400243j,
+        3, 0.5 - 0.5j, 0.42858410659451585 - 4.054240092965743j, 1.1400770336011734 - 0.24826777324400204j,
         [1.1784712302029443 + 0.3034406259388257j, 0.2107620699926806 - 0.005800625309522298j,
          -0.04738941609281711 + 0.20285636691370015j],
     ),
     (
-        4, -1.5, 0.014612330248366773 + 0j, 0.6233084601269381 + 0j,
+        4, -1.5, 0.01461233024836676 + 0j, 0.6233084601269364 + 0j,
         [0.8445984588978867 - 0.7016986324063049j, -8.20633959988796 + 6.501699266525108j,
          129.28118625092694 - 83.92104842225773j],
     ),
@@ -310,6 +356,56 @@ def test_euler_product_sums_equal_recorded_values(table_1e7, k, alpha, z, consta
     assert partition_function(cfg) == z
     assert ensemble._predicted_constant(k, alpha) == constant
     assert CharfnEvaluator(cfg).grid([0.5, -3.0, 40.0]).tolist() == phi
+
+
+def _mp_euler(k, alpha, primes, limits, minus_x=False):
+    """30-digit prod_{p <= n} (1 + x + ... + x^{k-1}), x = alpha/p, times e^{-sum x} if minus_x,
+    for each n in ``limits`` (increasing) over the sorted ``primes``."""
+    out = []
+    with mpmath.workdps(30):
+        a, prod, total = mpmath.mpc(alpha), mpmath.mpf(1), mpmath.mpf(0)
+        for p in primes.tolist() + [math.inf]:
+            while len(out) < len(limits) and p > limits[len(out)]:
+                out.append(prod * (mpmath.exp(-total) if minus_x else 1))
+            if p < math.inf:
+                x = a / p
+                prod *= mpmath.fsum(x**t for t in range(k))
+                total += x
+    return out
+
+
+@pytest.fixture(scope="module")
+def primes_2e5():
+    return sieve_primes(2 * 10**5).primes
+
+
+# Z's relative distance from 30-digit mpmath over the cases below: 6.9e-16 at
+# worst when every prime went through the complex logs, 5.9e-16 now
+Z_MPMATH_WORST = 6.9e-16
+
+
+def test_partition_function_matches_mpmath(primes_2e5):
+    worst = 0.0
+    for k, alpha in [(2, 1.0), (3, 1 + 0.5j), (2, -1.0), (2, 1.9), (4, 0.5 - 1j)]:
+        limits = (10**5, 2 * 10**5)
+        for n, want in zip(limits, _mp_euler(k, alpha, primes_2e5, limits)):
+            got = partition_function(EnsembleConfig(k=k, alpha=alpha, N=n))
+            err = float(abs(mpmath.mpc(got) - want) / abs(want))
+            assert err <= 2e-15, (k, alpha, n, err)
+            worst = max(worst, err)
+    assert worst <= Z_MPMATH_WORST
+
+
+def test_predicted_constant_finite_sum_matches_mpmath(primes_2e5):
+    # exp(alpha M + sum_{p <= P} [log z_p - alpha/p]) against mpmath at P = 2 * 10^5,
+    # the E1 tail past P added to both: 7.7e-17 relative (4.2e-16 when every
+    # prime went through the complex logs)
+    k, alpha, limit = 3, 0.5 - 0.5j, 2 * 10**5
+    tail = ensemble.prime_power_tail(ensemble._log_coeffs(k, alpha)[1:], limit)
+    with mpmath.workdps(30):
+        want = _mp_euler(k, alpha, primes_2e5, [limit], minus_x=True)[0] * mpmath.exp(alpha * ensemble.MERTENS + tail)
+        err = abs(mpmath.mpc(ensemble._predicted_constant(k, alpha, limit)) - want) / abs(want)
+    assert float(err) <= 2e-15
 
 
 # ---------------------------------------------------------------------------

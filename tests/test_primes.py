@@ -143,12 +143,73 @@ def test_cache_is_safe_to_share_across_threads(monkeypatch):
         assert np.array_equal(table.primes, want[want <= limit]), limit
 
 
+def test_tail_sums_run_once_per_key_across_threads(monkeypatch):
+    # eight threads ask for the same four keys in different orders, switching
+    # often: a check-then-act race would run a pass twice and hand out two objects
+    monkeypatch.setattr(primes, "_TAIL_CACHE", {})
+    table = sieve_primes(10**5)
+    split, keys = table.count_below(10**4), (16, 32, 64, 128)
+    got, errors, interval = [], [], sys.getswitchinterval()
+
+    def ask(offset):
+        try:
+            for i in range(len(keys)):
+                buckets = keys[(i + offset) % len(keys)]
+                got.append((buckets, id(table.tail_sums(split, buckets))))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(offset,)) for offset in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(got) == 32
+    cached = {key[2]: id(sums) for key, sums in primes._TAIL_CACHE.items()}
+    assert sorted(cached) == list(keys) and all(cached[buckets] == ident for buckets, ident in got)
+
+
 def test_chunks_cover_the_table_in_order(table_1e6):
     chunks = table_1e6.map_chunks(lambda p: p)
     assert [c.size for c in chunks[:-1]] == [primes._CHUNK] * (len(chunks) - 1)
     assert 0 < chunks[-1].size <= primes._CHUNK
     assert all(c.dtype == np.float64 for c in chunks)
     assert np.array_equal(np.concatenate(chunks), table_1e6.primes.astype(float))
+    head = table_1e6.map_chunks(lambda p: p, 20_000)
+    assert [c.size for c in head] == [primes._CHUNK, 20_000 - primes._CHUNK]
+    assert np.array_equal(np.concatenate(head), table_1e6.primes[:20_000].astype(float))
+
+
+def test_tail_sums_are_the_plain_sums_once_per_key(table_1e6):
+    # one pass per (limit, split, buckets), kept read-only; its per-bucket sums
+    # add up to the plain power sums of the tail, and each bucket mean lies in its bucket
+    split = table_1e6.count_below(10**4)
+    sums = table_1e6.tail_sums(split, 64)
+    assert table_1e6.tail_sums(split, 64) is sums and table_1e6.tail_sums(split, 128) is not sums
+    vbar, S, s5, v0, width = sums
+    assert not vbar.flags.writeable and not S.flags.writeable
+    p = table_1e6.primes[split:].astype(float)
+    for d in range(1, 5):
+        assert S[d - 1, 0].sum() == pytest.approx(math.fsum(p**-d), rel=1e-15)
+    assert s5 == pytest.approx(math.fsum(p**-5), rel=1e-15)
+    v = np.log(p) / math.log(10**6)
+    assert v0 == v[0] and width == pytest.approx((v[-1] - v[0]) / 64, rel=1e-11)
+    lower = v0 + width * np.arange(64)
+    assert np.all((vbar >= lower) & (vbar < lower + width))
+    # the pass finds each bucket's first prime without a full-length v; the
+    # means of the runs a full-length searchsorted gives match it bit for bit
+    for buckets in (64, 4096, 1 << 16):
+        edges = np.linspace(v[0], v[-1] * (1 + 1e-12), buckets + 1)
+        starts = np.searchsorted(v, edges)
+        full = np.flatnonzero(np.diff(starts))
+        want = np.zeros(buckets)
+        want[full] = np.add.reduceat(v, starts[full]) / np.diff(np.append(starts[full], v.size))
+        assert np.array_equal(table_1e6.tail_sums(split, buckets)[0], want)
 
 
 @pytest.mark.slow

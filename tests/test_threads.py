@@ -201,14 +201,17 @@ def _at_worker_counts(monkeypatch, compute) -> list:
 
 @pytest.mark.parametrize("k,alpha", [(2, 1.0), (2, -1.0), (3, 1 + 0.5j)])
 def test_build_and_products_identical_at_any_worker_count(table_1e6, monkeypatch, k, alpha):
-    # past the gate the build groups and the Euler-product chunks go to the
-    # workers, and their sums are taken in piece order
+    # past the gate the tail pass's bucket groups and the Euler-product chunks
+    # go to the workers, and their sums are taken in piece order; each
+    # compute() runs the cached tail pass afresh
     cfg = EnsembleConfig(k=k, alpha=alpha, N=10**6)
 
     def compute():
+        primes._TAIL_CACHE.clear()
         fast = FastCharfn(cfg)
+        _, S, s5, _, _ = table_1e6.tail_sums(fast.split, 4096)
         products = partition_function(cfg), _predicted_constant(k, alpha, 10**6)
-        return fast._moments, fast._abs4, fast._log_remainder, fast._vbar, *products
+        return fast._moments, fast._abs4, fast._log_remainder, fast._vbar, S, s5, *products
 
     values = _at_worker_counts(monkeypatch, compute)
     for got in values[1:]:
@@ -240,6 +243,7 @@ def test_tables_below_the_gate_stay_on_the_calling_thread(table_1e6, table_1e7, 
         raise AssertionError("a table below the gate went to the workers")
 
     monkeypatch.setattr(primes, "map_blocks", no_workers)
+    primes._TAIL_CACHE.clear()  # so that the tail passes run here
     cfg = EnsembleConfig(k=2, alpha=1.0, N=10**6)
     FastCharfn(cfg)
     partition_function(cfg)
