@@ -553,7 +553,8 @@ class FastCharfn:
     M[d, j, b] = a_d alpha^d S[d, j, b] with the real sums S[d, j, b] =
     sum_{p in b} p^-d (v_p - vbar_b)^j, d, j <= 4 (j = 4 gives the phase
     term of the bound), and sum p^-5 for the log term, from the table's
-    cached :meth:`~kfree.primes.PrimeTable.tail_sums` (which Z reads too).
+    cached :meth:`~kfree.primes.PrimeTable.tail_sums` (which Z reads too, and
+    whose d >= 2 sums, a series, hold to 1e-14 of their terms' absolute sums).
 
     ``truncation_bound(lam_max)`` bounds the error in log phi_N, i.e. the
     relative error: |fast / exact - 1| <= e^bound - 1 for |lambda| <= lam_max.

@@ -2,14 +2,15 @@
 
 One odd-only segmented sieve serves every limit in O(sqrt(limit) + segment)
 memory besides the table (the convergence scans need every prime up to
-~10**8).  Tables are immutable and cached behind a lock, and a smaller limit
-is sliced from a larger cached table, so tables can be shared freely across
-threads.  The Euler-product sums map a table's float chunks in order
-(:meth:`PrimeTable.map_chunks`) and take their tails past it by one rule
-(:func:`prime_power_tail`); past a split they read the table's cached power
-sums (:meth:`PrimeTable.tail_sums`).  From ``_PARALLEL_LIMIT`` on, the sieve's
-segments, these chunks and the power sums' bucket groups are shared among
-kfree's workers and reduced in order, so no value depends on the worker count.
+~10**8), and keeps one int64 copy of it.  Tables are immutable and cached
+behind a lock, and a smaller limit is a read-only view of a larger cached
+table, so tables can be shared freely across threads.  The Euler-product
+sums map a table's float chunks in order (:meth:`PrimeTable.map_chunks`) and
+take their tails past it by one rule (:func:`prime_power_tail`); past a split
+they read the table's cached power sums (:meth:`PrimeTable.tail_sums`).  From
+``_PARALLEL_LIMIT`` on, the sieve's segments, these chunks and the power sums'
+bucket groups are shared among kfree's workers and reduced in order, so no
+value depends on the worker count.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ class PrimeTable:
         """(vbar, S, s5, v0, width), alpha-free sums of primes[split:] in ``buckets`` buckets of
         v_p = log p / log limit, each ``width`` wide from v0: S[d - 1, j, b] = sum_{p in b} p^-d
         (v_p - vbar_b)^j, d, j <= 4, vbar_b the bucket's mean v_p (0 if empty), and s5 = sum p^-5.
-        One pass per (limit, split, buckets), cached; the arrays are read-only."""
+        One pass per (limit, split, buckets), cached; the arrays are read-only.  S[d >= 2] is a series in
+        the d = 1 rows, within 1e-14 of sum_p p^-d |v_p - vbar_b|^j; a coarser layout raises DomainError."""
         key = (self.limit, int(split), int(buckets))
         with _CACHE_LOCK:
             if key not in _TAIL_CACHE:
@@ -104,9 +106,9 @@ class PrimeTable:
             return _TAIL_CACHE[key]
 
 
-def _inverse_powers(p: np.ndarray, out=None) -> np.ndarray:
-    """(4, n) array of p^-1, ..., p^-4 over the primes p, by repeated products (into ``out`` if given)."""
-    out = np.empty((_TAIL_DEGREE, p.size)) if out is None else out
+def _inverse_powers(p: np.ndarray) -> np.ndarray:
+    """(4, n) array of p^-1, ..., p^-4 over the primes p, by repeated products."""
+    out = np.empty((_TAIL_DEGREE, p.size))
     np.divide(1.0, p, out=out[0])
     for d in range(1, _TAIL_DEGREE):
         np.multiply(out[d - 1], out[0], out=out[d])
@@ -115,12 +117,22 @@ def _inverse_powers(p: np.ndarray, out=None) -> np.ndarray:
 
 @one_blas_thread()
 def _tail_pass(table: PrimeTable, split: int, buckets: int) -> tuple:
-    """:meth:`PrimeTable.tail_sums`, over groups of whole buckets of about ``_CHUNK`` primes, each with its
-    own v_p and a cache-resident (4, 5, group) block that one ``np.add.reduceat`` sums per bucket; the
-    groups' sums p^-5 add in group order."""
+    """:meth:`PrimeTable.tail_sums` over groups of whole buckets of about ``_CHUNK`` primes.  Each group sums
+    its rows T_i = p^-1 u_p^i, u_p = v_p - vbar_b, i < 4 + m, per bucket with one ``np.add.reduceat`` (and its
+    sum p^-5, added in group order); S[0] is T_0..T_4.  For d >= 2, p^-(d-1) = e^-(d-1)L vbar_b e^-(d-1)L u_p,
+    L = log limit, gives S[d - 1, j] = e^-(d-1)L vbar sum_{n<m} (-(d-1)L)^n / n! T_{j+n}.  With x = 3L width,
+    the cut is at most x^m e^2x / m! of sum_p p^-d |u_p|^j; m is the least order keeping it <= 1e-17 (7 at 4096
+    buckets, N = 10^8).  Its terms add up to at most e^2x times that sum, so rounding grows up to e^2x-fold over
+    direct sums' (<= 6.4e-16): x > 1/2, where that passes e and 4 + m the 20 direct rows, raises DomainError."""
     primes, log_n = table.primes[split:], math.log(table.limit)
     v0, v1 = np.log(primes[[0, -1]]) / log_n
     edges = np.linspace(v0, v1 * (1 + 1e-12), buckets + 1)
+    width = float(edges[-1] - edges[0]) / buckets
+    x, order = 3 * log_n * width, 1
+    if x > 0.5:
+        raise DomainError(f"{buckets} buckets are too coarse for the tail series: 3 log N * width = {x:.3g} > 1/2")
+    while x**order * math.exp(2 * x) / math.factorial(order) > 1e-17:
+        order += 1
     # starts[b] = #{p : v_p < edges[b]}: v increases with p, so counting the primes up to e^{edge log N}
     # misses at most the one prime within rounding of that point, which its own v_p settles
     starts = np.searchsorted(primes, np.floor(np.exp(edges * log_n)).astype(np.int64), side="right")
@@ -129,27 +141,35 @@ def _tail_pass(table: PrimeTable, split: int, buckets: int) -> tuple:
     full = np.flatnonzero(np.diff(starts))  # the nonempty buckets
     bounds = np.append(starts[full], primes.size)  # bucket full[i] is bounds[i] : bounds[i + 1]
     counts = np.diff(bounds)
-    vbar, S = np.zeros(buckets), np.zeros((_TAIL_DEGREE, 5, buckets))
+    vbar, T = np.zeros(buckets), np.zeros((4 + order, buckets))
     groups = np.searchsorted(bounds, np.arange(0, primes.size, _CHUNK), side="right") - 1
     groups = np.unique(np.append(groups, full.size))
 
-    def group(i: int) -> float:  # fills vbar and S for groups[i] <= b < groups[i + 1]; returns its sum p^-5
+    def group(i: int) -> float:  # fills vbar and T for groups[i] <= b < groups[i + 1]; returns its sum p^-5
         g0, g1 = groups[i], groups[i + 1]
         lo, hi = bounds[g0], bounds[g1]
         v = np.log(primes[lo:hi]) / log_n
         vbar[full[g0:g1]] = np.add.reduceat(v, bounds[g0:g1] - lo) / counts[g0:g1]
         v -= np.repeat(vbar[full[g0:g1]], counts[g0:g1])
-        terms = np.empty((_TAIL_DEGREE, 5, v.size))
-        _inverse_powers(primes[lo:hi], out=terms[:, 0])
-        for j in range(1, 5):
-            np.multiply(terms[:, j - 1], v, out=terms[:, j])
-        S[:, :, full[g0:g1]] = np.add.reduceat(terms, bounds[g0:g1] - lo, axis=2)
-        return float(np.dot(terms[-1, 0], terms[0, 0]))
+        terms = np.empty((T.shape[0], v.size))
+        np.divide(1.0, primes[lo:hi], out=terms[0])
+        for j in range(1, T.shape[0]):
+            np.multiply(terms[j - 1], v, out=terms[j])
+        T[:, full[g0:g1]] = np.add.reduceat(terms, bounds[g0:g1] - lo, axis=1)
+        return float(np.dot(terms[0] * terms[0] * terms[0] * terms[0], terms[0]))
 
     s5 = sum(_map_pieces(group, groups.size - 1, table.limit), 0.0)
+    # e^-L vbar to ~1 ulp, not (d - 1) L eps once powered: L vbar in long double, e^-(float part) (1 - rest)
+    a = np.longdouble(log_n) * vbar
+    base = np.exp(-a.astype(float)) * (1 - (a - a.astype(float)).astype(float))
+    S = np.empty((_TAIL_DEGREE, 5, buckets))
+    S[0] = T[:5]
+    for d in range(2, _TAIL_DEGREE + 1):
+        c = [(-(d - 1) * log_n) ** n / math.factorial(n) for n in range(order)]
+        S[d - 1] = base ** (d - 1) * sum(c[n] * T[n : n + 5] for n in reversed(range(order)))
     for array in (vbar, S):
         array.setflags(write=False)
-    return vbar, S, s5, float(edges[0]), float(edges[-1] - edges[0]) / buckets
+    return vbar, S, s5, float(edges[0]), width
 
 
 def _sieve(limit: int) -> np.ndarray:
@@ -159,7 +179,9 @@ def _sieve(limit: int) -> np.ndarray:
     table below 9).  A segment spans ``_SEGMENT_SIZE`` integers from an odd
     ``first`` and stores only its odd ones (entry i is first + 2i); each base
     prime crosses out its odd multiples from max(p^2, first), every p-th entry.
-    Segments are independent pieces of :func:`_map_pieces`, joined in order.
+    Segments are independent pieces of :func:`_map_pieces` that return their
+    primes' entries as uint32; their counts size the one int64 table, and
+    pieces again write each segment's first + 2i into its slice.
     """
     if limit < 9:  # no odd base prime: 3^2 = 9
         return np.array([p for p in (2, 3, 5, 7) if p <= limit], dtype=np.int64)
@@ -174,17 +196,28 @@ def _sieve(limit: int) -> np.ndarray:
         start += odd * (start % 2 == 0)
         for p, i in zip(odd.tolist(), ((start - first) // 2).tolist()):
             seg[i::p] = False
-        return 2 * np.flatnonzero(seg) + first
+        return np.flatnonzero(seg).astype(np.uint32)
 
-    segments = _map_pieces(segment, len(range(3, limit + 1, 2 * half)), limit)
-    return np.concatenate([np.array([2], dtype=np.int64)] + segments)
+    entries = _map_pieces(segment, len(range(3, limit + 1, 2 * half)), limit)
+    stops = np.cumsum([1] + [e.size for e in entries])
+    table = np.empty(stops[-1], dtype=np.int64)
+    table[0] = 2
+
+    def write(n: int) -> None:
+        out = table[stops[n] : stops[n + 1]]
+        np.add(entries[n], entries[n], out=out)
+        out += 3 + 2 * half * n
+        entries[n] = None
+
+    _map_pieces(write, len(entries), limit)
+    return table
 
 
 def sieve_primes(limit: int) -> PrimeTable:
     """Return the (cached) table of all primes <= limit.
 
-    A larger cached table is sliced rather than sieving again.  Raises
-    DomainError for limit < 2 (there is no nonempty table to build).
+    A smaller limit is a read-only view of a larger cached table, not a new
+    sieve.  Raises DomainError for limit < 2 (there is no nonempty table).
     """
     limit = int(limit)
     if limit < 2:
@@ -195,7 +228,7 @@ def sieve_primes(limit: int) -> PrimeTable:
             bigger = [l for l in _TABLE_CACHE if l > limit]
             if bigger:
                 src = _TABLE_CACHE[min(bigger)]
-                arr = src.primes[: src.count_below(limit)].copy()
+                arr = src.primes[: src.count_below(limit)]  # a read-only view
             else:
                 arr = _sieve(limit)
             table = PrimeTable(limit=limit, primes=arr)

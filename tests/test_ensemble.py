@@ -902,9 +902,10 @@ def cell_remainder(fast, lam_max, terms):
 
 
 def reference_build(cfg, head_limit=10**4, buckets=4096):
-    """vbar, moments and abs4 of the bucket build in one full-length pass, step for step:
-    the old bucket index (the searchsorted of v in the edges) gives the runs, and
-    M[d, j, b] = a_d alpha^d S[d, j, b] with S[d, j, b] = sum_{p in b} p^-d (v_p - vbar_b)^j."""
+    """vbar, moments and abs4 of the bucket build in one full-length pass, step for step, and the
+    moments' scales, the same sums over the terms' absolute values: the old bucket index (the
+    searchsorted of v in the edges) gives the runs, and M[d, j, b] = a_d alpha^d S[d, j, b] with
+    S[d, j, b] = sum_{p in b} p^-d (v_p - vbar_b)^j."""
     primes = sieve_primes(cfg.N).primes
     primes = primes[np.searchsorted(primes, max(head_limit, threshold_prime(cfg)), side="right") :]
     v = np.log(primes) / math.log(cfg.N)
@@ -920,14 +921,17 @@ def reference_build(cfg, head_limit=10**4, buckets=4096):
     terms[:, 0] = np.cumprod(np.broadcast_to(inv, (4, v.size)), axis=0)
     for j in range(1, 5):
         terms[:, j] = terms[:, j - 1] * dv
-    S = np.zeros((4, 5, buckets))
+    S, mags = np.zeros((4, 5, buckets)), np.zeros((4, 5, buckets))
     S[:, :, full] = np.add.reduceat(terms, runs, axis=2)
+    mags[:, :, full] = np.add.reduceat(np.abs(terms), runs, axis=2)
     coef = np.array([(1.0 / d - (cfg.k / d if d % cfg.k == 0 else 0.0)) * cfg.alpha**d for d in range(1, 5)])
-    moments = np.zeros((5, 4, buckets), dtype=complex)
+    moments, scales = np.zeros((5, 4, buckets), dtype=complex), np.zeros((5, 4, buckets))
     moments[1:] = coef[:, None, None] * S[:, :4]
     moments[0, 0] = -moments[1:, 0].sum(axis=0)
+    scales[1:] = np.abs(coef)[:, None, None] * mags[:, :4]
+    scales[0, 0] = scales[1:, 0].sum(axis=0)
     abs4 = np.append(0.0, np.abs(coef) * S[:, 4].sum(axis=1))
-    return vbar, moments, abs4
+    return vbar, moments, abs4, scales
 
 
 CELL_CASES = [(2, 1.0), (2, -1.0), (3, 1 + 0.5j), (4, 3.5 - 1j)]
@@ -1214,10 +1218,14 @@ class TestFastCharfn:
         cfg = EnsembleConfig(k=k, alpha=alpha, N=10**6)
         fast = FastCharfn(cfg)
         # the cell layout is chosen per grid call and leaves the build as it was
-        vbar, moments, abs4 = reference_build(cfg)
+        vbar, moments, abs4, scales = reference_build(cfg)
         assert np.array_equal(fast._vbar, vbar)
-        assert np.array_equal(fast._moments, moments)
-        assert np.array_equal(fast._abs4, abs4)
+        assert np.array_equal(fast._moments[1], moments[1])
+        # the d >= 2 sums come from a series in the d = 1 rows; they, M[0] = -sum_d M[d, 0] and abs4
+        # hold to 1e-14 of the absolute sums of their terms (abs4's terms are all >= 0)
+        rows = [0, 2, 3, 4]
+        assert np.all(np.abs(fast._moments[rows] - moments[rows]) <= 1e-14 * scales[rows])
+        assert np.all(np.abs(fast._abs4 - abs4) <= 1e-14 * abs4)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ development): pi(10^6) = 78498, pi(10^7) = 664579, pi(10^8) = 5761455.
 import math
 import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -15,6 +16,8 @@ import pytest
 
 from kfree import (
     DomainError,
+    EnsembleConfig,
+    FastCharfn,
     limit_deviation_scan,
     partition_constant,
     prime_count,
@@ -92,6 +95,32 @@ def test_smaller_limit_is_sliced_from_a_larger_table(monkeypatch):
         got = sieve_primes(limit)
         assert got.limit == limit
         assert np.array_equal(got.primes, big.primes[: big.count_below(limit)])
+
+
+def test_sliced_table_is_a_read_only_view(monkeypatch):
+    # a smaller limit shares the cached larger table's memory and cannot write to it
+    monkeypatch.setattr(primes, "_TABLE_CACHE", {})
+    big = sieve_primes(200_003)
+    small = sieve_primes(100_000)
+    assert np.shares_memory(small.primes, big.primes)
+    assert not small.primes.flags.writeable
+    assert np.array_equal(small.primes, primes._sieve(100_000))
+    with pytest.raises(ValueError):
+        small.primes[0] = 4
+
+
+@pytest.mark.parametrize("limit", [10**7, 2**24 + 1001], ids=["1e7", "past-parallel-limit"])
+def test_sieve_keeps_one_int64_table(limit):
+    # the segments hand back uint32 entries and write into one int64 table, so the
+    # peak stays well under two copies of it, on one worker or several
+    tracemalloc.start()
+    try:
+        table = primes._sieve(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int64 and table.size == prime_count(limit)
+    assert table.nbytes <= peak < 1.6 * table.nbytes, peak / table.nbytes
 
 
 @pytest.mark.parametrize(
@@ -210,6 +239,41 @@ def test_tail_sums_are_the_plain_sums_once_per_key(table_1e6):
         want = np.zeros(buckets)
         want[full] = np.add.reduceat(v, starts[full]) / np.diff(np.append(starts[full], v.size))
         assert np.array_equal(table_1e6.tail_sums(split, buckets)[0], want)
+
+
+@pytest.mark.parametrize("limit", [10**5, 10**6])
+@pytest.mark.parametrize("buckets", [64, 4096])
+def test_tail_sums_match_long_double(limit, buckets):
+    # S[d - 1, j, b] = sum_{p in b} p^-d u_p^j, u_p = v_p - vbar_b with v_p in float64 as the pass
+    # takes it, against every sum in long double: within 1e-14 of the terms' absolute sums for
+    # d = 1 (direct sums) and d >= 2 (a series in the d = 1 rows)
+    table = sieve_primes(limit)
+    split = table.count_below(10**4)
+    vbar, S = table.tail_sums(split, buckets)[:2]
+    p = table.primes[split:]
+    v = np.log(p) / math.log(limit)
+    starts = np.searchsorted(v, np.linspace(v[0], v[-1] * (1 + 1e-12), buckets + 1)[:-1])
+    full = np.flatnonzero(np.diff(np.append(starts, v.size)))
+    u = (v - np.repeat(vbar[full], np.diff(np.append(starts[full], v.size)))).astype(np.longdouble)
+    for d in range(1, 5):
+        inv = p.astype(np.longdouble) ** -d
+        for j in range(5):
+            terms = inv * u**j
+            want, scale = np.zeros(buckets, np.longdouble), np.zeros(buckets, np.longdouble)
+            want[full] = np.add.reduceat(terms, starts[full])
+            scale[full] = np.add.reduceat(np.abs(terms), starts[full])
+            err = np.abs(S[d - 1, j] - want)
+            assert np.all(err <= 1e-14 * scale), (d, j, float(np.max(err / np.maximum(scale, 1e-300))))
+
+
+def test_tail_sums_refuse_a_coarse_layout():
+    # 4 buckets at 10^6 are 3 log N * width = 3.45 wide for the d >= 2 series: refused, by
+    # FastCharfn too; 64 buckets (0.22) pass the long-double check above
+    table = sieve_primes(10**6)
+    with pytest.raises(DomainError, match="^4 buckets"):
+        table.tail_sums(table.count_below(10**4), 4)
+    with pytest.raises(DomainError, match="^4 buckets"):
+        FastCharfn(EnsembleConfig(k=2, alpha=1.0, N=10**6), buckets=4)
 
 
 @pytest.mark.slow
