@@ -504,9 +504,9 @@ def _log_remainder(k: int, r):
     return 2.0 * (k - 1) * r**5 / (5.0 * (1.0 - r))
 
 
-# terms J of the cell expansion; at the widest cell offset x = 1 its
-# remainder r_J(1) <= e / J! is 4.2e-16 (of sum |M|, see truncation_bound)
-_CELL_TERMS = 18
+# radius and terms of FastCharfn's cell series: degree d's offsets reach x_d = d, where the cut r_J(x_d)
+# <= x_d^J e^x_d / J! and rounding (up to e^x_d-fold) act on sum |M_d| = 0.4, 5e-6, 2e-10, 1e-14 (N = 10^6)
+_CELL_RADIUS, _CELL_TERMS = 4, 27
 
 # log-series remainder allowed to the mid primes, which FastCharfn expands
 # instead of multiplying: a tenth of its ~1e-13 round-off floor
@@ -531,11 +531,11 @@ class FastCharfn:
     sum_p c_d(p) (v_p - vbar_b)^j, j <= 3, of a third-order expansion of
     e^{i lambda d v} about each bucket mean.  Each ``grid`` call, from
     max|lambda| alone, joins G = 2^g fine buckets into cells of width H with
-    max|lambda| * degree * H / 2 <= 1, shifts the moments to J =
-    ``_CELL_TERMS`` moments about the cell centres, and adds cells of the
-    same width below the buckets that hold each mid prime as an exact point
-    (a j = 0 moment at v_p).  A frequency pays for the direct head and the
-    cells (181 primes and 380 cells, 124 of them mid, on the R = 360 grid
+    max|lambda| * degree * H / 2 <= 4 (``_CELL_RADIUS``), shifts the moments
+    to J = 27 (``_CELL_TERMS``) moments about the cell centres, and adds
+    cells of the same width below the buckets that hold each mid prime as an
+    exact point (a j = 0 moment at v_p).  A frequency pays for the direct head
+    and the cells (181 primes and 95 cells, 31 of them mid, on the R = 360 grid
     at N = 10^6, k = 2, against 1229 head primes and 4096 buckets): per
     block of L nodes lambda = m + t, whole panels of a ``PanelGrid`` (plain
     nodes have the one offset t = 0), one (panels, P + cells) cos/sin pass
@@ -545,9 +545,10 @@ class FastCharfn:
     blocks; from N = 2^24 on, the tail pass's bucket groups) among the workers of
     :func:`~kfree._threads.map_blocks`; no value depends on how many there are.
 
-    A tail of fewer than ``_MIN_TAIL`` primes raises :class:`DomainError`
-    before anything is allocated; :func:`charfn_for` takes the exact
-    evaluator there.
+    A tail of fewer than ``_MIN_TAIL`` primes, or one narrower than a
+    ``buckets``-th of the mid primes' span in v (a head cutoff near N),
+    raises :class:`DomainError` before the tail pass; :func:`charfn_for`
+    takes the exact evaluator for the first and never meets the second.
 
     The build costs O(pi(N)) once per table, the same for every k and alpha:
     M[d, j, b] = a_d alpha^d S[d, j, b] with the real sums S[d, j, b] =
@@ -587,13 +588,17 @@ class FastCharfn:
         rem = np.append(np.cumsum(_log_remainder(k, np.minimum(abs(cfg.alpha) / head, 0.5))[::-1])[::-1], 0.0)
         direct = int(np.searchsorted(head, d_star, side="right"))
         self.mid_start = max(int(np.count_nonzero(rem > _MID_BUDGET)), direct)
+        self._mid_v = np.log(head[self.mid_start :]) / self.log_n
+        # a mid span of more than `buckets` tail widths puts more cells below v0 than any layout has buckets
+        v0, v1 = np.log(self.table.primes[[self.split, -1]]) / self.log_n
+        if v0 - np.min(self._mid_v, initial=v0) > buckets * (v1 - v0):
+            raise DomainError(f"the mid primes span more than {buckets} tail widths; lower head_limit or raise N")
         self._head_v = np.log(head[: self.mid_start]) / self.log_n
         self._head_rows = _marginal_rows(k, cfg.alpha, head[: self.mid_start])
-        self._mid_v = np.log(head[self.mid_start :]) / self.log_n
         c = coef[:, None] * _inverse_powers(head[self.mid_start :])
         self._mid_c = np.concatenate([-c.sum(axis=0, keepdims=True), c])
 
-        vbar, S, s5, self._v0, self._width = self.table.tail_sums(self.split, buckets)  # alpha- and k-free
+        self._vbar, S, s5, self._v0, self._width = self.table.tail_sums(self.split, buckets)  # alpha- and k-free
         # M[d, j, b] = a_d alpha^d S[d, j, b] and M[0, 0] = -sum_d M[d, 0]; for
         # each d, _abs4[d] = sum_p |c_d(p)| (v_p - vbar_b)^4
         self._moments = np.zeros((_LOG_DEGREE + 1, 4, buckets), dtype=complex)
@@ -603,42 +608,42 @@ class FastCharfn:
         # the tail's log remainder, |x| <= |alpha| / p0 for all of it
         p0 = float(self.table.primes[self.split])
         self._log_remainder = float(_log_remainder(k, abs(cfg.alpha) / p0) * p0**5 * s5 + rem[self.mid_start])
-        self._vbar = vbar
         self._degree = _LOG_DEGREE
 
     def _cells(self, lam_max: float) -> tuple[float, np.ndarray, np.ndarray]:
         """H/2, the cell centres U_c and K[d - 1, c, n] (d >= 1) for max|lambda| = lam_max.
 
         A cell joins G fine buckets, G the largest power of two <= buckets with
-        lam_max * degree * H / 2 <= 1 (or 1).  K[d, n, c] = sum_{b in c}
+        lam_max * degree * H / 2 <= ``_CELL_RADIUS`` (or 1).  K[d, n, c] = sum_{b in c}
         sum_{j<=min(3,n)} C(n, j) M[d, j, b] (vbar_b - U_c)^{n-j} (H/2)^{-n} / n!,
         so the degree-d tail is sum_c e^{i lambda d U_c} sum_{n<J} K t^n, t = i lambda d H/2.
         The first cells lie below the fine buckets and hold only mid primes.
         """
         nb, terms, degree = self._vbar.size, _CELL_TERMS, self._degree
         g = 1
-        while 2 * g <= nb and g * abs(lam_max) * degree * self._width <= 1.0:
+        while 2 * g <= nb and g * abs(lam_max) * degree * self._width <= _CELL_RADIUS:
             g *= 2
         cells, half = -(-nb // g), g * self._width / 2.0
         # the mid primes fill `below` more cells of width H below v0
         below = int(np.ceil((self._v0 - np.min(self._mid_v, initial=self._v0)) / (2.0 * half)))
-        mid = np.floor((self._mid_v - self._v0) / (2.0 * half)).astype(int) + below  # their cells
+        mid = np.floor((self._mid_v - self._v0) / (2.0 * half)).astype(int) + below  # their cells, sorted
         centres = self._v0 + (2 * np.arange(-below, cells) + 1) * half
         u = np.zeros(cells * g + mid.size)  # (v - U_c) / (H/2) in [-1, 1]; 0 for empty buckets
         u[:nb] = np.where(self._vbar > 0, self._vbar - np.repeat(centres[below:], g)[:nb], 0.0) / half
         u[cells * g :] = (self._mid_v - centres[mid]) / half
-        powers = np.cumprod([np.ones_like(u)] + [u / m for m in range(1, terms)], axis=0).T  # u^m / m!
+        powers = np.cumprod([np.ones_like(u)] + [u / m for m in range(1, terms)], axis=0)  # P[m] = u^m / m!
         # a mid prime is a point with only a j = 0 moment: K[d - 1, c] += c_d(p) u_p^n / n!
         points = np.zeros((degree, below, terms), dtype=complex)
-        np.add.at(points, (slice(None), mid), self._mid_c[1:, :, None] * powers[cells * g :])
-        # C(n, j) / n! = 1 / (j! (n-j)!): w[b, j, n] = u_b^{n-j} / (n-j)!, M gets (H/2)^{-j} / j!
-        w = np.zeros((cells * g, 4, terms))
-        for j in range(4):
-            w[:, j, j:] = powers[: cells * g, : terms - j]
-        scaled = np.zeros((cells * g, 4, degree), dtype=complex)
-        scaled[:nb] = self._moments[1:].T / (half ** np.arange(4) * [1, 1, 2, 6])[:, None]
-        # one batched real GEMM over the cells, on the complex moments' float view
-        shifted = w.reshape(cells, 4 * g, terms).transpose(0, 2, 1) @ scaled.view(float).reshape(cells, 4 * g, 2 * degree)
+        runs = np.flatnonzero(np.diff(mid, prepend=-1))
+        points[:, mid[runs]] = np.add.reduceat(self._mid_c[1:, :, None] * powers[:, cells * g :].T, runs, axis=1)
+        # C(n, j) / n! = 1 / (j! (n-j)!): K[n] += P[n - j] M[j] (H/2)^-j / j!, per j one batched real GEMM
+        scaled = np.zeros((4, cells * g, degree), dtype=complex)
+        scaled[:, :nb] = self._moments[1:].transpose(1, 2, 0) / (half ** np.arange(4) * [1, 1, 2, 6])[:, None, None]
+        scaled = scaled.view(float).reshape(4, cells, g, 2 * degree)
+        P = powers[:, : cells * g].reshape(terms, cells, g).transpose(1, 0, 2)
+        shifted = P @ scaled[0]
+        for j in range(1, 4):
+            shifted[:, j:] += P[:, : terms - j] @ scaled[j]
         return half, centres, np.concatenate([points, shifted.view(complex).transpose(2, 0, 1)], axis=1)
 
     def truncation_bound(self, lam_max: float) -> float:
@@ -656,15 +661,15 @@ class FastCharfn:
         Cell: the cut of the cell expansion, sum_{d,j,b} |M[d, j, b]|
         (lam_max d)^j / j! r_{J-j}(x_d) plus sum_{d,p} |c_d(p)| r_J(x_d) over
         the mid primes, r_m(x) = sum_{n>=m} x^n / n! <= x^m e^x / m!,
-        x_d >= |lambda| d H / 2 on every grid with max|lambda| <= lam_max.
+        x_d >= |lambda| d H / 2 on every grid with max|lambda| <= lam_max: a
+        layout keeps max|lambda| degree H / 2 <= 4 (``_CELL_RADIUS``) unless H
+        is one fine bucket, and H is at most the widest cell.
         """
         lam_max, degree = abs(lam_max), self._degree
         phase = sum(self._abs4[d] * (lam_max * d) ** 4 / 24.0 for d in range(degree + 1))
-        # a layout keeps max|lambda| degree H / 2 <= 1 unless H is one fine
-        # bucket, and H is at most the widest cell
         x_fine = lam_max * degree * self._width / 2.0
         d, j = np.arange(1, degree + 1)[:, None], np.arange(4)
-        x = min(x_fine * (1 << (self._vbar.size.bit_length() - 1)), max(1.0, x_fine)) * d / degree
+        x = min(x_fine * (1 << (self._vbar.size.bit_length() - 1)), max(_CELL_RADIUS, x_fine)) * d / degree
         r = x ** (_CELL_TERMS - j) * np.exp(x) / np.array([math.factorial(_CELL_TERMS - i) for i in j])
         cell = np.abs(self._moments[1:]).sum(axis=2) * (lam_max * d) ** j / np.array([1, 1, 2, 6]) * r
         points = np.abs(self._mid_c[1:]).sum(axis=1) * r[:, 0]

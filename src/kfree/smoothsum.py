@@ -174,11 +174,15 @@ def bump_transform(lams) -> np.ndarray:
     vals = np.empty((mags.size, shifts.size))
     phases = PanelGrid(mags, shifts)
     et = phases.offset_phases(x)
+    if shifts.size == 1:  # one row or column makes a dot or gemv, which sum the Gauss terms unlike gemm
+        et = np.repeat(et, 2, axis=0)
 
     def rows(lo: int, hi: int) -> None:
         em = phases.centre_phases(x, lo, hi)
         em *= wg  # in place: one (block, 2000) array in flight per piece
-        vals[lo:hi] = (em @ et.T).real
+        if hi - lo == 1:
+            em = np.repeat(em, 2, axis=0)
+        vals[lo:hi] = (em @ et.T).real[: hi - lo, : shifts.size]
 
     map_blocks(rows, mags.size, _BUMP_BLOCK)
     return (vals[np.repeat(row, grid.offsets.size), col.ravel()] / math.pi).astype(complex)

@@ -865,7 +865,7 @@ def cell_series_grid(fast, lams, terms):
     B, deg = fast._vbar.size, fast._degree
     x = np.max(np.abs(lams)) * deg * fast._width / 2.0
     G = 1
-    while 2 * G <= B and 2 * G * x <= 1.0:
+    while 2 * G <= B and 2 * G * x <= ensemble._CELL_RADIUS:
         G *= 2
     v, c = mid_primes(fast)
     H = G * fast._width
@@ -888,14 +888,15 @@ def cell_series_grid(fast, lams, terms):
 
 
 def cell_remainder(fast, lam_max, terms):
-    """sum_{d,j,b} |M[d, j, b]| (lam_max d)^j / j! x_d^(J-j) e^x_d / (J-j)! at x_d = d / degree,
-    the largest cell offset when cells are wider than one fine bucket, plus
-    sum_{d,p} |c_d(p)| x_d^J e^x_d / J! over the mid primes."""
+    """sum_{d,j,b} |M[d, j, b]| (lam_max d)^j / j! x_d^(J-j) e^x_d / (J-j)! at x_d = R d / degree,
+    R = ``_CELL_RADIUS``, the largest cell offset when cells are wider than one fine bucket,
+    plus sum_{d,p} |c_d(p)| x_d^J e^x_d / J! over the mid primes."""
     deg, c = fast._degree, mid_primes(fast)[1]
+    x = [ensemble._CELL_RADIUS * d / deg for d in range(deg + 1)]
     return sum(
         (np.abs(fast._moments[d, j]).sum() + (np.abs(c[d]).sum() if j == 0 else 0.0))
         * (lam_max * d) ** j / math.factorial(j)
-        * (d / deg) ** (terms - j) * math.exp(d / deg) / math.factorial(terms - j)
+        * x[d] ** (terms - j) * math.exp(x[d]) / math.factorial(terms - j)
         for d in range(1, deg + 1)
         for j in range(4)
     )
@@ -1119,8 +1120,8 @@ class TestFastCharfn:
     @pytest.mark.parametrize("N", [10**5, 10**6])
     @pytest.mark.parametrize("k,alpha", CELL_CASES)
     def test_cells_match_per_bucket_sum(self, table_1e6, k, alpha, N):
-        # On the R = 360 panel grid (256 cells at N = 10^6) and on 2049 nodes
-        # up to 1024 (1024 cells), the cell evaluation gives the per-bucket
+        # On the R = 360 panel grid (95 cells, 31 of them mid, at N = 10^6) and
+        # on 2049 nodes up to 1024 (380 cells), the cell evaluation gives the per-bucket
         # sum it replaces; its cut at J terms (the cell term of the bound) is
         # far below roundoff there.
         fast = FastCharfn(EnsembleConfig(k=k, alpha=alpha, N=N))
@@ -1156,7 +1157,7 @@ class TestFastCharfn:
                 assert abs(g / e - 1.0) <= math.expm1(fast.truncation_bound(lam)) + 1e-13
 
     def test_layout_follows_max_frequency_only(self, table_1e6):
-        # Adding lambda = +-1000 changes the layout (256 -> 64 cells) and
+        # Adding lambda = +-1000 changes the layout (64 -> 256 fine-bucket cells) and
         # nothing else: on the shared nodes the values move within the bound,
         # and +1000 and -1000 give the same values.
         fast = FastCharfn(EnsembleConfig(k=2, alpha=-1.0, N=10**6))
@@ -1166,6 +1167,29 @@ class TestFastCharfn:
         minus = fast.grid(np.append(lams, -1000.0))[:-1]
         assert np.max(np.abs(plus / minus - 1.0)) <= 1e-13
         assert 0.0 < np.max(np.abs(plus / ref - 1.0)) <= math.expm1(2 * fast.truncation_bound(360.0)) + 1e-13
+
+    def test_cell_counts_at_a_million(self, table_1e6):
+        # cells of radius _CELL_RADIUS = 4: on the R = 360 grid 64 fine-bucket cells and
+        # 31 mid ones, at R = 1024 256 and 124; the grid's work scales with their number
+        fast = FastCharfn(EnsembleConfig(k=2, alpha=1.0, N=10**6))
+        assert [fast._cells(lam)[1].size for lam in (360.0, 1024.0)] == [95, 380]
+
+    @pytest.mark.parametrize("head_limit", [999_000, 999_900])
+    def test_tail_narrower_than_the_mid_span_is_refused(self, table_1e6, head_limit):
+        # 65 and 8 tail primes whose span in v is 1/6,984 and 1/89,739 of the mid
+        # primes': any layout would put over 4096 cells below v0, so the build
+        # refuses them before its tail pass
+        with pytest.raises(DomainError, match="tail widths"):
+            FastCharfn(EnsembleConfig(k=2, alpha=1.0, N=10**6), head_limit=head_limit)
+
+    def test_width_guard_spares_the_default_cutoff(self, table_1e6):
+        # at the head cutoff 10^4 the mid span is at most 740 tail widths here (N = 10,038,
+        # k = 2, alpha = 1), so charfn_for takes FastCharfn wherever _tail_split allows it
+        for k, alpha in MID_CASES:
+            for N in [*range(10037, 10237), 10**5, 10**6]:
+                cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
+                fast = ensemble._tail_split(cfg, sieve_primes(N).primes) is not None
+                assert type(charfn_for(cfg)) is (FastCharfn if fast else CharfnEvaluator)
 
     @pytest.mark.parametrize("N", [10**5, 10**6])
     @pytest.mark.parametrize("k,alpha", MID_CASES)

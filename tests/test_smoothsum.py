@@ -133,6 +133,13 @@ class TestBuiltinCutoffs:
         flipped = f.transform_grid(-lams)
         np.testing.assert_allclose(flipped, vals, rtol=0, atol=1e-16)
 
+    def test_bump_transform_independent_of_batching(self):
+        # A lone node would make a dot and a block of plain nodes (one shift) a
+        # gemv, each summing the Gauss terms in its own order; repeated to two
+        # rows, every product is a gemm, and a node's value ignores its batch.
+        lams = np.linspace(-300.0, 300.0, 1201)
+        assert np.array_equal([bump_transform(np.array([lam]))[0] for lam in lams], bump_transform(lams))
+
     def test_bump_batch_blocked_on_distinct_magnitudes(self):
         # 49,536 transform nodes, the R = 8 and R = 1024 panel grids and
         # their half-resolution siblings: the transform is exactly even, and
