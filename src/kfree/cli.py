@@ -29,9 +29,11 @@ byte for byte only when both were written to the same path.
 
 :func:`build_parser` is the one declaration of the flags: each flag's
 destination is the :class:`RunConfig` field it sets, and both the run
-configuration and the replay argv are read off the parser.  The parser also
-checks every flag value: a malformed number, comma list or ``--*-grid``
-triple exits 2 with the usage line and the flag's name on stderr.
+configuration and the replay argv are read off the parser.  :func:`run`
+builds it once per process and reuses it, since parsing leaves it
+unchanged.  The parser also checks every flag value: a malformed number,
+comma list or ``--*-grid`` triple exits 2 with the usage line and the
+flag's name on stderr.
 
 ``--threads`` caps kfree's worker threads and numpy's OpenBLAS pool for
 one run only; the cap is lifted when :func:`run` returns.
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -381,6 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`run` reads every argv with: built once, never handed out."""
+    return build_parser()
 
 
 def _resolve_threads(flag_value: Optional[int]) -> Optional[int]:
@@ -747,9 +756,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
     Returns the exit status; see the module docstring for the code map.
     """
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     lift = None

@@ -34,7 +34,7 @@ import numpy as np
 from ._quad import PanelGrid
 from ._threads import map_blocks, one_blas_thread
 from .errors import DegenerateConfigError, DomainError, SizeCapError
-from .primes import _CHUNK, _TAIL_DEGREE, _inverse_powers, prime_power_tail, sieve_primes
+from .primes import _CHUNK, _TAIL_DEGREE, _inverse_powers, prime_zeta_tails, sieve_primes
 
 __all__ = [
     "EnsembleConfig",
@@ -235,25 +235,22 @@ def _log_product(cfg: EnsembleConfig, x) -> complex:
     return sum(sieve_primes(cfg.N).map_chunks(lambda p: _log_euler(_factor_offset(cfg.k, x(p)))), 0j)
 
 
-def _series_log(table, k: int, alpha: complex, less_x: bool = False) -> complex:
-    """sum_p [Log(1 + x + ... + x^{k-1}) - x [less_x]], x = alpha/p, over the table: principal logs over
-    its chunks up to P (all of them if fewer than ``_MIN_TAIL`` primes are left), then the log series
-    sum_{d<=5} a_d alpha^d S_d (from d = 2 if less_x), S_d = sum_{p>P} p^-d from its ``tail_sums``.
-    The cut, sum_{d>=6} (k - 1)/d |alpha|^d S_d <= (k - 1) |alpha|^6 / (15 P^5) for |alpha| <= P/2
-    (S_6 <= int_P^inf t^-6 dt), is below 1e-17 at P = max(10^4, 2|alpha|, |alpha| ((k - 1) |alpha|
-    / 1.5e-16)^(1/5)): 10^4, FastCharfn's split, for |alpha| < 2 and k <= 235."""
-    def head(p: np.ndarray) -> complex:
-        x = alpha / p
-        return _log_euler(_factor_offset(k, x)) - (complex(np.sum(x)) if less_x else 0)
-
+def _series_head(k: int, alpha: complex) -> int:
+    """P = max(10^4, 2|alpha|, |alpha| ((k - 1) |alpha| / 1.5e-16)^(1/5)), where a log series of degree 5
+    takes over from the principal logs: its cut, sum_{d>=6} (k - 1)/d |alpha|^d S_d <= (k - 1) |alpha|^6 /
+    (15 P^5) for |alpha| <= P/2 (S_d = sum_{p>P} p^-d, S_6 <= int_P^inf t^-6 dt), is below 1e-17 there.
+    That is 10^4, FastCharfn's split, for |alpha| < 2 and k <= 235."""
     a = abs(alpha)
-    cut = max(_FAST_HEAD_LIMIT, 2.0 * a, a * ((k - 1) * a / 1.5e-16) ** 0.2)
-    split = table.count_below(math.ceil(min(cut, table.limit)))
-    if table.count() - split < _MIN_TAIL:
-        return sum(table.map_chunks(head), 0j)
-    _, S, s5, _, _ = table.tail_sums(split, _FAST_BUCKETS)
-    terms = (_log_coeffs(k, alpha, _LOG_DEGREE + 1) * np.append(S[:, 0].sum(axis=1), s5))[int(less_x) :]
-    return sum(table.map_chunks(head, split), 0j) + sum(terms)
+    return math.ceil(max(_FAST_HEAD_LIMIT, 2.0 * a, a * ((k - 1) * a / 1.5e-16) ** 0.2))
+
+
+def _series_log(table, k: int, alpha: complex) -> complex:
+    """sum_p Log(1 + x + ... + x^{k-1}), x = alpha/p, over the table: principal logs over its chunks up to
+    P = :func:`_series_head`, then the log series sum_{d<=5} a_d alpha^d S_d, S_d = sum_{p>P} p^-d from the
+    table's :meth:`~kfree.primes.PrimeTable.power_sums`."""
+    split = table.count_below(min(_series_head(k, alpha), table.limit))
+    head = sum(table.map_chunks(lambda p: _log_euler(_factor_offset(k, alpha / p)), split), 0j)
+    return head + sum(_log_coeffs(k, alpha, _LOG_DEGREE + 1) * table.power_sums(split))
 
 
 def partition_function(cfg: EnsembleConfig) -> complex:
@@ -346,18 +343,27 @@ def _log_coeffs(k: int, alpha: complex, degree: int = _LOG_DEGREE) -> np.ndarray
     return np.array([a_d * complex(alpha) ** d for d, a_d in enumerate(a, 1)])
 
 
-def _predicted_constant(k: int, alpha: complex, prime_limit: int = 10**7) -> complex:
+def _predicted_constant(k: int, alpha: complex) -> complex:
     """Independent route to the constant: exp(alpha*M + sum_p [log z_p - alpha/p]).
 
-    Convergent because log z_p - alpha/p = O(p^-2); the sum runs over primes
-    up to prime_limit with the tail correction sum_{j=2..4} a_j alpha^j
-    sum_{p>P} p^-j (a_j from :func:`_log_coeffs`), sum_{p>P} p^-j ~
-    E1((j-1) log P) (:func:`~kfree.primes.prime_power_tail`).  The sum runs
-    as in :func:`partition_function` (:func:`_series_log`).
+    Convergent because log z_p - alpha/p = O(p^-2).  Up to P = :func:`_series_head`
+    (10^4 for |alpha| < 2) each prime adds its principal log less alpha/p, so the
+    terms are O(p^-2) before they are summed, exactly (``math.fsum``) per chunk,
+    since the first few outweigh the rest together; past P the log series
+    sum_{d=2..5} a_d alpha^d sum_{p>P} p^-d (a_d from :func:`_log_coeffs`), whose
+    infinite tails come from the prime zeta function
+    (:func:`~kfree.primes.prime_zeta_tails`).
     """
-    series_sum = _series_log(sieve_primes(prime_limit), k, complex(alpha), less_x=True)
-    tail = prime_power_tail(_log_coeffs(k, alpha)[1:], prime_limit)
-    return complex(np.exp(complex(alpha) * MERTENS + series_sum + tail))
+    alpha = complex(alpha)
+    table = sieve_primes(_series_head(k, alpha))
+
+    def less_x(p: np.ndarray) -> complex:
+        terms = _clog1p(_factor_offset(k, alpha / p)) - alpha / p
+        return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+    head = sum(table.map_chunks(less_x), 0j)
+    tail = _log_coeffs(k, alpha, _LOG_DEGREE + 1)[1:] @ prime_zeta_tails(table.limit)
+    return complex(np.exp(alpha * MERTENS + head + tail))
 
 
 def _check_constant_weight(k: int, alpha: complex) -> None:
@@ -481,7 +487,7 @@ def _positive_product(cfg: EnsembleConfig, strip: float) -> float:
 # head is smaller); at or below it there are no tail primes
 _FAST_HEAD_LIMIT = 10**4
 
-_FAST_BUCKETS = 4096  # FastCharfn's default fine buckets, also Z's tail sums
+_FAST_BUCKETS = 4096  # FastCharfn's default fine buckets
 
 # fewest tail primes FastCharfn lays out.  One prime leaves the fine buckets
 # zero wide, and two (N = 10009) give the mid primes 11,091 cells: 0.71 s on the
@@ -554,8 +560,9 @@ class FastCharfn:
     M[d, j, b] = a_d alpha^d S[d, j, b] with the real sums S[d, j, b] =
     sum_{p in b} p^-d (v_p - vbar_b)^j, d, j <= 4 (j = 4 gives the phase
     term of the bound), and sum p^-5 for the log term, from the table's
-    cached :meth:`~kfree.primes.PrimeTable.tail_sums` (which Z reads too, and
-    whose d >= 2 sums, a series, hold to 1e-14 of their terms' absolute sums).
+    cached :meth:`~kfree.primes.PrimeTable.tail_sums` (whose d >= 2 sums, a
+    series, hold to 1e-14 of their terms' absolute sums) and sum p^-5 from
+    its :meth:`~kfree.primes.PrimeTable.power_sums`, the plain sums Z reads.
 
     ``truncation_bound(lam_max)`` bounds the error in log phi_N, i.e. the
     relative error: |fast / exact - 1| <= e^bound - 1 for |lambda| <= lam_max.
@@ -598,7 +605,7 @@ class FastCharfn:
         c = coef[:, None] * _inverse_powers(head[self.mid_start :])
         self._mid_c = np.concatenate([-c.sum(axis=0, keepdims=True), c])
 
-        self._vbar, S, s5, self._v0, self._width = self.table.tail_sums(self.split, buckets)  # alpha- and k-free
+        self._vbar, S, self._v0, self._width = self.table.tail_sums(self.split, buckets)  # alpha- and k-free
         # M[d, j, b] = a_d alpha^d S[d, j, b] and M[0, 0] = -sum_d M[d, 0]; for
         # each d, _abs4[d] = sum_p |c_d(p)| (v_p - vbar_b)^4
         self._moments = np.zeros((_LOG_DEGREE + 1, 4, buckets), dtype=complex)
@@ -607,6 +614,7 @@ class FastCharfn:
         self._abs4 = np.append(0.0, np.abs(coef) * S[:, 4].sum(axis=1))
         # the tail's log remainder, |x| <= |alpha| / p0 for all of it
         p0 = float(self.table.primes[self.split])
+        s5 = self.table.power_sums(self.split)[4]
         self._log_remainder = float(_log_remainder(k, abs(cfg.alpha) / p0) * p0**5 * s5 + rem[self.mid_start])
         self._degree = _LOG_DEGREE
 

@@ -5,12 +5,12 @@ memory besides the table (the convergence scans need every prime up to
 ~10**8), and keeps one int64 copy of it.  Tables are immutable and cached
 behind a lock, and a smaller limit is a read-only view of a larger cached
 table, so tables can be shared freely across threads.  The Euler-product
-sums map a table's float chunks in order (:meth:`PrimeTable.map_chunks`) and
-take their tails past it by one rule (:func:`prime_power_tail`); past a split
-they read the table's cached power sums (:meth:`PrimeTable.tail_sums`).  From
-``_PARALLEL_LIMIT`` on, the sieve's segments, these chunks and the power sums'
-bucket groups are shared among kfree's workers and reduced in order, so no
-value depends on the worker count.
+sums map a table's float chunks in order (:meth:`PrimeTable.map_chunks`); past
+a split they read the table's cached power sums (:meth:`PrimeTable.power_sums`,
+and FastCharfn's bucketed :meth:`PrimeTable.tail_sums`), and past the table
+the prime zeta function (:func:`prime_zeta_tails`).  From ``_PARALLEL_LIMIT``
+on, the sieve's segments, these chunks and the bucket groups are shared among
+kfree's workers and reduced in order, so no value depends on the worker count.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import zetac
 
 from ._threads import map_blocks, one_blas_thread
 from .errors import DomainError
-from .specfun import exp_integral_e1
 
-__all__ = ["PrimeTable", "sieve_primes", "prime_count", "prime_power_tail"]
+__all__ = ["PrimeTable", "sieve_primes", "prime_count", "prime_zeta_tails"]
 
 _SEGMENT_SIZE = 1 << 21
 
@@ -40,8 +40,10 @@ _CHUNK = 1 << 14
 # the 10^7 tables of `kfree constant` and `dickman` saved <= 0.03 s for 30-40% more CPU
 _PARALLEL_LIMIT = 1 << 24
 
-# caches under one lock, immutable and safe to share: limit -> PrimeTable, (limit, split, buckets) -> tail sums
+# caches under one lock, immutable and safe to share: limit -> PrimeTable,
+# (limit, split) -> power sums, (limit, split, buckets) -> tail sums
 _TABLE_CACHE: dict[int, "PrimeTable"] = {}
+_POWER_CACHE: dict[tuple, np.ndarray] = {}
 _TAIL_CACHE: dict[tuple, tuple] = {}
 _CACHE_LOCK = threading.Lock()
 
@@ -93,12 +95,28 @@ class PrimeTable:
         count = -(-primes.size // _CHUNK)
         return _map_pieces(lambda i: fn(primes[i * _CHUNK : (i + 1) * _CHUNK].astype(float)), count, self.limit)
 
+    def power_sums(self, split: int) -> np.ndarray:
+        """[sum p^-d for d = 1..5] over primes[split:], read-only: one pass per (limit, split), cached, in
+        which each chunk's :func:`_power_parts` are added up exactly (``math.fsum``)."""
+        key = (self.limit, int(split))
+        with _CACHE_LOCK:
+            if key not in _POWER_CACHE:
+                primes = self.primes[split:]  # int64 chunks: 1 / p converts them on the fly
+                with one_blas_thread():
+                    parts = _map_pieces(lambda i: _power_parts(primes[i * _CHUNK : (i + 1) * _CHUNK]),
+                                        -(-primes.size // _CHUNK), self.limit)
+                parts = np.reshape(parts, (-1, 6)).T
+                _POWER_CACHE[key] = np.array([math.fsum(parts[:2].ravel()), *map(math.fsum, parts[2:])])
+                _POWER_CACHE[key].setflags(write=False)
+            return _POWER_CACHE[key]
+
     def tail_sums(self, split: int, buckets: int) -> tuple:
-        """(vbar, S, s5, v0, width), alpha-free sums of primes[split:] in ``buckets`` buckets of
+        """(vbar, S, v0, width), alpha-free sums of primes[split:] in ``buckets`` buckets of
         v_p = log p / log limit, each ``width`` wide from v0: S[d - 1, j, b] = sum_{p in b} p^-d
-        (v_p - vbar_b)^j, d, j <= 4, vbar_b the bucket's mean v_p (0 if empty), and s5 = sum p^-5.
-        One pass per (limit, split, buckets), cached; the arrays are read-only.  S[d >= 2] is a series in
-        the d = 1 rows, within 1e-14 of sum_p p^-d |v_p - vbar_b|^j; a coarser layout raises DomainError."""
+        (v_p - vbar_b)^j, d, j <= 4, vbar_b the bucket's mean v_p (0 if empty).  FastCharfn's layout;
+        the plain sums are :meth:`power_sums`.  One pass per (limit, split, buckets), cached; the arrays
+        are read-only.  S[d >= 2] is a series in the d = 1 rows, within 1e-14 of sum_p p^-d
+        |v_p - vbar_b|^j; a coarser layout raises DomainError."""
         key = (self.limit, int(split), int(buckets))
         with _CACHE_LOCK:
             if key not in _TAIL_CACHE:
@@ -115,15 +133,39 @@ def _inverse_powers(p: np.ndarray) -> np.ndarray:
     return out
 
 
+_HIGH_BITS = np.uint64(2**64 - 2**29)  # the top 24 of a float's 53 significant bits
+
+
+def _power_parts(p: np.ndarray) -> np.ndarray:
+    """Sums over a chunk of primes of p^-1's top 24 bits, of the rest of p^-1, and of p^-2, ..., p^-5.  The
+    first sum rounds not at all where the chunk spans few binades (past 10^4, 24 bits over 5 binades and 2^14
+    terms take 43 of 53), so S_1 keeps its last bit, where a plain sum is off by 1e-16 relative and moves Z by
+    as much.  The far smaller p^-2, ..., p^-5 are dot products of p^-1, p^-2 and p^-4."""
+    inv = 1.0 / p
+    high = (inv.view(np.uint64) & _HIGH_BITS).view(float)
+    inv2 = inv * inv
+    inv4 = inv2 * inv2
+    return np.array([high.sum(), (inv - high).sum(), inv @ inv, inv2 @ inv, inv2 @ inv2, inv4 @ inv])
+
+
 @one_blas_thread()
 def _tail_pass(table: PrimeTable, split: int, buckets: int) -> tuple:
-    """:meth:`PrimeTable.tail_sums` over groups of whole buckets of about ``_CHUNK`` primes.  Each group sums
-    its rows T_i = p^-1 u_p^i, u_p = v_p - vbar_b, i < 4 + m, per bucket with one ``np.add.reduceat`` (and its
-    sum p^-5, added in group order); S[0] is T_0..T_4.  For d >= 2, p^-(d-1) = e^-(d-1)L vbar_b e^-(d-1)L u_p,
-    L = log limit, gives S[d - 1, j] = e^-(d-1)L vbar sum_{n<m} (-(d-1)L)^n / n! T_{j+n}.  With x = 3L width,
-    the cut is at most x^m e^2x / m! of sum_p p^-d |u_p|^j; m is the least order keeping it <= 1e-17 (7 at 4096
-    buckets, N = 10^8).  Its terms add up to at most e^2x times that sum, so rounding grows up to e^2x-fold over
-    direct sums' (<= 6.4e-16): x > 1/2, where that passes e and 4 + m the 20 direct rows, raises DomainError."""
+    """:meth:`PrimeTable.tail_sums`: the d = 1 rows of :func:`_tail_rows`, then the d >= 2 series of
+    :func:`_tail_series` in them; the arrays are made read-only."""
+    vbar, T, v0, width = _tail_rows(table, split, buckets)
+    S = _tail_series(T, vbar, math.log(table.limit))
+    for array in (vbar, S):
+        array.setflags(write=False)
+    return vbar, S, v0, width
+
+
+def _tail_rows(table: PrimeTable, split: int, buckets: int, extra: int = 0) -> tuple:
+    """(vbar, T, v0, width) of :meth:`PrimeTable.tail_sums`, T[i, b] = sum_{p in b} p^-1 u_p^i, u_p = v_p - vbar_b,
+    i < 4 + m + extra, over groups of whole buckets of about ``_CHUNK`` primes, each with one ``np.add.reduceat``.
+    m is the series order :func:`_tail_series` needs: with x = 3L width, L = log limit, its cut is at most
+    x^m e^2x / m! of sum_p p^-d |u_p|^j, and m is the least order keeping that <= 1e-17 (7 at 4096 buckets,
+    N = 10^8).  Its terms add up to at most e^2x times that sum, so rounding grows up to e^2x-fold over direct
+    sums' (<= 6.4e-16): x > 1/2, where that passes e and 4 + m the 20 direct rows, raises DomainError."""
     primes, log_n = table.primes[split:], math.log(table.limit)
     v0, v1 = np.log(primes[[0, -1]]) / log_n
     edges = np.linspace(v0, v1 * (1 + 1e-12), buckets + 1)
@@ -141,11 +183,11 @@ def _tail_pass(table: PrimeTable, split: int, buckets: int) -> tuple:
     full = np.flatnonzero(np.diff(starts))  # the nonempty buckets
     bounds = np.append(starts[full], primes.size)  # bucket full[i] is bounds[i] : bounds[i + 1]
     counts = np.diff(bounds)
-    vbar, T = np.zeros(buckets), np.zeros((4 + order, buckets))
+    vbar, T = np.zeros(buckets), np.zeros((4 + order + extra, buckets))
     groups = np.searchsorted(bounds, np.arange(0, primes.size, _CHUNK), side="right") - 1
     groups = np.unique(np.append(groups, full.size))
 
-    def group(i: int) -> float:  # fills vbar and T for groups[i] <= b < groups[i + 1]; returns its sum p^-5
+    def group(i: int) -> None:  # fills vbar and T for groups[i] <= b < groups[i + 1]
         g0, g1 = groups[i], groups[i + 1]
         lo, hi = bounds[g0], bounds[g1]
         v = np.log(primes[lo:hi]) / log_n
@@ -156,20 +198,25 @@ def _tail_pass(table: PrimeTable, split: int, buckets: int) -> tuple:
         for j in range(1, T.shape[0]):
             np.multiply(terms[j - 1], v, out=terms[j])
         T[:, full[g0:g1]] = np.add.reduceat(terms, bounds[g0:g1] - lo, axis=1)
-        return float(np.dot(terms[0] * terms[0] * terms[0] * terms[0], terms[0]))
 
-    s5 = sum(_map_pieces(group, groups.size - 1, table.limit), 0.0)
+    _map_pieces(group, groups.size - 1, table.limit)
+    return vbar, T, float(edges[0]), width
+
+
+def _tail_series(T: np.ndarray, vbar: np.ndarray, log_n: float) -> np.ndarray:
+    """S[d - 1, j] of :meth:`PrimeTable.tail_sums` from the rows T of :func:`_tail_rows`, to order m = len(T) - 4,
+    in T's own arithmetic: S[0] is T_0..T_4, and for d >= 2, p^-(d-1) = e^-(d-1)L vbar_b e^-(d-1)L u_p gives
+    S[d - 1, j] = e^-(d-1)L vbar sum_{n<m} (-(d-1)L)^n / n! T_{j+n}."""
+    order = T.shape[0] - 4
     # e^-L vbar to ~1 ulp, not (d - 1) L eps once powered: L vbar in long double, e^-(float part) (1 - rest)
     a = np.longdouble(log_n) * vbar
     base = np.exp(-a.astype(float)) * (1 - (a - a.astype(float)).astype(float))
-    S = np.empty((_TAIL_DEGREE, 5, buckets))
+    S = np.empty((_TAIL_DEGREE, 5, vbar.size), dtype=T.dtype)
     S[0] = T[:5]
     for d in range(2, _TAIL_DEGREE + 1):
         c = [(-(d - 1) * log_n) ** n / math.factorial(n) for n in range(order)]
         S[d - 1] = base ** (d - 1) * sum(c[n] * T[n : n + 5] for n in reversed(range(order)))
-    for array in (vbar, S):
-        array.setflags(write=False)
-    return vbar, S, s5, float(edges[0]), width
+    return S
 
 
 def _sieve(limit: int) -> np.ndarray:
@@ -244,11 +291,18 @@ def prime_count(limit: int) -> int:
     return sieve_primes(limit).count()
 
 
-def prime_power_tail(coeffs, limit: int):
-    """sum_j c_j sum_{p > limit} p^-j for coeffs = (c_2, c_3, ...), the tail of a prime sum.
+# mu(n) for the terms n of the prime zeta series: mu(n)/n log zeta(nd) ~ 2^-nd / n is below 1e-21 past them
+_MOBIUS = np.array([1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1, 0, -1, 0, -1, 0, 1, 1, -1, 0, 0, 1, 0, 0, -1,
+                    -1, -1, 0, 1, 1, 1])
 
-    Each sum_{p > P} p^-j is taken as its prime-counting integral
-    int_P^inf dt / (t^j log t) = E1((j - 1) log P).
-    """
-    a = math.log(limit)
-    return sum(c * exp_integral_e1((j - 1) * a).value.real for j, c in enumerate(coeffs, 2))
+
+def prime_zeta_tails(limit: int) -> np.ndarray:
+    """[sum_{p > limit} p^-d for d = 2..5]: the prime zeta function P(d) = sum_n mu(n)/n log zeta(nd)
+    (Cohen, "High precision computation of Hardy-Littlewood constants", 1998), with log zeta(s) =
+    log1p(``scipy.special.zetac``(s)), less the head sum_{p <= limit} p^-d, each summed exactly
+    (``math.fsum``) since the first terms outweigh the rest.  Each value is within 1e-16 of its tail
+    (a few roundings of P(d) <= 0.46), not of its size."""
+    degrees, n = range(2, 6), np.arange(1, _MOBIUS.size + 1)
+    prime_zeta = [math.fsum(_MOBIUS / n * np.log1p(zetac(n * d))) for d in degrees]
+    head = sieve_primes(limit).map_chunks(lambda p: [math.fsum(p ** -float(d)) for d in degrees])
+    return np.array(prime_zeta) - [math.fsum(column) for column in zip(*head)]

@@ -3,8 +3,8 @@
 The exponential integral Ei (principal value on the positive axis, one-sided
 limits off the real axis), E1/incomplete gamma on the principal branch, and
 the cosine/sine integrals.  The library itself calls ``upper_gamma`` (the
-remainder catalogue's exponential-sum antiderivatives), ``exp_integral_e1``
-(the prime-power tail) and the vectorized Ci/Si/Cin kernels (the limiting
+remainder catalogue's exponential-sum antiderivatives, through
+``exp_integral_e1``) and the vectorized Ci/Si/Cin kernels (the limiting
 characteristic function); the scalar Ei, Ci, Si and Cin entry points serve
 the public API only.  The values come from
 ``scipy.special`` (``sici``, ``exp1``, ``expi``); this module adds the domain

@@ -92,6 +92,36 @@ class TestNamedExamples:
         assert value["im"] == pytest.approx(0.0, abs=1e-14)
 
 
+class TestOneParser:
+    """``run`` parses every argv with one parser per process; ``build_parser`` stays fresh."""
+
+    ARGV = ["partition", "--k", "2", "--alpha", "1", "--N", "10"]
+
+    def test_same_argv_twice_gives_identical_artifacts(self, tmp_path):
+        path = tmp_path / "out.json"
+        artifacts = []
+        for _ in range(2):
+            assert run([*self.ARGV, "--output", str(path)]) == 0
+            artifacts.append(path.read_bytes())
+        assert artifacts[0] == artifacts[1]
+
+    def test_usage_error_then_good_run(self, tmp_path, capsys):
+        assert run(["partition", "--k", "two", "--N", "10"]) == 2
+        assert "--k" in capsys.readouterr().err
+        code, doc = invoke_json(self.ARGV, tmp_path)
+        assert code == 0 and doc["result"]["value"]["re"] == pytest.approx(PARTITION_2_1_10, abs=1e-14)
+
+    def test_mutating_a_built_parser_does_not_reach_run(self, tmp_path):
+        parser = build_parser()
+        assert build_parser() is not parser
+        subparsers = next(a for a in parser._actions if a.choices is not None and "partition" in a.choices)
+        subparsers.choices["partition"].set_defaults(alpha_im=1.0)
+        parser.add_argument("--extra", required=True)
+        code, doc = invoke_json(self.ARGV, tmp_path)
+        assert code == 0 and doc["run_config"]["alpha_im"] == 0.0
+        assert doc["result"]["value"]["re"] == pytest.approx(PARTITION_2_1_10, abs=1e-14)
+
+
 class TestArtifactShape:
     def test_top_level_keys_and_version(self, tmp_path):
         code, doc = invoke_json(["partition", "--k", "2", "--N", "10"], tmp_path)

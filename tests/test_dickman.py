@@ -36,7 +36,7 @@ RHO1_AT_12 = 1.419713165017938934884595e-14
 
 def test_h_constant_alpha_one_is_exactly_one():
     assert dickman.h_constant(1.0) == 1.0
-    assert dickman.h_constant(1.0, prime_limit=10**3) == 1.0
+    assert dickman.h_constant(1.0, prime_limit=10**4) == 1.0
 
 
 def test_h_constant_converges_in_prime_limit():
@@ -79,13 +79,13 @@ def test_h_constant_domain():
 
 
 def test_h_constant_holds_no_full_length_array(table_1e7):
-    # Summed over 2^14-prime chunks up to its default prime_limit 10^7, H
-    # peaks at about 0.5 MB under tracemalloc, against 21 MB for the float
-    # arrays of one full-length pass.
-    dickman.h_constant(0.5)  # warm lazy caches outside the measurement
+    # Summed over 2^14-prime chunks up to prime_limit 10^7 (the default is
+    # 10^4), H peaks at about 0.5 MB under tracemalloc, against 21 MB for the
+    # float arrays of one full-length pass.
+    dickman.h_constant(0.5, prime_limit=10**7)  # warm lazy caches outside the measurement
     tracemalloc.start()
     try:
-        dickman.h_constant(0.5)
+        dickman.h_constant(0.5, prime_limit=10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

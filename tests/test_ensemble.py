@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from kfree import ensemble, primes as kfree_primes
+from kfree import dickman, ensemble, primes as kfree_primes
 from kfree._quad import PanelGrid, _cis, gauss_panels
 from kfree._threads import one_blas_thread
 from kfree.ensemble import (
@@ -218,16 +218,29 @@ class TestPartitionFunction:
             assert abs(z) < 1e-16
             assert z == pytest.approx(np.exp(ensemble._log_product(cfg, lambda p: cfg.alpha / p)), rel=1e-14)
 
-    def test_shares_the_fast_builds_tail_pass(self, table_1e6):
-        # for |alpha| < 2 (and k <= 235) the series cut is FastCharfn's split
-        # 10^4, so Z and the predicted constant read the build's tail sums
-        kfree_primes._TAIL_CACHE.clear()
-        for k, alpha in [(2, 1.0), (3, 1.9j), (235, -1.99)]:
-            cfg = EnsembleConfig(k=k, alpha=alpha, N=10**6)
-            fast = FastCharfn(cfg)
-            partition_function(cfg)
-            ensemble._predicted_constant(k, alpha, 10**6)
-        assert list(kfree_primes._TAIL_CACHE) == [(10**6, fast.split, 4096)]
+    def test_reads_no_bucketed_tail_pass(self, table_1e7, monkeypatch):
+        # Z reads only the plain power sums past 10^4: with FastCharfn's bucketed pass refused, and
+        # every cache fresh, it gives the bits it gives after a FastCharfn build from fresh caches
+        def fresh_caches():
+            monkeypatch.setattr(kfree_primes, "_POWER_CACHE", {})
+            monkeypatch.setattr(kfree_primes, "_TAIL_CACHE", {})
+
+        want = {}
+        for n in (10**5, 10**7):
+            fresh_caches()
+            for k, alpha in [(2, 1.0), (3, 1.9j), (235, -1.99)]:
+                cfg = EnsembleConfig(k=k, alpha=alpha, N=n)
+                FastCharfn(cfg)
+                want[cfg] = partition_function(cfg)
+
+        def refuse(*args):
+            raise AssertionError("Z ran the bucketed tail pass")
+
+        monkeypatch.setattr(kfree_primes, "_tail_pass", refuse)
+        fresh_caches()
+        for cfg, z in want.items():
+            got = partition_function(cfg)
+            assert (got.real.hex(), got.imag.hex()) == (z.real.hex(), z.imag.hex()), cfg
 
     @pytest.mark.parametrize("alpha", [10.0, 1e6, 3.5 - 1j])
     def test_large_alpha_moves_the_series_cut(self, alpha):
@@ -251,14 +264,14 @@ class TestPartitionFunction:
         assert abs(z - brute) <= 1e-12 * abs(brute)
 
     def test_chunked_sum_holds_no_full_length_array(self, table_1e7):
-        # Z at N = 10^7 (665k primes) from a cold tail pass, whose bucket groups
-        # of about 2^14 primes hold a (4, 5, group) block, peaks at 3.7 MB under
-        # tracemalloc, against 48 MB for one full-length pass of complex logs.
-        # One full-length float copy of the primes (5.3 MB) breaks the 4 MB
+        # Z at N = 10^7 (665k primes) from a cold power-sum pass, whose 2^14-prime
+        # chunks hold a (5, chunk) block, peaks at 1.0 MB under tracemalloc,
+        # against 48 MB for one full-length pass of complex logs.  One
+        # full-length float copy of the primes (5.3 MB) breaks the 4 MB
         # allowance; every prime must still enter the sum.
         cfg = EnsembleConfig(k=2, alpha=1.0, N=10**7)
         partition_function(cfg)  # warm lazy caches outside the measurement
-        kfree_primes._TAIL_CACHE.clear()  # but measure the tail pass itself
+        kfree_primes._POWER_CACHE.clear()  # but measure the power-sum pass itself
         tracemalloc.start()
         try:
             z = partition_function(cfg)
@@ -301,49 +314,51 @@ class TestPartitionConstant:
         with pytest.raises(DomainError, match="repeated: 10000"):
             partition_constant(2, 1.0, (10**4, 10**4, 10**5))
 
-    def test_predicted_constant_holds_no_full_length_array(self, table_1e7):
-        # Summed over 2^14-prime slices up to its default prime_limit 10^7,
-        # the prediction peaks at 1.1 MB under tracemalloc, against 46 MB for
-        # one full-length pass, and agrees with that pass (written out here,
-        # tail correction included) to rounding.
+    def test_predicted_constant_does_not_depend_on_its_head(self, table_1e7):
+        # The prediction sums principal logs up to 10^4 and takes the prime-zeta
+        # tails past it, so it reads only the 10^4 table (under tracemalloc,
+        # with the head sums cold, it peaks at 0.1 MB).  It
+        # agrees to rounding with the same sum written out over every prime up
+        # to 10^7, one full-length pass, with the prime-zeta tails past 10^7.
         primes = table_1e7.primes.astype(float)
-        log_p = math.log(10**7)
         for k, alpha in [(2, 1.0), (3, 0.5 - 0.5j)]:
             ensemble._predicted_constant(k, alpha)  # warm lazy caches outside the measurement
+            kfree_primes._POWER_CACHE.clear()
             tracemalloc.start()
             try:
                 got = ensemble._predicted_constant(k, alpha)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 4 * 2**20
+            assert peak < 2**20
             x = alpha / primes
-            tail = sum(
-                (1.0 / j - (k / j if j % k == 0 else 0.0)) * alpha**j * scipy.special.exp1((j - 1) * log_p)
-                for j in range(2, 5)
-            )
-            log_full = alpha * ensemble.MERTENS + ensemble._log_euler(ensemble._factor_offset(k, x)) - np.sum(x) + tail
-            assert abs(got / np.exp(log_full) - 1.0) <= 1e-14
+            tail = ensemble._log_coeffs(k, alpha, 5)[1:] @ kfree_primes.prime_zeta_tails(10**7)
+            terms = ensemble._clog1p(ensemble._factor_offset(k, x)) - x
+            log_full = alpha * ensemble.MERTENS + complex(math.fsum(terms.real), math.fsum(terms.imag)) + tail
+            assert abs(got / np.exp(log_full) - 1.0) <= 1e-15
 
 
-# Z_N, the predicted constant (prime_limit 10^7) and phi_N at lambda = 0.5,
-# -3, 40, all at N = 2 * 10^5 (17,984 primes, two chunks).  phi_N was recorded
-# while each sum still sliced its own table; Z and the constant were recorded
-# again when their primes past 10^4 moved to the tail power sums (moves of at
-# most 1.0e-15 and 2.7e-15 relative).
+# Z_N, the predicted constant and phi_N at lambda = 0.5, -3, 40, Z_N and phi_N
+# at N = 2 * 10^5 (17,984 primes, two chunks).  phi_N was recorded while each
+# sum still sliced its own table; Z and the constant were recorded again when
+# their primes past 10^4 moved to the tail power sums (moves of at most 1.0e-15
+# and 2.7e-15 relative).  Z kept its bits when it moved to the plain power sums;
+# the constant was recorded once more when its tails past 10^4 came from the
+# prime zeta function instead of 10^7 primes and the E1 rule (moves of 9.9e-14,
+# 4.9e-14 and 2.2e-13 relative, onto the 40-digit infinite product: FIXED_LIST).
 EULER_RECORDED = [
     (
-        2, 1.0, 13.21869971337994 + 0j, 1.0827621932610318 + 0j,
+        2, 1.0, 13.21869971337994 + 0j, 1.0827621932609246 + 0j,
         [0.8598005538349026 + 0.3871083017367207j, 0.025642171652429886 - 0.2316208917219193j,
          0.04800321897276601 + 0.01377786835948809j],
     ),
     (
-        3, 0.5 - 0.5j, 0.42858410659451585 - 4.054240092965743j, 1.1400770336011734 - 0.24826777324400204j,
+        3, 0.5 - 0.5j, 0.42858410659451585 - 4.054240092965743j, 1.140077033601161 - 0.2482677732440581j,
         [1.1784712302029443 + 0.3034406259388257j, 0.2107620699926806 - 0.005800625309522298j,
          -0.04738941609281711 + 0.20285636691370015j],
     ),
     (
-        4, -1.5, 0.01461233024836676 + 0j, 0.6233084601269364 + 0j,
+        4, -1.5, 0.01461233024836676 + 0j, 0.623308460127075 + 0j,
         [0.8445984588978867 - 0.7016986324063049j, -8.20633959988796 + 6.501699266525108j,
          129.28118625092694 - 83.92104842225773j],
     ),
@@ -396,16 +411,102 @@ def test_partition_function_matches_mpmath(primes_2e5):
     assert worst <= Z_MPMATH_WORST
 
 
-def test_predicted_constant_finite_sum_matches_mpmath(primes_2e5):
-    # exp(alpha M + sum_{p <= P} [log z_p - alpha/p]) against mpmath at P = 2 * 10^5,
-    # the E1 tail past P added to both: 7.7e-17 relative (4.2e-16 when every
-    # prime went through the complex logs)
-    k, alpha, limit = 3, 0.5 - 0.5j, 2 * 10**5
-    tail = ensemble.prime_power_tail(ensemble._log_coeffs(k, alpha)[1:], limit)
-    with mpmath.workdps(30):
-        want = _mp_euler(k, alpha, primes_2e5, [limit], minus_x=True)[0] * mpmath.exp(alpha * ensemble.MERTENS + tail)
-        err = abs(mpmath.mpc(ensemble._predicted_constant(k, alpha, limit)) - want) / abs(want)
-    assert float(err) <= 2e-15
+def _log_coeff(k, d):
+    """a_d = (1 - k [k | d]) / d in mpmath."""
+    return (1 - (k if d % k == 0 else 0)) / mpmath.mpf(d)
+
+
+def _mp_log_constant(k, alpha, head=1000, degree=40):
+    """40-digit log C = alpha M + sum_p [log z_p - alpha/p], the infinite product: principal logs
+    up to ``head``, then sum_{d=2..degree} a_d alpha^d (P(d) - sum_{p<=head} p^-d) with mpmath's own
+    prime zeta function P and Mertens constant M (the cut is below 1e-60 for |alpha| < 2)."""
+    primes = sieve_primes(head).primes.tolist()
+    with mpmath.workdps(40):
+        a = mpmath.mpc(alpha)
+        logs = mpmath.fsum(mpmath.log(mpmath.fsum((a / p) ** t for t in range(k))) - a / p for p in primes)
+        tails = [mpmath.primezeta(d) - mpmath.fsum(mpmath.mpf(p) ** -d for p in primes) for d in range(2, degree + 1)]
+        return a * mpmath.mertens + logs + mpmath.fsum(_log_coeff(k, d) * a**d * t for d, t in enumerate(tails, 2))
+
+
+def _mp_h(alpha, head=1000, degree=40):
+    """40-digit H(alpha) = prod_p (1 - 1/p)^alpha (1 - alpha/p)^-1 / Gamma(alpha), by the same split."""
+    primes = sieve_primes(head).primes.tolist()
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        logs = mpmath.fsum(a * mpmath.log(1 - mpmath.mpf(1) / p) - mpmath.log(1 - a / p) for p in primes)
+        tails = [mpmath.primezeta(d) - mpmath.fsum(mpmath.mpf(p) ** -d for p in primes) for d in range(2, degree + 1)]
+        return mpmath.exp(logs + mpmath.fsum((a**d - a) / d * t for d, t in enumerate(tails, 2))) / mpmath.gamma(a)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_power_sums(n, head=10**4, degree=8):
+    """[sum_{head < p <= n} p^-d for d = 1..degree] in 40-digit fixed point: floor(10^40 / p^d), summed as integers."""
+    scale, sums = 10**40, [0] * degree
+    for p in sieve_primes(n).primes[sieve_primes(head).count() :].tolist():
+        q = scale
+        for d in range(degree):
+            q //= p
+            sums[d] += q
+    return tuple(mpmath.mpf(t) / scale for t in sums)
+
+
+def _mp_z(k, alpha, n, head=10**4):
+    """30-digit Z_n: principal logs up to ``head``, then sum_{d<=8} a_d alpha^d S_d over the exact power
+    sums past it (the cut is below 1e-33 for |alpha| < 2)."""
+    with mpmath.workdps(40):
+        a = mpmath.mpc(alpha)
+        logs = mpmath.fsum(mpmath.log(mpmath.fsum((a / p) ** t for t in range(k))) for p in sieve_primes(head).primes.tolist())
+        series = mpmath.fsum(_log_coeff(k, d) * a**d * t for d, t in enumerate(_exact_power_sums(n), 1))
+        return mpmath.exp(logs + series)
+
+
+def test_predicted_constant_matches_mpmath():
+    # exp(alpha M + sum_p [log z_p - alpha/p]) against the 40-digit infinite product, a
+    # relative 1.7e-16 at worst here (up to 3.6e-13 with the E1 tail past 10^7)
+    for k, alpha in [(2, 1.0), (3, 0.5 - 0.5j), (2, -1.9), (4, -1.5), (5, 1.2 + 1.1j)]:
+        want = mpmath.exp(_mp_log_constant(k, alpha))
+        err = abs(mpmath.mpc(ensemble._predicted_constant(k, alpha)) - want) / abs(want)
+        assert float(err) <= 5e-16, (k, alpha, float(err))
+
+
+# A fixed list for Z_N, the predicted constant C and H(alpha): each is at least as
+# close to mpmath as it was before the plain power sums and the prime-zeta tails,
+# when Z read FastCharfn's bucketed sums past 10^4 and C and H summed every prime
+# up to 10^7 with the E1 tail rule past it.  Those relative distances, rounded up
+# in the second digit, are the bounds; today's are in the trailing comments.
+FIXED_LIST = [
+    ("Z", (2, 1.0, 10**5), 2.9e-16),  # 2.8e-16, the same bits
+    ("Z", (3, 1 + 0.5j, 10**5), 3.1e-16),  # 3.0e-16, the same bits
+    ("Z", (2, -1.0, 10**5), 7.6e-17),  # 7.5e-17, the same bits
+    ("Z", (2, 1.9, 10**5), 6.0e-16),  # 5.9e-16, the same bits
+    ("Z", (4, 0.5 - 1j, 10**5), 1.8e-16),  # 1.7e-16, the same bits
+    ("Z", (3, 1 + 0.5j, 10**6), 2.3e-16),  # 2.3e-16, the same bits
+    ("Z", (2, 1.9, 10**6), 1.7e-16),  # 1.6e-16, the same bits
+    ("C", (2, 1.0), 1.0e-13),  # 0.0
+    ("C", (3, 1 + 0.5j), 1.3e-13),  # 7.5e-17
+    ("C", (2, 1.9), 3.6e-13),  # 0.0
+    ("C", (3, 0.5 - 0.5j), 5.0e-14),  # 2.4e-17
+    ("C", (4, -1.5), 2.3e-13),  # 0.0
+    ("C", (2, -1.9), 3.6e-13),  # 1.6e-16
+    ("H", (0.5,), 2.5e-14),  # 5.7e-17
+    ("H", (1.5,), 7.4e-14),  # 1.8e-18
+    ("H", (1.9,), 1.7e-13),  # 2.8e-18
+]
+
+
+@pytest.mark.parametrize("quantity,args,before", FIXED_LIST, ids=[f"{q}{a}" for q, a, _ in FIXED_LIST])
+def test_fixed_list_at_least_as_close_to_mpmath(quantity, args, before):
+    if quantity == "Z":
+        got, want = partition_function(EnsembleConfig(*args)), _mp_z(*args)
+    elif quantity == "C":
+        got, want = ensemble._predicted_constant(*args), mpmath.exp(_mp_log_constant(*args))
+    else:
+        got, want = dickman.h_constant(*args), _mp_h(*args)
+    with mpmath.workdps(40):
+        err = float(abs(mpmath.mpc(got) - want) / abs(want))
+    assert err <= before, err
+    if quantity == "H":
+        assert err <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from kfree import (
     sieve_primes,
     theorem1_ratio_scan,
 )
-from kfree.primes import prime_power_tail
+from kfree.primes import prime_zeta_tails
 
 
 def oracle_sieve(limit):
@@ -220,12 +220,11 @@ def test_tail_sums_are_the_plain_sums_once_per_key(table_1e6):
     split = table_1e6.count_below(10**4)
     sums = table_1e6.tail_sums(split, 64)
     assert table_1e6.tail_sums(split, 64) is sums and table_1e6.tail_sums(split, 128) is not sums
-    vbar, S, s5, v0, width = sums
+    vbar, S, v0, width = sums
     assert not vbar.flags.writeable and not S.flags.writeable
     p = table_1e6.primes[split:].astype(float)
     for d in range(1, 5):
         assert S[d - 1, 0].sum() == pytest.approx(math.fsum(p**-d), rel=1e-15)
-    assert s5 == pytest.approx(math.fsum(p**-5), rel=1e-15)
     v = np.log(p) / math.log(10**6)
     assert v0 == v[0] and width == pytest.approx((v[-1] - v[0]) / 64, rel=1e-11)
     lower = v0 + width * np.arange(64)
@@ -311,14 +310,56 @@ def test_table_immutable(table_1e6):
         table_1e6.primes[0] = 4
 
 
-def test_prime_power_tail_is_the_e1_rule():
-    # sum_j c_j E1((j - 1) log P) against mpmath's E1, and close to the true
-    # tail: sum_{10^5 < p <= 10^7} p^-2 plus the rule at 10^7 is the rule at 10^5
-    coeffs = (0.375, -0.3 + 0.2j, 1.25)
-    for limit in (10**3, 10**5, 10**7):
-        a = mpmath.log(limit)
-        want = sum(c * complex(mpmath.e1((j - 1) * a)) for j, c in enumerate(coeffs, 2))
-        assert abs(prime_power_tail(coeffs, limit) - want) <= 1e-15 * abs(want)
-    p = sieve_primes(10**7).primes[prime_count(10**5) :].astype(float)
-    head = math.fsum(p**-2.0)
-    assert head + prime_power_tail((1.0,), 10**7) == pytest.approx(prime_power_tail((1.0,), 10**5), rel=5e-3)
+def test_prime_zeta_tails_match_mpmath():
+    # sum_{p > P} p^-d = P(d) - sum_{p <= P} p^-d against mpmath's prime zeta function at 40 digits:
+    # within 1e-16 absolute (the rounding of P(d) <= 0.46), which is what a log sum adds, at d = 2..5
+    for limit in (100, 10**4):
+        got = prime_zeta_tails(limit)
+        head = sieve_primes(limit).primes.tolist()
+        with mpmath.workdps(40):
+            want = [mpmath.primezeta(d) - mpmath.fsum(mpmath.mpf(p) ** -d for p in head) for d in range(2, 6)]
+        assert got.shape == (4,)
+        for d, (g, w) in enumerate(zip(got, want), 2):
+            assert abs(g - w) <= 1e-16, (limit, d, float(g - w))
+    # far below its size at d = 2: the tail past 10^4 is about 1 / (P log P)
+    assert prime_zeta_tails(10**4)[0] == pytest.approx(9.8157e-6, rel=1e-4)
+
+
+def test_power_sums_are_the_exact_sums_once_per_key(table_1e6):
+    # one pass per (limit, split), read-only; sum p^-1 is the correctly rounded sum of the float
+    # terms (their float32 parts sum without rounding), and every sum is within 2e-16 of it
+    split = table_1e6.count_below(10**4)
+    sums = table_1e6.power_sums(split)
+    assert table_1e6.power_sums(split) is sums and table_1e6.power_sums(split + 1) is not sums
+    assert not sums.flags.writeable and sums.shape == (5,)
+    p = table_1e6.primes[split:].astype(float)
+    assert sums[0] == math.fsum(1.0 / p)
+    for d in range(2, 6):
+        assert sums[d - 1] == pytest.approx(math.fsum(p**-d), rel=2e-16)
+    assert table_1e6.power_sums(table_1e6.count()).tolist() == [0.0] * 5
+
+
+def test_tail_series_order_cuts_below_1e_17():
+    # the pass's S[d >= 2] is the series of its own d = 1 rows at order m; the same series at m + 4 on
+    # the same rows, both in long double, agrees with it within 1e-17 of sum_p p^-d |u_p|^j per bucket,
+    # the cut the order is chosen for, where the float rounding of v_p (1e-14) would hide a dropped term
+    for limit, buckets in ((10**6, 4096), (10**8 // 64, 512)):
+        table = sieve_primes(limit)
+        split = table.count_below(10**4)
+        log_n = math.log(limit)
+        vbar, T = primes._tail_rows(table, split, buckets, extra=4)[:2]
+        order = T.shape[0] - 8
+        assert np.array_equal(table.tail_sums(split, buckets)[1], primes._tail_series(T[: 4 + order], vbar, log_n))
+        got = primes._tail_series(T[: 4 + order].astype(np.longdouble), vbar, log_n)
+        want = primes._tail_series(T.astype(np.longdouble), vbar, log_n)
+        p = table.primes[split:].astype(float)
+        v = np.log(p) / log_n
+        starts = np.searchsorted(v, np.linspace(v[0], v[-1] * (1 + 1e-12), buckets + 1)[:-1])
+        full = np.flatnonzero(np.diff(np.append(starts, v.size)))
+        u = np.abs(v - np.repeat(vbar[full], np.diff(np.append(starts[full], v.size))))
+        for d in range(2, 5):
+            for j in range(5):
+                scale = np.zeros(buckets)
+                scale[full] = np.add.reduceat(p**-d * u**j, starts[full])
+                err = np.abs(got[d - 1, j] - want[d - 1, j])
+                assert np.all(err <= 1e-17 * scale), (limit, d, j, float(np.max(err / np.maximum(scale, 1e-300))))

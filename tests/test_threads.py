@@ -201,17 +201,18 @@ def _at_worker_counts(monkeypatch, compute) -> list:
 
 @pytest.mark.parametrize("k,alpha", [(2, 1.0), (2, -1.0), (3, 1 + 0.5j)])
 def test_build_and_products_identical_at_any_worker_count(table_1e6, monkeypatch, k, alpha):
-    # past the gate the tail pass's bucket groups and the Euler-product chunks
-    # go to the workers, and their sums are taken in piece order; each
-    # compute() runs the cached tail pass afresh
+    # past the gate the tail pass's bucket groups, the power sums' chunks and
+    # the Euler-product chunks go to the workers, and their sums are taken in
+    # piece order; each compute() runs the cached passes afresh
     cfg = EnsembleConfig(k=k, alpha=alpha, N=10**6)
 
     def compute():
         primes._TAIL_CACHE.clear()
+        primes._POWER_CACHE.clear()
         fast = FastCharfn(cfg)
-        _, S, s5, _, _ = table_1e6.tail_sums(fast.split, 4096)
-        products = partition_function(cfg), _predicted_constant(k, alpha, 10**6)
-        return fast._moments, fast._abs4, fast._log_remainder, fast._vbar, S, s5, *products
+        S = table_1e6.tail_sums(fast.split, 4096)[1]
+        products = partition_function(cfg), _predicted_constant(k, alpha)
+        return fast._moments, fast._abs4, fast._log_remainder, fast._vbar, S, table_1e6.power_sums(fast.split), *products
 
     values = _at_worker_counts(monkeypatch, compute)
     for got in values[1:]:
@@ -238,12 +239,26 @@ def test_sieve_identical_at_any_worker_count_past_the_real_gate(monkeypatch):
     assert tables[0].size == 1077927 and tables[0][-1] == 16778173
 
 
+def test_power_sums_identical_at_any_worker_count_past_the_real_gate(monkeypatch):
+    # 2^24 + 1001 has 66 chunks past 10^4 to share out; the exact sum of the chunks' sums makes
+    # every split of them give the same bits
+    table = primes.sieve_primes(primes._PARALLEL_LIMIT + 1001)
+    split = table.count_below(10**4)
+    sums = []
+    for count in (1, 2, 3):
+        monkeypatch.setattr(_threads, "workers", lambda blocks, count=count: min(count, blocks))
+        monkeypatch.setattr(primes, "_POWER_CACHE", {})
+        sums.append(table.power_sums(split))
+    assert all(np.array_equal(sums[0], got) for got in sums[1:])
+
+
 def test_tables_below_the_gate_stay_on_the_calling_thread(table_1e6, table_1e7, monkeypatch):
     def no_workers(*args):
         raise AssertionError("a table below the gate went to the workers")
 
     monkeypatch.setattr(primes, "map_blocks", no_workers)
-    primes._TAIL_CACHE.clear()  # so that the tail passes run here
+    primes._TAIL_CACHE.clear()  # so that the tail and power passes run here
+    primes._POWER_CACHE.clear()
     cfg = EnsembleConfig(k=2, alpha=1.0, N=10**6)
     FastCharfn(cfg)
     partition_function(cfg)
