@@ -4,7 +4,8 @@
   so that vectorized integrand evaluators (prime products, cached transforms)
   can be applied to the whole grid at once and reduced with its weights;
 * :func:`complex_quad` integrates a scalar complex integrand on those panels,
-  doubling their number until two levels agree, with a tolerance check.
+  doubling their number until two levels agree, with a tolerance check;
+* :func:`gemm` is the grids' matrix product, whose entries ignore the batch.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import SizeCapError, ToleranceError
 
-__all__ = ["NODE_CAP", "PanelGrid", "complex_quad", "gauss_panels"]
+__all__ = ["NODE_CAP", "PanelGrid", "complex_quad", "gauss_panels", "gemm"]
 
 #: most nodes any kfree grid may hold (32 MiB per float array); larger ones raise SizeCapError
 NODE_CAP = 1 << 22
@@ -45,6 +46,21 @@ def complex_quad(func, a, b, tol: float = 1e-10, limit: int = 400):
             f"quadrature error estimate {err:.3e} exceeds tolerance {tol:.3e}"
         )
     return value, float(err)
+
+
+def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of complex 2-d arrays by the matrix product, whose rows do not depend on each other.
+
+    A lone row of a or column of b would take numpy's dot or matrix-vector
+    path, which sums the terms unlike the matrix product, so it is repeated
+    to two and the product sliced back: a row is then rounded as in any larger
+    product with the same b, a column as in a two-column one.  Every other
+    product is a @ b.  (Real products differ: dgemm sums a row by its place.)
+    """
+    rows, cols = a.shape[0], b.shape[1]
+    if rows > 1 and cols > 1:
+        return a @ b
+    return ((np.repeat(a, 2, 0) if rows == 1 else a) @ (np.repeat(b, 2, 1) if cols == 1 else b))[:rows, :cols]
 
 
 def _cis(theta: np.ndarray) -> np.ndarray:

@@ -119,11 +119,10 @@ def map_blocks(task: Callable[[int, int], None], size: int, block: int) -> None:
     """Call ``task(lo, hi)`` over [0, size) cut into blocks, which must be independent.
 
     One worker runs blocks of ``block`` in order on the calling thread; w > 1
-    workers cut each block into pieces of ``block // w`` so the arrays in
-    flight add up to those of one block.  A one-item piece would take
-    numpy's matrix-vector path in place of the matrix product, which rounds
-    differently, so a one-item tail joins the piece before it: a piece has
-    one item only where its whole block has, and no value depends on w.
+    workers cut each block into pieces of ``block // w`` (the last one of a
+    block shorter) so the arrays in flight add up to those of one block.  A
+    task's value for an item must not depend on its piece, so that no value
+    depends on w; the grids' products get that from :func:`~kfree._quad.gemm`.
     The calling thread is one of the w workers; the other w - 1 take pieces
     from the same queue.  (A pool thread's arrays come from a malloc arena
     of its own that the caller cannot reuse, so the caller working keeps
@@ -134,10 +133,7 @@ def map_blocks(task: Callable[[int, int], None], size: int, block: int) -> None:
     pieces = []
     for start in range(0, size, block):
         end = min(start + block, size)
-        cuts = list(range(start, end, step))
-        if len(cuts) > 1 and end - cuts[-1] == 1:
-            cuts.pop()
-        pieces += zip(cuts, cuts[1:] + [end])
+        pieces += [(lo, min(lo + step, end)) for lo in range(start, end, step)]
     queue = iter(pieces)
     lock = threading.Lock()
 

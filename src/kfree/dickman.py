@@ -2,10 +2,10 @@
 
 Objects
 -------
-* ``h_constant(alpha, prime_limit)`` -- the Euler-product constant
+* ``h_constant(alpha)`` -- the Euler-product constant
   H(alpha) = (1/Gamma(alpha)) * prod_p (1 - alpha/p)^{-1} (1 - 1/p)^{alpha},
-  computed in log space over float chunks of the primes up to 10^4, with
-  the prime-zeta tails past them.  H(1) = 1 exactly (every factor is 1).
+  computed in log space over chunks of the primes up to 10^4, with the
+  prime-zeta tails past them.  H(1) = 1 exactly (every factor is 1).
   This is the plateau value a0 of rho_alpha.
 
 * ``solve_rho(alpha, u_max, step)`` -- grid solution of the delayed ODE
@@ -62,9 +62,6 @@ __all__ = [
     "limit_exponent",
 ]
 
-_DEFAULT_PRIME_LIMIT = 10**4
-
-
 @dataclass(frozen=True)
 class RhoGrid:
     """Samples of rho_alpha on the uniform grid u = 0, step, ..., u_max."""
@@ -83,15 +80,15 @@ class RhoGrid:
         return np.arange(self.values.size) * self.step
 
 
-def h_constant(alpha: float, prime_limit: int = _DEFAULT_PRIME_LIMIT) -> float:
+def h_constant(alpha: float) -> float:
     """Euler-product constant H(alpha) for real alpha in (0, 2), where it has no pole.
 
-    The log of prod_{p<=P} (1-1/p)^alpha (1-alpha/p)^{-1}, P = prime_limit,
-    over ``_CHUNK``-prime chunks, each summed exactly, plus the tail
+    The log of prod_{p<=P} (1-1/p)^alpha (1-alpha/p)^{-1}, P = 10^4, over
+    ``_CHUNK``-prime chunks, each summed exactly, plus the tail
     sum_{d=2..5} (alpha^d - alpha)/d sum_{p>P} p^-d from the prime zeta
-    function, as the partition constant
-    takes it (:func:`~kfree.primes.prime_zeta_tails`).  The cut from d = 6 on
-    is below 3e-21 for P >= 10^4.
+    function, as the partition constant takes it
+    (:func:`~kfree.primes.prime_zeta_tails`).  The cut from d = 6 on is
+    below 3e-21.
     """
     if isinstance(alpha, complex):
         if alpha.imag != 0.0:
@@ -100,13 +97,11 @@ def h_constant(alpha: float, prime_limit: int = _DEFAULT_PRIME_LIMIT) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha < 2.0:
         raise DomainError(f"h_constant requires alpha in (0, 2), got {alpha}")
-    if prime_limit < 10**4:
-        raise DomainError("prime_limit must be at least 10^4")
     if alpha == 1.0:
         return 1.0  # every factor is exactly 1 and Gamma(1) = 1
-    table = sieve_primes(prime_limit)
+    table = sieve_primes(10**4)
     log_sum = sum(table.map_chunks(lambda p: math.fsum(alpha * np.log1p(-1.0 / p) - np.log1p(-alpha / p))))
-    tail = sum((alpha**d - alpha) / d * t for d, t in enumerate(prime_zeta_tails(prime_limit), 2))
+    tail = sum((alpha**d - alpha) / d * t for d, t in enumerate(prime_zeta_tails(table.limit), 2))
     return math.exp(log_sum + tail) / math.gamma(alpha)
 
 

@@ -31,10 +31,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._quad import PanelGrid
+from ._quad import PanelGrid, gemm
 from ._threads import map_blocks, one_blas_thread
 from .errors import DegenerateConfigError, DomainError, SizeCapError
-from .primes import _CHUNK, _TAIL_DEGREE, _inverse_powers, prime_zeta_tails, sieve_primes
+from .primes import _CHUNK, _TAIL_DEGREE, prime_zeta_tails, sieve_primes
 
 __all__ = [
     "EnsembleConfig",
@@ -249,7 +249,7 @@ def _series_log(table, k: int, alpha: complex) -> complex:
     P = :func:`_series_head`, then the log series sum_{d<=5} a_d alpha^d S_d, S_d = sum_{p>P} p^-d from the
     table's :meth:`~kfree.primes.PrimeTable.power_sums`."""
     split = table.count_below(min(_series_head(k, alpha), table.limit))
-    head = sum(table.map_chunks(lambda p: _log_euler(_factor_offset(k, alpha / p)), split), 0j)
+    head = sum(table.map_chunks(lambda p: _log_euler(_factor_offset(k, alpha / p)), stop=split), 0j)
     return head + sum(_log_coeffs(k, alpha, _LOG_DEGREE + 1) * table.power_sums(split))
 
 
@@ -483,8 +483,8 @@ def _positive_product(cfg: EnsembleConfig, strip: float) -> float:
     return float(np.exp(_log_product(cfg, lambda p: abs(cfg.alpha) * np.exp(strip / cfg.log_n * np.log(p)) / p).real))
 
 
-# FastCharfn's default head cutoff, the floor of its fine buckets (the direct
-# head is smaller); at or below it there are no tail primes
+# FastCharfn's head cutoff, the floor of its fine buckets (the direct head is
+# smaller); at or below it there are no tail primes
 _FAST_HEAD_LIMIT = 10**4
 
 _FAST_BUCKETS = 4096  # FastCharfn's default fine buckets
@@ -496,11 +496,11 @@ _FAST_BUCKETS = 4096  # FastCharfn's default fine buckets
 _MIN_TAIL = 3
 
 
-def _tail_split(cfg: EnsembleConfig, primes: np.ndarray, head_limit: int = _FAST_HEAD_LIMIT) -> Optional[tuple]:
+def _tail_split(cfg: EnsembleConfig, primes: np.ndarray) -> Optional[tuple]:
     """(d*, i) of FastCharfn's layout over ``primes``, the primes <= N: d* = ``threshold_prime``,
-    and primes[i:] the tail past max(head_limit, d*); None when it has fewer than ``_MIN_TAIL``."""
+    and primes[i:] the tail past max(10^4, d*); None when it has fewer than ``_MIN_TAIL``."""
     d_star = threshold_prime(cfg)
-    split = int(np.searchsorted(primes, max(int(head_limit), d_star), side="right"))
+    split = int(np.searchsorted(primes, max(_FAST_HEAD_LIMIT, d_star), side="right"))
     return (d_star, split) if primes.size - split >= _MIN_TAIL else None
 
 
@@ -532,7 +532,7 @@ class FastCharfn:
     prime leaves at most 2 (k - 1) |x|^5 / (5 (1 - |x|)).  The mid primes,
     P < p <= head cutoff, are the longest run whose remainder stays within
     ``_MID_BUDGET``, with P >= ``threshold_prime``.  The tail primes past
-    the head cutoff (10^4 by default) go to ``buckets`` equal-width fine
+    the head cutoff max(10^4, d*) go to ``buckets`` equal-width fine
     buckets in v; the build stores the moments M[d, j, b] =
     sum_p c_d(p) (v_p - vbar_b)^j, j <= 3, of a third-order expansion of
     e^{i lambda d v} about each bucket mean.  Each ``grid`` call, from
@@ -552,7 +552,7 @@ class FastCharfn:
     :func:`~kfree._threads.map_blocks`; no value depends on how many there are.
 
     A tail of fewer than ``_MIN_TAIL`` primes, or one narrower than a
-    ``buckets``-th of the mid primes' span in v (a head cutoff near N),
+    ``buckets``-th of the mid primes' span in v (N just past 10^4, few buckets),
     raises :class:`DomainError` before the tail pass; :func:`charfn_for`
     takes the exact evaluator for the first and never meets the second.
 
@@ -573,19 +573,13 @@ class FastCharfn:
     """
 
     @one_blas_thread()
-    def __init__(
-        self,
-        cfg: EnsembleConfig,
-        head_limit: int = _FAST_HEAD_LIMIT,
-        buckets: int = _FAST_BUCKETS,
-    ):
+    def __init__(self, cfg: EnsembleConfig, buckets: int = _FAST_BUCKETS):
         self.cfg = cfg
         self.table = sieve_primes(cfg.N)
-        layout = _tail_split(cfg, self.table.primes, head_limit)
+        layout = _tail_split(cfg, self.table.primes)
         if layout is None:
-            raise DomainError(f"fewer than {_MIN_TAIL} tail primes to bucket; lower head_limit or raise N")
+            raise DomainError(f"fewer than {_MIN_TAIL} tail primes to bucket; raise N")
         d_star, self.split = layout
-        self.head_limit = max(int(head_limit), d_star)
         self.log_n = math.log(cfg.N)
         k, coef = cfg.k, _log_coeffs(cfg.k, cfg.alpha)
         head = self.table.primes[: self.split].astype(float)
@@ -599,10 +593,11 @@ class FastCharfn:
         # a mid span of more than `buckets` tail widths puts more cells below v0 than any layout has buckets
         v0, v1 = np.log(self.table.primes[[self.split, -1]]) / self.log_n
         if v0 - np.min(self._mid_v, initial=v0) > buckets * (v1 - v0):
-            raise DomainError(f"the mid primes span more than {buckets} tail widths; lower head_limit or raise N")
+            raise DomainError(f"the mid primes span more than {buckets} tail widths; raise N or buckets")
         self._head_v = np.log(head[: self.mid_start]) / self.log_n
         self._head_rows = _marginal_rows(k, cfg.alpha, head[: self.mid_start])
-        c = coef[:, None] * _inverse_powers(head[self.mid_start :])
+        inv = 1.0 / head[self.mid_start :]
+        c = coef[:, None] * np.cumprod(np.broadcast_to(inv, (_LOG_DEGREE, inv.size)), axis=0)  # a_d alpha^d p^-d
         self._mid_c = np.concatenate([-c.sum(axis=0, keepdims=True), c])
 
         self._vbar, S, self._v0, self._width = self.table.tail_sums(self.split, buckets)  # alpha- and k-free
@@ -696,8 +691,6 @@ class FastCharfn:
         def panels(lo: int, hi: int) -> None:
             lam = lams[lo * per : hi * per]
             phases = (grid.centre_phases(v, lo, hi)[:, None] * et).reshape(lam.size, v.size)
-            if lam.size == 1:  # one row makes the products below gemv, which rounds unlike gemm
-                lam, phases = np.repeat(lam, 2), np.repeat(phases, 2, axis=0)
             # tail: per degree d, one (L, C) @ (C, J) product against the cell
             # moments, combined by Horner in t = i lam d H / 2
             base, hphase = phases[:, : centres.size], phases[:, centres.size :]
@@ -707,7 +700,7 @@ class FastCharfn:
                 if d > 1:
                     phase *= base
                 t = 1j * lam * (d * half)
-                acc += functools.reduce(lambda s, m_n: s * t + m_n, (phase @ cell_moments[d - 1]).T[::-1])
+                acc += functools.reduce(lambda s, m_n: s * t + m_n, gemm(phase, cell_moments[d - 1]).T[::-1])
             # head: z_p = sum_t F_t(p) X^t by Horner in X = e^{i lam v_p}, multiplied
             # directly (equal to exponentiating the sum of principal logs)
             z = np.zeros_like(hphase)
@@ -715,7 +708,7 @@ class FastCharfn:
                 z += row
                 z *= hphase
             z += self._head_rows[0]
-            out[lo * per : hi * per] = (np.prod(z, axis=1) * np.exp(acc))[: (hi - lo) * per]
+            out[lo * per : hi * per] = np.prod(z, axis=1) * np.exp(acc)
 
         map_blocks(panels, grid.centres.size, max(1, block // per))
         out[lams == 0.0] = 1.0

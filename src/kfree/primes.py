@@ -5,7 +5,7 @@ memory besides the table (the convergence scans need every prime up to
 ~10**8), and keeps one int64 copy of it.  Tables are immutable and cached
 behind a lock, and a smaller limit is a read-only view of a larger cached
 table, so tables can be shared freely across threads.  The Euler-product
-sums map a table's float chunks in order (:meth:`PrimeTable.map_chunks`); past
+sums map a table's chunks in order (:meth:`PrimeTable.map_chunks`); past
 a split they read the table's cached power sums (:meth:`PrimeTable.power_sums`,
 and FastCharfn's bucketed :meth:`PrimeTable.tail_sums`), and past the table
 the prime zeta function (:func:`prime_zeta_tails`).  From ``_PARALLEL_LIMIT``
@@ -88,12 +88,13 @@ class PrimeTable:
         """Number of table primes <= x (valid for x <= limit)."""
         return int(np.searchsorted(self.primes, x, side="right"))
 
-    def map_chunks(self, fn, stop: int | None = None) -> list:
-        """[fn(chunk) for each chunk of primes[:stop] in order], a chunk being ``_CHUNK`` primes as a
-        float array (the last one shorter); the chunks are shared out by :func:`_map_pieces`."""
-        primes = self.primes[:stop]
+    def map_chunks(self, fn, start: int = 0, stop: int | None = None) -> list:
+        """[fn(chunk) for each chunk of primes[start:stop] in order], a chunk being ``_CHUNK`` primes
+        (the last one shorter) as a read-only int64 view, which float arithmetic converts on the fly;
+        the chunks are shared out by :func:`_map_pieces`."""
+        primes = self.primes[start:stop]
         count = -(-primes.size // _CHUNK)
-        return _map_pieces(lambda i: fn(primes[i * _CHUNK : (i + 1) * _CHUNK].astype(float)), count, self.limit)
+        return _map_pieces(lambda i: fn(primes[i * _CHUNK : (i + 1) * _CHUNK]), count, self.limit)
 
     def power_sums(self, split: int) -> np.ndarray:
         """[sum p^-d for d = 1..5] over primes[split:], read-only: one pass per (limit, split), cached, in
@@ -101,11 +102,8 @@ class PrimeTable:
         key = (self.limit, int(split))
         with _CACHE_LOCK:
             if key not in _POWER_CACHE:
-                primes = self.primes[split:]  # int64 chunks: 1 / p converts them on the fly
                 with one_blas_thread():
-                    parts = _map_pieces(lambda i: _power_parts(primes[i * _CHUNK : (i + 1) * _CHUNK]),
-                                        -(-primes.size // _CHUNK), self.limit)
-                parts = np.reshape(parts, (-1, 6)).T
+                    parts = np.reshape(self.map_chunks(_power_parts, split), (-1, 6)).T
                 _POWER_CACHE[key] = np.array([math.fsum(parts[:2].ravel()), *map(math.fsum, parts[2:])])
                 _POWER_CACHE[key].setflags(write=False)
             return _POWER_CACHE[key]
@@ -122,15 +120,6 @@ class PrimeTable:
             if key not in _TAIL_CACHE:
                 _TAIL_CACHE[key] = _tail_pass(self, split, buckets)
             return _TAIL_CACHE[key]
-
-
-def _inverse_powers(p: np.ndarray) -> np.ndarray:
-    """(4, n) array of p^-1, ..., p^-4 over the primes p, by repeated products."""
-    out = np.empty((_TAIL_DEGREE, p.size))
-    np.divide(1.0, p, out=out[0])
-    for d in range(1, _TAIL_DEGREE):
-        np.multiply(out[d - 1], out[0], out=out[d])
-    return out
 
 
 _HIGH_BITS = np.uint64(2**64 - 2**29)  # the top 24 of a float's 53 significant bits

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._quad import PanelGrid, gauss_panels
+from ._quad import PanelGrid, gauss_panels, gemm
 from ._threads import map_blocks, one_blas_thread
 from .dickman import charfn_limit_grid
 from .ensemble import (
@@ -174,15 +174,11 @@ def bump_transform(lams) -> np.ndarray:
     vals = np.empty((mags.size, shifts.size))
     phases = PanelGrid(mags, shifts)
     et = phases.offset_phases(x)
-    if shifts.size == 1:  # one row or column makes a dot or gemv, which sum the Gauss terms unlike gemm
-        et = np.repeat(et, 2, axis=0)
 
     def rows(lo: int, hi: int) -> None:
         em = phases.centre_phases(x, lo, hi)
         em *= wg  # in place: one (block, 2000) array in flight per piece
-        if hi - lo == 1:
-            em = np.repeat(em, 2, axis=0)
-        vals[lo:hi] = (em @ et.T).real[: hi - lo, : shifts.size]
+        vals[lo:hi] = gemm(em, et.T).real
 
     map_blocks(rows, mags.size, _BUMP_BLOCK)
     return (vals[np.repeat(row, grid.offsets.size), col.ravel()] / math.pi).astype(complex)

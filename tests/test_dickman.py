@@ -12,7 +12,6 @@ Independent oracles used here:
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,19 +35,10 @@ RHO1_AT_12 = 1.419713165017938934884595e-14
 
 def test_h_constant_alpha_one_is_exactly_one():
     assert dickman.h_constant(1.0) == 1.0
-    assert dickman.h_constant(1.0, prime_limit=10**4) == 1.0
-
-
-def test_h_constant_converges_in_prime_limit():
-    a = dickman.h_constant(0.5, prime_limit=10**6)
-    b = dickman.h_constant(0.5, prime_limit=10**7)
-    assert abs(a - b) / abs(b) < 1e-4  # agreement to 4 significant digits
-    # with the tail correction the agreement is far better than that
-    assert abs(a - b) / abs(b) < 1e-8
 
 
 def test_h_constant_finite_positive():
-    v = dickman.h_constant(1.5, prime_limit=10**7)
+    v = dickman.h_constant(1.5)
     assert math.isfinite(v) and v > 0
 
 
@@ -73,23 +63,7 @@ def test_h_constant_domain():
     with pytest.raises(DomainError):
         dickman.h_constant(-0.5)
     with pytest.raises(DomainError):
-        dickman.h_constant(0.5, prime_limit=10)
-    with pytest.raises(DomainError):
         dickman.h_constant(0.5 + 0.5j)
-
-
-def test_h_constant_holds_no_full_length_array(table_1e7):
-    # Summed over 2^14-prime chunks up to prime_limit 10^7 (the default is
-    # 10^4), H peaks at about 0.5 MB under tracemalloc, against 21 MB for the
-    # float arrays of one full-length pass.
-    dickman.h_constant(0.5, prime_limit=10**7)  # warm lazy caches outside the measurement
-    tracemalloc.start()
-    try:
-        dickman.h_constant(0.5, prime_limit=10**7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -1153,12 +1153,13 @@ class TestFastCharfn:
         tail = len(table_1e7.primes) - fast.split
         assert peak < 8 * tail + 8 * 2**20
 
-    def test_truncation_bound_tracks_coarser_settings(self, table_1e6):
+    def test_truncation_bound_tracks_coarser_settings(self, table_1e6, monkeypatch):
         # With a smaller head and fewer buckets the truncation term dominates
         # roundoff, so the bound must cover the observed error on its own.
         cfg = EnsembleConfig(k=2, alpha=1.0, N=10**6)
         lams = np.array([0.5, 1.0, 2.0, 5.0])
-        fast = FastCharfn(cfg, head_limit=300, buckets=256)
+        monkeypatch.setattr(ensemble, "_FAST_HEAD_LIMIT", 300)
+        fast = FastCharfn(cfg, buckets=256)
         exact = CharfnEvaluator(cfg)
         diff = np.max(np.abs(fast.grid(lams) - exact.grid(lams)))
         bound = fast.truncation_bound(5.0)
@@ -1275,13 +1276,15 @@ class TestFastCharfn:
         fast = FastCharfn(EnsembleConfig(k=2, alpha=1.0, N=10**6))
         assert [fast._cells(lam)[1].size for lam in (360.0, 1024.0)] == [95, 380]
 
-    @pytest.mark.parametrize("head_limit", [999_000, 999_900])
-    def test_tail_narrower_than_the_mid_span_is_refused(self, table_1e6, head_limit):
-        # 65 and 8 tail primes whose span in v is 1/6,984 and 1/89,739 of the mid
-        # primes': any layout would put over 4096 cells below v0, so the build
-        # refuses them before its tail pass
+    @pytest.mark.parametrize("buckets", [512, 700])
+    def test_tail_narrower_than_the_mid_span_is_refused(self, buckets):
+        # at N = 10,038 (k = 2, alpha = 1) the mid primes span about 740 tail widths: a layout of
+        # fewer buckets would put more cells below v0 than it has buckets, so the build refuses
+        # it before its tail pass, while 1024 buckets build
+        cfg = EnsembleConfig(k=2, alpha=1.0, N=10_038)
         with pytest.raises(DomainError, match="tail widths"):
-            FastCharfn(EnsembleConfig(k=2, alpha=1.0, N=10**6), head_limit=head_limit)
+            FastCharfn(cfg, buckets=buckets)
+        assert FastCharfn(cfg, buckets=1024).split < len(sieve_primes(cfg.N))
 
     def test_width_guard_spares_the_default_cutoff(self, table_1e6):
         # at the head cutoff 10^4 the mid span is at most 740 tail widths here (N = 10,038,

@@ -7,6 +7,10 @@ name may instead be wrapped by perfbench's tracer, which is read in a fresh
 interpreter with ``src`` and ``perfbench`` on ``sys.path`` as in
 ``tests/test_tracing.py``.  A name used only by the tests belongs in
 ``tests/oracles.py``.
+
+The parameter names of every exported function and class, and of the public
+methods of the classes, are pinned too, so that a new keyword (a method knob)
+fails here as a new export does.
 """
 
 import ast
@@ -22,6 +26,67 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # exported for the remainder bound of the asymptotic route, which will call them
 AWAITING_CALLER = {"main_term_J111", "antiderivative_case", "antiderivative_names"}
+
+# parameter names of each exported callable (a class: its constructor) and public method, in order
+SIGNATURES = {
+    "PrimeTable": "limit primes",
+    "PrimeTable.count": "",
+    "PrimeTable.count_below": "x",
+    "PrimeTable.map_chunks": "fn start stop",
+    "PrimeTable.power_sums": "split",
+    "PrimeTable.tail_sums": "split buckets",
+    "sieve_primes": "limit",
+    "prime_count": "limit",
+    "RhoGrid": "alpha step u_max values a0",
+    "h_constant": "alpha",
+    "solve_rho": "alpha u_max step",
+    "w_density": "grid u",
+    "w_integral": "grid",
+    "charfn_limit": "alpha lam",
+    "charfn_limit_grid": "alpha lam",
+    "EnsembleConfig": "k alpha N",
+    "enumerate_ensemble": "cfg cap",
+    "partition_function": "cfg",
+    "partition_constant": "k alpha n_values",
+    "PartitionConstantReport": "k alpha n_values ratios value est_error predicted candidates supported",
+    "forbidden_alphas": "k prime_limit",
+    "CharfnEvaluator": "cfg",
+    "CharfnEvaluator.grid": "lams",
+    "CharfnEvaluator.truncation_bound": "lam_max",
+    "FastCharfn": "cfg buckets",
+    "FastCharfn.truncation_bound": "lam_max",
+    "FastCharfn.grid": "lams block",
+    "EvalResult": "value est_abs_error",
+    "cosine_integral": "lam",
+    "entire_cosine_integral": "lam",
+    "sine_integral": "lam",
+    "exp_integral_ei": "z",
+    "upper_gamma": "a z",
+    "CutoffDescriptor": "name evaluate transform eta decay_constant support tail_integral jumps",
+    "CutoffDescriptor.transform_grid": "lams",
+    "CutoffDescriptor.strip_bound": "y",
+    "builtin_cutoffs": "",
+    "get_cutoff": "name",
+    "SpectralSum": "value R quadrature_error tail_bound panel_width rho",
+    "ComparisonReport": "k alpha N cutoff R constant direct spectral asymptotic epsilon_rate ratios",
+    "smooth_sum_direct": "cfg f",
+    "smooth_sum_spectral": "cfg f R tol",
+    "asymptotic_prediction": "cfg f R constant",
+    "comparison_tolerance": "cfg direct spectral",
+    "error_region": "tau eta delta",
+    "theorem1_ratio_scan": "k alpha n_values f R_numerator",
+    "ExampleReport": "r M h midpoint_sum second_derivative_max curvature_step_bound measured_error_envelope "
+    "half_curvature_bound tail lower_bound margin threshold passed",
+    "reproduce_example": "r M",
+    "AntiderivativeCase": "name indices eps closed_form integrand note",
+    "EnvelopeReport": "label rows fit alternatives term",
+    "EnvelopeReport.alternative": "model",
+    "antiderivative_names": "",
+    "antiderivative_case": "indices eps",
+    "main_term_J111": "cfg lam d_star",
+    "bound_scan": "term cfgs lam_values",
+    "limit_deviation_scan": "k alpha lam_values n_values",
+}
 
 
 def _library_loads() -> set:
@@ -73,3 +138,22 @@ def test_every_exported_function_and_class_has_a_caller():
     assert AWAITING_CALLER <= exported
     used = _library_loads() | _traced_names()
     assert sorted(exported - used - AWAITING_CALLER) == []
+
+
+def _public_signatures() -> dict:
+    """Parameter names, space-separated, of each exported function, class and public method."""
+    out = {}
+    for name in kfree.__all__:
+        obj = getattr(kfree, name)
+        if inspect.isfunction(obj) or (inspect.isclass(obj) and not issubclass(obj, BaseException)):
+            out[name] = " ".join(inspect.signature(obj).parameters)
+        if inspect.isclass(obj) and name in out:
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    out[f"{name}.{attr}"] = " ".join(p for p in inspect.signature(member).parameters if p != "self")
+    return out
+
+
+def test_public_parameters_are_pinned():
+    # a parameter added, renamed or removed anywhere in the public API shows here by name
+    assert _public_signatures() == SIGNATURES

@@ -204,14 +204,22 @@ def test_tail_sums_run_once_per_key_across_threads(monkeypatch):
 
 
 def test_chunks_cover_the_table_in_order(table_1e6):
+    # read-only int64 views of the table, no copies; start and stop cut the range, and
+    # chunks count from start
     chunks = table_1e6.map_chunks(lambda p: p)
     assert [c.size for c in chunks[:-1]] == [primes._CHUNK] * (len(chunks) - 1)
     assert 0 < chunks[-1].size <= primes._CHUNK
-    assert all(c.dtype == np.float64 for c in chunks)
-    assert np.array_equal(np.concatenate(chunks), table_1e6.primes.astype(float))
-    head = table_1e6.map_chunks(lambda p: p, 20_000)
+    assert all(c.dtype == np.int64 and not c.flags.writeable and c.base is not None for c in chunks)
+    assert np.array_equal(np.concatenate(chunks), table_1e6.primes)
+    head = table_1e6.map_chunks(lambda p: p, stop=20_000)
     assert [c.size for c in head] == [primes._CHUNK, 20_000 - primes._CHUNK]
-    assert np.array_equal(np.concatenate(head), table_1e6.primes[:20_000].astype(float))
+    assert np.array_equal(np.concatenate(head), table_1e6.primes[:20_000])
+    tail = table_1e6.map_chunks(lambda p: p, 1229)
+    assert tail[0][0] == 10_007 and [c.size for c in tail[:-1]] == [primes._CHUNK] * (len(tail) - 1)
+    assert np.array_equal(np.concatenate(tail), table_1e6.primes[1229:])
+    middle = table_1e6.map_chunks(lambda p: p, 1229, 1229 + primes._CHUNK + 5)
+    assert [c.size for c in middle] == [primes._CHUNK, 5]
+    assert table_1e6.map_chunks(len, 100, 100) == []
 
 
 def test_tail_sums_are_the_plain_sums_once_per_key(table_1e6):

@@ -6,6 +6,7 @@ that also builds the cached transforms, so its checks here go to
 caller ``bound_scan`` (1e-11) and the test oracle ``fourier_transform``
 (1e-10 here) are checked at their own tolerances, and so is the closed form
 ``main_term_J111`` (1e-12) against a quadrature of its defining integral.
+The grid evaluators' product ``gemm`` is checked against larger products.
 """
 
 import cmath
@@ -14,11 +15,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from kfree import EnsembleConfig
-from kfree._quad import complex_quad
+from kfree._quad import complex_quad, gemm
+from kfree._threads import one_blas_thread
 from kfree.ensemble import threshold_prime
 from kfree.errors import ToleranceError
 from kfree.remainders import _bounding_integrand, bound_scan, main_term_J111
@@ -26,6 +29,32 @@ from kfree.smoothsum import TWO_PI, builtin_cutoffs
 from oracles import fourier_transform
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_gemm_lone_rows_and_columns_are_those_of_a_larger_product():
+    # complex, as in the grids' products: (rows, 2000) Gauss-node phases times a transposed
+    # (shifts, 2000) array, and (L, cells) phases times (cells, 27) cell moments.  A row is
+    # rounded as in any product with the same b, a lone column as in a two-column product
+    # (OpenBLAS's zgemm sums columns by their place in a block of four)
+    rng = np.random.default_rng(30)
+    shapes = ((9, 2000), (5, 2000), (2000, 27))
+    a, bt, c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in shapes)
+    with one_blas_thread():
+        for a, b in ((a, bt.T), (a, c), (np.asfortranarray(a), c), (a, np.asfortranarray(c))):
+            full = a @ b
+            assert np.array_equal(gemm(a, b), full)
+            for i in range(a.shape[0]):
+                assert np.array_equal(gemm(a[i : i + 1], b), full[i : i + 1])
+                assert np.array_equal(gemm(a[i : i + 1], b[:, 1:2]), (a[[i, i - 1]] @ b[:, 1:3])[:1, :1])
+            for j in range(b.shape[1] - 1):
+                assert np.array_equal(gemm(a, b[:, j : j + 1]), (a @ b[:, j : j + 2])[:, :1])
+
+
+def test_gemm_leaves_larger_products_alone():
+    rng = np.random.default_rng(31)
+    a, b = rng.standard_normal((2, 300)), rng.standard_normal((300, 2))
+    assert np.array_equal(gemm(a, b), a @ b) and gemm(a, b).shape == (2, 2)
+    assert gemm(a[:1], b[:, :1]).shape == (1, 1)
 
 
 def scipy_quad(func, a, b, tol):

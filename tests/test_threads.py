@@ -11,7 +11,7 @@ import pytest
 
 from kfree import _threads, primes
 from kfree.dickman import h_constant
-from kfree.ensemble import EnsembleConfig, FastCharfn, _predicted_constant, partition_function
+from kfree.ensemble import EnsembleConfig, FastCharfn, _log_product, _predicted_constant, partition_function
 from kfree.smoothsum import _symmetric_grid, bump_transform
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -136,10 +136,10 @@ class TestWorkers:
         [
             (1, 23, [(0, 8), (8, 16), (16, 23)]),
             (2, 23, [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20), (20, 23)]),
-            # a one-item tail joins the piece before it, unless its block has one item
-            (2, 21, [(0, 4), (4, 8), (8, 12), (12, 16), (16, 21)]),
+            # the last piece of a block is shorter, down to one item
+            (2, 21, [(0, 4), (4, 8), (8, 12), (12, 16), (16, 20), (20, 21)]),
             (2, 17, [(0, 4), (4, 8), (8, 12), (12, 16), (16, 17)]),
-            (3, 19, [(lo, lo + 2) for lo in range(0, 16, 2)] + [(16, 19)]),
+            (3, 19, [(lo, lo + 2) for lo in range(0, 16, 2)] + [(16, 18), (18, 19)]),
         ],
     )
     def test_blocks_split_over_workers(self, monkeypatch, count, size, pieces):
@@ -165,8 +165,8 @@ def test_grid_identical_at_one_and_two_workers(table_1e6, monkeypatch, k, alpha)
 
 @pytest.mark.parametrize("size", [257, 385, 513, 641, 1025])
 def test_plain_nodes_identical_at_any_worker_count(table_1e6, monkeypatch, size):
-    # sizes whose blocks or pieces end in a single node, where a one-row
-    # product would round differently from the rows around it
+    # sizes whose blocks or pieces end in a single node (385 at 2 workers: 384-385), which
+    # gemm multiplies as a row of a larger product; one worker cuts no block into pieces
     fast = FastCharfn(EnsembleConfig(k=2, alpha=1.0, N=10**6))
     lams = np.linspace(-300.0, 300.0, size) + 0.125
     values = []
@@ -178,10 +178,16 @@ def test_plain_nodes_identical_at_any_worker_count(table_1e6, monkeypatch, size)
 
 @pytest.mark.parametrize(
     "lams",
-    [_symmetric_grid(360.0, 4.0), _symmetric_grid(1024.0), np.linspace(-300.0, 300.0, 193) + 0.125],
-    ids=["R360-h4", "R1024-h1", "plain-193"],
+    [
+        _symmetric_grid(360.0, 4.0),
+        _symmetric_grid(1024.0),
+        np.linspace(-300.0, 300.0, 193) + 0.125,
+        np.arange(97) + 0.25,
+    ],
+    ids=["R360-h4", "R1024-h1", "plain-193", "mags-97"],
 )
 def test_bump_transform_identical_at_any_worker_count(monkeypatch, lams):
+    # 97 distinct |m| of one shift: a lone column, and at 2 workers the one-row piece 96-97
     values = []
     for count in (1, 2, 3):
         monkeypatch.setattr(_threads, "workers", lambda blocks, count=count: min(count, blocks))
@@ -219,10 +225,12 @@ def test_build_and_products_identical_at_any_worker_count(table_1e6, monkeypatch
         assert all(np.array_equal(a, b) for a, b in zip(values[0], got))
 
 
-def test_sieve_and_h_constant_identical_at_any_worker_count(table_1e6, monkeypatch):
-    # segments of 2^16 integers, so the 10^6 sieve has 16 pieces to share out
+def test_sieve_and_chunked_sum_identical_at_any_worker_count(table_1e6, monkeypatch):
+    # segments of 2^16 integers, so the 10^6 sieve has 16 pieces to share out; the
+    # Euler-product sum over its 5 chunks adds them in chunk order
     monkeypatch.setattr(primes, "_SEGMENT_SIZE", 1 << 16)
-    values = _at_worker_counts(monkeypatch, lambda: (primes._sieve(10**6), h_constant(0.5, 10**6)))
+    cfg = EnsembleConfig(k=3, alpha=0.5, N=10**6)
+    values = _at_worker_counts(monkeypatch, lambda: (primes._sieve(10**6), _log_product(cfg, lambda p: 0.5 / p)))
     assert np.array_equal(values[0][0], table_1e6.primes)
     assert all(np.array_equal(got[0], values[0][0]) and got[1] == values[0][1] for got in values[1:])
 
