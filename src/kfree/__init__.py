@@ -47,6 +47,7 @@ from .errors import (
     DegenerateConfigError,
     DomainError,
     KfreeError,
+    NonFiniteError,
     PoleError,
     SizeCapError,
     ToleranceError,
@@ -92,6 +93,7 @@ __all__ = [
     "PoleError",
     "DegenerateConfigError",
     "ToleranceError",
+    "NonFiniteError",
     "SizeCapError",
     "PrimeTable",
     "sieve_primes",

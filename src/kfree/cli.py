@@ -41,8 +41,12 @@ one run only; the cap is lifted when :func:`run` returns.
 JSON is the canonical format.  CSV is available for grid-shaped results;
 the column layouts are documented in ``--help`` and stable.
 
-Exit codes: 0 success, 2 usage or domain error, 3 tolerance failure or
-route disagreement, 4 size-cap refusal.
+Exit codes: 0 success, 2 usage or domain error, 3 tolerance failure, a
+non-finite result or route disagreement, 4 size-cap refusal.  No artifact
+carries NaN or an infinity, which JSON is written strictly without: such a
+value raises :class:`~kfree.errors.NonFiniteError` instead.  The one
+exception is ``dickman``'s w(0) = +inf for alpha < 1, the density's exact,
+integrable pole, written as ``Infinity`` (``inf`` in CSV).
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ from .ensemble import (
 from .errors import (
     DegenerateConfigError,
     DomainError,
+    NonFiniteError,
     PoleError,
     SizeCapError,
     ToleranceError,
@@ -107,7 +112,9 @@ reproduce every binary64 value exactly.  Output is UTF-8.
 Exit codes:
   0  success
   2  usage or domain error (bad flags, parameters outside the domain)
-  3  tolerance failure, or compare routes disagreeing beyond tolerance
+  3  tolerance failure, a result with an infinity or NaN (which no artifact
+     carries but dickman's w(0) = inf for alpha < 1), or compare routes
+     disagreeing beyond tolerance
   4  size-cap refusal (an enumeration past the element cap, or a grid past
      the node cap: --R, --M, --r, --points)
 
@@ -167,6 +174,7 @@ class _Artifact:
     csv_comments: tuple[str, ...] = ()
     status: int = 0
     message: Optional[str] = None
+    pole: bool = False  # holds w(0) = +inf, dickman's density pole for alpha < 1: the one allowed infinity
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +465,22 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _cell(value) -> str:
+def _dumps(doc, pole: bool = False, **options) -> str:
+    """Strict JSON through the ``default=`` hook: NaN or an infinity raises NonFiniteError, unless ``pole``."""
+    try:
+        return json.dumps(doc, sort_keys=True, ensure_ascii=False, default=_json_default, allow_nan=pole, **options)
+    except ValueError as exc:
+        raise NonFiniteError(f"the result holds an infinity or NaN, which no artifact carries ({exc})") from exc
+
+
+def _cell(value, pole: bool = False) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not (pole or math.isfinite(value)):
+            raise NonFiniteError(f"the result holds {float(value)}, which no artifact carries")
         return format(float(value), ".17g")
     return str(value)
 
@@ -475,18 +493,18 @@ def _render(config: RunConfig, artifact: _Artifact) -> str:
         header, rows = artifact.csv
         lines = [
             f"# kfree-version: {__version__}",
-            "# run-config: " + json.dumps(config_doc, sort_keys=True, ensure_ascii=False, default=_json_default),
+            "# run-config: " + _dumps(config_doc),
         ]
         lines.extend(artifact.csv_comments)
         lines.append(",".join(header))
-        lines.extend(",".join(_cell(value) for value in row) for row in rows)
+        lines.extend(",".join(_cell(value, artifact.pole) for value in row) for row in rows)
         return "\n".join(lines) + "\n"
     doc = {
         "result": artifact.result,
         "run_config": config_doc,
         "version": __version__,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False, default=_json_default) + "\n"
+    return _dumps(doc, artifact.pole, indent=2) + "\n"
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -634,7 +652,7 @@ def _cmd_dickman(config: RunConfig) -> _Artifact:
         "rows": _records(header, rows),
         "w_integral": float(w_integral(grid)),
     }
-    return _Artifact(result=result, csv=(header, rows))
+    return _Artifact(result=result, csv=(header, rows), pole=alpha < 1.0)
 
 
 def _spectral_fields(spectral: SpectralSum, value_key: str) -> dict:

@@ -34,7 +34,7 @@ import numpy as np
 from ._quad import PanelGrid, gemm
 from ._threads import map_blocks, one_blas_thread
 from .errors import DegenerateConfigError, DomainError, SizeCapError
-from .primes import _CHUNK, _TAIL_DEGREE, prime_zeta_tails, sieve_primes
+from .primes import _CHUNK, _PARALLEL_LIMIT, _TAIL_DEGREE, prime_count, prime_zeta_tails, sieve_primes
 
 __all__ = [
     "EnsembleConfig",
@@ -91,12 +91,12 @@ def _ensemble_integers(cfg: EnsembleConfig, cap: int = ENUMERATION_CAP) -> tuple
 
     A Kronecker product over the primes, each multiplying by p^0, ..., p^(k-1).
     """
-    primes = [int(p) for p in sieve_primes(cfg.N).primes]
-    if cfg.k ** len(primes) > cap:
+    if _exceeds(cfg, cap):
         raise SizeCapError(
-            f"ensemble has {cfg.k}^{len(primes)} elements (> cap {cap}); "
+            f"ensemble has {cfg.k}^pi({cfg.N}) elements (> cap {cap}); "
             "use the product/spectral paths instead of enumeration"
         )
+    primes = [int(p) for p in sieve_primes(cfg.N).primes]
     values, omegas = [1], [0]
     for p in primes:
         powers = [p**t for t in range(cfg.k)]
@@ -104,6 +104,12 @@ def _ensemble_integers(cfg: EnsembleConfig, cap: int = ENUMERATION_CAP) -> tuple
         omegas = [m + t for t in range(cfg.k) for m in omegas]
     order = sorted(range(len(values)), key=values.__getitem__)
     return [values[i] for i in order], [omegas[i] for i in order]
+
+
+def _exceeds(cfg: EnsembleConfig, cap: int) -> bool:
+    """k^pi(N) > cap, from the primes below 2^24 alone: pi(2^24) of them exceed every cap below 2^(2^20),
+    so a table past the gate is not counted."""
+    return cfg.k ** min(prime_count(min(cfg.N, _PARALLEL_LIMIT - 1)), cap.bit_length()) > cap
 
 
 def enumerate_ensemble(cfg: EnsembleConfig, cap: int = ENUMERATION_CAP) -> list[int]:
@@ -117,8 +123,8 @@ def _omega(cfg: EnsembleConfig, n: int) -> Optional[int]:
     Trial division by the primes up to sqrt(n); n is outside the ensemble when
     a prime divides it k or more times or its last prime factor exceeds N.
     """
-    omega, rem = 0, n
-    for p in sieve_primes(cfg.N).primes:
+    omega, rem, table = 0, n, sieve_primes(cfg.N)
+    for p in table[: table.count_below(min(cfg.N, math.isqrt(n)))]:
         p = int(p)
         if p * p > rem:
             break
@@ -178,16 +184,17 @@ def threshold_prime(cfg: EnsembleConfig) -> int:
     < 2 * (1/7) * (9/8) * (64/63) < 0.33 < 1/2.  The pole x^k = 1 needs
     p = |alpha|, so the same scan also meets every degenerate prime.
     """
-    primes = sieve_primes(cfg.N).primes
+    table = sieve_primes(cfg.N)
     a = abs(complex(cfg.alpha))
     # integer keys: a float key would make searchsorted copy the table to float
-    p = primes[: int(np.searchsorted(primes, math.floor(8.0 * a), side="right"))].astype(float)
+    p = table[: table.count_below(math.floor(8.0 * a))].astype(float)
     rows = _marginal_rows(cfg.k, cfg.alpha, p)
     bad = np.nonzero(_envelope(rows) >= 0.5)[0]
-    d_star = int(primes[bad[-1]]) if bad.size else int(primes[0])
+    d_star = int(p[bad[-1]]) if bad.size else int(table[0])
     if d_star <= a:
         # the first prime above |alpha|, or the last prime if none is
-        d_star = int(primes[min(int(np.searchsorted(primes, math.floor(a), side="right")), len(primes) - 1)])
+        last = int(table[-1])
+        d_star = last if math.floor(a) >= last else int(table[table.count_below(math.floor(a))])
     return d_star
 
 
@@ -395,7 +402,7 @@ def partition_constant(
     repeated = sorted({a for a, b in zip(n_values, n_values[1:]) if a == b})
     if repeated:
         raise DomainError(f"N values must be distinct to extrapolate; repeated: {', '.join(map(str, repeated))}")
-    sieve_primes(n_values[-1])  # the largest table first: the smaller rungs are slices of it
+    sieve_primes(n_values[-1])  # the largest table first: the rungs below 2^24 are slices of it or of its head
     ratios = []
     for n in n_values:
         z = partition_function(EnsembleConfig(k=k, alpha=alpha, N=n))
@@ -496,12 +503,15 @@ _FAST_BUCKETS = 4096  # FastCharfn's default fine buckets
 _MIN_TAIL = 3
 
 
-def _tail_split(cfg: EnsembleConfig, primes: np.ndarray) -> Optional[tuple]:
-    """(d*, i) of FastCharfn's layout over ``primes``, the primes <= N: d* = ``threshold_prime``,
-    and primes[i:] the tail past max(10^4, d*); None when it has fewer than ``_MIN_TAIL``."""
+def _tail_split(cfg: EnsembleConfig, table) -> Optional[tuple]:
+    """(d*, i) of FastCharfn's layout over ``table``, the primes <= N: d* = ``threshold_prime``, and
+    primes[i:] the tail past max(10^4, d*); None when it has fewer than ``_MIN_TAIL``, which the
+    table's last primes tell without a count."""
     d_star = threshold_prime(cfg)
-    split = int(np.searchsorted(primes, max(_FAST_HEAD_LIMIT, d_star), side="right"))
-    return (d_star, split) if primes.size - split >= _MIN_TAIL else None
+    head = max(_FAST_HEAD_LIMIT, d_star)
+    if cfg.N <= head or table[-_MIN_TAIL] <= head:
+        return None
+    return d_star, table.count_below(head)
 
 
 def _log_remainder(k: int, r):
@@ -548,7 +558,7 @@ class FastCharfn:
     times the offsets' phases e^{i t v}, 3 in-place products and per degree
     one (L, cells) @ (cells, J) GEMM, combined by Horner.  The build and the
     grid run on one BLAS thread and share their independent pieces (a grid's
-    blocks; from N = 2^24 on, the tail pass's bucket groups) among the workers of
+    blocks; from N = 2^24 on, the tail pass's sieve segments) among the workers of
     :func:`~kfree._threads.map_blocks`; no value depends on how many there are.
 
     A tail of fewer than ``_MIN_TAIL`` primes, or one narrower than a
@@ -576,13 +586,13 @@ class FastCharfn:
     def __init__(self, cfg: EnsembleConfig, buckets: int = _FAST_BUCKETS):
         self.cfg = cfg
         self.table = sieve_primes(cfg.N)
-        layout = _tail_split(cfg, self.table.primes)
+        layout = _tail_split(cfg, self.table)
         if layout is None:
             raise DomainError(f"fewer than {_MIN_TAIL} tail primes to bucket; raise N")
         d_star, self.split = layout
         self.log_n = math.log(cfg.N)
         k, coef = cfg.k, _log_coeffs(cfg.k, cfg.alpha)
-        head = self.table.primes[: self.split].astype(float)
+        head = self.table[: self.split].astype(float)
         # rem[i]: log remainder of primes[i:split] (|x| < 1/3 past d*, so the cap
         # at 1/2 only touches direct primes); the mid primes are the longest
         # such run inside _MID_BUDGET that leaves every p <= d* direct
@@ -591,7 +601,7 @@ class FastCharfn:
         self.mid_start = max(int(np.count_nonzero(rem > _MID_BUDGET)), direct)
         self._mid_v = np.log(head[self.mid_start :]) / self.log_n
         # a mid span of more than `buckets` tail widths puts more cells below v0 than any layout has buckets
-        v0, v1 = np.log(self.table.primes[[self.split, -1]]) / self.log_n
+        v0, v1 = np.log(np.array([self.table[self.split], self.table[-1]])) / self.log_n
         if v0 - np.min(self._mid_v, initial=v0) > buckets * (v1 - v0):
             raise DomainError(f"the mid primes span more than {buckets} tail widths; raise N or buckets")
         self._head_v = np.log(head[: self.mid_start]) / self.log_n
@@ -608,7 +618,7 @@ class FastCharfn:
         self._moments[0, 0] = -self._moments[1:, 0].sum(axis=0)
         self._abs4 = np.append(0.0, np.abs(coef) * S[:, 4].sum(axis=1))
         # the tail's log remainder, |x| <= |alpha| / p0 for all of it
-        p0 = float(self.table.primes[self.split])
+        p0 = float(self.table[self.split])
         s5 = self.table.power_sums(self.split)[4]
         self._log_remainder = float(_log_remainder(k, abs(cfg.alpha) / p0) * p0**5 * s5 + rem[self.mid_start])
         self._degree = _LOG_DEGREE
@@ -719,7 +729,7 @@ def charfn_for(cfg: EnsembleConfig):
     """The phi_N evaluator for cfg: FastCharfn where it has at least ``_MIN_TAIL`` tail
     primes past max(10^4, ``threshold_prime``), else CharfnEvaluator (so every N <= 10036).
     """
-    if _tail_split(cfg, sieve_primes(cfg.N).primes) is None:
+    if _tail_split(cfg, sieve_primes(cfg.N)) is None:
         return CharfnEvaluator(cfg)
     return FastCharfn(cfg)
 

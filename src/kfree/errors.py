@@ -11,6 +11,8 @@ most specific class that applies:
                           set), naming the offending factor;
 * ``ToleranceError``   -- a numerical routine could not meet the requested
                           tolerance (CLI exit code 3);
+* ``NonFiniteError``   -- a result holds an infinity or a NaN, which no
+                          artifact may carry (a ``ToleranceError``, exit code 3);
 * ``SizeCapError``     -- an enumeration would exceed the configured element
                           cap (CLI exit code 4).
 """
@@ -34,6 +36,10 @@ class DegenerateConfigError(DomainError):
 
 class ToleranceError(KfreeError, ArithmeticError):
     """A numerical routine failed to reach the requested tolerance."""
+
+
+class NonFiniteError(ToleranceError):
+    """A result holds a non-finite number: its evaluator left the range binary64 can carry."""
 
 
 class SizeCapError(KfreeError):

@@ -1,23 +1,24 @@
 """Prime generation, counting and prime sums shared by every other module.
 
-One odd-only segmented sieve serves every limit in O(sqrt(limit) + segment)
-memory besides the table (the convergence scans need every prime up to
-~10**8), and keeps one int64 copy of it.  Tables are immutable and cached
-behind a lock, and a smaller limit is a read-only view of a larger cached
-table, so tables can be shared freely across threads.  The Euler-product
-sums map a table's chunks in order (:meth:`PrimeTable.map_chunks`); past
-a split they read the table's cached power sums (:meth:`PrimeTable.power_sums`,
-and FastCharfn's bucketed :meth:`PrimeTable.tail_sums`), and past the table
-the prime zeta function (:func:`prime_zeta_tails`).  From ``_PARALLEL_LIMIT``
-on, the sieve's segments, these chunks and the bucket groups are shared among
-kfree's workers and reduced in order, so no value depends on the worker count.
+One odd-only segmented sieve serves every limit.  Below ``_PARALLEL_LIMIT`` = 2^24 a table is one read-only
+int64 array, cached behind a lock, and a smaller limit is a read-only view of a larger cached table.  From the
+gate on, a table keeps only its head, the primes below 2^24 (8.6 MB, sieved once and shared), and its last
+few primes; every pass over it (:func:`_walk`) sieves the segments past the head, and each segment's primes are
+consumed and dropped inside its own piece, so no pi(N)-long array exists unless a caller reads
+:attr:`PrimeTable.primes`.  The Euler-product sums map a table's chunks in order
+(:meth:`PrimeTable.map_chunks`); past a split they read its cached power sums
+(:meth:`PrimeTable.power_sums`, and FastCharfn's bucketed :meth:`PrimeTable.tail_sums`, whose pass fills
+both), and past the table the prime zeta function (:func:`prime_zeta_tails`).  From the gate on, the
+segments are shared among kfree's workers and hand on, in order, what a chunk or bucket straddling two of
+them still needs, so no value depends on the worker count, nor on whether the primes came from an array or
+from the sieve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import zetac
@@ -37,8 +38,12 @@ _CHUNK = 1 << 14
 
 # pieces go to workers from this prime limit on (pi(2^24) ~ 2^20 primes): on a
 # 2-core host the 10^8 sieve, build and partition sum ran 1.4-1.5x faster, while
-# the 10^7 tables of `kfree constant` and `dickman` saved <= 0.03 s for 30-40% more CPU
+# the 10^7 tables of `kfree constant` and `dickman` saved <= 0.03 s for 30-40% more CPU;
+# from it on, too, a table streams its primes past the head instead of holding them
 _PARALLEL_LIMIT = 1 << 24
+
+# integers at the end of a streamed table whose primes it keeps (about 450 at 10^8)
+_LAST_SPAN = 1 << 13
 
 # caches under one lock, immutable and safe to share: limit -> PrimeTable,
 # (limit, split) -> power sums, (limit, split, buckets) -> tail sums
@@ -65,61 +70,186 @@ def _map_pieces(task, count: int, limit: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
 class PrimeTable:
-    """All primes up to ``limit``, strictly increasing, as a read-only array."""
+    """All primes up to ``limit``, strictly increasing.
 
-    limit: int
-    primes: np.ndarray = field(repr=False)
+    ``primes`` holds them all below ``_PARALLEL_LIMIT``, and from it on only those below it, the head: every
+    pass (:func:`_walk`) then sieves the rest segment by segment, indexing reads the head or the last primes
+    where they hold the answer, and reading :attr:`primes` sieves the whole array once and keeps it.
+    """
 
-    def __post_init__(self):
-        self.primes.setflags(write=False)
+    def __init__(self, limit: int, primes: np.ndarray):
+        self.limit = int(limit)
+        self._head, self._head_limit = primes, min(self.limit, _PARALLEL_LIMIT - 1)
+        self._count = primes.size if self._head_limit == self.limit else None
+        primes.setflags(write=False)
+
+    @property
+    def primes(self) -> np.ndarray:
+        """All the primes as one read-only int64 array; past the gate it is sieved when first read."""
+        if self._head_limit < self.limit:
+            full = _sieve(self.limit)
+            full.setflags(write=False)
+            self._head, self._head_limit, self._count = full, self.limit, full.size
+        return self._head
+
+    @functools.cached_property
+    def _last(self) -> np.ndarray:
+        """The primes in the last ``_LAST_SPAN`` integers up to the limit."""
+        first = max(3, self.limit - _LAST_SPAN) | 1
+        return _odd_primes(first, self.limit + 1, _sieve(math.isqrt(self.limit))[1:])
 
     def __len__(self) -> int:
-        return int(self.primes.size)
+        return self.count()
 
     def __iter__(self):
         return iter(int(p) for p in self.primes)
 
+    def __getitem__(self, index):
+        """primes[index]; past the gate the head answers an index or a slice [:i] inside it, the last primes
+        a negative index among them, and a pass up to it a later index, without the whole array."""
+        head = self._head
+        if isinstance(index, slice):
+            stop = -1 if index.stop is None or index.start or index.step else index.stop
+            return (head if 0 <= stop <= head.size or self._head_limit == self.limit else self.primes)[index]
+        if self._head_limit == self.limit or 0 <= index < head.size:
+            return head[index]
+        if index >= 0:
+            return self.map_chunks(lambda p: p[0], index, index + 1)[0]
+        return self._last[index] if index >= -self._last.size else self.primes[index]
+
     def count(self) -> int:
-        return int(self.primes.size)
+        if self._count is None:
+            _walk(self, self._head.size)  # a pass to the end counts the primes
+        return self._count
 
     def count_below(self, x: float) -> int:
         """Number of table primes <= x (valid for x <= limit)."""
-        return int(np.searchsorted(self.primes, x, side="right"))
+        if x > self._head_limit:
+            return self.count() if x >= self.limit else sieve_primes(math.floor(x)).count()
+        return int(np.searchsorted(self._head, x, side="right"))
 
     def map_chunks(self, fn, start: int = 0, stop: int | None = None) -> list:
         """[fn(chunk) for each chunk of primes[start:stop] in order], a chunk being ``_CHUNK`` primes
-        (the last one shorter) as a read-only int64 view, which float arithmetic converts on the fly;
-        the chunks are shared out by :func:`_map_pieces`."""
-        primes = self.primes[start:stop]
-        count = -(-primes.size // _CHUNK)
-        return _map_pieces(lambda i: fn(primes[i * _CHUNK : (i + 1) * _CHUNK]), count, self.limit)
+        (the last one shorter) as a read-only int64 array, which float arithmetic converts on the fly;
+        one :func:`_walk`, whose pieces share out the chunks."""
+        return _walk(self, start, stop, fn)
 
     def power_sums(self, split: int) -> np.ndarray:
-        """[sum p^-d for d = 1..5] over primes[split:], read-only: one pass per (limit, split), cached, in
-        which each chunk's :func:`_power_parts` are added up exactly (``math.fsum``)."""
+        """[sum p^-d for d = 1..5] over primes[split:], read-only: one pass per (limit, split), cached
+        (a :meth:`tail_sums` pass fills it too), in which each chunk's :func:`_power_parts` are added
+        up exactly (``math.fsum``)."""
         key = (self.limit, int(split))
         with _CACHE_LOCK:
             if key not in _POWER_CACHE:
                 with one_blas_thread():
-                    parts = np.reshape(self.map_chunks(_power_parts, split), (-1, 6)).T
-                _POWER_CACHE[key] = np.array([math.fsum(parts[:2].ravel()), *map(math.fsum, parts[2:])])
-                _POWER_CACHE[key].setflags(write=False)
+                    _POWER_CACHE[key] = _power_total(self.map_chunks(_power_parts, split))
             return _POWER_CACHE[key]
 
     def tail_sums(self, split: int, buckets: int) -> tuple:
         """(vbar, S, v0, width), alpha-free sums of primes[split:] in ``buckets`` buckets of
         v_p = log p / log limit, each ``width`` wide from v0: S[d - 1, j, b] = sum_{p in b} p^-d
         (v_p - vbar_b)^j, d, j <= 4, vbar_b the bucket's mean v_p (0 if empty).  FastCharfn's layout;
-        the plain sums are :meth:`power_sums`.  One pass per (limit, split, buckets), cached; the arrays
-        are read-only.  S[d >= 2] is a series in the d = 1 rows, within 1e-14 of sum_p p^-d
-        |v_p - vbar_b|^j; a coarser layout raises DomainError."""
+        the plain sums are :meth:`power_sums`, which the same pass fills for ``split`` when they are
+        not cached yet.  One pass per (limit, split, buckets), cached; the arrays are read-only.
+        S[d >= 2] is a series in the d = 1 rows, within 1e-14 of sum_p p^-d |v_p - vbar_b|^j; a
+        coarser layout raises DomainError."""
         key = (self.limit, int(split), int(buckets))
         with _CACHE_LOCK:
             if key not in _TAIL_CACHE:
-                _TAIL_CACHE[key] = _tail_pass(self, split, buckets)
+                power = key[:2] not in _POWER_CACHE
+                _TAIL_CACHE[key], parts = _tail_pass(self, split, buckets, _power_parts if power else None)
+                if power:
+                    _POWER_CACHE[key[:2]] = _power_total(parts)
             return _TAIL_CACHE[key]
+
+
+def _walk(table: PrimeTable, start: int, stop: int | None = None, fn=None, tail=None) -> list:
+    """[fn(chunk) for each ``_CHUNK``-prime chunk of primes[start:stop]] (none without ``fn``); with ``tail`` =
+    (starts, fill), also ``fill(p, starts(p))`` on whole buckets of the same primes, starts(p)[b] counting the
+    primes of p before bucket b: the one pass over a table, which counts it too when it reaches the end.
+
+    Its pieces, run as :func:`_map_pieces`, are :func:`_sieve`'s segments from the one holding primes[start],
+    each the slice of the table's array it covers or, past it, sieved afresh.  A piece gets its primes, then
+    waits for the one before to hand on the index of its first prime and the primes of the chunk and of the
+    bucket that go on into it; it hands on its own and consumes the rest.  So a chunk or bucket straddling
+    segments is reduced as one array, as from a whole table, and a segment's primes go with its piece.
+    """
+    if stop is not None and start >= stop:
+        return []
+    head, head_limit, limit = table._head, table._head_limit, table.limit
+    span = 2 * max(1, _SEGMENT_SIZE // 2)  # integers per segment, the first from 3
+    total = max(1, len(range(3, limit + 1, span)))
+    first = max(0, int(head[min(start, head.size - 1)]) - 3) // span
+    pieces = total if stop is None or stop > head.size else max(0, int(head[stop - 1]) - 3) // span + 1
+    odd = _sieve(math.isqrt(limit))[1:] if head_limit < limit else None
+    bucket_starts, fill = tail or (None, None)
+    empty, cond = np.empty(0, dtype=np.int64), threading.Condition()
+    spare = []  # the segments' sieve arrays, reused: a new one per segment faults its pages in again
+    hand = {first: (int(np.searchsorted(head, 3 + span * first)) if first else 0, empty, empty)}
+
+    def cut(n: int, own, own_starts, g: int, chunk, carry) -> tuple:
+        """This piece's chunks and whole buckets, and what it hands on, from its primes in [start, stop)."""
+        lo, hi = np.clip([start - g, own.size if stop is None else stop - g], 0, own.size)
+        end, part, chunks, rows = n == total - 1 or g + own.size >= (stop or math.inf), own[lo:hi], [], []
+        if fn is not None:
+            keep = chunk.size + part.size if end else (chunk.size + part.size) // _CHUNK * _CHUNK
+            opening, rest, chunk = _split(chunk, part, min(_CHUNK, keep), keep)
+            chunks = [opening][: opening.size] + [rest[c : c + _CHUNK] for c in range(0, rest.size, _CHUNK)]
+        if tail is not None:  # the buckets of the carried bucket's primes and this piece's
+            size, starts = carry.size + part.size, bucket_starts(carry) + np.clip(own_starts - lo, 0, hi - lo)
+            keep = size if end else int(starts[starts < size].max(initial=0))  # up to the last bucket
+            opening_end = min(int(starts[starts > 0].min(initial=size)), keep)
+            skip = opening_end if carry.size else 0
+            opening, rest, carry = _split(carry, part, opening_end, keep)
+            rows = [(opening, np.minimum(starts, opening_end))][: opening.size]
+            rows.append((rest, np.clip(starts - skip, 0, keep - skip)))
+        return (chunks, rows), (g + own.size, chunk, carry)
+
+    def piece(i: int) -> list:
+        n, fetched, work = first + i, None, None
+        try:
+            lo, hi = 3 + span * n, min(3 + span * (n + 1), limit + 1)
+            if hi - 1 <= head_limit:
+                own = head[np.searchsorted(head, lo) if n else 0 : np.searchsorted(head, hi)]
+            else:
+                with cond:
+                    seg = spare.pop() if spare else np.empty(span // 2, dtype=bool)
+                own = _odd_primes(lo, hi, odd, seg) if n else np.append(2, _odd_primes(lo, hi, odd, seg))
+                own.setflags(write=False)
+                spare.append(seg)
+            fetched = own, (bucket_starts(own) if tail else None)
+        finally:
+            with cond:
+                try:
+                    cond.wait_for(lambda: n in hand)
+                    handed, hand[n + 1] = hand.pop(n), None  # None ends the pieces after a failed one
+                    if handed is not None and fetched is not None:
+                        work, hand[n + 1] = cut(n, *fetched, *handed)
+                finally:
+                    cond.notify_all()
+        if work is None:
+            raise RuntimeError(f"an earlier segment of the pass over the primes up to {limit} failed")
+        for block in work[1]:
+            fill(*block)
+        return [fn(chunk) for chunk in work[0]]
+
+    out = _map_pieces(piece, pieces - first, limit)
+    if pieces == total:
+        table._count = hand[total][0]
+    return [value for values in out for value in values]
+
+
+def _split(carry: np.ndarray, part: np.ndarray, first_end: int, keep: int) -> tuple:
+    """carry ++ part, cut at first_end and keep without joining it all: the first unit (holding the carried
+    entries, empty without any), the whole units after it (a view of part), and the rest to carry on (a copy).
+    first_end = 0 leaves the carried unit open."""
+    c = carry.size
+    if c and not first_end:
+        return carry[:0], part[:0], np.concatenate((carry, part))
+    opening = np.concatenate((carry, part[: first_end - c])) if c else part[:0]
+    opening.setflags(write=False)
+    return opening, part[first_end - c if c else 0 : keep - c], part[keep - c :].copy()
 
 
 _HIGH_BITS = np.uint64(2**64 - 2**29)  # the top 24 of a float's 53 significant bits
@@ -137,26 +267,35 @@ def _power_parts(p: np.ndarray) -> np.ndarray:
     return np.array([high.sum(), (inv - high).sum(), inv @ inv, inv2 @ inv, inv2 @ inv2, inv4 @ inv])
 
 
+def _power_total(parts: list) -> np.ndarray:
+    """[sum p^-d for d = 1..5], read-only, from the chunks' :func:`_power_parts`, each added up exactly."""
+    parts = np.reshape(parts, (-1, 6)).T
+    sums = np.array([math.fsum(parts[:2].ravel()), *map(math.fsum, parts[2:])])
+    sums.setflags(write=False)
+    return sums
+
+
 @one_blas_thread()
-def _tail_pass(table: PrimeTable, split: int, buckets: int) -> tuple:
-    """:meth:`PrimeTable.tail_sums`: the d = 1 rows of :func:`_tail_rows`, then the d >= 2 series of
-    :func:`_tail_series` in them; the arrays are made read-only."""
-    vbar, T, v0, width = _tail_rows(table, split, buckets)
+def _tail_pass(table: PrimeTable, split: int, buckets: int, fn) -> tuple:
+    """(:meth:`PrimeTable.tail_sums`, [fn(chunk) for the chunks of primes[split:]]): the d = 1 rows of
+    :func:`_tail_rows`, then the d >= 2 series of :func:`_tail_series` in them; the arrays are made read-only."""
+    vbar, T, v0, width, parts = _tail_rows(table, split, buckets, fn=fn)
     S = _tail_series(T, vbar, math.log(table.limit))
     for array in (vbar, S):
         array.setflags(write=False)
-    return vbar, S, v0, width
+    return (vbar, S, v0, width), parts
 
 
-def _tail_rows(table: PrimeTable, split: int, buckets: int, extra: int = 0) -> tuple:
-    """(vbar, T, v0, width) of :meth:`PrimeTable.tail_sums`, T[i, b] = sum_{p in b} p^-1 u_p^i, u_p = v_p - vbar_b,
-    i < 4 + m + extra, over groups of whole buckets of about ``_CHUNK`` primes, each with one ``np.add.reduceat``.
+def _tail_rows(table: PrimeTable, split: int, buckets: int, extra: int = 0, fn=None) -> tuple:
+    """(vbar, T, v0, width, [fn(chunk) for the chunks of primes[split:]]) of :meth:`PrimeTable.tail_sums`,
+    T[i, b] = sum_{p in b} p^-1 u_p^i, u_p = v_p - vbar_b, i < 4 + m + extra, in one :func:`_walk`, over
+    groups of whole buckets of about ``_CHUNK`` primes, each with one ``np.add.reduceat``.
     m is the series order :func:`_tail_series` needs: with x = 3L width, L = log limit, its cut is at most
     x^m e^2x / m! of sum_p p^-d |u_p|^j, and m is the least order keeping that <= 1e-17 (7 at 4096 buckets,
     N = 10^8).  Its terms add up to at most e^2x times that sum, so rounding grows up to e^2x-fold over direct
     sums' (<= 6.4e-16): x > 1/2, where that passes e and 4 + m the 20 direct rows, raises DomainError."""
-    primes, log_n = table.primes[split:], math.log(table.limit)
-    v0, v1 = np.log(primes[[0, -1]]) / log_n
+    log_n = math.log(table.limit)
+    v0, v1 = np.log(np.array([table[split], table[-1]])) / log_n
     edges = np.linspace(v0, v1 * (1 + 1e-12), buckets + 1)
     width = float(edges[-1] - edges[0]) / buckets
     x, order = 3 * log_n * width, 1
@@ -164,32 +303,40 @@ def _tail_rows(table: PrimeTable, split: int, buckets: int, extra: int = 0) -> t
         raise DomainError(f"{buckets} buckets are too coarse for the tail series: 3 log N * width = {x:.3g} > 1/2")
     while x**order * math.exp(2 * x) / math.factorial(order) > 1e-17:
         order += 1
-    # starts[b] = #{p : v_p < edges[b]}: v increases with p, so counting the primes up to e^{edge log N}
-    # misses at most the one prime within rounding of that point, which its own v_p settles
-    starts = np.searchsorted(primes, np.floor(np.exp(edges * log_n)).astype(np.int64), side="right")
-    below, at = np.log(primes[np.clip([starts - 1, starts], 0, primes.size - 1)]) / log_n
-    starts += ((starts < primes.size) & (at < edges)).astype(np.int64) - ((starts > 0) & (below >= edges))
-    full = np.flatnonzero(np.diff(starts))  # the nonempty buckets
-    bounds = np.append(starts[full], primes.size)  # bucket full[i] is bounds[i] : bounds[i + 1]
-    counts = np.diff(bounds)
     vbar, T = np.zeros(buckets), np.zeros((4 + order + extra, buckets))
-    groups = np.searchsorted(bounds, np.arange(0, primes.size, _CHUNK), side="right") - 1
-    groups = np.unique(np.append(groups, full.size))
+    cuts = np.floor(np.exp(edges * log_n)).astype(np.int64)
 
-    def group(i: int) -> None:  # fills vbar and T for groups[i] <= b < groups[i + 1]
-        g0, g1 = groups[i], groups[i + 1]
-        lo, hi = bounds[g0], bounds[g1]
-        v = np.log(primes[lo:hi]) / log_n
-        vbar[full[g0:g1]] = np.add.reduceat(v, bounds[g0:g1] - lo) / counts[g0:g1]
-        v -= np.repeat(vbar[full[g0:g1]], counts[g0:g1])
-        terms = np.empty((T.shape[0], v.size))
-        np.divide(1.0, primes[lo:hi], out=terms[0])
-        for j in range(1, T.shape[0]):
-            np.multiply(terms[j - 1], v, out=terms[j])
-        T[:, full[g0:g1]] = np.add.reduceat(terms, bounds[g0:g1] - lo, axis=1)
+    def starts(p: np.ndarray) -> np.ndarray:
+        """#{q in p : v_q < edges[b]} for each edge: counting the primes up to e^{edge log N} misses at most
+        the one prime within rounding of that point, which its own v_q settles (only where the point lies
+        within one of p's range)."""
+        s = np.searchsorted(p, cuts, side="right")
+        if p.size:
+            k0, k1 = np.searchsorted(cuts, [p[0] - 2, p[-1]], side="right")
+            t, e = s[k0:k1], edges[k0:k1]
+            below, at = np.log(p[np.clip([t - 1, t], 0, p.size - 1)]) / log_n
+            t += ((t < p.size) & (at < e)).astype(np.int64) - ((t > 0) & (below >= e))
+        return s
 
-    _map_pieces(group, groups.size - 1, table.limit)
-    return vbar, T, float(edges[0]), width
+    def fill(p: np.ndarray, starts: np.ndarray) -> None:  # vbar and T of whole buckets
+        full = np.flatnonzero(np.diff(starts))  # the nonempty buckets
+        bounds = np.append(starts[full], p.size)  # bucket full[i] is bounds[i] : bounds[i + 1]
+        groups = np.searchsorted(bounds, np.arange(0, p.size, _CHUNK), side="right") - 1
+        groups = np.unique(np.append(groups, full.size))
+        rows, buffer = T.shape[0], np.empty(T.shape[0] * int(np.diff(bounds[groups]).max(initial=0)))
+        for g0, g1 in zip(groups[:-1], groups[1:]):
+            lo, hi, b, counts = bounds[g0], bounds[g1], full[g0:g1], np.diff(bounds[g0 : g1 + 1])
+            v = np.log(p[lo:hi]) / log_n
+            vbar[b] = np.add.reduceat(v, bounds[g0:g1] - lo) / counts
+            v -= np.repeat(vbar[b], counts)
+            terms = buffer[: rows * (hi - lo)].reshape(rows, hi - lo)
+            np.divide(1.0, p[lo:hi], out=terms[0])
+            for j in range(1, rows):
+                np.multiply(terms[j - 1], v, out=terms[j])
+            T[:, b] = np.add.reduceat(terms, bounds[g0:g1] - lo, axis=1)
+
+    parts = _walk(table, split, None, fn, (starts, fill))
+    return vbar, T, float(edges[0]), width, parts
 
 
 def _tail_series(T: np.ndarray, vbar: np.ndarray, log_n: float) -> np.ndarray:
@@ -208,33 +355,52 @@ def _tail_series(T: np.ndarray, vbar: np.ndarray, log_n: float) -> np.ndarray:
     return S
 
 
+def _entries(first: int, stop: int, odd: np.ndarray, seg: np.ndarray | None = None) -> np.ndarray:
+    """The entries i (int64) of the primes first + 2i in [first, stop), first odd and past 2: each odd base
+    prime p in ``odd`` (all of them up to sqrt(stop - 1)) crosses out its odd multiples from max(p^2, first),
+    every p-th entry, in ``seg`` if given (a bool array long enough, reused) or a new array."""
+    size = (stop - first + 1) // 2
+    if seg is None:
+        seg = np.ones(size, dtype=bool)
+    else:
+        seg = seg[:size]
+        seg[:] = True
+    # the first odd multiple of p at or past max(p^2, first), as an entry index
+    start = np.maximum(odd * odd, -(-first // odd) * odd)
+    start += odd * (start % 2 == 0)
+    for p, i in zip(odd.tolist(), ((start - first) // 2).tolist()):
+        seg[i::p] = False
+    return np.flatnonzero(seg)
+
+
+def _odd_primes(first: int, stop: int, odd: np.ndarray, seg: np.ndarray | None = None) -> np.ndarray:
+    """The primes in [first, stop) as int64, first odd and past 2 (see :func:`_entries`)."""
+    primes = _entries(first, stop, odd, seg)
+    primes *= 2
+    primes += first
+    return primes
+
+
 def _sieve(limit: int) -> np.ndarray:
     """Odd-only segmented Eratosthenes sieve; returns int64 array of primes <= limit.
 
     The odd base primes <= sqrt(limit) come from this sieve itself (a literal
     table below 9).  A segment spans ``_SEGMENT_SIZE`` integers from an odd
-    ``first`` and stores only its odd ones (entry i is first + 2i); each base
-    prime crosses out its odd multiples from max(p^2, first), every p-th entry.
-    Segments are independent pieces of :func:`_map_pieces` that return their
-    primes' entries as uint32; their counts size the one int64 table, and
-    pieces again write each segment's first + 2i into its slice.
+    ``first`` and stores only its odd ones (:func:`_entries`).  Segments are
+    independent pieces of :func:`_map_pieces` that return their primes'
+    entries as uint32; their counts size the one int64 table, and pieces
+    again write each segment's first + 2i into its slice.
     """
     if limit < 9:  # no odd base prime: 3^2 = 9
         return np.array([p for p in (2, 3, 5, 7) if p <= limit], dtype=np.int64)
     odd = _sieve(math.isqrt(limit))[1:]
-    half = max(1, _SEGMENT_SIZE // 2)
+    span = 2 * max(1, _SEGMENT_SIZE // 2)
 
     def segment(n: int) -> np.ndarray:
-        first = 3 + 2 * half * n
-        seg = np.ones(min(half, (limit - first) // 2 + 1), dtype=bool)
-        # the first odd multiple of p at or past max(p^2, first), as an entry index
-        start = np.maximum(odd * odd, -(-first // odd) * odd)
-        start += odd * (start % 2 == 0)
-        for p, i in zip(odd.tolist(), ((start - first) // 2).tolist()):
-            seg[i::p] = False
-        return np.flatnonzero(seg).astype(np.uint32)
+        first = 3 + span * n
+        return _entries(first, min(first + span, limit + 1), odd).astype(np.uint32)
 
-    entries = _map_pieces(segment, len(range(3, limit + 1, 2 * half)), limit)
+    entries = _map_pieces(segment, len(range(3, limit + 1, span)), limit)
     stops = np.cumsum([1] + [e.size for e in entries])
     table = np.empty(stops[-1], dtype=np.int64)
     table[0] = 2
@@ -242,7 +408,7 @@ def _sieve(limit: int) -> np.ndarray:
     def write(n: int) -> None:
         out = table[stops[n] : stops[n + 1]]
         np.add(entries[n], entries[n], out=out)
-        out += 3 + 2 * half * n
+        out += 3 + span * n
         entries[n] = None
 
     _map_pieces(write, len(entries), limit)
@@ -252,22 +418,21 @@ def _sieve(limit: int) -> np.ndarray:
 def sieve_primes(limit: int) -> PrimeTable:
     """Return the (cached) table of all primes <= limit.
 
-    A smaller limit is a read-only view of a larger cached table, not a new
-    sieve.  Raises DomainError for limit < 2 (there is no nonempty table).
+    The primes a table holds as an array, all of them below ``_PARALLEL_LIMIT``
+    and those below it from it on, are a read-only view of a cached array that
+    holds them, or else sieved (past the gate on the workers, up to the gate).
+    Raises DomainError for limit < 2 (there is no nonempty table).
     """
     limit = int(limit)
     if limit < 2:
         raise DomainError(f"prime table needs limit >= 2, got {limit}")
+    held = min(limit, _PARALLEL_LIMIT - 1)
     with _CACHE_LOCK:
         table = _TABLE_CACHE.get(limit)
         if table is None:
-            bigger = [l for l in _TABLE_CACHE if l > limit]
-            if bigger:
-                src = _TABLE_CACHE[min(bigger)]
-                arr = src.primes[: src.count_below(limit)]  # a read-only view
-            else:
-                arr = _sieve(limit)
-            table = PrimeTable(limit=limit, primes=arr)
+            sources = [t._head for t in _TABLE_CACHE.values() if t._head_limit >= held]
+            arr = min(sources, key=len) if sources else _sieve(min(limit, _PARALLEL_LIMIT))
+            table = PrimeTable(limit=limit, primes=arr[: np.searchsorted(arr, held, side="right")])
             _TABLE_CACHE[limit] = table
     return table
 

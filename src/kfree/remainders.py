@@ -434,7 +434,7 @@ def limit_deviation_scan(
         raise DomainError("empty scan grid")
     lam_grid = np.array(lam_values, dtype=float)
     limits = charfn_limit_grid(alpha, lam_grid)
-    sieve_primes(n_values[-1])  # the largest table first: the smaller rungs are slices of it
+    sieve_primes(n_values[-1])  # the largest table first: the rungs below 2^24 are slices of it or of its head
     rows = []
     for n in n_values:
         values = charfn_for(EnsembleConfig(k, alpha, n)).grid(lam_grid)

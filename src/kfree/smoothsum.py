@@ -40,6 +40,7 @@ from .ensemble import (
     partition_function,
     _check_constant_weight,
     _ensemble_integers,
+    _exceeds,
     _omega,
     _positive_product,
 )
@@ -456,7 +457,8 @@ def smooth_sum_spectral(
     :class:`ToleranceError` naming R = 4096 and its tail bound and asking
     for an explicit ``R``.  An explicit ``R`` is honored as given and the
     tail bound is only reported.  An R that is not positive and finite, or
-    tol <= 0, raises :class:`DomainError` before any Euler product is taken.
+    tol <= 0, raises :class:`DomainError` before any Euler product is taken,
+    and so does an alpha whose bound Z(k, |alpha|, N) on |Z phi_N| overflows.
 
     The grid is the one :func:`_panel_rule` picks for the target ``tol``:
     panels of width h = 4, 2 or 1, the widest whose Gauss remainder bound is
@@ -481,6 +483,11 @@ def smooth_sum_spectral(
     if z == 0:
         raise DegenerateConfigError("partition function vanishes; phi_N undefined")
     z_abs = _positive_product(cfg, 0.0)  # bounds |Z phi_N| on the real line
+    if not math.isfinite(z_abs):
+        raise DomainError(
+            f"alpha = {cfg.alpha} is too large for the spectral route at k = {cfg.k}, N = {cfg.N}: the bound "
+            f"Z(k, |alpha|, N) on |Z phi_N| overflows binary64"
+        )
     if R is None:
         R = 8.0
         while z_abs * f.tail_integral(R) > 0.5 * tol:
@@ -579,7 +586,7 @@ def asymptotic_prediction(
     spectral = smooth_sum_spectral(cfg, f)
     ratios = {"spectral_over_asymptotic": spectral.value / asymptotic}
     direct = None
-    if cfg.k ** prime_count(cfg.N) <= _DIRECT_CHECK_CAP:
+    if not _exceeds(cfg, _DIRECT_CHECK_CAP):
         direct = smooth_sum_direct(cfg, f)
         ratios["direct_over_spectral"] = direct / spectral.value
     epsilon_rate = math.log(log_n) / log_n + log_n**delta / R ** (f.eta - 1.0)
@@ -653,7 +660,7 @@ def theorem1_ratio_scan(
         f = get_cutoff("bump")
     R = float(R_numerator)
     out = []
-    sieve_primes(max(map(int, n_values), default=2))  # the largest table first: the smaller rungs slice it
+    sieve_primes(max(map(int, n_values), default=2))  # the largest table first: rungs below 2^24 slice it or its head
     for N in sorted(int(n) for n in n_values):
         cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
         grid = _panel_rule(cfg, f, R, 1e-9 * abs(partition_function(cfg)))[2]

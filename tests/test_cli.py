@@ -560,6 +560,19 @@ class TestCappedInputs:
         assert code == 2, err
         assert "argument --lambda-grid: COUNT must be at most" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_is_refused(self, fmt, capped_run):
+        # FastCharfn's phases at lambda = 1e15 give -inf and NaN, which no artifact may carry
+        code, err = capped_run(["charfn", "--k", "2", "--N", "1000000", "--lambda", "1e15", "--format", fmt])
+        assert code == 3, err
+        assert "tolerance failure: the result holds" in err
+
+    def test_overflowing_alpha_is_named_before_the_cutoff(self, capped_run):
+        # Z(2, 10^6, 10^6), the spectral route's bound on |Z phi_N|, overflows: alpha is the cause
+        code, err = capped_run(["sum", "--k", "2", "--N", "1000000", "--alpha", "1e6", "--cutoff", "bump"])
+        assert code == 2, err
+        assert "alpha = (1000000+0j) is too large" in err and "cutoff" not in err
+
     @pytest.mark.parametrize(
         "alpha, N", [(1.0, 10005), (1.0, 10007), (1.0, 10009), (1e6, 20000)], ids=["0", "1", "2", "alpha1e6"]
     )

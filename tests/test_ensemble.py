@@ -1292,7 +1292,7 @@ class TestFastCharfn:
         for k, alpha in MID_CASES:
             for N in [*range(10037, 10237), 10**5, 10**6]:
                 cfg = EnsembleConfig(k=k, alpha=alpha, N=N)
-                fast = ensemble._tail_split(cfg, sieve_primes(N).primes) is not None
+                fast = ensemble._tail_split(cfg, sieve_primes(N)) is not None
                 assert type(charfn_for(cfg)) is (FastCharfn if fast else CharfnEvaluator)
 
     @pytest.mark.parametrize("N", [10**5, 10**6])

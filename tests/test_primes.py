@@ -18,8 +18,10 @@ from kfree import (
     DomainError,
     EnsembleConfig,
     FastCharfn,
+    _threads,
     limit_deviation_scan,
     partition_constant,
+    partition_function,
     prime_count,
     primes,
     sieve_primes,
@@ -121,6 +123,47 @@ def test_sieve_keeps_one_int64_table(limit):
         tracemalloc.stop()
     assert table.dtype == np.int64 and table.size == prime_count(limit)
     assert table.nbytes <= peak < 1.6 * table.nbytes, peak / table.nbytes
+
+
+def test_fast_build_and_z_at_1e8_hold_no_full_table(monkeypatch):
+    # from cold caches, FastCharfn and Z at 10^8 keep the 2^24 head (8.6 MB) and, per worker, one
+    # segment in flight; the 5,761,455-prime table they read once took 46 MB, at a 69.2 MB peak
+    for cache in ("_TABLE_CACHE", "_POWER_CACHE", "_TAIL_CACHE"):
+        monkeypatch.setattr(primes, cache, {})
+    monkeypatch.setattr(_threads, "workers", lambda blocks: min(2, blocks))
+    cfg = EnsembleConfig(k=2, alpha=1.0, N=10**8)
+    tracemalloc.start()
+    try:
+        FastCharfn(cfg)
+        partition_function(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6, peak
+
+
+def test_streamed_sums_at_1e9_bracket_the_prime_zeta_function():
+    # P(d) = sum_p p^-d, d = 2..5, from mpmath at 40 digits: the primes <= 10^4 exactly, the streamed
+    # power sums up to N = 10^9 (the 50,847,534-prime table would take 388 MB) and a tail bound.  With
+    # Dusart's pi(x) <= x / L (1 + 1 / L + 2.53816 / L^2), L = log x (Ramanujan J. 45, 2018, Thm 5.1),
+    # sum_{p > N} p^-d = -pi(N) N^-d + d int_N^inf pi(t) t^-d-1 dt is at most
+    # d sum_k c_k L^(1-k) E_k((d - 1) L) - pi(N) N^-d, c = (1, 1, 2.53816), L = log N.  A slack of 1e-15
+    # of the streamed sum covers its rounding (4e-16 relative at d = 5 here); at d = 2 and 3 the tail
+    # bound is far wider than the slack, and a segment missing from the stream would break it.
+    N = 10**9
+    table = sieve_primes(N)
+    split = table.count_below(10**4)
+    sums = table.power_sums(split)
+    assert table.count() == 50847534
+    with mpmath.workdps(40):
+        log_n = mpmath.log(N)
+        for d in range(2, 6):
+            terms = ((1, 1), (2, 1), (3, mpmath.mpf("2.53816")))
+            bound = d * mpmath.fsum(c * log_n ** (1 - k) * mpmath.expint(k, (d - 1) * log_n) for k, c in terms)
+            bound -= table.count() * mpmath.mpf(N) ** -d
+            s = mpmath.mpf(float(sums[d - 1]))
+            low = mpmath.fsum(mpmath.mpf(int(p)) ** -d for p in table[:split]) + s - 1e-15 * s
+            assert low <= mpmath.primezeta(d) <= low + bound + 2e-15 * s, d
 
 
 @pytest.mark.parametrize(

@@ -260,6 +260,105 @@ def test_power_sums_identical_at_any_worker_count_past_the_real_gate(monkeypatch
     assert all(np.array_equal(sums[0], got) for got in sums[1:])
 
 
+def _prime_sums(monkeypatch, table, splits, buckets=4096) -> list:
+    """The power sums from their own pass and from the tail pass, the tail sums at each split, and every
+    chunk from the first split, each computed afresh."""
+    out = []
+    for fill_from_tail in (False, True):
+        monkeypatch.setattr(primes, "_POWER_CACHE", {})
+        monkeypatch.setattr(primes, "_TAIL_CACHE", {})
+        for split in splits:
+            if fill_from_tail:
+                out += table.tail_sums(split, buckets)
+            out.append(table.power_sums(split))
+    return out + table.map_chunks(np.copy, splits[0])
+
+
+def test_streamed_sums_match_the_table_at_any_worker_count(table_1e6, monkeypatch):
+    # With the gate at 10^5 and segments of 2^16 integers, a fresh 10^6 table keeps the 9,592 primes
+    # below 10^5 and streams the rest in segments of about 4,700 primes: chunks and buckets straddle
+    # segment edges, and the second split lies past the gate.  Its sums and chunks are the whole
+    # table's, bit for bit, at 1 and 2 workers, and no pass builds the 78,498-prime table.
+    span, splits = 1 << 16, (table_1e6.count_below(10**4), table_1e6.count_below(2 * 10**5))
+    want = _prime_sums(monkeypatch, table_1e6, splits)
+    p = table_1e6.primes
+    v = np.log(p) / np.log(10**6)
+    for split in splits:
+        starts = np.searchsorted(p, 3 + span * np.arange(1, 10**6 // span + 1))  # each segment's first prime
+        starts = starts[starts > split]
+        assert np.any((starts - split) % primes._CHUNK), "a chunk straddles a segment edge"
+        bucket = np.searchsorted(np.linspace(v[split], v[-1] * (1 + 1e-12), 4097), v, side="right")
+        assert np.any(bucket[starts - 1] == bucket[starts]), "a bucket straddles a segment edge"
+    monkeypatch.setattr(primes, "_SEGMENT_SIZE", span)
+    monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 10**5)
+    sieve, sieved = primes._sieve, []
+    monkeypatch.setattr(primes, "_sieve", lambda limit: sieved.append(limit) or sieve(limit))
+    for count in (1, 2):
+        monkeypatch.setattr(_threads, "workers", lambda blocks, count=count: min(count, blocks))
+        monkeypatch.setattr(primes, "_TABLE_CACHE", {})
+        table = primes.sieve_primes(10**6)
+        got = _prime_sums(monkeypatch, table, splits)
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(want, got))
+        assert table.count() == table_1e6.count() and table[splits[1]] == p[splits[1]]
+    assert max(sieved) <= 10**5  # the head, up to the gate
+
+
+def test_streamed_sums_match_the_table_past_the_real_gate(monkeypatch):
+    # 2^24 + 1001: the head's last chunk and last bucket go on into the one segment sieved past it
+    limit = primes._PARALLEL_LIMIT + 1001
+    monkeypatch.setattr(primes, "_TABLE_CACHE", {})
+    monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 1 << 25)
+    whole = primes.sieve_primes(limit)
+    splits = (whole.count_below(10**4),)
+    want = _prime_sums(monkeypatch, whole, splits)
+    monkeypatch.undo()
+    monkeypatch.setattr(primes, "_TABLE_CACHE", {})
+    sieve, sieved = primes._sieve, []
+    monkeypatch.setattr(primes, "_sieve", lambda limit: sieved.append(limit) or sieve(limit))
+    table = primes.sieve_primes(limit)
+    got = _prime_sums(monkeypatch, table, splits)
+    assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(want, got))
+    assert table.count() == whole.count() and max(sieved) <= primes._PARALLEL_LIMIT
+
+
+def test_streamed_pass_hands_on_in_order_under_contention(table_1e6, monkeypatch):
+    # four workers, switching every microsecond, over the 31 pieces of 2^15 integers of a table past the
+    # gate (slices of its head, then segments sieved past 999,000): every piece waits for the one before
+    # to hand on its unfinished chunk, and the chunks come out as the table's; a segment that fails ends
+    # the pass with an error, not with pieces left waiting
+    want = table_1e6.map_chunks(np.copy)
+    monkeypatch.setattr(primes, "_SEGMENT_SIZE", 1 << 15)
+    monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 10**6 - 1000)
+    monkeypatch.setattr(_threads, "workers", lambda blocks: min(4, blocks))
+    monkeypatch.setattr(primes, "_TABLE_CACHE", {})
+    table = primes.sieve_primes(10**6)
+    odd_primes, results, interval = primes._odd_primes, [], sys.getswitchinterval()
+
+    def run():
+        try:
+            results.append(table.map_chunks(np.copy))
+        except RuntimeError as exc:
+            results.append(exc)
+
+    def failing(first, *args):
+        if first > 960_000:
+            raise RuntimeError("segment failed")
+        return odd_primes(first, *args)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            monkeypatch.setattr(primes, "_odd_primes", failing)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results[0]) == len(want) and all(np.array_equal(a, b) for a, b in zip(want, results[0]))
+    assert isinstance(results[1], RuntimeError)
+
+
 def test_tables_below_the_gate_stay_on_the_calling_thread(table_1e6, table_1e7, monkeypatch):
     def no_workers(*args):
         raise AssertionError("a table below the gate went to the workers")
