@@ -325,8 +325,9 @@ class SpectralSum:
     save the round-off inside the phi_N and fhat evaluators (see
     :func:`smooth_sum_spectral`).  ``declared_tolerance`` = it + ``tail_bound``
     is the agreement radius guaranteed against the direct route.
-    ``panel_width`` and ``rho`` are the panel layout :func:`_panel_rule` chose
-    and the Bernstein ellipse its Gauss remainder is bounded on.
+    ``panel_width`` is R / n for the n panels per half-line :func:`_panel_rule`
+    chose, so ``_symmetric_grid(R, panel_width)`` rebuilds the route's grid,
+    and ``rho`` the Bernstein ellipse their Gauss remainder is bounded on.
     """
 
     value: complex
@@ -361,48 +362,105 @@ def comparison_tolerance(cfg: EnsembleConfig, direct: complex, spectral: Spectra
 
 
 # The unit-width layout: the grid of _limit_integral and the panel rule's
-# fallback, whose Gauss remainder is bounded on the ellipse rho = 6, which
+# last resort, whose Gauss remainder is bounded on the ellipse rho = 6, which
 # reaches _STRIP ~ 1.46 off the real axis.
 _PANEL_WIDTH = 1.0
 _PANEL_NODES = 16
 _RHO = 6.0
 _STRIP = 0.25 * _PANEL_WIDTH * (_RHO - 1.0 / _RHO)
 
-# (panel width h, strip half-width y) the panel rule tries, widest first; the
-# last is the unit-width layout, taken when no wider one fits
-_LAYOUTS = ((4.0, 3.0), (2.0, 3.0), (_PANEL_WIDTH, _STRIP))
+# the strips |Im lam| <= y the panel rule bounds the integrand on, in the order
+# tried; the unit layout's own is tried only when y = 3 needs more panels than it
+_STRIPS = (3.0, _STRIP)
 # share of the target the chosen layout's Gauss remainder may take
 _REMAINDER_SHARE = 0.25
 
 
-def _symmetric_grid(R: float, width: float = _PANEL_WIDTH) -> PanelGrid:
+def _check_radius(R: float) -> None:
     if not 0 < R < math.inf:
         raise DomainError(f"the frequency cutoff R must be positive and finite, got {R}")
-    return gauss_panels(-R, R, 2 * max(1, int(math.ceil(R / width))), _PANEL_NODES)
+
+
+def _half_panels(R: float, width: float) -> int:
+    """Panels per half-line of [-R, R] no wider than ``width``; exactly n for ``width`` = R / n."""
+    n = max(1, math.ceil(R / width))
+    return n - 1 if n > 1 and R / (n - 1) == width else n  # R / (R / n) may round above n
+
+
+def _symmetric_grid(R: float, width: float = _PANEL_WIDTH) -> PanelGrid:
+    _check_radius(R)
+    return gauss_panels(-R, R, 2 * _half_panels(R, width), _PANEL_NODES)
+
+
+def _ellipse(h: float, y: float) -> float:
+    """The Bernstein ellipse rho = 2y/h + sqrt((2y/h)^2 + 1) of a width-h panel, reaching y off the real axis."""
+    s = 2.0 * y / h
+    return s + math.sqrt(s * s + 1.0)
+
+
+def _gauss_remainder(R: float, rho: float, sup: float) -> float:
+    """R (64/15) sup rho^-32 / (rho^2 - 1): the 16-node Gauss remainder over |lam| <= R."""
+    return R * 64.0 / 15.0 * sup * rho ** (-2 * _PANEL_NODES) / (rho**2 - 1.0)
+
+
+def _least_panels(R: float, y: float, sup: float, target: float, cap: int) -> Optional[int]:
+    """The fewest panels per half-line, at most ``cap``, whose remainder at strip y is at most target.
+
+    With s = 2y/h, rho = s + sqrt(s^2 + 1) and rho^2 - 1 = 2 s rho, so the
+    bound meets the target where 33 asinh(s) + log(2s) = q, q = log(R (64/15)
+    sup / target).  That is increasing and convex in log s, and asinh(s) >=
+    log(2s) puts s = e^{q/34} / 2 above the root, so Newton's steps in log s
+    fall to it from above.  Then n = ceil(R s / (2y)), one fewer or one more
+    where the bound at the actual width R / n, rounded, says so.
+    """
+    if not (sup < math.inf and target > 0):
+        return None
+
+    def fits(m: int) -> bool:
+        return _gauss_remainder(R, _ellipse(R / m, y), sup) <= target
+
+    n = 1
+    if sup > 0:
+        q = math.log(64.0 / 15.0) + math.log(R) + math.log(sup) - math.log(target)
+        u = q / 34.0 - math.log(2.0)
+        for _ in range(32):
+            s = math.exp(u)
+            step = (33.0 * math.asinh(s) + math.log(2.0) + u - q) / (33.0 * s / math.sqrt(s * s + 1.0) + 1.0)
+            u -= step
+            if step < 1e-12:
+                break
+        n = max(1, math.ceil(R * math.exp(u) / (2.0 * y)))
+    if n > 1 and fits(n - 1):
+        n -= 1
+    elif n <= cap and not fits(n):
+        n += 1
+    return n if n <= cap else None
 
 
 def _panel_rule(cfg: EnsembleConfig, f: CutoffDescriptor, R: float, target: float) -> tuple:
-    """(h, rho, grid, bound): the widest panel layout whose Gauss remainder fits the target.
+    """(h, rho, grid, bound): the fewest Gauss panels whose remainder bound fits the target.
 
-    The integrand Z phi_N fhat is entire.  On the panels of width h over
-    |lam| <= R, 16 Gauss nodes err by at most R (64/15) M rho^-32 / (rho^2 -
-    1) in all (Trefethen, SIAM Rev. 50, 2008, Thm 4.5), where the ellipse
-    rho = 2y/h + sqrt((2y/h)^2 + 1) reaches y off the real axis and M =
-    ``_positive_product(cfg, y)`` ``f.strip_bound(y)`` bounds the integrand
-    on |Im lam| <= y.  The first layout of ``_LAYOUTS`` whose bound is at
-    most ``_REMAINDER_SHARE * target`` is taken, else the unit-width one; an
-    M that overflows to inf leaves its layouts out.  M costs one Euler
-    product per distinct y.
+    The integrand Z phi_N fhat is entire.  On n panels of width h = R/n per
+    half-line of |lam| <= R, 16 Gauss nodes err by at most R (64/15) M
+    rho^-32 / (rho^2 - 1) in all (Trefethen, SIAM Rev. 50, 2008, Thm 4.5),
+    where the ellipse rho = 2y/h + sqrt((2y/h)^2 + 1) reaches y off the real
+    axis and M = ``_positive_product(cfg, y)`` ``f.strip_bound(y)`` bounds
+    the integrand on |Im lam| <= y.  :func:`_least_panels` gives the least n
+    whose bound is at most ``_REMAINDER_SHARE * target`` at y = 3, then at
+    the unit strip ``_STRIP``, from the bound itself; an n past the unit
+    layout's ceil(R), or an M that overflows to inf, leaves its strip out,
+    and the unit layout (h = 1, rho = 6) is the last resort.  M costs one
+    Euler product per strip tried.
     """
-    sups: dict = {}
-    for h, y in _LAYOUTS:
-        if y not in sups:
-            with np.errstate(over="ignore"):
-                sups[y] = _positive_product(cfg, y) * f.strip_bound(y)
-        rho = 2.0 * y / h + math.sqrt((2.0 * y / h) ** 2 + 1.0)
-        bound = R * 64.0 / 15.0 * sups[y] * rho ** (-2 * _PANEL_NODES) / (rho**2 - 1.0)
-        if bound <= _REMAINDER_SHARE * target or h == _PANEL_WIDTH:
-            return h, rho, _symmetric_grid(R, h), bound
+    cap = _half_panels(R, _PANEL_WIDTH)
+    for y in _STRIPS:
+        with np.errstate(over="ignore"):
+            sup = _positive_product(cfg, y) * f.strip_bound(y)
+        n = _least_panels(R, y, sup, _REMAINDER_SHARE * target, cap)
+        if n is not None:
+            rho = _ellipse(R / n, y)
+            return R / n, rho, _symmetric_grid(R, R / n), _gauss_remainder(R, rho, sup)
+    return _PANEL_WIDTH, _RHO, _symmetric_grid(R), _gauss_remainder(R, _RHO, sup)
 
 
 def _frequency_integral(values, f: CutoffDescriptor, grid: PanelGrid) -> tuple:
@@ -461,15 +519,17 @@ def smooth_sum_spectral(
     and so does an alpha whose bound Z(k, |alpha|, N) on |Z phi_N| overflows.
 
     The grid is the one :func:`_panel_rule` picks for the target ``tol``:
-    panels of width h = 4, 2 or 1, the widest whose Gauss remainder bound is
-    at most tol / 4, and h = 1 (rho = 6) when none is.  ``quadrature_error``
-    adds three terms from that grid of n nodes: the remainder bound R (64/15)
-    M rho^-32 / (rho^2 - 1), M = sup |Z phi_N fhat| on the strip the ellipse
-    rho reaches (Trefethen, SIAM Rev. 50, 2008, Thm 4.5).  With A = |Z|
-    sum w |phi_N fhat|, the evaluator adds expm1(``truncation_bound(R)``) A
-    and rounding eps n A: forming the n terms and summing them in any order
-    (here each +-lam pair first, then numpy's fixed order; see
-    :func:`_frequency_integral`) errs by at most (n + 7) eps A / 2 (Higham 2002).
+    the fewest panels per half-line whose Gauss remainder bound is at most
+    tol / 4 on the ellipse reaching 3 (else 1.46) off the real axis, and
+    unit width (rho = 6) when no width >= 1 fits either strip.
+    ``quadrature_error`` adds three terms from that grid of n nodes: the
+    remainder bound R (64/15) M rho^-32 / (rho^2 - 1), M = sup |Z phi_N fhat|
+    on the strip the ellipse rho reaches (Trefethen, SIAM Rev. 50, 2008, Thm
+    4.5).  With A = |Z| sum w |phi_N fhat|, the evaluator adds
+    expm1(``truncation_bound(R)``) A and rounding eps n A: forming the n
+    terms and summing them in any order (here each +-lam pair first, then
+    numpy's fixed order; see :func:`_frequency_integral`) errs by at most
+    (n + 7) eps A / 2 (Higham 2002).
 
     Discontinuous cutoffs receive the exact boundary-atom correction of
     :func:`_atom_correction` so that the routes share one convention (the
@@ -477,8 +537,8 @@ def smooth_sum_spectral(
     """
     if not tol > 0:
         raise DomainError(f"the spectral route's tol must be positive, got {tol}")
-    if R is not None and not 0 < R < math.inf:
-        raise DomainError(f"the frequency cutoff R must be positive and finite, got {R}")
+    if R is not None:
+        _check_radius(R)
     z = partition_function(cfg)
     if z == 0:
         raise DegenerateConfigError("partition function vanishes; phi_N undefined")
@@ -652,13 +712,14 @@ def theorem1_ratio_scan(
     partition factor cancels in the ratio, so the scan stays well
     conditioned even where Z itself tends to zero.  phi_N is evaluated by
     :func:`~kfree.ensemble.charfn_for` (bucketed where at least three primes
-    lie past max(10^4, the threshold prime), else exact), on the grid :func:`_panel_rule` picks for the target
-    1e-9 on the numerator: the rule bounds Z times it, so its target is 1e-9
-    |Z|.
+    lie past max(10^4, the threshold prime), else exact), on the fewest
+    panels :func:`_panel_rule` allows for the target 1e-9 on the numerator:
+    the rule bounds Z times it, so its target is 1e-9 |Z|.
     """
     if f is None:
         f = get_cutoff("bump")
     R = float(R_numerator)
+    _check_radius(R)
     out = []
     sieve_primes(max(map(int, n_values), default=2))  # the largest table first: rungs below 2^24 slice it or its head
     for N in sorted(int(n) for n in n_values):

@@ -7,9 +7,11 @@ value for the bump profile's integral (30-digit Gauss-Legendre, cross-checked
 against scipy.quad at 8e-16).
 """
 
+import cmath
 import dataclasses
 import itertools
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -90,6 +92,16 @@ QUADRATURE_CASES = [
     for k, alpha, N in [(2, 1.0, 10), (2, -1.0, 13), (3, 1 + 1j, 7), (4, 2j / 3, 7)]
     for name in ("bump", "bump01", "gaussian")
 ] + [(2, 1.0, 30, "gaussian"), (3, 0.5, 20, "gaussian"), (2, -1.0, 40, "bump01")]
+
+# (k, alpha, N, cutoff, target) for the panel rule: the QUADRATURE_CASES at the
+# spectral route's default tol, and the benchmark's scan-grid scans (alpha = +-1
+# turned by the seed's phase draw in [-pi/6, pi/6]; seed 0 turns none) at seeds
+# 0, 1 and 2, whose target, 1e-9 |Z|, is taken as None
+PANEL_RULE_CASES = [(k, alpha, N, name, 1e-9) for k, alpha, N, name in QUADRATURE_CASES] + [
+    (2, sign * turn, 10**6, "bump", None)
+    for turn in [1.0] + [cmath.exp(1j * random.Random(seed).uniform(-math.pi / 6, math.pi / 6)) for seed in (1, 2)]
+    for sign in (1, -1)
+]
 
 
 class TestBuiltinCutoffs:
@@ -388,12 +400,13 @@ class TestSpectralRoute:
             smooth_sum_spectral(cfg, get_cutoff("gaussian"), **kwargs)
 
     def test_unit_width_fallback_is_the_fixed_layout(self):
-        # tol / 4 = 2.5e-24 lies below the h = 2 remainder bound (5.3e-22) and
-        # above the h = 1 one (2.0e-24): the route keeps unit-width panels and
-        # gives, bit for bit, their sum and the remainder bound at rho = 6
+        # tol / 4 = 2.5e-32 lies below the remainder bound of unit-width
+        # panels at either strip (5.9e-32 at y = 3, 2.0e-24 at y = 1.46), so no
+        # width >= 1 fits: the route keeps unit-width panels and gives, bit for
+        # bit, their sum and the remainder bound at rho = 6
         cfg = EnsembleConfig(k=2, alpha=1.0, N=30)
         f, R = get_cutoff("gaussian"), 8.0
-        spectral = smooth_sum_spectral(cfg, f, R=R, tol=1e-23)
+        spectral = smooth_sum_spectral(cfg, f, R=R, tol=1e-31)
         assert (spectral.panel_width, spectral.rho) == (1.0, 6.0)
         z, charfn = partition_function(cfg), charfn_for(cfg)
         grid = gauss_panels(-R, R, 16, 16)
@@ -406,17 +419,20 @@ class TestSpectralRoute:
         ) * mass
 
     def test_wider_panels_keep_the_remainder_within_its_share(self):
-        # the three spectral sums of the small CLI benchmark take h = 4, and
-        # their quadrature error (remainder, evaluator and rounding) stays
+        # the three spectral sums of the small CLI benchmark take panels wider
+        # than 4 or exactly 4 (R = 8: one panel per half-line does not fit),
+        # and their quadrature error (remainder, evaluator and rounding) stays
         # under a quarter of tol
+        widths = []
         for k, alpha, N, name in QUADRATURE_CASES[-3:]:
             spectral = smooth_sum_spectral(EnsembleConfig(k=k, alpha=alpha, N=N), get_cutoff(name))
-            assert (spectral.panel_width, spectral.rho) == (4.0, 1.5 + math.sqrt(3.25))
+            widths.append((spectral.R, spectral.panel_width))
             assert spectral.quadrature_error <= 0.25e-9
+        assert widths == [(8.0, 4.0), (8.0, 4.0), (1024.0, 1024.0 / 218)]
 
     def test_layouts_with_an_overflowing_bound_are_skipped(self, monkeypatch):
         # a strip bound past the float range (e^{3 * 300}) or an Euler product
-        # that overflows drops the y = 3 layouts without a RuntimeWarning
+        # that overflows drops the y = 3 strip without a RuntimeWarning
         cfg = EnsembleConfig(k=2, alpha=1.0, N=30)
         wide = dataclasses.replace(get_cutoff("bump01"), name="wide", support=(0.0, 300.0))
         assert wide.strip_bound(3.0) == math.inf
@@ -428,7 +444,9 @@ class TestSpectralRoute:
             monkeypatch.setattr(
                 smoothsum, "_positive_product", lambda c, y: float(np.exp(1e3)) if y == 3.0 else product(c, y)
             )
-            assert _panel_rule(cfg, get_cutoff("gaussian"), 8.0, 1.0)[:2] == (1.0, 6.0)
+            # the unit strip then fits one panel per half-line
+            s = 2.0 * smoothsum._STRIP / 8.0
+            assert _panel_rule(cfg, get_cutoff("gaussian"), 8.0, 1.0)[:2] == (8.0, s + math.sqrt(s * s + 1.0))
 
     def test_gaussian_strip_bound_overflows_to_inf(self):
         f = get_cutoff("gaussian")
@@ -448,6 +466,66 @@ class TestSpectralRoute:
                 )
                 assert abs(value) <= f.strip_bound(y) * (1 + 1e-12)
         assert f.strip_bound(y) > f.strip_bound(0.0) == pytest.approx(abs(f.transform([0.0])[0]))
+
+
+def gauss_remainder(R, n, y, sup):
+    """R (64/15) sup rho^-32 / (rho^2 - 1) on n panels of width R / n per half-line of [-R, R], rho reaching y."""
+    s = 2.0 * y / (R / n)
+    rho = s + math.sqrt(s * s + 1.0)
+    return R * 64.0 / 15.0 * sup * rho**-32 / (rho**2 - 1.0)
+
+
+def listed_panels(R, sups, target):
+    """Panels per half-line under a fixed list of widths 4, 2 (y = 3) and 1 (y = 1.46): the
+    widest whose remainder is at most target / 4, else width 1."""
+    for h, y in ((4.0, 3.0), (2.0, 3.0), (1.0, smoothsum._STRIP)):
+        if gauss_remainder(R, R / h, y, sups[y]) <= 0.25 * target or h == 1.0:
+            return math.ceil(R / h)
+
+
+class TestPanelRule:
+    @pytest.mark.parametrize("R", [8.0, 360.0, 1024.0])
+    @pytest.mark.parametrize("k,alpha,N,name,target", PANEL_RULE_CASES)
+    def test_fewest_panels_the_bound_allows(self, k, alpha, N, name, target, R):
+        cfg, f = EnsembleConfig(k=k, alpha=alpha, N=N), get_cutoff(name)
+        if target is None:
+            target = 1e-9 * abs(partition_function(cfg))
+        sups = {y: _positive_product(cfg, y) * f.strip_bound(y) for y in (3.0, smoothsum._STRIP)}
+        share = smoothsum._REMAINDER_SHARE * target
+        width, rho, grid, bound = _panel_rule(cfg, f, R, target)
+        n = grid.centres.size // 2
+        rebuilt = _symmetric_grid(R, width)
+        assert np.array_equal(rebuilt.points, grid.points) and np.array_equal(rebuilt.weights, grid.weights)
+        # the first strip on which some n <= ceil(R) fits, searched one n at a time
+        fits = [(m, y) for y in sups for m in range(1, math.ceil(R) + 1) if gauss_remainder(R, m, y, sups[y]) <= share]
+        if fits:
+            m, y = fits[0]
+            s = 2.0 * y / width
+            assert (n, width, rho) == (m, R / m, s + math.sqrt(s * s + 1.0))
+            assert bound == gauss_remainder(R, n, y, sups[y]) <= share  # valid
+            assert n == 1 or gauss_remainder(R, n - 1, y, sups[y]) > share  # minimal
+        else:
+            assert (n, width, rho) == (math.ceil(R), 1.0, 6.0)
+        assert n <= listed_panels(R, sups, target)  # never more panels than the fixed widths
+
+    @pytest.mark.parametrize("R", [8.0, 360.0, 1024.0])
+    @pytest.mark.parametrize("y", [3.0, smoothsum._STRIP])
+    def test_least_panels_on_the_bound_itself(self, R, y):
+        # a target equal to the remainder of n panels takes n, one a hair below it n + 1,
+        # however the rounding of the solved width falls
+        cap = math.ceil(R)
+        for n in range(1, cap):
+            target = gauss_remainder(R, n, y, 1e3)
+            assert smoothsum._least_panels(R, y, 1e3, target, cap) == n
+            assert smoothsum._least_panels(R, y, 1e3, math.nextafter(target, 0.0), cap) == n + 1
+        assert smoothsum._least_panels(R, y, 1e3, math.nextafter(gauss_remainder(R, cap, y, 1e3), 0.0), cap) is None
+
+    @pytest.mark.parametrize("R", [8.0, 360.0, 1024.0, 4096.0, 5.26, 100.0, 720.0])
+    def test_grid_of_width_r_over_n_has_n_panels(self, R):
+        # R / (R / n) rounds above n for some pairs (R = 8, n = 49 among them)
+        for n in range(1, 2000):
+            assert smoothsum._half_panels(R, R / n) == n
+        assert _symmetric_grid(8.0, 8.0 / 49).centres.size == 98
 
 
 class TestAlgebraicInvariants:
@@ -645,14 +723,27 @@ class TestRatioScan:
             assert np.isfinite(ratio.real) and np.isfinite(ratio.imag)
 
     def test_scan_grid_layouts(self, monkeypatch):
-        # at N = 10^6, R = 360 the Gauss remainder over |Z| is ~1.3e-11 at
-        # h = 4 for alpha = 1, inside a quarter of 1e-9; for alpha = -1 it is
-        # ~4.7e-9 there and ~2.7e-18 at h = 2
+        # at N = 10^6, R = 360 the Gauss remainder over |Z| must be at most
+        # 1e-9 / 4: at y = 3 it is 2.4e-10 on 81 panels per half-line for
+        # alpha = 1 (3.4e-10 on 80), and 2.2e-10 on 100 for alpha = -1 (3.0e-10
+        # on 99)
         rule, picked = smoothsum._panel_rule, []
         monkeypatch.setattr(smoothsum, "_panel_rule", lambda *args: picked.append(rule(*args)) or picked[-1])
         for alpha in (1.0, -1.0):
             theorem1_ratio_scan(2, alpha, [10**6])
-        assert [p[0] for p in picked] == [4.0, 2.0]
+        assert [(p[0], p[2].size) for p in picked] == [(360.0 / 81, 2592), (360.0 / 100, 3200)]
+
+    def test_seed_zero_scan_grid_counts(self, monkeypatch):
+        # the benchmark's two seed-0 scan-grid scans evaluate FastCharfn.grid on
+        # 2,592 + 3,200 nodes, where the fixed widths 4 and 2 would take 8,640,
+        # and take one strip's Euler product each
+        nodes, products = [], []
+        grid, product = FastCharfn.grid, smoothsum._positive_product
+        monkeypatch.setattr(FastCharfn, "grid", lambda self, lams, *a: nodes.append(lams.size) or grid(self, lams, *a))
+        monkeypatch.setattr(smoothsum, "_positive_product", lambda *args: products.append(args) or product(*args))
+        for alpha in (1.0, -1.0):
+            theorem1_ratio_scan(2, alpha, (10**6,))
+        assert len(nodes) == 2 and sum(nodes) <= 6000 and len(products) <= 2
 
     def test_unit_alpha_deviations_shrink(self):
         rows = theorem1_ratio_scan(2, 1.0, [10**4, 10**5, 10**6])
