@@ -8,10 +8,10 @@ consumed and dropped inside its own piece, so no pi(N)-long array exists unless 
 :attr:`PrimeTable.primes`.  The Euler-product sums map a table's chunks in order
 (:meth:`PrimeTable.map_chunks`); past a split they read its cached power sums
 (:meth:`PrimeTable.power_sums`, and FastCharfn's bucketed :meth:`PrimeTable.tail_sums`, whose pass fills
-both), and past the table the prime zeta function (:func:`prime_zeta_tails`).  From the gate on, the
-segments are shared among kfree's workers and hand on, in order, what a chunk or bucket straddling two of
-them still needs, so no value depends on the worker count, nor on whether the primes came from an array or
-from the sieve.
+both), and past the table the prime zeta function P(2..5) as literals (:func:`prime_zeta_tails`).  From the
+gate on, the segments are shared among kfree's workers and hand on, in order, what a chunk or bucket straddling
+two of them still needs, so no value depends on the worker count, nor on whether the primes came from an array
+or from the sieve.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 import threading
 
 import numpy as np
-from scipy.special import zetac
 
 from ._threads import map_blocks, one_blas_thread
 from .errors import DomainError
@@ -445,18 +444,13 @@ def prime_count(limit: int) -> int:
     return sieve_primes(limit).count()
 
 
-# mu(n) for the terms n of the prime zeta series: mu(n)/n log zeta(nd) ~ 2^-nd / n is below 1e-21 past them
-_MOBIUS = np.array([1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1, 0, -1, 0, -1, 0, 1, 1, -1, 0, 0, 1, 0, 0, -1,
-                    -1, -1, 0, 1, 1, 1])
+# P(d) = sum_p p^-d for d = 2..5, the prime zeta function correctly rounded (mpmath.primezeta at 50 digits)
+_PRIME_ZETA = np.array([0.4522474200410655, 0.17476263929944352, 0.07699313976424685, 0.035755017483924255])
 
 
 def prime_zeta_tails(limit: int) -> np.ndarray:
-    """[sum_{p > limit} p^-d for d = 2..5]: the prime zeta function P(d) = sum_n mu(n)/n log zeta(nd)
-    (Cohen, "High precision computation of Hardy-Littlewood constants", 1998), with log zeta(s) =
-    log1p(``scipy.special.zetac``(s)), less the head sum_{p <= limit} p^-d, each summed exactly
-    (``math.fsum``) since the first terms outweigh the rest.  Each value is within 1e-16 of its tail
-    (a few roundings of P(d) <= 0.46), not of its size."""
-    degrees, n = range(2, 6), np.arange(1, _MOBIUS.size + 1)
-    prime_zeta = [math.fsum(_MOBIUS / n * np.log1p(zetac(n * d))) for d in degrees]
-    head = sieve_primes(limit).map_chunks(lambda p: [math.fsum(p ** -float(d)) for d in degrees])
-    return np.array(prime_zeta) - [math.fsum(column) for column in zip(*head)]
+    """[sum_{p > limit} p^-d for d = 2..5]: the prime zeta function P(d) (``_PRIME_ZETA``) less the head
+    sum_{p <= limit} p^-d, each summed exactly (``math.fsum``) since the first terms outweigh the rest.
+    Each value is within 1e-16 of its tail (a few roundings of P(d) <= 0.46), not of its size."""
+    head = sieve_primes(limit).map_chunks(lambda p: [math.fsum(p ** -float(d)) for d in range(2, 6)])
+    return _PRIME_ZETA - [math.fsum(column) for column in zip(*head)]

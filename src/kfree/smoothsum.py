@@ -23,6 +23,7 @@ elements with log x = log N.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -406,34 +407,13 @@ def _gauss_remainder(R: float, rho: float, sup: float) -> float:
 def _least_panels(R: float, y: float, sup: float, target: float, cap: int) -> Optional[int]:
     """The fewest panels per half-line, at most ``cap``, whose remainder at strip y is at most target.
 
-    With s = 2y/h, rho = s + sqrt(s^2 + 1) and rho^2 - 1 = 2 s rho, so the
-    bound meets the target where 33 asinh(s) + log(2s) = q, q = log(R (64/15)
-    sup / target).  That is increasing and convex in log s, and asinh(s) >=
-    log(2s) puts s = e^{q/34} / 2 above the root, so Newton's steps in log s
-    fall to it from above.  Then n = ceil(R s / (2y)), one fewer or one more
-    where the bound at the actual width R / n, rounded, says so.
+    A bisection over n = 1..cap on the bound itself, which falls as n grows however R / n rounds.
     """
     if not (sup < math.inf and target > 0):
         return None
-
-    def fits(m: int) -> bool:
-        return _gauss_remainder(R, _ellipse(R / m, y), sup) <= target
-
-    n = 1
-    if sup > 0:
-        q = math.log(64.0 / 15.0) + math.log(R) + math.log(sup) - math.log(target)
-        u = q / 34.0 - math.log(2.0)
-        for _ in range(32):
-            s = math.exp(u)
-            step = (33.0 * math.asinh(s) + math.log(2.0) + u - q) / (33.0 * s / math.sqrt(s * s + 1.0) + 1.0)
-            u -= step
-            if step < 1e-12:
-                break
-        n = max(1, math.ceil(R * math.exp(u) / (2.0 * y)))
-    if n > 1 and fits(n - 1):
-        n -= 1
-    elif n <= cap and not fits(n):
-        n += 1
+    n = 1 + bisect.bisect_left(
+        range(1, cap + 1), True, key=lambda m: _gauss_remainder(R, _ellipse(R / m, y), sup) <= target
+    )
     return n if n <= cap else None
 
 
@@ -445,9 +425,9 @@ def _panel_rule(cfg: EnsembleConfig, f: CutoffDescriptor, R: float, target: floa
     rho^-32 / (rho^2 - 1) in all (Trefethen, SIAM Rev. 50, 2008, Thm 4.5),
     where the ellipse rho = 2y/h + sqrt((2y/h)^2 + 1) reaches y off the real
     axis and M = ``_positive_product(cfg, y)`` ``f.strip_bound(y)`` bounds
-    the integrand on |Im lam| <= y.  :func:`_least_panels` gives the least n
-    whose bound is at most ``_REMAINDER_SHARE * target`` at y = 3, then at
-    the unit strip ``_STRIP``, from the bound itself; an n past the unit
+    the integrand on |Im lam| <= y.  :func:`_least_panels` bisects the bound
+    for the least n at which it is at most ``_REMAINDER_SHARE * target`` at
+    y = 3, then at the unit strip ``_STRIP``; an n past the unit
     layout's ceil(R), or an M that overflows to inf, leaves its strip out,
     and the unit layout (h = 1, rho = 6) is the last resort.  M costs one
     Euler product per strip tried.
@@ -510,8 +490,8 @@ def smooth_sum_spectral(
     """Z times the truncated frequency integral of phi_N * fhat, phi_N from :func:`charfn_for`.
 
     When ``R`` is omitted it is doubled from 8 upward until the tail bound
-    (trivial bound on |Z * phi_N| times the integral of |fhat| beyond R)
-    drops below ``tol/2``; failure to reach that within R = 4096 raises
+    (the bound Z(k, |alpha|, N) on |Z * phi_N| times the integral of |fhat|
+    beyond R) drops below ``tol/2``; failure to reach that within R = 4096 raises
     :class:`ToleranceError` naming R = 4096 and its tail bound and asking
     for an explicit ``R``.  An explicit ``R`` is honored as given and the
     tail bound is only reported.  An R that is not positive and finite, or
@@ -542,7 +522,7 @@ def smooth_sum_spectral(
     z = partition_function(cfg)
     if z == 0:
         raise DegenerateConfigError("partition function vanishes; phi_N undefined")
-    z_abs = _positive_product(cfg, 0.0)  # bounds |Z phi_N| on the real line
+    z_abs = abs(partition_function(EnsembleConfig(cfg.k, abs(cfg.alpha), cfg.N)))  # bounds |Z phi_N| on the real line
     if not math.isfinite(z_abs):
         raise DomainError(
             f"alpha = {cfg.alpha} is too large for the spectral route at k = {cfg.k}, N = {cfg.N}: the bound "

@@ -157,3 +157,11 @@ def _public_signatures() -> dict:
 def test_public_parameters_are_pinned():
     # a parameter added, renamed or removed anywhere in the public API shows here by name
     assert _public_signatures() == SIGNATURES
+
+
+def test_primes_imports_no_scipy():
+    # P(2..5) are literals, so the prime module stands on numpy alone
+    tree = ast.parse((ROOT / "src" / "kfree" / "primes.py").read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []

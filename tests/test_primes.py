@@ -376,6 +376,13 @@ def test_prime_zeta_tails_match_mpmath():
     assert prime_zeta_tails(10**4)[0] == pytest.approx(9.8157e-6, rel=1e-4)
 
 
+def test_prime_zeta_literals_are_correctly_rounded():
+    # P(2..5) are mpmath's prime zeta function at 50 digits, each rounded once to a float
+    with mpmath.workdps(50):
+        want = [float(mpmath.primezeta(d)) for d in range(2, 6)]
+    assert primes._PRIME_ZETA.tolist() == want
+
+
 def test_power_sums_are_the_exact_sums_once_per_key(table_1e6):
     # one pass per (limit, split), read-only; sum p^-1 is the correctly rounded sum of the float
     # terms (their float32 parts sum without rounding), and every sum is within 2e-16 of it

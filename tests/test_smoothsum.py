@@ -350,6 +350,19 @@ class TestSpectralRoute:
         assert "at R = 4096," in str(info.value)
         assert "explicit R" in str(info.value)
 
+    @pytest.mark.parametrize("k,alpha,N,name", [(2, -1.0, 40, "bump"), (3, 1 + 0.5j, 10**5, "gaussian")])
+    def test_tail_bound_is_z_at_abs_alpha(self, k, alpha, N, name, monkeypatch):
+        # the tail bound takes Z(k, |alpha|, N) from the partition function, not a second Euler
+        # product over every prime: _positive_product runs only for the panel rule's strips
+        strips, product = [], smoothsum._positive_product
+        monkeypatch.setattr(smoothsum, "_positive_product", lambda c, y: strips.append(y) or product(c, y))
+        cfg, f = EnsembleConfig(k=k, alpha=alpha, N=N), get_cutoff(name)
+        spectral = smooth_sum_spectral(cfg, f)
+        assert strips and 0.0 not in strips
+        z_abs = abs(partition_function(EnsembleConfig(k=k, alpha=abs(alpha), N=N)))
+        assert spectral.tail_bound == z_abs * f.tail_integral(spectral.R)
+        assert z_abs == pytest.approx(product(cfg, 0.0), rel=1e-14)
+
     def test_vanishing_partition_function_is_degenerate(self):
         cfg = EnsembleConfig(k=2, alpha=-2.0, N=5)
         with pytest.raises(DegenerateConfigError):
@@ -512,13 +525,29 @@ class TestPanelRule:
     @pytest.mark.parametrize("y", [3.0, smoothsum._STRIP])
     def test_least_panels_on_the_bound_itself(self, R, y):
         # a target equal to the remainder of n panels takes n, one a hair below it n + 1,
-        # however the rounding of the solved width falls
+        # however the rounding of the width R / n falls
         cap = math.ceil(R)
         for n in range(1, cap):
             target = gauss_remainder(R, n, y, 1e3)
             assert smoothsum._least_panels(R, y, 1e3, target, cap) == n
             assert smoothsum._least_panels(R, y, 1e3, math.nextafter(target, 0.0), cap) == n + 1
         assert smoothsum._least_panels(R, y, 1e3, math.nextafter(gauss_remainder(R, cap, y, 1e3), 0.0), cap) is None
+
+    def test_least_panels_matches_a_scan_one_n_at_a_time(self):
+        # the bisection relies on the rounded bound never rising with n: over seeded draws it
+        # agrees with the first fitting n of a plain scan, including inf or nan sups and
+        # targets of 0 (nothing fits) or 1e-40
+        rng = random.Random(0)
+        for _ in range(2000):
+            R = rng.choice([8.0, 5.26, 100.0, 360.0, 1024.0, rng.uniform(1.0, 1024.0)])
+            y = rng.choice([3.0, smoothsum._STRIP])
+            sup = rng.choice([10.0 ** rng.uniform(-30.0, 300.0)] * 4 + [0.0, math.inf, math.nan])
+            target = rng.choice([10.0 ** rng.uniform(-40.0, 5.0)] * 4 + [0.0, 1e-40])
+            cap = smoothsum._half_panels(R, 1.0)
+            scan = None
+            if sup < math.inf and target > 0:
+                scan = next((m for m in range(1, cap + 1) if gauss_remainder(R, m, y, sup) <= target), None)
+            assert smoothsum._least_panels(R, y, sup, target, cap) == scan, (R, y, sup, target)
 
     @pytest.mark.parametrize("R", [8.0, 360.0, 1024.0, 4096.0, 5.26, 100.0, 720.0])
     def test_grid_of_width_r_over_n_has_n_panels(self, R):
