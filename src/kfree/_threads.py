@@ -5,8 +5,8 @@ splitting one over its pool buys no wall time, and its idle threads spin
 between calls.  So a hot stage runs inside :func:`one_blas_thread` and
 spreads its independent blocks over :func:`workers` threads with
 :func:`map_blocks` instead.  The prime layer sends the sieve's segments there
-too, each with the Euler-product chunks and tail buckets it holds, for tables
-with prime limits of 2^24 or more only (see :mod:`kfree.primes`).
+too, each with the Euler-product chunks and tail buckets it reduces on its
+own, for tables with prime limits of 2^24 or more only (see :mod:`kfree.primes`).
 
 The OpenBLAS that numpy loaded is found on first use, never at import: its
 path from ``/proc/self/maps``, its thread calls through ctypes.  Without it
@@ -124,11 +124,9 @@ def map_blocks(task: Callable[[int, int], None], size: int, block: int) -> None:
     task's value for an item must not depend on its piece, so that no value
     depends on w; the grids' products get that from :func:`~kfree._quad.gemm`.
     The calling thread is one of the w workers; the other w - 1 take pieces
-    from the same queue, in order, so a piece may wait for one taken before
-    it (the prime layer's segments hand on their unfinished chunks so).  (A
-    pool thread's arrays come from a malloc arena of its own that the caller
-    cannot reuse, so the caller working keeps the peak memory of later
-    stages down.)
+    from the same queue, in order.  (A pool thread's arrays come from a malloc
+    arena of its own that the caller cannot reuse, so the caller working keeps
+    the peak memory of later stages down.)
     """
     count = workers(-(-size // block))
     step = max(1, block // count)

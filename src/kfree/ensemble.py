@@ -252,12 +252,12 @@ def _series_head(k: int, alpha: complex) -> int:
 
 
 def _series_log(table, k: int, alpha: complex) -> complex:
-    """sum_p Log(1 + x + ... + x^{k-1}), x = alpha/p, over the table: principal logs over its chunks up to
-    P = :func:`_series_head`, then the log series sum_{d<=5} a_d alpha^d S_d, S_d = sum_{p>P} p^-d from the
-    table's :meth:`~kfree.primes.PrimeTable.power_sums`."""
-    split = table.count_below(min(_series_head(k, alpha), table.limit))
-    head = sum(table.map_chunks(lambda p: _log_euler(_factor_offset(k, alpha / p)), stop=split), 0j)
-    return head + sum(_log_coeffs(k, alpha, _LOG_DEGREE + 1) * table.power_sums(split))
+    """sum_p Log(1 + x + ... + x^{k-1}), x = alpha/p, over the table: principal logs over the chunks of the
+    table up to P = :func:`_series_head`, then the log series sum_{d<=5} a_d alpha^d S_d, S_d = sum_{p>P} p^-d
+    from the table's :meth:`~kfree.primes.PrimeTable.power_sums`."""
+    head = min(_series_head(k, alpha), table.limit)
+    log_head = sum(sieve_primes(head).map_chunks(lambda p: _log_euler(_factor_offset(k, alpha / p))), 0j)
+    return log_head + sum(_log_coeffs(k, alpha, _LOG_DEGREE + 1) * table.power_sums(table.count_below(head)))
 
 
 def partition_function(cfg: EnsembleConfig) -> complex:
@@ -268,7 +268,8 @@ def partition_function(cfg: EnsembleConfig) -> complex:
     factor, always below P, makes Z exactly 0.  It never needs the exponent
     marginals (which pole on the forbidden rays where Z itself is simply 0).
     """
-    z = complex(np.exp(_series_log(sieve_primes(cfg.N), cfg.k, cfg.alpha)))
+    with np.errstate(over="ignore"):  # a Z past binary64 is inf, which the callers refuse
+        z = complex(np.exp(_series_log(sieve_primes(cfg.N), cfg.k, cfg.alpha)))
     # real alpha: negative factors add pi to the log; keep Z exactly real
     return complex(z.real) if cfg.alpha.imag == 0 else z
 

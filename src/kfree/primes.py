@@ -8,10 +8,10 @@ consumed and dropped inside its own piece, so no pi(N)-long array exists unless 
 :attr:`PrimeTable.primes`.  The Euler-product sums map a table's chunks in order
 (:meth:`PrimeTable.map_chunks`); past a split they read its cached power sums
 (:meth:`PrimeTable.power_sums`, and FastCharfn's bucketed :meth:`PrimeTable.tail_sums`, whose pass fills
-both), and past the table the prime zeta function P(2..5) as literals (:func:`prime_zeta_tails`).  From the
-gate on, the segments are shared among kfree's workers and hand on, in order, what a chunk or bucket straddling
-two of them still needs, so no value depends on the worker count, nor on whether the primes came from an array
-or from the sieve.
+both), and past the table the prime zeta function P(2..5) as literals (:func:`prime_zeta_tails`).  A pass's
+pieces are the sieve's segments and stand alone: no chunk spans two, and the piece holding a bucket's lower cut
+sieves on to its upper one.  So from the gate on they go to kfree's workers in any order, and no value depends
+on the worker count, nor on whether the primes came from an array or from the sieve.
 """
 
 from __future__ import annotations
@@ -73,14 +73,15 @@ class PrimeTable:
     """All primes up to ``limit``, strictly increasing.
 
     ``primes`` holds them all below ``_PARALLEL_LIMIT``, and from it on only those below it, the head: every
-    pass (:func:`_walk`) then sieves the rest segment by segment, indexing reads the head or the last primes
-    where they hold the answer, and reading :attr:`primes` sieves the whole array once and keeps it.
+    pass (:func:`_walk`) then sieves the rest segment by segment, and the first pass to the end keeps their sizes,
+    which place an index past the head.  Indexing reads the head or the last primes where they hold the answer,
+    and reading :attr:`primes` sieves the whole array once and keeps it.
     """
 
     def __init__(self, limit: int, primes: np.ndarray):
         self.limit = int(limit)
         self._head, self._head_limit = primes, min(self.limit, _PARALLEL_LIMIT - 1)
-        self._count = primes.size if self._head_limit == self.limit else None
+        self._sizes = np.zeros(0, dtype=np.int64) if self._head_limit == self.limit else None
         primes.setflags(write=False)
 
     @property
@@ -89,7 +90,7 @@ class PrimeTable:
         if self._head_limit < self.limit:
             full = _sieve(self.limit)
             full.setflags(write=False)
-            self._head, self._head_limit, self._count = full, self.limit, full.size
+            self._head, self._head_limit, self._sizes = full, self.limit, np.zeros(0, dtype=np.int64)
         return self._head
 
     @functools.cached_property
@@ -106,7 +107,7 @@ class PrimeTable:
 
     def __getitem__(self, index):
         """primes[index]; past the gate the head answers an index or a slice [:i] inside it, the last primes
-        a negative index among them, and a pass up to it a later index, without the whole array."""
+        a negative index among them, and a pass over its segment, once the table is counted, a later index."""
         head = self._head
         if isinstance(index, slice):
             stop = -1 if index.stop is None or index.start or index.step else index.stop
@@ -118,9 +119,10 @@ class PrimeTable:
         return self._last[index] if index >= -self._last.size else self.primes[index]
 
     def count(self) -> int:
-        if self._count is None:
-            _walk(self, self._head.size)  # a pass to the end counts the primes
-        return self._count
+        """The head's size plus the sizes of the segments past it, which a pass to the end counts."""
+        if self._sizes is None:
+            _walk(self, 0)
+        return self._head.size + int(self._sizes.sum())
 
     def count_below(self, x: float) -> int:
         """Number of table primes <= x (valid for x <= limit)."""
@@ -129,9 +131,9 @@ class PrimeTable:
         return int(np.searchsorted(self._head, x, side="right"))
 
     def map_chunks(self, fn, start: int = 0, stop: int | None = None) -> list:
-        """[fn(chunk) for each chunk of primes[start:stop] in order], a chunk being ``_CHUNK`` primes
-        (the last one shorter) as a read-only int64 array, which float arithmetic converts on the fly;
-        one :func:`_walk`, whose pieces share out the chunks."""
+        """[fn(chunk) for each chunk of primes[start:stop] in order], a chunk being up to ``_CHUNK`` primes of one
+        sieve segment as a read-only int64 array, which float arithmetic converts on the fly: one :func:`_walk`,
+        after the pass that counts the table if start or stop lies past its head."""
         return _walk(self, start, stop, fn)
 
     def power_sums(self, split: int) -> np.ndarray:
@@ -164,91 +166,58 @@ class PrimeTable:
 
 
 def _walk(table: PrimeTable, start: int, stop: int | None = None, fn=None, tail=None) -> list:
-    """[fn(chunk) for each ``_CHUNK``-prime chunk of primes[start:stop]] (none without ``fn``); with ``tail`` =
-    (starts, fill), also ``fill(p, starts(p))`` on whole buckets of the same primes, starts(p)[b] counting the
-    primes of p before bucket b: the one pass over a table, which counts it too when it reaches the end.
+    """[fn(chunk) for each chunk of primes[start:stop]] (none without ``fn``), a chunk being up to ``_CHUNK``
+    primes of one sieve segment from primes[start] or the segment's first prime; with ``tail`` = (cuts, fill),
+    also ``fill(p, b0, b1)`` on buckets b0 <= b < b1 of primes[start:], bucket b from the integer cuts[b]: the
+    one pass over a table.
 
-    Its pieces, run as :func:`_map_pieces`, are :func:`_sieve`'s segments from the one holding primes[start],
-    each the slice of the table's array it covers or, past it, sieved afresh.  A piece gets its primes, then
-    waits for the one before to hand on the index of its first prime and the primes of the chunk and of the
-    bucket that go on into it; it hands on its own and consumes the rest.  So a chunk or bucket straddling
-    segments is reduced as one array, as from a whole table, and a segment's primes go with its piece.
+    Its pieces, run as :func:`_map_pieces`, are :func:`_sieve`'s segments from the one holding primes[start], and
+    each stands alone: it takes the slice of the table's array that it covers or, past it, sieves its own range,
+    and fills the buckets whose lower cut it holds, sieving on to their upper cut.  A pass over every segment past
+    the head keeps their sizes, which place an index past the head (:meth:`PrimeTable.count`).
     """
     if stop is not None and start >= stop:
         return []
     head, head_limit, limit = table._head, table._head_limit, table.limit
+    if table._sizes is None and max(start, stop or 0) > head.size:
+        table.count()
     span = 2 * max(1, _SEGMENT_SIZE // 2)  # integers per segment, the first from 3
-    total = max(1, len(range(3, limit + 1, span)))
-    first = max(0, int(head[min(start, head.size - 1)]) - 3) // span
-    pieces = total if stop is None or stop > head.size else max(0, int(head[stop - 1]) - 3) // span + 1
+    lows = 3 + span * np.arange(max(1, len(range(3, limit + 1, span))))
+    highs = np.minimum(lows + span, limit + 1)
+    streamed = int(np.searchsorted(highs - 1, head_limit, side="right"))  # the first segment not in the head
+    firsts = np.append(0, np.searchsorted(head, lows[1:]))  # each segment's first index; a floor past the gate's
+    if table._sizes is not None:
+        firsts[streamed + 1 :] += np.cumsum(table._sizes)[:-1]
+    first = int(np.searchsorted(firsts[: None if table._sizes is not None else streamed + 1], start, "right")) - 1
+    last = lows.size - 1 if stop is None else int(np.searchsorted(firsts, stop - 1, side="right")) - 1
+    cuts, fill = tail or (np.zeros(1, dtype=np.int64), None)
+    owned = np.searchsorted(np.clip((cuts[:-1] - 3) // span, first, last), np.arange(first, last + 2))
     odd = _sieve(math.isqrt(limit))[1:] if head_limit < limit else None
-    bucket_starts, fill = tail or (None, None)
-    empty, cond = np.empty(0, dtype=np.int64), threading.Condition()
-    spare = []  # the segments' sieve arrays, reused: a new one per segment faults its pages in again
-    hand = {first: (int(np.searchsorted(head, 3 + span * first)) if first else 0, empty, empty)}
+    local = threading.local()  # a worker's sieve array, reused: a new one per segment faults its pages in again
 
-    def cut(n: int, own, own_starts, g: int, chunk, carry) -> tuple:
-        """This piece's chunks and whole buckets, and what it hands on, from its primes in [start, stop)."""
-        lo, hi = np.clip([start - g, own.size if stop is None else stop - g], 0, own.size)
-        end, part, chunks, rows = n == total - 1 or g + own.size >= (stop or math.inf), own[lo:hi], [], []
-        if fn is not None:
-            keep = chunk.size + part.size if end else (chunk.size + part.size) // _CHUNK * _CHUNK
-            opening, rest, chunk = _split(chunk, part, min(_CHUNK, keep), keep)
-            chunks = [opening][: opening.size] + [rest[c : c + _CHUNK] for c in range(0, rest.size, _CHUNK)]
-        if tail is not None:  # the buckets of the carried bucket's primes and this piece's
-            size, starts = carry.size + part.size, bucket_starts(carry) + np.clip(own_starts - lo, 0, hi - lo)
-            keep = size if end else int(starts[starts < size].max(initial=0))  # up to the last bucket
-            opening_end = min(int(starts[starts > 0].min(initial=size)), keep)
-            skip = opening_end if carry.size else 0
-            opening, rest, carry = _split(carry, part, opening_end, keep)
-            rows = [(opening, np.minimum(starts, opening_end))][: opening.size]
-            rows.append((rest, np.clip(starts - skip, 0, keep - skip)))
-        return (chunks, rows), (g + own.size, chunk, carry)
+    def piece(i: int) -> tuple:
+        n, b0, b1 = first + i, owned[i], owned[i + 1]
+        lo, hi = int(lows[n]), int(highs[n])
+        end = min(max(hi, int(cuts[b1]) + 2), limit + 1) if b1 > b0 else hi
+        if end - 1 <= head_limit:
+            p = head[firsts[n] : np.searchsorted(head, end)]
+        else:
+            if len(getattr(local, "seg", ())) < (end - lo + 1) // 2:
+                local.seg = np.empty((end - lo + 1) // 2, dtype=bool)
+            p = _odd_primes(lo, end, odd, local.seg)
+            p = np.append(2, p) if n == 0 else p
+            p.setflags(write=False)
+        if b1 > b0 and p.size:
+            fill(p, b0, b1)
+        own = p[: np.searchsorted(p, hi)]
+        a, b = np.clip([start - firsts[n], own.size if stop is None else stop - firsts[n]], 0, own.size)
+        chunks = [own[c : min(c + _CHUNK, b)] for c in range(a, b, _CHUNK)] if fn else []
+        return own.size - int(np.searchsorted(own, head_limit, side="right")), [fn(chunk) for chunk in chunks]
 
-    def piece(i: int) -> list:
-        n, fetched, work = first + i, None, None
-        try:
-            lo, hi = 3 + span * n, min(3 + span * (n + 1), limit + 1)
-            if hi - 1 <= head_limit:
-                own = head[np.searchsorted(head, lo) if n else 0 : np.searchsorted(head, hi)]
-            else:
-                with cond:
-                    seg = spare.pop() if spare else np.empty(span // 2, dtype=bool)
-                own = _odd_primes(lo, hi, odd, seg) if n else np.append(2, _odd_primes(lo, hi, odd, seg))
-                own.setflags(write=False)
-                spare.append(seg)
-            fetched = own, (bucket_starts(own) if tail else None)
-        finally:
-            with cond:
-                try:
-                    cond.wait_for(lambda: n in hand)
-                    handed, hand[n + 1] = hand.pop(n), None  # None ends the pieces after a failed one
-                    if handed is not None and fetched is not None:
-                        work, hand[n + 1] = cut(n, *fetched, *handed)
-                finally:
-                    cond.notify_all()
-        if work is None:
-            raise RuntimeError(f"an earlier segment of the pass over the primes up to {limit} failed")
-        for block in work[1]:
-            fill(*block)
-        return [fn(chunk) for chunk in work[0]]
-
-    out = _map_pieces(piece, pieces - first, limit)
-    if pieces == total:
-        table._count = hand[total][0]
-    return [value for values in out for value in values]
-
-
-def _split(carry: np.ndarray, part: np.ndarray, first_end: int, keep: int) -> tuple:
-    """carry ++ part, cut at first_end and keep without joining it all: the first unit (holding the carried
-    entries, empty without any), the whole units after it (a view of part), and the rest to carry on (a copy).
-    first_end = 0 leaves the carried unit open."""
-    c = carry.size
-    if c and not first_end:
-        return carry[:0], part[:0], np.concatenate((carry, part))
-    opening = np.concatenate((carry, part[: first_end - c])) if c else part[:0]
-    opening.setflags(write=False)
-    return opening, part[first_end - c if c else 0 : keep - c], part[keep - c :].copy()
+    out = _map_pieces(piece, last - first + 1, limit)
+    if table._sizes is None and stop is None and first <= streamed:
+        table._sizes = np.array([size for size, _ in out[streamed - first :]], dtype=np.int64)
+    return [value for _, values in out for value in values]
 
 
 _HIGH_BITS = np.uint64(2**64 - 2**29)  # the top 24 of a float's 53 significant bits
@@ -305,26 +274,20 @@ def _tail_rows(table: PrimeTable, split: int, buckets: int, extra: int = 0, fn=N
     vbar, T = np.zeros(buckets), np.zeros((4 + order + extra, buckets))
     cuts = np.floor(np.exp(edges * log_n)).astype(np.int64)
 
-    def starts(p: np.ndarray) -> np.ndarray:
-        """#{q in p : v_q < edges[b]} for each edge: counting the primes up to e^{edge log N} misses at most
-        the one prime within rounding of that point, which its own v_q settles (only where the point lies
-        within one of p's range)."""
-        s = np.searchsorted(p, cuts, side="right")
-        if p.size:
-            k0, k1 = np.searchsorted(cuts, [p[0] - 2, p[-1]], side="right")
-            t, e = s[k0:k1], edges[k0:k1]
-            below, at = np.log(p[np.clip([t - 1, t], 0, p.size - 1)]) / log_n
-            t += ((t < p.size) & (at < e)).astype(np.int64) - ((t > 0) & (below >= e))
-        return s
-
-    def fill(p: np.ndarray, starts: np.ndarray) -> None:  # vbar and T of whole buckets
-        full = np.flatnonzero(np.diff(starts))  # the nonempty buckets
-        bounds = np.append(starts[full], p.size)  # bucket full[i] is bounds[i] : bounds[i + 1]
-        groups = np.searchsorted(bounds, np.arange(0, p.size, _CHUNK), side="right") - 1
+    def fill(p: np.ndarray, b0: int, b1: int) -> None:
+        """vbar and T of the buckets b0 <= b < b1, whose primes p holds with their neighbours: bucket b starts past
+        the primes up to its integer cut, but for one within rounding of e^{edges[b] log N}, settled by its v_q."""
+        e = edges[b0 : b1 + 1]
+        s = np.searchsorted(p, cuts[b0 : b1 + 1], side="right")
+        below, at = np.log(p[np.clip([s - 1, s], 0, p.size - 1)]) / log_n
+        s += ((s < p.size) & (at < e)).astype(np.int64) - ((s > 0) & (below >= e))
+        full = np.flatnonzero(np.diff(s))  # the nonempty buckets, from b0
+        bounds = np.append(s[full], s[-1])  # bucket b0 + full[i] is p[bounds[i] : bounds[i + 1]]
+        groups = np.searchsorted(bounds, np.arange(s[0], s[-1], _CHUNK), side="right") - 1
         groups = np.unique(np.append(groups, full.size))
         rows, buffer = T.shape[0], np.empty(T.shape[0] * int(np.diff(bounds[groups]).max(initial=0)))
         for g0, g1 in zip(groups[:-1], groups[1:]):
-            lo, hi, b, counts = bounds[g0], bounds[g1], full[g0:g1], np.diff(bounds[g0 : g1 + 1])
+            lo, hi, b, counts = bounds[g0], bounds[g1], b0 + full[g0:g1], np.diff(bounds[g0 : g1 + 1])
             v = np.log(p[lo:hi]) / log_n
             vbar[b] = np.add.reduceat(v, bounds[g0:g1] - lo) / counts
             v -= np.repeat(vbar[b], counts)
@@ -334,7 +297,7 @@ def _tail_rows(table: PrimeTable, split: int, buckets: int, extra: int = 0, fn=N
                 np.multiply(terms[j - 1], v, out=terms[j])
             T[:, b] = np.add.reduceat(terms, bounds[g0:g1] - lo, axis=1)
 
-    parts = _walk(table, split, None, fn, (starts, fill))
+    parts = _walk(table, split, None, fn, (cuts, fill))
     return vbar, T, float(edges[0]), width, parts
 
 

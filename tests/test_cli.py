@@ -340,6 +340,24 @@ class TestCsvFormat:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv,status",
+        [
+            (["sum", "--k", "2", "--alpha", "1e6", "--N", "100000", "--route", "spectral"], 2),
+            (["partition", "--k", "2", "--alpha", "1e6", "--N", "100000"], 3),
+        ],
+        ids=["sum-spectral", "partition"],
+    )
+    def test_overflowing_z_prints_only_its_error(self, argv, status):
+        # Z overflows binary64 at alpha = 10^6: the run ends with kfree's one error line on stderr, and no
+        # numpy warning before it
+        code = "import sys; sys.path.insert(0, sys.argv[1]); from kfree.cli import run; sys.exit(run(sys.argv[2:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(ROOT / "src"), *argv], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == status
+        assert proc.stderr.startswith("kfree: ") and proc.stderr.count("\n") == 1, proc.stderr
+
     def test_unknown_subcommand_usage(self, capsys):
         assert run(["frobnicate"]) == 2
         capsys.readouterr()

@@ -256,6 +256,23 @@ class TestPartitionFunction:
             if abs(alpha) < 100:
                 assert partition_function(cfg) == pytest.approx(np.exp(old), rel=1e-14)
 
+    @pytest.mark.parametrize("alpha,past", [(2417.1, 1001), (2417.1 * np.exp(0.3j), 1001), (2417.03, 1 << 22)])
+    def test_series_head_past_the_gate(self, monkeypatch, alpha, past):
+        # |alpha| = 2417.1 puts P = 16,777,811 between 2^24 and N = 2^24 + past, so the principal logs run
+        # over the table up to P, streamed past its head, and the power sums start past N's head.  At
+        # |alpha| = 2417.03, P = 16,777,228 lies below the first prime past 2^24, so they start at the end
+        # of N's head, on a table not counted yet.  log Z agrees with the all-chunk route to 1e-14 relative,
+        # and neither table is sieved whole.
+        monkeypatch.setattr(kfree_primes, "_TABLE_CACHE", {})
+        monkeypatch.setattr(kfree_primes, "_POWER_CACHE", {})
+        N = kfree_primes._PARALLEL_LIMIT + past
+        P = ensemble._series_head(2, alpha)
+        assert kfree_primes._PARALLEL_LIMIT < P < N
+        cfg = EnsembleConfig(k=2, alpha=alpha, N=N)
+        got = ensemble._series_log(sieve_primes(N), 2, cfg.alpha)
+        assert abs(got - ensemble._log_product(cfg, lambda p: cfg.alpha / p)) <= 1e-14 * abs(got)
+        assert all(t._head_limit < t.limit for t in (sieve_primes(N), sieve_primes(P)))
+
     def test_large_alpha_head_factors(self):
         # |alpha| > 2 puts the first factors far outside |z - 1| < 1/2.
         cfg = EnsembleConfig(k=4, alpha=3.5 - 1.0j, N=13)

@@ -274,22 +274,31 @@ def _prime_sums(monkeypatch, table, splits, buckets=4096) -> list:
     return out + table.map_chunks(np.copy, splits[0])
 
 
-def test_streamed_sums_match_the_table_at_any_worker_count(table_1e6, monkeypatch):
-    # With the gate at 10^5 and segments of 2^16 integers, a fresh 10^6 table keeps the 9,592 primes
-    # below 10^5 and streams the rest in segments of about 4,700 primes: chunks and buckets straddle
-    # segment edges, and the second split lies past the gate.  Its sums and chunks are the whole
-    # table's, bit for bit, at 1 and 2 workers, and no pass builds the 78,498-prime table.
-    span, splits = 1 << 16, (table_1e6.count_below(10**4), table_1e6.count_below(2 * 10**5))
-    want = _prime_sums(monkeypatch, table_1e6, splits)
-    p = table_1e6.primes
-    v = np.log(p) / np.log(10**6)
+def _straddled(table, splits, span) -> None:
+    """Assert that, in segments of ``span`` integers, a chunk and a bucket (4096 of them) from each split
+    straddle a segment edge."""
+    p = table.primes
+    v = np.log(p) / np.log(table.limit)
     for split in splits:
-        starts = np.searchsorted(p, 3 + span * np.arange(1, 10**6 // span + 1))  # each segment's first prime
+        starts = np.searchsorted(p, 3 + span * np.arange(1, table.limit // span + 1))  # each segment's first prime
         starts = starts[starts > split]
         assert np.any((starts - split) % primes._CHUNK), "a chunk straddles a segment edge"
         bucket = np.searchsorted(np.linspace(v[split], v[-1] * (1 + 1e-12), 4097), v, side="right")
         assert np.any(bucket[starts - 1] == bucket[starts]), "a bucket straddles a segment edge"
+
+
+def test_streamed_sums_match_the_table_at_any_worker_count(table_1e6, monkeypatch):
+    # With the gate at 10^5 and segments of 2^16 integers, a fresh 10^6 table keeps the 9,592 primes
+    # below 10^5 and streams the rest in segments of about 4,700 primes: the chunks restart at segment
+    # edges, buckets straddle them, which the piece holding a bucket's lower cut sieves on past, and the
+    # second split lies past the gate.  Its sums and chunks are the whole table's at the same segment size,
+    # bit for bit, at 1 and 2 workers, and no pass builds the 78,498-prime table.
+    span, splits = 1 << 16, (table_1e6.count_below(10**4), table_1e6.count_below(2 * 10**5))
+    _straddled(table_1e6, splits, span)
     monkeypatch.setattr(primes, "_SEGMENT_SIZE", span)
+    want = _prime_sums(monkeypatch, table_1e6, splits)
+    middle = table_1e6.map_chunks(np.copy, splits[0], splits[1] + 5)
+    p = table_1e6.primes
     monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 10**5)
     sieve, sieved = primes._sieve, []
     monkeypatch.setattr(primes, "_sieve", lambda limit: sieved.append(limit) or sieve(limit))
@@ -299,12 +308,70 @@ def test_streamed_sums_match_the_table_at_any_worker_count(table_1e6, monkeypatc
         table = primes.sieve_primes(10**6)
         got = _prime_sums(monkeypatch, table, splits)
         assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(want, got))
+        got = table.map_chunks(np.copy, splits[0], splits[1] + 5)  # a stop past the head
+        assert len(got) == len(middle) and all(np.array_equal(a, b) for a, b in zip(middle, got))
         assert table.count() == table_1e6.count() and table[splits[1]] == p[splits[1]]
     assert max(sieved) <= 10**5  # the head, up to the gate
 
 
+def test_fresh_stream_from_the_end_of_its_head(table_1e6, monkeypatch):
+    # With the gate at 10^5 and segments of 2^16 integers, a pass from primes[9592], the first prime past
+    # the head, on a table not counted yet (a pass to the end from anywhere counts it): its chunks and power
+    # sums are the whole table's, bit for bit.  Until then, the index of each segment's first prime past the
+    # one holding the gate is only a floor, and must not place the start.
+    monkeypatch.setattr(primes, "_SEGMENT_SIZE", 1 << 16)
+    monkeypatch.setattr(primes, "_POWER_CACHE", {})
+    split = table_1e6.count_below(10**5)
+    want = [*table_1e6.map_chunks(np.copy, split), table_1e6.power_sums(split)]
+    monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 10**5)
+    got = []
+    for call in (lambda t: t.map_chunks(np.copy, split), lambda t: [t.power_sums(split)]):
+        monkeypatch.setattr(primes, "_TABLE_CACHE", {})
+        monkeypatch.setattr(primes, "_POWER_CACHE", {})
+        table = primes.sieve_primes(10**6)
+        assert table._head.size == split and table._sizes is None
+        got += call(table)
+    assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(want, got))
+
+
+def _in_thread(call, timeout: float = 60):
+    """call() on a daemon thread, which must end within ``timeout`` seconds; its value or its exception."""
+    result = []
+
+    def run():
+        try:
+            result.append(call())
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            result.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the pass did not end"
+    return result[0]
+
+
+def test_pieces_stand_alone_in_any_order(table_1e6, monkeypatch):
+    # With the gate at 10^5 and segments of 2^16 integers, as above, the pieces of every pass run last
+    # first: the chunks, power sums and tail sums are those of the pass in order, bit for bit.  A piece
+    # that waited for the one before it would never end, and would hold the caches' lock: a lock of the
+    # test's own keeps it from stalling the tests after it.
+    span, splits = 1 << 16, (table_1e6.count_below(10**4), table_1e6.count_below(2 * 10**5))
+    _straddled(table_1e6, splits, span)
+    monkeypatch.setattr(primes, "_SEGMENT_SIZE", span)
+    monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 10**5)
+    monkeypatch.setattr(primes, "_TABLE_CACHE", {})
+    want = _prime_sums(monkeypatch, primes.sieve_primes(10**6), splits)
+    monkeypatch.setattr(primes, "_TABLE_CACHE", {})
+    monkeypatch.setattr(primes, "_CACHE_LOCK", threading.Lock())
+    monkeypatch.setattr(primes, "_map_pieces", lambda task, count, limit: [task(i) for i in range(count)[::-1]][::-1])
+    got = _in_thread(lambda: _prime_sums(monkeypatch, primes.sieve_primes(10**6), splits))
+    assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(want, got))
+
+
 def test_streamed_sums_match_the_table_past_the_real_gate(monkeypatch):
-    # 2^24 + 1001: the head's last chunk and last bucket go on into the one segment sieved past it
+    # 2^24 + 1001: the last two segments are sieved past the head, and the one holding 2^24 also holds the
+    # lower cut of the last bucket, so its piece sieves on to the end of the table
     limit = primes._PARALLEL_LIMIT + 1001
     monkeypatch.setattr(primes, "_TABLE_CACHE", {})
     monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 1 << 25)
@@ -321,42 +388,30 @@ def test_streamed_sums_match_the_table_past_the_real_gate(monkeypatch):
     assert table.count() == whole.count() and max(sieved) <= primes._PARALLEL_LIMIT
 
 
-def test_streamed_pass_hands_on_in_order_under_contention(table_1e6, monkeypatch):
+def test_failing_segment_ends_the_pass_under_contention(monkeypatch):
     # four workers, switching every microsecond, over the 31 pieces of 2^15 integers of a table past the
-    # gate (slices of its head, then segments sieved past 999,000): every piece waits for the one before
-    # to hand on its unfinished chunk, and the chunks come out as the table's; a segment that fails ends
-    # the pass with an error, not with pieces left waiting
-    want = table_1e6.map_chunks(np.copy)
+    # gate (slices of its head, then the last one, which reaches past the head and is sieved): the segment
+    # that raises ends the pass with its error, and no worker thread is left alive
     monkeypatch.setattr(primes, "_SEGMENT_SIZE", 1 << 15)
     monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 10**6 - 1000)
     monkeypatch.setattr(_threads, "workers", lambda blocks: min(4, blocks))
     monkeypatch.setattr(primes, "_TABLE_CACHE", {})
-    table = primes.sieve_primes(10**6)
-    odd_primes, results, interval = primes._odd_primes, [], sys.getswitchinterval()
-
-    def run():
-        try:
-            results.append(table.map_chunks(np.copy))
-        except RuntimeError as exc:
-            results.append(exc)
+    table, odd_primes = primes.sieve_primes(10**6), primes._odd_primes
 
     def failing(first, *args):
         if first > 960_000:
             raise RuntimeError("segment failed")
         return odd_primes(first, *args)
 
+    monkeypatch.setattr(primes, "_odd_primes", failing)
+    before, interval = set(threading.enumerate()), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(2):
-            thread = threading.Thread(target=run)
-            thread.start()
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-            monkeypatch.setattr(primes, "_odd_primes", failing)
+        error = _in_thread(lambda: table.map_chunks(np.copy))
     finally:
         sys.setswitchinterval(interval)
-    assert len(results[0]) == len(want) and all(np.array_equal(a, b) for a, b in zip(want, results[0]))
-    assert isinstance(results[1], RuntimeError)
+    assert isinstance(error, RuntimeError) and str(error) == "segment failed"
+    assert set(threading.enumerate()) <= before
 
 
 def test_tables_below_the_gate_stay_on_the_calling_thread(table_1e6, table_1e7, monkeypatch):
