@@ -32,7 +32,7 @@ _SEGMENT_SIZE = 1 << 21
 # primes per chunk of the Euler-product sums, so memory stays bounded at any
 # N; at N = 10^7 and 10^8 this ran as fast as or faster than 2^20 primes per
 # chunk or one full-length pass; it also bounds the exact evaluator's
-# (frequency block, chunk) arrays and the tail power sums' bucket groups
+# (frequency block, chunk) arrays
 _CHUNK = 1 << 14
 
 # pieces go to workers from this prime limit on (pi(2^24) ~ 2^20 primes): on a
@@ -256,8 +256,9 @@ def _tail_pass(table: PrimeTable, split: int, buckets: int, fn) -> tuple:
 
 def _tail_rows(table: PrimeTable, split: int, buckets: int, extra: int = 0, fn=None) -> tuple:
     """(vbar, T, v0, width, [fn(chunk) for the chunks of primes[split:]]) of :meth:`PrimeTable.tail_sums`,
-    T[i, b] = sum_{p in b} p^-1 u_p^i, u_p = v_p - vbar_b, i < 4 + m + extra, in one :func:`_walk`, over
-    groups of whole buckets of about ``_CHUNK`` primes, each with one ``np.add.reduceat``.
+    T[i, b] = sum_{p in b} p^-1 u_p^i, u_p = v_p - vbar_b, i < 4 + m + extra, in one :func:`_walk`: a piece
+    takes v_p and p^-1 of all the buckets it fills into its worker's buffer and forms there, row after row, the
+    terms p^-1 u_p^i in place, each row with one product by u_p and one ``np.add.reduceat`` over the buckets.
     m is the series order :func:`_tail_series` needs: with x = 3L width, L = log limit, its cut is at most
     x^m e^2x / m! of sum_p p^-d |u_p|^j, and m is the least order keeping that <= 1e-17 (7 at 4096 buckets,
     N = 10^8).  Its terms add up to at most e^2x times that sum, so rounding grows up to e^2x-fold over direct
@@ -273,6 +274,7 @@ def _tail_rows(table: PrimeTable, split: int, buckets: int, extra: int = 0, fn=N
         order += 1
     vbar, T = np.zeros(buckets), np.zeros((4 + order + extra, buckets))
     cuts = np.floor(np.exp(edges * log_n)).astype(np.int64)
+    local = threading.local()  # a worker's v and 1/p buffer, reused: a new one per piece faults its pages in again
 
     def fill(p: np.ndarray, b0: int, b1: int) -> None:
         """vbar and T of the buckets b0 <= b < b1, whose primes p holds with their neighbours: bucket b starts past
@@ -282,20 +284,17 @@ def _tail_rows(table: PrimeTable, split: int, buckets: int, extra: int = 0, fn=N
         below, at = np.log(p[np.clip([s - 1, s], 0, p.size - 1)]) / log_n
         s += ((s < p.size) & (at < e)).astype(np.int64) - ((s > 0) & (below >= e))
         full = np.flatnonzero(np.diff(s))  # the nonempty buckets, from b0
-        bounds = np.append(s[full], s[-1])  # bucket b0 + full[i] is p[bounds[i] : bounds[i + 1]]
-        groups = np.searchsorted(bounds, np.arange(s[0], s[-1], _CHUNK), side="right") - 1
-        groups = np.unique(np.append(groups, full.size))
-        rows, buffer = T.shape[0], np.empty(T.shape[0] * int(np.diff(bounds[groups]).max(initial=0)))
-        for g0, g1 in zip(groups[:-1], groups[1:]):
-            lo, hi, b, counts = bounds[g0], bounds[g1], b0 + full[g0:g1], np.diff(bounds[g0 : g1 + 1])
-            v = np.log(p[lo:hi]) / log_n
-            vbar[b] = np.add.reduceat(v, bounds[g0:g1] - lo) / counts
-            v -= np.repeat(vbar[b], counts)
-            terms = buffer[: rows * (hi - lo)].reshape(rows, hi - lo)
-            np.divide(1.0, p[lo:hi], out=terms[0])
-            for j in range(1, rows):
-                np.multiply(terms[j - 1], v, out=terms[j])
-            T[:, b] = np.add.reduceat(terms, bounds[g0:g1] - lo, axis=1)
+        b, starts, counts, q = b0 + full, s[full] - s[0], np.diff(s)[full], p[s[0] : s[-1]]
+        if len(getattr(local, "buf", ())) < 2 * q.size:
+            local.buf = np.empty(2 * q.size)
+        v, term = local.buf[: 2 * q.size].reshape(2, q.size)
+        np.log(q, out=v)
+        v /= log_n
+        vbar[b] = np.add.reduceat(v, starts) / counts
+        v -= np.repeat(vbar[b], counts)
+        T[0, b] = np.add.reduceat(np.divide(1.0, q, out=term), starts)
+        for j in range(1, T.shape[0]):
+            T[j, b] = np.add.reduceat(np.multiply(term, v, out=term), starts)
 
     parts = _walk(table, split, None, fn, (cuts, fill))
     return vbar, T, float(edges[0]), width, parts

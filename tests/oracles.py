@@ -239,6 +239,25 @@ def trivial_charfn_bound(cfg: EnsembleConfig, strip: float = 0.0) -> float:
     return _positive_product(cfg, strip) / abs(z)
 
 
+def tail_sums_long_double(p: np.ndarray, vbar: np.ndarray, limit: int) -> tuple:
+    """(want, scale)[d - 1, j, b] in long double for the tail sums of the primes p (a table's from its split):
+    want = sum_{p in b} p^-d u_p^j and scale = sum_{p in b} |p^-d u_p^j|, u_p = v_p - vbar_b with v_p in
+    float64 as the pass takes it and the buckets of ``PrimeTable.tail_sums``, d = 1..4, j = 0..4."""
+    buckets = vbar.size
+    v = np.log(p) / math.log(limit)
+    starts = np.searchsorted(v, np.linspace(v[0], v[-1] * (1 + 1e-12), buckets + 1)[:-1])
+    full = np.flatnonzero(np.diff(np.append(starts, v.size)))
+    u = (v - np.repeat(vbar[full], np.diff(np.append(starts[full], v.size)))).astype(np.longdouble)
+    want, scale = np.zeros((2, 4, 5, buckets), np.longdouble)
+    for d in range(1, 5):
+        inv = p.astype(np.longdouble) ** -d
+        for j in range(5):
+            terms = inv * u**j
+            want[d - 1, j, full] = np.add.reduceat(terms, starts[full])
+            scale[d - 1, j, full] = np.add.reduceat(np.abs(terms), starts[full])
+    return want, scale
+
+
 def recursive_enumeration(cfg: EnsembleConfig, cap: int = ENUMERATION_CAP):
     """All k^pi(N) elements as (value, Factorization), by recursion over the primes."""
     primes = [int(p) for p in sieve_primes(cfg.N).primes]

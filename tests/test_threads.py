@@ -13,6 +13,7 @@ from kfree import _threads, primes
 from kfree.dickman import h_constant
 from kfree.ensemble import EnsembleConfig, FastCharfn, _log_product, _predicted_constant, partition_function
 from kfree.smoothsum import _symmetric_grid, bump_transform
+from oracles import tail_sums_long_double
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -367,6 +368,35 @@ def test_pieces_stand_alone_in_any_order(table_1e6, monkeypatch):
     monkeypatch.setattr(primes, "_map_pieces", lambda task, count, limit: [task(i) for i in range(count)[::-1]][::-1])
     got = _in_thread(lambda: _prime_sums(monkeypatch, primes.sieve_primes(10**6), splits))
     assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(want, got))
+
+
+def test_large_buckets_on_a_streamed_pass(table_1e7, monkeypatch):
+    # 64 buckets at 10^7: the top one holds 63,557 primes, each of its sums one row of the piece that
+    # holds its lower cut.  With the gate at 10^6 and segments of 2^16 integers, that piece sieves on over 15
+    # segments; at 1 and 2 workers, and with the pieces run last first on one thread, so that one buffer goes
+    # from the largest fill to smaller ones and would hand a stale entry on, the tail sums are the whole table's,
+    # bit for bit, and within 1e-14 of the long-double sums
+    split = table_1e7.count_below(10**4)
+    monkeypatch.setattr(primes, "_TAIL_CACHE", {})
+    want = table_1e7.tail_sums(split, 64)
+    ld, scale = tail_sums_long_double(table_1e7.primes[split:], want[0], 10**7)
+    v = np.log(table_1e7.primes[split:]) / np.log(10**7)
+    assert np.count_nonzero(v >= want[2] + 63 * want[3]) > 3 * primes._CHUNK  # the top bucket
+    monkeypatch.setattr(primes, "_SEGMENT_SIZE", 1 << 16)
+    monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 10**6)
+
+    def reversed_pieces(task, count: int, limit: int) -> list:
+        return [task(i) for i in range(count)[::-1]][::-1]
+
+    for count, pieces in ((1, primes._map_pieces), (2, primes._map_pieces), (2, reversed_pieces)):
+        monkeypatch.setattr(_threads, "workers", lambda blocks, count=count: min(count, blocks))
+        monkeypatch.setattr(primes, "_map_pieces", pieces)
+        monkeypatch.setattr(primes, "_TABLE_CACHE", {})
+        monkeypatch.setattr(primes, "_TAIL_CACHE", {})
+        got = primes.sieve_primes(10**7).tail_sums(split, 64)
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+        ok = np.abs(got[1] - ld) <= 1e-14 * scale
+        assert ok.all(), np.argwhere(~ok)[:5]
 
 
 def test_streamed_sums_match_the_table_past_the_real_gate(monkeypatch):
