@@ -124,7 +124,7 @@ def _omega(cfg: EnsembleConfig, n: int) -> Optional[int]:
     a prime divides it k or more times or its last prime factor exceeds N.
     """
     omega, rem, table = 0, n, sieve_primes(cfg.N)
-    for p in table[: table.count_below(min(cfg.N, math.isqrt(n)))]:
+    for p in table.upto(min(cfg.N, math.isqrt(n))):
         p = int(p)
         if p * p > rem:
             break
@@ -186,15 +186,13 @@ def threshold_prime(cfg: EnsembleConfig) -> int:
     """
     table = sieve_primes(cfg.N)
     a = abs(complex(cfg.alpha))
-    # integer keys: a float key would make searchsorted copy the table to float
-    p = table[: table.count_below(math.floor(8.0 * a))].astype(float)
+    p = table.upto(8.0 * a).astype(float)
     rows = _marginal_rows(cfg.k, cfg.alpha, p)
     bad = np.nonzero(_envelope(rows) >= 0.5)[0]
-    d_star = int(p[bad[-1]]) if bad.size else int(table[0])
+    d_star = int(p[bad[-1]]) if bad.size else 2
     if d_star <= a:
         # the first prime above |alpha|, or the last prime if none is
-        last = int(table[-1])
-        d_star = last if math.floor(a) >= last else int(table[table.count_below(math.floor(a))])
+        d_star = table.after(a) or int(table.last()[-1])
     return d_star
 
 
@@ -246,7 +244,7 @@ def _series_head(k: int, alpha: complex) -> int:
     """P = max(10^4, 2|alpha|, |alpha| ((k - 1) |alpha| / 1.5e-16)^(1/5)), where a log series of degree 5
     takes over from the principal logs: its cut, sum_{d>=6} (k - 1)/d |alpha|^d S_d <= (k - 1) |alpha|^6 /
     (15 P^5) for |alpha| <= P/2 (S_d = sum_{p>P} p^-d, S_6 <= int_P^inf t^-6 dt), is below 1e-17 there.
-    That is 10^4, FastCharfn's split, for |alpha| < 2 and k <= 235."""
+    That is 10^4, FastCharfn's cut, for |alpha| < 2 and k <= 235."""
     a = abs(alpha)
     return math.ceil(max(_FAST_HEAD_LIMIT, 2.0 * a, a * ((k - 1) * a / 1.5e-16) ** 0.2))
 
@@ -257,7 +255,7 @@ def _series_log(table, k: int, alpha: complex) -> complex:
     from the table's :meth:`~kfree.primes.PrimeTable.power_sums`."""
     head = min(_series_head(k, alpha), table.limit)
     log_head = sum(sieve_primes(head).map_chunks(lambda p: _log_euler(_factor_offset(k, alpha / p))), 0j)
-    return log_head + sum(_log_coeffs(k, alpha, _LOG_DEGREE + 1) * table.power_sums(table.count_below(head)))
+    return log_head + sum(_log_coeffs(k, alpha, _LOG_DEGREE + 1) * table.power_sums(head))
 
 
 def partition_function(cfg: EnsembleConfig) -> complex:
@@ -505,14 +503,14 @@ _MIN_TAIL = 3
 
 
 def _tail_split(cfg: EnsembleConfig, table) -> Optional[tuple]:
-    """(d*, i) of FastCharfn's layout over ``table``, the primes <= N: d* = ``threshold_prime``, and
-    primes[i:] the tail past max(10^4, d*); None when it has fewer than ``_MIN_TAIL``, which the
+    """(d*, x) of FastCharfn's layout over ``table``, the primes <= N: d* = ``threshold_prime``, and
+    the tail the primes > x = max(10^4, d*); None when it has fewer than ``_MIN_TAIL``, which the
     table's last primes tell without a count."""
     d_star = threshold_prime(cfg)
     head = max(_FAST_HEAD_LIMIT, d_star)
-    if cfg.N <= head or table[-_MIN_TAIL] <= head:
+    if cfg.N <= head or table.last()[-_MIN_TAIL] <= head:
         return None
-    return d_star, table.count_below(head)
+    return d_star, head
 
 
 def _log_remainder(k: int, r):
@@ -574,6 +572,9 @@ class FastCharfn:
     cached :meth:`~kfree.primes.PrimeTable.tail_sums` (whose d >= 2 sums, a
     series, hold to 1e-14 of their terms' absolute sums) and sum p^-5 from
     its :meth:`~kfree.primes.PrimeTable.power_sums`, the plain sums Z reads.
+    All of them, like the head and the first tail prime, are read by the value
+    cut max(10^4, d*), so no build counts the table; ``split`` is the number
+    of primes up to the cut.
 
     ``truncation_bound(lam_max)`` bounds the error in log phi_N, i.e. the
     relative error: |fast / exact - 1| <= e^bound - 1 for |lambda| <= lam_max.
@@ -590,11 +591,12 @@ class FastCharfn:
         layout = _tail_split(cfg, self.table)
         if layout is None:
             raise DomainError(f"fewer than {_MIN_TAIL} tail primes to bucket; raise N")
-        d_star, self.split = layout
+        d_star, cut = layout
         self.log_n = math.log(cfg.N)
         k, coef = cfg.k, _log_coeffs(cfg.k, cfg.alpha)
-        head = self.table[: self.split].astype(float)
-        # rem[i]: log remainder of primes[i:split] (|x| < 1/3 past d*, so the cap
+        head = self.table.upto(cut).astype(float)
+        self.split = head.size
+        # rem[i]: log remainder of head[i:] (|x| < 1/3 past d*, so the cap
         # at 1/2 only touches direct primes); the mid primes are the longest
         # such run inside _MID_BUDGET that leaves every p <= d* direct
         rem = np.append(np.cumsum(_log_remainder(k, np.minimum(abs(cfg.alpha) / head, 0.5))[::-1])[::-1], 0.0)
@@ -602,7 +604,8 @@ class FastCharfn:
         self.mid_start = max(int(np.count_nonzero(rem > _MID_BUDGET)), direct)
         self._mid_v = np.log(head[self.mid_start :]) / self.log_n
         # a mid span of more than `buckets` tail widths puts more cells below v0 than any layout has buckets
-        v0, v1 = np.log(np.array([self.table[self.split], self.table[-1]])) / self.log_n
+        p0 = float(self.table.after(cut))
+        v0, v1 = np.log(np.array([p0, self.table.last()[-1]])) / self.log_n
         if v0 - np.min(self._mid_v, initial=v0) > buckets * (v1 - v0):
             raise DomainError(f"the mid primes span more than {buckets} tail widths; raise N or buckets")
         self._head_v = np.log(head[: self.mid_start]) / self.log_n
@@ -611,7 +614,7 @@ class FastCharfn:
         c = coef[:, None] * np.cumprod(np.broadcast_to(inv, (_LOG_DEGREE, inv.size)), axis=0)  # a_d alpha^d p^-d
         self._mid_c = np.concatenate([-c.sum(axis=0, keepdims=True), c])
 
-        self._vbar, S, self._v0, self._width = self.table.tail_sums(self.split, buckets)  # alpha- and k-free
+        self._vbar, S, self._v0, self._width = self.table.tail_sums(cut, buckets)  # alpha- and k-free
         # M[d, j, b] = a_d alpha^d S[d, j, b] and M[0, 0] = -sum_d M[d, 0]; for
         # each d, _abs4[d] = sum_p |c_d(p)| (v_p - vbar_b)^4
         self._moments = np.zeros((_LOG_DEGREE + 1, 4, buckets), dtype=complex)
@@ -619,8 +622,7 @@ class FastCharfn:
         self._moments[0, 0] = -self._moments[1:, 0].sum(axis=0)
         self._abs4 = np.append(0.0, np.abs(coef) * S[:, 4].sum(axis=1))
         # the tail's log remainder, |x| <= |alpha| / p0 for all of it
-        p0 = float(self.table[self.split])
-        s5 = self.table.power_sums(self.split)[4]
+        s5 = self.table.power_sums(cut)[4]
         self._log_remainder = float(_log_remainder(k, abs(cfg.alpha) / p0) * p0**5 * s5 + rem[self.mid_start])
         self._degree = _LOG_DEGREE
 

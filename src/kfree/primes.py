@@ -5,13 +5,14 @@ int64 array, cached behind a lock, and a smaller limit is a read-only view of a 
 gate on, a table keeps only its head, the primes below 2^24 (8.6 MB, sieved once and shared), and its last
 few primes; every pass over it (:func:`_walk`) sieves the segments past the head, and each segment's primes are
 consumed and dropped inside its own piece, so no pi(N)-long array exists unless a caller reads
-:attr:`PrimeTable.primes`.  The Euler-product sums map a table's chunks in order
-(:meth:`PrimeTable.map_chunks`); past a split they read its cached power sums
-(:meth:`PrimeTable.power_sums`, and FastCharfn's bucketed :meth:`PrimeTable.tail_sums`, whose pass fills
-both), and past the table the prime zeta function P(2..5) as literals (:func:`prime_zeta_tails`).  A pass's
-pieces are the sieve's segments and stand alone: no chunk spans two, and the piece holding a bucket's lower cut
-sieves on to its upper one.  So from the gate on they go to kfree's workers in any order, and no value depends
-on the worker count, nor on whether the primes came from an array or from the sieve.
+:attr:`PrimeTable.primes`.  Every cut is a value x, as in the paper's sums over p <= N cut at 10^4, P or d*: a
+pass covers the primes > x from the segment holding x + 1, and no prime index is placed past the head.  The
+Euler-product sums map a table's chunks in order (:meth:`PrimeTable.map_chunks`); past a cut they read its
+cached power sums (:meth:`PrimeTable.power_sums`, and FastCharfn's bucketed :meth:`PrimeTable.tail_sums`, whose
+pass fills both), and past the table the prime zeta function P(2..5) as literals (:func:`prime_zeta_tails`).
+A pass's pieces are the sieve's segments and stand alone: no chunk spans two, and the piece holding a bucket's
+lower cut sieves on to its upper one.  So from the gate on they go to kfree's workers in any order, and no value
+depends on the worker count, nor on whether the primes came from an array or from the sieve.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ _PARALLEL_LIMIT = 1 << 24
 _LAST_SPAN = 1 << 13
 
 # caches under one lock, immutable and safe to share: limit -> PrimeTable,
-# (limit, split) -> power sums, (limit, split, buckets) -> tail sums
+# (limit, x) -> power sums of the primes > x, (limit, x, buckets) -> their tail sums
 _TABLE_CACHE: dict[int, "PrimeTable"] = {}
 _POWER_CACHE: dict[tuple, np.ndarray] = {}
 _TAIL_CACHE: dict[tuple, tuple] = {}
@@ -70,18 +71,18 @@ def _map_pieces(task, count: int, limit: int) -> list:
 
 
 class PrimeTable:
-    """All primes up to ``limit``, strictly increasing.
+    """All primes up to ``limit``, strictly increasing, read by value.
 
     ``primes`` holds them all below ``_PARALLEL_LIMIT``, and from it on only those below it, the head: every
-    pass (:func:`_walk`) then sieves the rest segment by segment, and the first pass to the end keeps their sizes,
-    which place an index past the head.  Indexing reads the head or the last primes where they hold the answer,
-    and reading :attr:`primes` sieves the whole array once and keeps it.
+    pass (:func:`_walk`) then sieves the rest segment by segment.  :meth:`upto`, :meth:`after` and :meth:`last`
+    read the primes <= x, the first prime > x and the last primes from the head or a short sieve; reading
+    :attr:`primes` sieves the whole array once and keeps it, and :meth:`count` counts past the head in one pass.
     """
 
     def __init__(self, limit: int, primes: np.ndarray):
         self.limit = int(limit)
         self._head, self._head_limit = primes, min(self.limit, _PARALLEL_LIMIT - 1)
-        self._sizes = np.zeros(0, dtype=np.int64) if self._head_limit == self.limit else None
+        self._count = primes.size if self._head_limit == self.limit else None
         primes.setflags(write=False)
 
     @property
@@ -90,14 +91,34 @@ class PrimeTable:
         if self._head_limit < self.limit:
             full = _sieve(self.limit)
             full.setflags(write=False)
-            self._head, self._head_limit, self._sizes = full, self.limit, np.zeros(0, dtype=np.int64)
+            self._head, self._head_limit, self._count = full, self.limit, full.size
         return self._head
+
+    def upto(self, x: float) -> np.ndarray:
+        """The primes <= x, read-only: a slice of the head, or past it all the primes of the table up to x."""
+        x = math.floor(x)
+        return sieve_primes(min(x, self.limit)).primes if x > self._head_limit else self._between(-1, x)
+
+    def after(self, x: float) -> int | None:
+        """The first prime > x, None if there is none: one of the primes in the next ``_LAST_SPAN`` integers,
+        since no gap between primes below 4 * 10^18 exceeds 1,476 (Oliveira e Silva, Herzog and Pardi, 2014)."""
+        x = min(math.floor(x), self.limit)
+        p = self._between(x, min(x + _LAST_SPAN, self.limit))
+        return int(p[0]) if p.size else None
+
+    def last(self) -> np.ndarray:
+        """The primes in the last ``_LAST_SPAN`` integers up to the limit, read-only."""
+        return self._last
 
     @functools.cached_property
     def _last(self) -> np.ndarray:
-        """The primes in the last ``_LAST_SPAN`` integers up to the limit."""
-        first = max(3, self.limit - _LAST_SPAN) | 1
-        return _odd_primes(first, self.limit + 1, _sieve(math.isqrt(self.limit))[1:])
+        return self._between(self.limit - _LAST_SPAN, self.limit)
+
+    def _between(self, lo: int, hi: int) -> np.ndarray:
+        """The primes in (lo, hi], hi <= limit: a slice of the head up to its limit, else sieved (lo >= 2)."""
+        if hi <= self._head_limit:
+            return self._head[np.searchsorted(self._head, lo, side="right") : np.searchsorted(self._head, hi, "right")]
+        return _odd_primes((lo + 1) | 1, hi + 1, self.upto(math.isqrt(hi))[1:])
 
     def __len__(self) -> int:
         return self.count()
@@ -105,102 +126,69 @@ class PrimeTable:
     def __iter__(self):
         return iter(int(p) for p in self.primes)
 
-    def __getitem__(self, index):
-        """primes[index]; past the gate the head answers an index or a slice [:i] inside it, the last primes
-        a negative index among them, and a pass over its segment, once the table is counted, a later index."""
-        head = self._head
-        if isinstance(index, slice):
-            stop = -1 if index.stop is None or index.start or index.step else index.stop
-            return (head if 0 <= stop <= head.size or self._head_limit == self.limit else self.primes)[index]
-        if self._head_limit == self.limit or 0 <= index < head.size:
-            return head[index]
-        if index >= 0:
-            return self.map_chunks(lambda p: p[0], index, index + 1)[0]
-        return self._last[index] if index >= -self._last.size else self.primes[index]
-
     def count(self) -> int:
-        """The head's size plus the sizes of the segments past it, which a pass to the end counts."""
-        if self._sizes is None:
-            _walk(self, 0)
-        return self._head.size + int(self._sizes.sum())
+        """pi(limit): the head's size, plus past the gate the primes past it, counted by one pass and kept."""
+        if self._count is None:
+            self._count = self._head.size + sum(self.map_chunks(len, self._head_limit))
+        return self._count
 
-    def count_below(self, x: float) -> int:
-        """Number of table primes <= x (valid for x <= limit)."""
-        if x > self._head_limit:
-            return self.count() if x >= self.limit else sieve_primes(math.floor(x)).count()
-        return int(np.searchsorted(self._head, x, side="right"))
+    def map_chunks(self, fn, x: float = 0) -> list:
+        """[fn(chunk) for each chunk of the primes > x in order], a chunk being up to ``_CHUNK`` primes of one
+        sieve segment as a read-only int64 array, which float arithmetic converts on the fly: one :func:`_walk`."""
+        return _walk(self, x, fn)
 
-    def map_chunks(self, fn, start: int = 0, stop: int | None = None) -> list:
-        """[fn(chunk) for each chunk of primes[start:stop] in order], a chunk being up to ``_CHUNK`` primes of one
-        sieve segment as a read-only int64 array, which float arithmetic converts on the fly: one :func:`_walk`,
-        after the pass that counts the table if start or stop lies past its head."""
-        return _walk(self, start, stop, fn)
-
-    def power_sums(self, split: int) -> np.ndarray:
-        """[sum p^-d for d = 1..5] over primes[split:], read-only: one pass per (limit, split), cached
+    def power_sums(self, x: float) -> np.ndarray:
+        """[sum p^-d for d = 1..5] over the primes > x, read-only: one pass per (limit, x), cached
         (a :meth:`tail_sums` pass fills it too), in which each chunk's :func:`_power_parts` are added
         up exactly (``math.fsum``)."""
-        key = (self.limit, int(split))
+        key = (self.limit, math.floor(x))
         with _CACHE_LOCK:
             if key not in _POWER_CACHE:
                 with one_blas_thread():
-                    _POWER_CACHE[key] = _power_total(self.map_chunks(_power_parts, split))
+                    _POWER_CACHE[key] = _power_total(self.map_chunks(_power_parts, key[1]))
             return _POWER_CACHE[key]
 
-    def tail_sums(self, split: int, buckets: int) -> tuple:
-        """(vbar, S, v0, width), alpha-free sums of primes[split:] in ``buckets`` buckets of
+    def tail_sums(self, x: float, buckets: int) -> tuple:
+        """(vbar, S, v0, width), alpha-free sums of the primes > x in ``buckets`` buckets of
         v_p = log p / log limit, each ``width`` wide from v0: S[d - 1, j, b] = sum_{p in b} p^-d
         (v_p - vbar_b)^j, d, j <= 4, vbar_b the bucket's mean v_p (0 if empty).  FastCharfn's layout;
-        the plain sums are :meth:`power_sums`, which the same pass fills for ``split`` when they are
-        not cached yet.  One pass per (limit, split, buckets), cached; the arrays are read-only.
+        the plain sums are :meth:`power_sums`, which the same pass fills for ``x`` when they are
+        not cached yet.  One pass per (limit, x, buckets), cached; the arrays are read-only.
         S[d >= 2] is a series in the d = 1 rows, within 1e-14 of sum_p p^-d |v_p - vbar_b|^j; a
-        coarser layout raises DomainError."""
-        key = (self.limit, int(split), int(buckets))
+        coarser layout, or no prime > x, raises DomainError."""
+        key = (self.limit, math.floor(x), int(buckets))
         with _CACHE_LOCK:
             if key not in _TAIL_CACHE:
                 power = key[:2] not in _POWER_CACHE
-                _TAIL_CACHE[key], parts = _tail_pass(self, split, buckets, _power_parts if power else None)
+                _TAIL_CACHE[key], parts = _tail_pass(self, key[1], buckets, _power_parts if power else None)
                 if power:
                     _POWER_CACHE[key[:2]] = _power_total(parts)
             return _TAIL_CACHE[key]
 
 
-def _walk(table: PrimeTable, start: int, stop: int | None = None, fn=None, tail=None) -> list:
-    """[fn(chunk) for each chunk of primes[start:stop]] (none without ``fn``), a chunk being up to ``_CHUNK``
-    primes of one sieve segment from primes[start] or the segment's first prime; with ``tail`` = (cuts, fill),
-    also ``fill(p, b0, b1)`` on buckets b0 <= b < b1 of primes[start:], bucket b from the integer cuts[b]: the
-    one pass over a table.
+def _walk(table: PrimeTable, x: int, fn=None, tail=None) -> list:
+    """[fn(chunk) for each chunk of the primes > x] (none without ``fn``), a chunk being up to ``_CHUNK`` primes
+    of one sieve segment from its first prime > x; with ``tail`` = (cuts, fill), also ``fill(p, b0, b1)`` on
+    buckets b0 <= b < b1 of the primes > x, bucket b from the integer cuts[b]: the one pass over a table.
 
-    Its pieces, run as :func:`_map_pieces`, are :func:`_sieve`'s segments from the one holding primes[start], and
-    each stands alone: it takes the slice of the table's array that it covers or, past it, sieves its own range,
-    and fills the buckets whose lower cut it holds, sieving on to their upper cut.  A pass over every segment past
-    the head keeps their sizes, which place an index past the head (:meth:`PrimeTable.count`).
+    Its pieces, run as :func:`_map_pieces`, are :func:`_sieve`'s segments from the one holding x + 1, found by
+    arithmetic on x, and each stands alone: it takes the slice of the table's array that it covers or, past it,
+    sieves its own range, and fills the buckets whose lower cut it holds, sieving on to their upper cut.
     """
-    if stop is not None and start >= stop:
-        return []
-    head, head_limit, limit = table._head, table._head_limit, table.limit
-    if table._sizes is None and max(start, stop or 0) > head.size:
-        table.count()
-    span = 2 * max(1, _SEGMENT_SIZE // 2)  # integers per segment, the first from 3
-    lows = 3 + span * np.arange(max(1, len(range(3, limit + 1, span))))
-    highs = np.minimum(lows + span, limit + 1)
-    streamed = int(np.searchsorted(highs - 1, head_limit, side="right"))  # the first segment not in the head
-    firsts = np.append(0, np.searchsorted(head, lows[1:]))  # each segment's first index; a floor past the gate's
-    if table._sizes is not None:
-        firsts[streamed + 1 :] += np.cumsum(table._sizes)[:-1]
-    first = int(np.searchsorted(firsts[: None if table._sizes is not None else streamed + 1], start, "right")) - 1
-    last = lows.size - 1 if stop is None else int(np.searchsorted(firsts, stop - 1, side="right")) - 1
+    head, head_limit, limit, x = table._head, table._head_limit, table.limit, math.floor(x)
+    span = 2 * max(1, _SEGMENT_SIZE // 2)  # integers per segment, the first from 3 (and 2 with it)
+    first, last = max(0, (x - 2) // span), max(0, (limit - 3) // span)
     cuts, fill = tail or (np.zeros(1, dtype=np.int64), None)
     owned = np.searchsorted(np.clip((cuts[:-1] - 3) // span, first, last), np.arange(first, last + 2))
-    odd = _sieve(math.isqrt(limit))[1:] if head_limit < limit else None
+    odd = table.upto(math.isqrt(limit))[1:]
     local = threading.local()  # a worker's sieve array, reused: a new one per segment faults its pages in again
 
-    def piece(i: int) -> tuple:
+    def piece(i: int) -> list:
         n, b0, b1 = first + i, owned[i], owned[i + 1]
-        lo, hi = int(lows[n]), int(highs[n])
+        lo, hi = 3 + span * n, min(3 + span * (n + 1), limit + 1)
         end = min(max(hi, int(cuts[b1]) + 2), limit + 1) if b1 > b0 else hi
         if end - 1 <= head_limit:
-            p = head[firsts[n] : np.searchsorted(head, end)]
+            p = head[np.searchsorted(head, lo if n else 2) : np.searchsorted(head, end)]
         else:
             if len(getattr(local, "seg", ())) < (end - lo + 1) // 2:
                 local.seg = np.empty((end - lo + 1) // 2, dtype=bool)
@@ -209,15 +197,10 @@ def _walk(table: PrimeTable, start: int, stop: int | None = None, fn=None, tail=
             p.setflags(write=False)
         if b1 > b0 and p.size:
             fill(p, b0, b1)
-        own = p[: np.searchsorted(p, hi)]
-        a, b = np.clip([start - firsts[n], own.size if stop is None else stop - firsts[n]], 0, own.size)
-        chunks = [own[c : min(c + _CHUNK, b)] for c in range(a, b, _CHUNK)] if fn else []
-        return own.size - int(np.searchsorted(own, head_limit, side="right")), [fn(chunk) for chunk in chunks]
+        own = p[np.searchsorted(p, x, side="right") : np.searchsorted(p, hi)]
+        return [fn(own[c : c + _CHUNK]) for c in range(0, own.size, _CHUNK)] if fn else []
 
-    out = _map_pieces(piece, last - first + 1, limit)
-    if table._sizes is None and stop is None and first <= streamed:
-        table._sizes = np.array([size for size, _ in out[streamed - first :]], dtype=np.int64)
-    return [value for _, values in out for value in values]
+    return [value for values in _map_pieces(piece, last - first + 1, limit) for value in values]
 
 
 _HIGH_BITS = np.uint64(2**64 - 2**29)  # the top 24 of a float's 53 significant bits
@@ -244,18 +227,18 @@ def _power_total(parts: list) -> np.ndarray:
 
 
 @one_blas_thread()
-def _tail_pass(table: PrimeTable, split: int, buckets: int, fn) -> tuple:
-    """(:meth:`PrimeTable.tail_sums`, [fn(chunk) for the chunks of primes[split:]]): the d = 1 rows of
+def _tail_pass(table: PrimeTable, cut: int, buckets: int, fn) -> tuple:
+    """(:meth:`PrimeTable.tail_sums`, [fn(chunk) for the chunks of the primes > cut]): the d = 1 rows of
     :func:`_tail_rows`, then the d >= 2 series of :func:`_tail_series` in them; the arrays are made read-only."""
-    vbar, T, v0, width, parts = _tail_rows(table, split, buckets, fn=fn)
+    vbar, T, v0, width, parts = _tail_rows(table, cut, buckets, fn=fn)
     S = _tail_series(T, vbar, math.log(table.limit))
     for array in (vbar, S):
         array.setflags(write=False)
     return (vbar, S, v0, width), parts
 
 
-def _tail_rows(table: PrimeTable, split: int, buckets: int, extra: int = 0, fn=None) -> tuple:
-    """(vbar, T, v0, width, [fn(chunk) for the chunks of primes[split:]]) of :meth:`PrimeTable.tail_sums`,
+def _tail_rows(table: PrimeTable, cut: int, buckets: int, extra: int = 0, fn=None) -> tuple:
+    """(vbar, T, v0, width, [fn(chunk) for the chunks of the primes > cut]) of :meth:`PrimeTable.tail_sums`,
     T[i, b] = sum_{p in b} p^-1 u_p^i, u_p = v_p - vbar_b, i < 4 + m + extra, in one :func:`_walk`: a piece
     takes v_p and p^-1 of all the buckets it fills into its worker's buffer and forms there, row after row, the
     terms p^-1 u_p^i in place, each row with one product by u_p and one ``np.add.reduceat`` over the buckets.
@@ -264,7 +247,10 @@ def _tail_rows(table: PrimeTable, split: int, buckets: int, extra: int = 0, fn=N
     N = 10^8).  Its terms add up to at most e^2x times that sum, so rounding grows up to e^2x-fold over direct
     sums' (<= 6.4e-16): x > 1/2, where that passes e and 4 + m the 20 direct rows, raises DomainError."""
     log_n = math.log(table.limit)
-    v0, v1 = np.log(np.array([table[split], table[-1]])) / log_n
+    first = table.after(cut)
+    if first is None:
+        raise DomainError(f"no primes past {cut} to bucket")
+    v0, v1 = np.log(np.array([first, table.last()[-1]])) / log_n
     edges = np.linspace(v0, v1 * (1 + 1e-12), buckets + 1)
     width = float(edges[-1] - edges[0]) / buckets
     x, order = 3 * log_n * width, 1
@@ -296,7 +282,7 @@ def _tail_rows(table: PrimeTable, split: int, buckets: int, extra: int = 0, fn=N
         for j in range(1, T.shape[0]):
             T[j, b] = np.add.reduceat(np.multiply(term, v, out=term), starts)
 
-    parts = _walk(table, split, None, fn, (cuts, fill))
+    parts = _walk(table, cut, fn, (cuts, fill))
     return vbar, T, float(edges[0]), width, parts
 
 

@@ -30,11 +30,13 @@ AWAITING_CALLER = {"main_term_J111", "antiderivative_case", "antiderivative_name
 # parameter names of each exported callable (a class: its constructor) and public method, in order
 SIGNATURES = {
     "PrimeTable": "limit primes",
+    "PrimeTable.upto": "x",
+    "PrimeTable.after": "x",
+    "PrimeTable.last": "",
     "PrimeTable.count": "",
-    "PrimeTable.count_below": "x",
-    "PrimeTable.map_chunks": "fn start stop",
-    "PrimeTable.power_sums": "split",
-    "PrimeTable.tail_sums": "split buckets",
+    "PrimeTable.map_chunks": "fn x",
+    "PrimeTable.power_sums": "x",
+    "PrimeTable.tail_sums": "x buckets",
     "sieve_primes": "limit",
     "prime_count": "limit",
     "RhoGrid": "alpha step u_max values a0",

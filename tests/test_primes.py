@@ -67,8 +67,7 @@ def test_segmented_sieve_agrees_with_plain():
     limit = 10**7 + 30000
     seg = sieve_primes(limit)
     lo = sieve_primes(10**7)
-    assert seg.count_below(10**7) == lo.count()
-    assert np.array_equal(seg.primes[: lo.count()], lo.primes)
+    assert np.array_equal(seg.upto(10**7), lo.primes)
     tail = [int(p) for p in seg.primes[lo.count() :]]
     assert tail == [p for p in oracle_sieve(limit) if p > 10**7]
 
@@ -97,7 +96,7 @@ def test_smaller_limit_is_sliced_from_a_larger_table(monkeypatch):
     for limit in (10**7 + 20011, 10**7 + 1, 10**6):
         got = sieve_primes(limit)
         assert got.limit == limit
-        assert np.array_equal(got.primes, big.primes[: big.count_below(limit)])
+        assert np.array_equal(got.primes, big.upto(limit))
 
 
 def test_sliced_table_is_a_read_only_view(monkeypatch):
@@ -153,8 +152,7 @@ def test_streamed_sums_at_1e9_bracket_the_prime_zeta_function():
     # bound is far wider than the slack, and a segment missing from the stream would break it.
     N = 10**9
     table = sieve_primes(N)
-    split = table.count_below(10**4)
-    sums = table.power_sums(split)
+    sums = table.power_sums(10**4)
     assert table.count() == 50847534
     with mpmath.workdps(40):
         log_n = mpmath.log(N)
@@ -163,7 +161,7 @@ def test_streamed_sums_at_1e9_bracket_the_prime_zeta_function():
             bound = d * mpmath.fsum(c * log_n ** (1 - k) * mpmath.expint(k, (d - 1) * log_n) for k, c in terms)
             bound -= table.count() * mpmath.mpf(N) ** -d
             s = mpmath.mpf(float(sums[d - 1]))
-            low = mpmath.fsum(mpmath.mpf(int(p)) ** -d for p in table[:split]) + s - 1e-15 * s
+            low = mpmath.fsum(mpmath.mpf(int(p)) ** -d for p in table.upto(10**4)) + s - 1e-15 * s
             assert low <= mpmath.primezeta(d) <= low + bound + 2e-15 * s, d
 
 
@@ -221,14 +219,14 @@ def test_tail_sums_run_once_per_key_across_threads(monkeypatch):
     # often: a check-then-act race would run a pass twice and hand out two objects
     monkeypatch.setattr(primes, "_TAIL_CACHE", {})
     table = sieve_primes(10**5)
-    split, keys = table.count_below(10**4), (16, 32, 64, 128)
+    keys = (16, 32, 64, 128)
     got, errors, interval = [], [], sys.getswitchinterval()
 
     def ask(offset):
         try:
             for i in range(len(keys)):
                 buckets = keys[(i + offset) % len(keys)]
-                got.append((buckets, id(table.tail_sums(split, buckets))))
+                got.append((buckets, id(table.tail_sums(10**4, buckets))))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -248,33 +246,29 @@ def test_tail_sums_run_once_per_key_across_threads(monkeypatch):
 
 
 def test_chunks_cover_the_table_in_order(table_1e6):
-    # read-only int64 views of the table, no copies; start and stop cut the range, and
-    # chunks count from start
+    # read-only int64 views of the table, no copies; a value cut x keeps the primes > x, and
+    # chunks count from the first of them
     chunks = table_1e6.map_chunks(lambda p: p)
     assert [c.size for c in chunks[:-1]] == [primes._CHUNK] * (len(chunks) - 1)
     assert 0 < chunks[-1].size <= primes._CHUNK
     assert all(c.dtype == np.int64 and not c.flags.writeable and c.base is not None for c in chunks)
     assert np.array_equal(np.concatenate(chunks), table_1e6.primes)
-    head = table_1e6.map_chunks(lambda p: p, stop=20_000)
-    assert [c.size for c in head] == [primes._CHUNK, 20_000 - primes._CHUNK]
-    assert np.array_equal(np.concatenate(head), table_1e6.primes[:20_000])
-    tail = table_1e6.map_chunks(lambda p: p, 1229)
-    assert tail[0][0] == 10_007 and [c.size for c in tail[:-1]] == [primes._CHUNK] * (len(tail) - 1)
-    assert np.array_equal(np.concatenate(tail), table_1e6.primes[1229:])
-    middle = table_1e6.map_chunks(lambda p: p, 1229, 1229 + primes._CHUNK + 5)
-    assert [c.size for c in middle] == [primes._CHUNK, 5]
-    assert table_1e6.map_chunks(len, 100, 100) == []
+    for x in (10**4, 10_006, 10_006.5):
+        tail = table_1e6.map_chunks(lambda p: p, x)
+        assert tail[0][0] == 10_007 and [c.size for c in tail[:-1]] == [primes._CHUNK] * (len(tail) - 1)
+        assert np.array_equal(np.concatenate(tail), table_1e6.primes[1229:])
+    assert table_1e6.map_chunks(len, 10_007)[0] == primes._CHUNK
+    assert table_1e6.map_chunks(len, 999_983) == table_1e6.map_chunks(len, 10**6) == []
 
 
 def test_tail_sums_are_the_plain_sums_once_per_key(table_1e6):
-    # one pass per (limit, split, buckets), kept read-only; its per-bucket sums
+    # one pass per (limit, x, buckets), kept read-only; its per-bucket sums
     # add up to the plain power sums of the tail, and each bucket mean lies in its bucket
-    split = table_1e6.count_below(10**4)
-    sums = table_1e6.tail_sums(split, 64)
-    assert table_1e6.tail_sums(split, 64) is sums and table_1e6.tail_sums(split, 128) is not sums
+    sums = table_1e6.tail_sums(10**4, 64)
+    assert table_1e6.tail_sums(10**4, 64) is sums and table_1e6.tail_sums(10**4, 128) is not sums
     vbar, S, v0, width = sums
     assert not vbar.flags.writeable and not S.flags.writeable
-    p = table_1e6.primes[split:].astype(float)
+    p = table_1e6.primes[1229:].astype(float)
     for d in range(1, 5):
         assert S[d - 1, 0].sum() == pytest.approx(math.fsum(p**-d), rel=1e-15)
     v = np.log(p) / math.log(10**6)
@@ -289,7 +283,7 @@ def test_tail_sums_are_the_plain_sums_once_per_key(table_1e6):
         full = np.flatnonzero(np.diff(starts))
         want = np.zeros(buckets)
         want[full] = np.add.reduceat(v, starts[full]) / np.diff(np.append(starts[full], v.size))
-        assert np.array_equal(table_1e6.tail_sums(split, buckets)[0], want)
+        assert np.array_equal(table_1e6.tail_sums(10**4, buckets)[0], want)
 
 
 @pytest.mark.parametrize("limit", [10**5, 10**6])
@@ -299,9 +293,8 @@ def test_tail_sums_match_long_double(limit, buckets):
     # takes it, against every sum in long double: within 1e-14 of the terms' absolute sums for
     # d = 1 (direct sums) and d >= 2 (a series in the d = 1 rows)
     table = sieve_primes(limit)
-    split = table.count_below(10**4)
-    vbar, S = table.tail_sums(split, buckets)[:2]
-    want, scale = tail_sums_long_double(table.primes[split:], vbar, limit)
+    vbar, S = table.tail_sums(10**4, buckets)[:2]
+    want, scale = tail_sums_long_double(table.primes[1229:], vbar, limit)
     ok = np.abs(S - want) <= 1e-14 * scale  # False at a NaN too
     assert ok.all(), np.argwhere(~ok)[:5]  # (d - 1, j, b) of the first sums off
 
@@ -311,7 +304,7 @@ def test_tail_sums_refuse_a_coarse_layout():
     # FastCharfn too; 64 buckets (0.22) pass the long-double check above
     table = sieve_primes(10**6)
     with pytest.raises(DomainError, match="^4 buckets"):
-        table.tail_sums(table.count_below(10**4), 4)
+        table.tail_sums(10**4, 4)
     with pytest.raises(DomainError, match="^4 buckets"):
         FastCharfn(EnsembleConfig(k=2, alpha=1.0, N=10**6), buckets=4)
 
@@ -334,11 +327,15 @@ def test_divisor_characterization(rng):
         assert (n in in_table) == (not has_div)
 
 
-def test_count_below_and_len(table_1e6):
+def test_value_reads_and_len(table_1e6):
     assert len(table_1e6) == table_1e6.count()
-    assert table_1e6.count_below(100) == 25
-    assert table_1e6.count_below(2) == 1
-    assert table_1e6.count_below(1.9) == 0
+    assert table_1e6.upto(100).size == 25
+    assert table_1e6.upto(2).tolist() == [2]
+    assert table_1e6.upto(1.9).size == 0
+    cuts = (-1, 1.9, 2, 100, 999_982, 999_983, 10**6)
+    assert [table_1e6.after(x) for x in cuts] == [2, 2, 3, 101, 999_983, None, None]
+    assert np.array_equal(table_1e6.last(), table_1e6.primes[table_1e6.primes > 10**6 - primes._LAST_SPAN])
+    assert np.array_equal(sieve_primes(10).last(), [2, 3, 5, 7])
 
 
 def test_domain_error():
@@ -374,17 +371,16 @@ def test_prime_zeta_literals_are_correctly_rounded():
 
 
 def test_power_sums_are_the_exact_sums_once_per_key(table_1e6):
-    # one pass per (limit, split), read-only; sum p^-1 is the correctly rounded sum of the float
+    # one pass per (limit, x), read-only; sum p^-1 is the correctly rounded sum of the float
     # terms (their float32 parts sum without rounding), and every sum is within 2e-16 of it
-    split = table_1e6.count_below(10**4)
-    sums = table_1e6.power_sums(split)
-    assert table_1e6.power_sums(split) is sums and table_1e6.power_sums(split + 1) is not sums
+    sums = table_1e6.power_sums(10**4)
+    assert table_1e6.power_sums(10**4) is sums and table_1e6.power_sums(10_007) is not sums
     assert not sums.flags.writeable and sums.shape == (5,)
-    p = table_1e6.primes[split:].astype(float)
+    p = table_1e6.primes[1229:].astype(float)
     assert sums[0] == math.fsum(1.0 / p)
     for d in range(2, 6):
         assert sums[d - 1] == pytest.approx(math.fsum(p**-d), rel=2e-16)
-    assert table_1e6.power_sums(table_1e6.count()).tolist() == [0.0] * 5
+    assert table_1e6.power_sums(10**6).tolist() == [0.0] * 5
 
 
 def test_tail_series_order_cuts_below_1e_17():
@@ -393,14 +389,13 @@ def test_tail_series_order_cuts_below_1e_17():
     # the cut the order is chosen for, where the float rounding of v_p (1e-14) would hide a dropped term
     for limit, buckets in ((10**6, 4096), (10**8 // 64, 512)):
         table = sieve_primes(limit)
-        split = table.count_below(10**4)
         log_n = math.log(limit)
-        vbar, T = primes._tail_rows(table, split, buckets, extra=4)[:2]
+        vbar, T = primes._tail_rows(table, 10**4, buckets, extra=4)[:2]
         order = T.shape[0] - 8
-        assert np.array_equal(table.tail_sums(split, buckets)[1], primes._tail_series(T[: 4 + order], vbar, log_n))
+        assert np.array_equal(table.tail_sums(10**4, buckets)[1], primes._tail_series(T[: 4 + order], vbar, log_n))
         got = primes._tail_series(T[: 4 + order].astype(np.longdouble), vbar, log_n)
         want = primes._tail_series(T.astype(np.longdouble), vbar, log_n)
-        p = table.primes[split:].astype(float)
+        p = table.primes[1229:].astype(float)
         v = np.log(p) / log_n
         starts = np.searchsorted(v, np.linspace(v[0], v[-1] * (1 + 1e-12), buckets + 1)[:-1])
         full = np.flatnonzero(np.diff(np.append(starts, v.size)))

@@ -9,9 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kfree import _threads, primes
+from kfree import DomainError, _threads, primes
 from kfree.dickman import h_constant
-from kfree.ensemble import EnsembleConfig, FastCharfn, _log_product, _predicted_constant, partition_function
+from kfree.ensemble import (
+    EnsembleConfig,
+    FastCharfn,
+    _log_product,
+    _predicted_constant,
+    partition_function,
+    threshold_prime,
+)
 from kfree.smoothsum import _symmetric_grid, bump_transform
 from oracles import tail_sums_long_double
 
@@ -217,9 +224,9 @@ def test_build_and_products_identical_at_any_worker_count(table_1e6, monkeypatch
         primes._TAIL_CACHE.clear()
         primes._POWER_CACHE.clear()
         fast = FastCharfn(cfg)
-        S = table_1e6.tail_sums(fast.split, 4096)[1]
+        S = table_1e6.tail_sums(10**4, 4096)[1]  # the cut max(10^4, d*) at these alpha
         products = partition_function(cfg), _predicted_constant(k, alpha)
-        return fast._moments, fast._abs4, fast._log_remainder, fast._vbar, S, table_1e6.power_sums(fast.split), *products
+        return fast._moments, fast._abs4, fast._log_remainder, fast._vbar, S, table_1e6.power_sums(10**4), *products
 
     values = _at_worker_counts(monkeypatch, compute)
     for got in values[1:]:
@@ -252,35 +259,34 @@ def test_power_sums_identical_at_any_worker_count_past_the_real_gate(monkeypatch
     # 2^24 + 1001 has 66 chunks past 10^4 to share out; the exact sum of the chunks' sums makes
     # every split of them give the same bits
     table = primes.sieve_primes(primes._PARALLEL_LIMIT + 1001)
-    split = table.count_below(10**4)
     sums = []
     for count in (1, 2, 3):
         monkeypatch.setattr(_threads, "workers", lambda blocks, count=count: min(count, blocks))
         monkeypatch.setattr(primes, "_POWER_CACHE", {})
-        sums.append(table.power_sums(split))
+        sums.append(table.power_sums(10**4))
     assert all(np.array_equal(sums[0], got) for got in sums[1:])
 
 
-def _prime_sums(monkeypatch, table, splits, buckets=4096) -> list:
-    """The power sums from their own pass and from the tail pass, the tail sums at each split, and every
-    chunk from the first split, each computed afresh."""
+def _prime_sums(monkeypatch, table, cuts, buckets=4096) -> list:
+    """The power sums from their own pass and from the tail pass, the tail sums past each cut, and every
+    chunk past the first cut, each computed afresh."""
     out = []
     for fill_from_tail in (False, True):
         monkeypatch.setattr(primes, "_POWER_CACHE", {})
         monkeypatch.setattr(primes, "_TAIL_CACHE", {})
-        for split in splits:
+        for x in cuts:
             if fill_from_tail:
-                out += table.tail_sums(split, buckets)
-            out.append(table.power_sums(split))
-    return out + table.map_chunks(np.copy, splits[0])
+                out += table.tail_sums(x, buckets)
+            out.append(table.power_sums(x))
+    return out + table.map_chunks(np.copy, cuts[0])
 
 
-def _straddled(table, splits, span) -> None:
-    """Assert that, in segments of ``span`` integers, a chunk and a bucket (4096 of them) from each split
+def _straddled(table, cuts, span) -> None:
+    """Assert that, in segments of ``span`` integers, a chunk and a bucket (4096 of them) past each cut
     straddle a segment edge."""
     p = table.primes
     v = np.log(p) / np.log(table.limit)
-    for split in splits:
+    for split in np.searchsorted(p, cuts, side="right"):
         starts = np.searchsorted(p, 3 + span * np.arange(1, table.limit // span + 1))  # each segment's first prime
         starts = starts[starts > split]
         assert np.any((starts - split) % primes._CHUNK), "a chunk straddles a segment edge"
@@ -292,14 +298,12 @@ def test_streamed_sums_match_the_table_at_any_worker_count(table_1e6, monkeypatc
     # With the gate at 10^5 and segments of 2^16 integers, a fresh 10^6 table keeps the 9,592 primes
     # below 10^5 and streams the rest in segments of about 4,700 primes: the chunks restart at segment
     # edges, buckets straddle them, which the piece holding a bucket's lower cut sieves on past, and the
-    # second split lies past the gate.  Its sums and chunks are the whole table's at the same segment size,
+    # second cut lies past the gate.  Its sums and chunks are the whole table's at the same segment size,
     # bit for bit, at 1 and 2 workers, and no pass builds the 78,498-prime table.
-    span, splits = 1 << 16, (table_1e6.count_below(10**4), table_1e6.count_below(2 * 10**5))
-    _straddled(table_1e6, splits, span)
+    span, cuts = 1 << 16, (10**4, 2 * 10**5)
+    _straddled(table_1e6, cuts, span)
     monkeypatch.setattr(primes, "_SEGMENT_SIZE", span)
-    want = _prime_sums(monkeypatch, table_1e6, splits)
-    middle = table_1e6.map_chunks(np.copy, splits[0], splits[1] + 5)
-    p = table_1e6.primes
+    want = _prime_sums(monkeypatch, table_1e6, cuts)
     monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 10**5)
     sieve, sieved = primes._sieve, []
     monkeypatch.setattr(primes, "_sieve", lambda limit: sieved.append(limit) or sieve(limit))
@@ -307,32 +311,66 @@ def test_streamed_sums_match_the_table_at_any_worker_count(table_1e6, monkeypatc
         monkeypatch.setattr(_threads, "workers", lambda blocks, count=count: min(count, blocks))
         monkeypatch.setattr(primes, "_TABLE_CACHE", {})
         table = primes.sieve_primes(10**6)
-        got = _prime_sums(monkeypatch, table, splits)
+        got = _prime_sums(monkeypatch, table, cuts)
         assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(want, got))
-        got = table.map_chunks(np.copy, splits[0], splits[1] + 5)  # a stop past the head
-        assert len(got) == len(middle) and all(np.array_equal(a, b) for a, b in zip(middle, got))
-        assert table.count() == table_1e6.count() and table[splits[1]] == p[splits[1]]
+        assert table.count() == table_1e6.count() and table.after(cuts[1]) == table_1e6.after(cuts[1])
+        assert np.array_equal(table.last(), table_1e6.last())
     assert max(sieved) <= 10**5  # the head, up to the gate
 
 
-def test_fresh_stream_from_the_end_of_its_head(table_1e6, monkeypatch):
-    # With the gate at 10^5 and segments of 2^16 integers, a pass from primes[9592], the first prime past
-    # the head, on a table not counted yet (a pass to the end from anywhere counts it): its chunks and power
-    # sums are the whole table's, bit for bit.  Until then, the index of each segment's first prime past the
-    # one holding the gate is only a floor, and must not place the start.
-    monkeypatch.setattr(primes, "_SEGMENT_SIZE", 1 << 16)
+def _outcome(call):
+    """call()'s value, or the type and message of the DomainError it raises."""
+    try:
+        return call()
+    except DomainError as exc:
+        return (DomainError, str(exc))
+
+
+def test_value_cuts_on_a_streamed_table(table_1e6, monkeypatch):
+    # With the gate at 10^5 and segments of 2^16 integers, a pass past a value cut x starts at the segment
+    # holding x + 1, (x - 2) // span: at cuts below 2 and at 2, on and just below a prime, on and just below a
+    # segment's first integer, just below the prime 12 * 2^16 + 1 that ends a segment, at the gate, and on the
+    # last prime and the limit, the chunks of a fresh
+    # streamed 10^6 table are the whole table's primes > x in its chunk layout, and the power sums and the
+    # tail sums in 64 buckets are the whole table's bits (or its DomainError: too coarse a layout from 2, no
+    # prime past the last) at 1 and 2 workers
+    span, p = 1 << 16, table_1e6.primes
+    q, edge = table_1e6.after(5 * 10**5), 3 + 2 * span
+    cuts = (0, 1, 2, q, q - 1, edge, edge - 1, 12 * span, 10**5 - 1, 10**5, int(p[-1]), 10**6)
+    monkeypatch.setattr(primes, "_SEGMENT_SIZE", span)
+
+    def passes(table) -> list:
+        primes._POWER_CACHE.clear()
+        primes._TAIL_CACHE.clear()
+        return [
+            (table.map_chunks(np.copy, x), table.power_sums(x), _outcome(lambda: table.tail_sums(x, 64))) for x in cuts
+        ]
+
     monkeypatch.setattr(primes, "_POWER_CACHE", {})
-    split = table_1e6.count_below(10**5)
-    want = [*table_1e6.map_chunks(np.copy, split), table_1e6.power_sums(split)]
+    monkeypatch.setattr(primes, "_TAIL_CACHE", {})
+    want = passes(table_1e6)
+    for x, (chunks, _, _) in zip(cuts, want):
+        assert np.array_equal(np.concatenate([p[:0], *chunks]), p[p > x]), x
     monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 10**5)
-    got = []
-    for call in (lambda t: t.map_chunks(np.copy, split), lambda t: [t.power_sums(split)]):
+    for count in (1, 2):
+        monkeypatch.setattr(_threads, "workers", lambda blocks, count=count: min(count, blocks))
         monkeypatch.setattr(primes, "_TABLE_CACHE", {})
-        monkeypatch.setattr(primes, "_POWER_CACHE", {})
-        table = primes.sieve_primes(10**6)
-        assert table._head.size == split and table._sizes is None
-        got += call(table)
-    assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(want, got))
+        for x, (chunks, power, tail), got in zip(cuts, want, passes(primes.sieve_primes(10**6))):
+            assert len(got[0]) == len(chunks) and all(np.array_equal(a, b) for a, b in zip(chunks, got[0])), x
+            assert np.array_equal(got[1], power), x
+            assert len(got[2]) == len(tail) and all(np.array_equal(a, b) for a, b in zip(tail, got[2])), x
+
+
+def test_threshold_prime_sieves_no_further_than_its_cut(monkeypatch):
+    # With the gate at 10^5, d* at |alpha| = 2 * 10^4 reads the primes up to 8 |alpha| = 1.6 * 10^5, past the
+    # head of a streamed 10^6 table: they come from the table up to 1.6 * 10^5, and no sieve runs to 10^6
+    cfg = EnsembleConfig(k=2, alpha=2e4, N=10**6)
+    monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 10**5)
+    monkeypatch.setattr(primes, "_TABLE_CACHE", {})
+    sieve, sieved = primes._sieve, []
+    monkeypatch.setattr(primes, "_sieve", lambda limit: sieved.append(limit) or sieve(limit))
+    assert threshold_prime(cfg) == 59999
+    assert max(sieved) <= 1.6e5, sieved
 
 
 def _in_thread(call, timeout: float = 60):
@@ -357,16 +395,16 @@ def test_pieces_stand_alone_in_any_order(table_1e6, monkeypatch):
     # first: the chunks, power sums and tail sums are those of the pass in order, bit for bit.  A piece
     # that waited for the one before it would never end, and would hold the caches' lock: a lock of the
     # test's own keeps it from stalling the tests after it.
-    span, splits = 1 << 16, (table_1e6.count_below(10**4), table_1e6.count_below(2 * 10**5))
-    _straddled(table_1e6, splits, span)
+    span, cuts = 1 << 16, (10**4, 2 * 10**5)
+    _straddled(table_1e6, cuts, span)
     monkeypatch.setattr(primes, "_SEGMENT_SIZE", span)
     monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 10**5)
     monkeypatch.setattr(primes, "_TABLE_CACHE", {})
-    want = _prime_sums(monkeypatch, primes.sieve_primes(10**6), splits)
+    want = _prime_sums(monkeypatch, primes.sieve_primes(10**6), cuts)
     monkeypatch.setattr(primes, "_TABLE_CACHE", {})
     monkeypatch.setattr(primes, "_CACHE_LOCK", threading.Lock())
     monkeypatch.setattr(primes, "_map_pieces", lambda task, count, limit: [task(i) for i in range(count)[::-1]][::-1])
-    got = _in_thread(lambda: _prime_sums(monkeypatch, primes.sieve_primes(10**6), splits))
+    got = _in_thread(lambda: _prime_sums(monkeypatch, primes.sieve_primes(10**6), cuts))
     assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(want, got))
 
 
@@ -376,11 +414,10 @@ def test_large_buckets_on_a_streamed_pass(table_1e7, monkeypatch):
     # segments; at 1 and 2 workers, and with the pieces run last first on one thread, so that one buffer goes
     # from the largest fill to smaller ones and would hand a stale entry on, the tail sums are the whole table's,
     # bit for bit, and within 1e-14 of the long-double sums
-    split = table_1e7.count_below(10**4)
     monkeypatch.setattr(primes, "_TAIL_CACHE", {})
-    want = table_1e7.tail_sums(split, 64)
-    ld, scale = tail_sums_long_double(table_1e7.primes[split:], want[0], 10**7)
-    v = np.log(table_1e7.primes[split:]) / np.log(10**7)
+    want = table_1e7.tail_sums(10**4, 64)
+    ld, scale = tail_sums_long_double(table_1e7.primes[1229:], want[0], 10**7)
+    v = np.log(table_1e7.primes[1229:]) / np.log(10**7)
     assert np.count_nonzero(v >= want[2] + 63 * want[3]) > 3 * primes._CHUNK  # the top bucket
     monkeypatch.setattr(primes, "_SEGMENT_SIZE", 1 << 16)
     monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 10**6)
@@ -393,7 +430,7 @@ def test_large_buckets_on_a_streamed_pass(table_1e7, monkeypatch):
         monkeypatch.setattr(primes, "_map_pieces", pieces)
         monkeypatch.setattr(primes, "_TABLE_CACHE", {})
         monkeypatch.setattr(primes, "_TAIL_CACHE", {})
-        got = primes.sieve_primes(10**7).tail_sums(split, 64)
+        got = primes.sieve_primes(10**7).tail_sums(10**4, 64)
         assert all(np.array_equal(a, b) for a, b in zip(want, got))
         ok = np.abs(got[1] - ld) <= 1e-14 * scale
         assert ok.all(), np.argwhere(~ok)[:5]
@@ -406,14 +443,13 @@ def test_streamed_sums_match_the_table_past_the_real_gate(monkeypatch):
     monkeypatch.setattr(primes, "_TABLE_CACHE", {})
     monkeypatch.setattr(primes, "_PARALLEL_LIMIT", 1 << 25)
     whole = primes.sieve_primes(limit)
-    splits = (whole.count_below(10**4),)
-    want = _prime_sums(monkeypatch, whole, splits)
+    want = _prime_sums(monkeypatch, whole, (10**4,))
     monkeypatch.undo()
     monkeypatch.setattr(primes, "_TABLE_CACHE", {})
     sieve, sieved = primes._sieve, []
     monkeypatch.setattr(primes, "_sieve", lambda limit: sieved.append(limit) or sieve(limit))
     table = primes.sieve_primes(limit)
-    got = _prime_sums(monkeypatch, table, splits)
+    got = _prime_sums(monkeypatch, table, (10**4,))
     assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(want, got))
     assert table.count() == whole.count() and max(sieved) <= primes._PARALLEL_LIMIT
 
